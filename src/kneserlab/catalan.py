@@ -125,13 +125,13 @@ def rotation(n: int) -> Perm:
     return Perm.cycle(2 * n - 1, range(1, 2 * n))
 
 
-def orbits(n: int, odd_graph: LabeledGraph | None = None) -> OrbitSet:
+def orbits(n: int) -> OrbitSet:
     """Orbits of the odd-graph vertices under repeated ground rotation,
     each listed from its minimal vertex index; the orbit count must equal
     catalan(n-1)."""
     if n < 2:
         raise ParameterError("need n >= 2")
-    g = odd_graph if odd_graph is not None else build(Family.odd(n))
+    g = build(Family.odd(n))
     sigma = rotation(n)
     seen = bytearray(g.n_vertices)
     out = []

@@ -138,21 +138,30 @@ def cmd_build(args) -> int:
 
 # ------------------------------------------------------------ decompose
 
+def _parse_colors(text: str) -> list[int]:
+    """Distinct integer colors from a comma-separated list."""
+    try:
+        colors = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ParameterError(
+            f"--colors takes comma-separated integers, got {text!r}"
+        ) from None
+    if len(set(colors)) != len(colors):
+        raise ParameterError(f"--colors repeats a color: {text!r}")
+    return colors
+
+
 def cmd_decompose(args) -> int:
-    if args.colors:
-        colors = [int(x) for x in args.colors.split(",")]
-        k = len(colors)
-    elif args.k is not None:
-        k = args.k
-        colors = None
-    else:
+    colors = _parse_colors(args.colors) if args.colors else None
+    if colors is None and args.k is None:
         raise ParameterError("need --colors or --k")
     n = args.n
     kind = ODD if args.family.lower() in ("odd", "o") else MIDDLE_LEVELS
     fam = Family.odd(n) if kind == ODD else Family.middle_levels(n)
     g = build(fam)
-    s = (dec.as_color_block(colors, g.ground) if colors
-         else dec.canonical_colors(n, k))
+    s = (dec.as_color_block(colors, g.ground) if colors is not None
+         else dec.canonical_colors(n, args.k))
+    k = s.card
     deleted = dec.delete_colors(g, s)
     census = dec.classify_components(deleted)
     try:
@@ -521,8 +530,12 @@ def cmd_orbits(args) -> int:
 # --------------------------------------------------------------- export
 
 def cmd_export(args) -> int:
-    with open(args.input) as fh:
-        g = serialize.graph_from_json(fh.read())
+    try:
+        with open(args.input) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read {args.input}: {exc}") from exc
+    g = serialize.graph_from_json(text)
     _write_output(serialize.render(g, args.format), args.out)
     return 0
 

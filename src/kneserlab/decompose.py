@@ -10,7 +10,7 @@ identical census (checked, not assumed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .errors import ParameterError, UnlabeledGraphError
 from .graphs import (
@@ -170,12 +170,7 @@ class BlockComponent:
     w_side: tuple[Block, ...]
 
 
-def block_component(
-    n: int,
-    colors: ColorsLike,
-    t: ColorsLike,
-    odd_graph: Optional[LabeledGraph] = None,
-) -> BlockComponent:
+def block_component(n: int, colors: ColorsLike, t: ColorsLike) -> BlockComponent:
     """The induced piece of O_n(S) on the vertices whose intersection with
     S equals T or S - T.
 
@@ -187,23 +182,27 @@ def block_component(
     tb = as_color_block(t, m)
     if not tb <= s:
         raise ParameterError(f"T={tb} is not a subset of S={s}")
-    g = odd_graph if odd_graph is not None else build(Family.odd(n))
-    deleted = delete_colors(g, s)
-    members = [
-        g.index_of(v)
-        for v in g.vertices
-        if (v & s) == tb or (v & s) == (s - tb)
-    ]
-    sub = deleted.subgraph(members)
-    profile = degree_profile(sub)
+    g = build(Family.odd(n))
+    s_bits, u_bits, w_bits = s.bits, tb.bits, (s - tb).bits
+    u: list[int] = []
+    w: list[int] = []
+    for i, v in enumerate(g.vertices):
+        trace = v.bits & s_bits
+        if trace == u_bits:
+            u.append(i)
+        if trace == w_bits:
+            w.append(i)
+    # T = S - T only for S empty: both sides are then the whole graph
+    members = u if u_bits == w_bits else u + w
+    sub = delete_colors(g.subgraph(members), s)
     return BlockComponent(
         n=n,
         colors=s,
         t=tb,
         graph=sub,
-        profile=profile,
-        u_side=tuple(side_u(g, s, tb)),
-        w_side=tuple(side_w(g, s, tb)),
+        profile=degree_profile(sub),
+        u_side=tuple(g.vertices[i] for i in u),
+        w_side=tuple(g.vertices[i] for i in w),
     )
 
 
@@ -219,14 +218,12 @@ class RemainderGraph:
     profile: DegreeProfile
 
 
-def remainder_graph(
-    n: int, k: int, odd_graph: Optional[LabeledGraph] = None
-) -> RemainderGraph:
+def remainder_graph(n: int, k: int) -> RemainderGraph:
     """Build the remainder graph of O_n after deleting k canonical colors."""
     if not 0 < k < n:
         raise ParameterError(f"remainder graph needs 0 < k < n, got ({n}, {k})")
     s = canonical_colors(n, k)
-    piece = block_component(n, s, Block.empty(2 * n - 1), odd_graph=odd_graph)
+    piece = block_component(n, s, Block.empty(2 * n - 1))
     prof = piece.profile
     if prof.signature != ("biregular", n, n - k):
         raise AssertionError(
@@ -344,7 +341,7 @@ def middle_component_census(n: int, k: int, family_kind: str = ODD) -> Report:
         if regular_ix != expected:
             failures.append(f"count {regular_ix} != {expected}")
         for t, _rest in regular_component_partitions(n, s):
-            vmap = morphisms.regular_component_to_middle(n, s, t, odd_graph=g)
+            vmap = morphisms.regular_component_to_middle(n, s, t)
             if not morphisms.is_isomorphism(vmap.source, vmap.target, vmap):
                 failures.append(f"component T={t} not isomorphic to middle({mm})")
     else:
@@ -360,7 +357,7 @@ def middle_component_census(n: int, k: int, family_kind: str = ODD) -> Report:
 
         for c in _combos(s.elements(), k // 2):
             t = Block.from_elements(c, 2 * n - 1)
-            vmap = morphisms.middle_class_to_middle(n, s, t, middle_graph=g)
+            vmap = morphisms.middle_class_to_middle(n, s, t)
             if not morphisms.is_isomorphism(vmap.source, vmap.target, vmap):
                 failures.append(f"class T={t} not isomorphic to middle({mm})")
     return Report(

@@ -10,6 +10,7 @@ u | v, for a middle levels graph the unique element of u ^ v.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -239,7 +240,8 @@ def graph_from_edges(
     """Build a graph from explicit vertex and (i, j, label) edge lists.
 
     Vertices must already be distinct; they are re-sorted into canonical
-    colex order and edge indices remapped accordingly.  labeled defaults
+    colex order and edge indices remapped accordingly; an edge endpoint
+    that is not a vertex index raises ParameterError.  labeled defaults
     to whether any edge carries a label.
     """
     order = sorted(range(len(vertices)), key=lambda i: vertices[i].bits)
@@ -252,7 +254,13 @@ def graph_from_edges(
     seen = set()
     edge_list = []
     for i, j, lab in edges:
-        a, b = remap[i], remap[j]
+        try:
+            a, b = remap[i], remap[j]
+        except (KeyError, TypeError):
+            raise ParameterError(
+                f"edge ({i!r}, {j!r}): endpoints must be vertex indices"
+                f" 0..{len(verts) - 1}"
+            ) from None
         if a == b:
             raise ParameterError("self-loops are not allowed")
         key = (min(a, b), max(a, b))
@@ -263,15 +271,27 @@ def graph_from_edges(
     return _assemble(ground, verts, edge_list, family, labeled)
 
 
-def build(family: Family) -> LabeledGraph:
-    """Construct a family instance with canonical vertex order.
+# The live graph of each family: an entry lasts only while some caller
+# holds the graph, so reuse never keeps a large graph resident.
+_live: weakref.WeakValueDictionary[Family, LabeledGraph] = weakref.WeakValueDictionary()
 
-    Labels are populated only for the odd and middle-levels families,
-    where the defining difference set is a singleton.
+
+def build(family: Family) -> LabeledGraph:
+    """The family instance with canonical vertex order.
+
+    While any caller holds the graph of a family, build returns that same
+    instance; otherwise it constructs the graph afresh.  Labels are
+    populated only for the odd and middle-levels families, where the
+    defining difference set is a singleton.
     """
-    if family.kind in (KNESER, ODD):
-        return _build_kneser(family)
-    return _build_bipartite_kneser(family)
+    g = _live.get(family)
+    if g is None:
+        if family.kind in (KNESER, ODD):
+            g = _build_kneser(family)
+        else:
+            g = _build_bipartite_kneser(family)
+        _live[family] = g
+    return g
 
 
 def _build_kneser(family: Family) -> LabeledGraph:

@@ -101,6 +101,11 @@ def find_hamiltonian_cycle(
         return SearchResult(
             NONE, None, 0, 0.0, kernel_name(), "disconnected input"
         )
+    if g.n_vertices == 2:
+        return SearchResult(
+            NONE, None, 0, 0.0, kernel_name(),
+            "two vertices: a cycle would reuse the single edge",
+        )
     kern = kernel if kernel is not None else _kernel
     neighbors = [list(g.neighbors(i)) for i in range(g.n_vertices)]
     rank = _tie_break_ranks(g.n_vertices, budget.seed)
@@ -245,10 +250,10 @@ def recursion_pipeline(
 
     assert result.cycle is not None
     odd_up = build(Family.odd(n))
-    emb = embed_middle_in_odd(n - 1, odd_graph=odd_up)
+    emb = embed_middle_in_odd(n - 1)
 
     if start == "odd":
-        lift = lift_circuit(result.cycle, middle_graph=middle)
+        lift = lift_circuit(result.cycle)
         report.lift = lift
         report.embedded_lengths = tuple(c.length for c in lift.circuits)
         report.lifted_is_hamiltonian_middle = (
@@ -268,7 +273,7 @@ def recursion_pipeline(
 
     colors = canonical_colors(n, 2)
     a, b = colors.elements()
-    rem = remainder_graph(n, 2, odd_graph=odd_up)
+    rem = remainder_graph(n, 2)
     rem_vertices = set(rem.graph.vertices)
     report.remainder_size = len(rem_vertices)
     report.remainder_odd = len(rem_vertices) % 2 == 1

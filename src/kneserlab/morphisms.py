@@ -210,9 +210,9 @@ def verify_cover(m: VertexMap, expected_fiber: Optional[int] = None) -> Report:
     )
 
 
-def kappa(n: int, middle_graph: Optional[LabeledGraph] = None) -> VertexMap:
+def kappa(n: int) -> VertexMap:
     """The complementation automorphism of the middle levels graph."""
-    g = middle_graph if middle_graph is not None else build(Family.middle_levels(n))
+    g = build(Family.middle_levels(n))
     mapping = {v: v.complement() for v in g.vertices}
     return VertexMap(g, g, mapping, kind=AUTOMORPHISM, name=f"kappa({n})")
 
@@ -221,7 +221,7 @@ def kappa_preserves_labels(n: int) -> Report:
     """Check that complementation keeps every edge label of the middle
     levels graph: if u ^ v = {a} then kappa(u) ^ kappa(v) = {a}."""
     g = build(Family.middle_levels(n))
-    km = kappa(n, middle_graph=g)
+    km = kappa(n)
     failures = []
     for i, j, lab in g.edges():
         u, v = g.vertices[i], g.vertices[j]
@@ -272,12 +272,7 @@ def swap_perm(s: Block, t: Block) -> Perm:
     )
 
 
-def color_swap_iso(
-    n: int,
-    colors_from,
-    colors_to,
-    odd_graph: Optional[LabeledGraph] = None,
-) -> VertexMap:
+def color_swap_iso(n: int, colors_from, colors_to) -> VertexMap:
     """Isomorphism between the odd graph minus one color set and minus
     another of the same size, induced by the product of transpositions
     pairing the two set differences."""
@@ -286,7 +281,7 @@ def color_swap_iso(
     t = as_color_block(colors_to, m)
     if s.card != t.card:
         raise ParameterError(f"|S|={s.card} != |T|={t.card}")
-    g = odd_graph if odd_graph is not None else build(Family.odd(n))
+    g = build(Family.odd(n))
     p = swap_perm(s, t)
     src = delete_colors(g, s)
     dst = delete_colors(g, t)
@@ -297,13 +292,7 @@ def color_swap_iso(
     )
 
 
-def biregular_internal_iso(
-    n: int,
-    k: int,
-    t1,
-    t2,
-    odd_graph: Optional[LabeledGraph] = None,
-) -> VertexMap:
+def biregular_internal_iso(n: int, k: int, t1, t2) -> VertexMap:
     """Isomorphism between two same-size block components of the odd graph
     minus the canonical k colors: the ground permutation fixes everything
     outside the deleted set and trades T1 for T2 inside it."""
@@ -317,10 +306,10 @@ def biregular_internal_iso(
         raise ParameterError("|T1| != |T2|")
     if tb1 == s - tb2 and tb1 != tb2:
         raise ParameterError("T1 = S - T2 names the same component")
-    g = odd_graph if odd_graph is not None else build(Family.odd(n))
+    g = build(Family.odd(n))  # held, so both components are cut from one build
     p = swap_perm(tb1, tb2)
-    comp1 = block_component(n, s, tb1, odd_graph=g)
-    comp2 = block_component(n, s, tb2, odd_graph=g)
+    comp1 = block_component(n, s, tb1)
+    comp2 = block_component(n, s, tb2)
     mapping = {v: p.apply(v) for v in comp1.graph.vertices}
     return VertexMap(
         comp1.graph, comp2.graph, mapping, kind=ISOMORPHISM,
@@ -328,16 +317,7 @@ def biregular_internal_iso(
     )
 
 
-def biregular_cross_iso(
-    n: int,
-    k: int,
-    t1,
-    n2: int,
-    p2: int,
-    t2,
-    odd_graph: Optional[LabeledGraph] = None,
-    odd_graph2: Optional[LabeledGraph] = None,
-) -> VertexMap:
+def biregular_cross_iso(n: int, k: int, t1, n2: int, p2: int, t2) -> VertexMap:
     """Isomorphism between same-signature block components across different
     (ground, deleted-count) parameters, both with canonical color sets.
 
@@ -356,8 +336,8 @@ def biregular_cross_iso(
         raise ParameterError(
             f"signature mismatch: ({n - i},{n - k + i}) vs ({n2 - j},{n2 - p2 + j})"
         )
-    comp1 = block_component(n, s1, tb1, odd_graph=odd_graph)
-    comp2 = block_component(n2, s2, tb2, odd_graph=odd_graph2)
+    comp1 = block_component(n, s1, tb1)
+    comp2 = block_component(n2, s2, tb2)
     m2 = 2 * n2 - 1
     u_gain = tb2.bits
     w_gain = (s2 - tb2).bits
@@ -375,9 +355,7 @@ def biregular_cross_iso(
     )
 
 
-def middle_component_iso(
-    m: int, odd_graph: Optional[LabeledGraph] = None
-) -> VertexMap:
+def middle_component_iso(m: int) -> VertexMap:
     """Isomorphism from the regular component of odd(m+1) minus its two
     canonical colors {2m, 2m+1} (the class of T = {2m}) onto middle(m).
 
@@ -390,7 +368,7 @@ def middle_component_iso(
     ground = 2 * n - 1
     s = canonical_colors(n, 2)  # {2m, 2m+1}
     t = Block.from_elements([2 * m], ground)
-    comp = block_component(n, s, t, odd_graph=odd_graph)
+    comp = block_component(n, s, t)
     dst = build(Family.middle_levels(m))
     low_full = (1 << (2 * m - 1)) - 1
     bit_2m = 1 << (2 * m - 1)
@@ -406,16 +384,14 @@ def middle_component_iso(
     )
 
 
-def embed_middle_in_odd(
-    m: int, odd_graph: Optional[LabeledGraph] = None
-) -> VertexMap:
+def embed_middle_in_odd(m: int) -> VertexMap:
     """Injective morphism middle(m) -> odd(m+1), inverse to
     middle_component_iso on its image: small blocks gain element 2m, large
     blocks are complemented within [2m-1] and gain 2m+1."""
     if m < 1:
         raise ParameterError("need m >= 1")
     src = build(Family.middle_levels(m))
-    dst = odd_graph if odd_graph is not None else build(Family.odd(m + 1))
+    dst = build(Family.odd(m + 1))
     ground = 2 * m + 1
     low_full = (1 << (2 * m - 1)) - 1
     bit_2m = 1 << (2 * m - 1)
@@ -432,12 +408,7 @@ def embed_middle_in_odd(
     )
 
 
-def regular_component_to_middle(
-    n: int,
-    colors,
-    t,
-    odd_graph: Optional[LabeledGraph] = None,
-) -> VertexMap:
+def regular_component_to_middle(n: int, colors, t) -> VertexMap:
     """Verified isomorphism from a regular component of the odd graph minus
     an even color set onto the reference middle levels graph, assembled
     from the explicit pieces: a color swap to the canonical set, a
@@ -449,28 +420,26 @@ def regular_component_to_middle(
     k = s.card
     if k % 2 or tb.card != k // 2:
         raise ParameterError("regular components need |S| even and |T| = |S|/2")
-    g = odd_graph if odd_graph is not None else build(Family.odd(n))
+    g = build(Family.odd(n))  # held, so every piece below is cut from one build
     mm = n - k // 2
     s_canon = canonical_colors(n, k)
     if s == s_canon:
         chain = None
         t_canon = tb
     else:
-        swap = color_swap_iso(n, s, s_canon, odd_graph=g)
-        t_canon = swap_perm(s, s_canon).apply(tb)
-        comp_src = block_component(n, s, tb, odd_graph=g)
-        comp_dst = block_component(n, s_canon, t_canon, odd_graph=g)
+        p = swap_perm(s, s_canon)
+        t_canon = p.apply(tb)
+        comp_src = block_component(n, s, tb)
+        comp_dst = block_component(n, s_canon, t_canon)
         chain = VertexMap(
             comp_src.graph,
             comp_dst.graph,
-            {v: swap.mapping[v] for v in comp_src.graph.vertices},
+            {v: p.apply(v) for v in comp_src.graph.vertices},
             kind=ISOMORPHISM,
             name=f"swap {s}->{s_canon} restricted",
         )
     t_target = Block.from_elements([2 * mm], 2 * mm + 1)
-    cross = biregular_cross_iso(
-        n, k, t_canon, mm + 1, 2, t_target, odd_graph=g
-    )
+    cross = biregular_cross_iso(n, k, t_canon, mm + 1, 2, t_target)
     final = middle_component_iso(mm)
     out = final.compose(cross)
     if chain is not None:
@@ -480,12 +449,7 @@ def regular_component_to_middle(
     return out
 
 
-def middle_class_to_middle(
-    n: int,
-    colors,
-    t,
-    middle_graph: Optional[LabeledGraph] = None,
-) -> VertexMap:
+def middle_class_to_middle(n: int, colors, t) -> VertexMap:
     """Verified isomorphism from a regular component of the middle levels
     graph minus an even color set onto the reference middle levels graph.
 
@@ -499,7 +463,7 @@ def middle_class_to_middle(
     k = s.card
     if k % 2 or tb.card != k // 2:
         raise ParameterError("regular classes need |S| even and |T| = |S|/2")
-    g = middle_graph if middle_graph is not None else build(Family.middle_levels(n))
+    g = build(Family.middle_levels(n))
     deleted = delete_colors(g, s)
     members = [g.index_of(v) for v in g.vertices if (v & s) == tb]
     class_graph = deleted.subgraph(members)
@@ -540,10 +504,7 @@ class LiftResult:
         return self.circuits[0]
 
 
-def lift_circuit(
-    c: PathSeq,
-    middle_graph: Optional[LabeledGraph] = None,
-) -> LiftResult:
+def lift_circuit(c: PathSeq) -> LiftResult:
     """Lift a closed walk of the odd graph through the two-to-one cover by
     the middle levels graph.
 
@@ -560,7 +521,7 @@ def lift_circuit(
     if ground % 2 == 0:
         raise ParameterError("base graph ground must be odd")
     n = (ground + 1) // 2
-    bg = middle_graph if middle_graph is not None else build(Family.middle_levels(n))
+    bg = build(Family.middle_levels(n))
     base = [g.vertices[i] for i in c.indices]
     length = len(base)
     v0 = base[0]

@@ -45,11 +45,12 @@ def graph_from_dict(data: dict) -> LabeledGraph:
         params = data.get("params", [])
     except (KeyError, TypeError) as exc:
         raise ParameterError(f"malformed graph document: {exc}") from exc
-    family = None
-    if family_kind is not None:
-        family = Family(family_kind, *params)
-    vertices = [Block.from_elements(elems, ground) for elems in vert_lists]
-    edges = [(u, v, lab) for u, v, lab in edge_lists]
+    try:
+        family = None if family_kind is None else Family(family_kind, *params)
+        vertices = [Block.from_elements(elems, ground) for elems in vert_lists]
+        edges = [(u, v, lab) for u, v, lab in edge_lists]
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"malformed graph document: {exc}") from exc
     labeled = None
     if family is not None:
         labeled = family.kind in ("odd", "middle")
@@ -60,7 +61,11 @@ def graph_from_dict(data: dict) -> LabeledGraph:
 
 
 def graph_from_json(text: str) -> LabeledGraph:
-    return graph_from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise ParameterError(f"invalid JSON: {exc}") from exc
+    return graph_from_dict(data)
 
 
 def _node_name(v: Block) -> str:

@@ -292,7 +292,7 @@ def bottom_level(n: int, v: Block) -> BottomLevel:
     for comp in comp_sets:
         rep = sub.vertices[comp[0]]
         t = rep & colors
-        vmap = regular_component_to_middle(n, colors, t, odd_graph=g)
+        vmap = regular_component_to_middle(n, colors, t)
         comp_graph = sub.subgraph(comp)
         if vmap.source != comp_graph:
             failures.append(f"component at {rep} is not the color-deleted class")

@@ -124,9 +124,7 @@ def test_criterion_04_explicit_isomorphisms():
         for n, k in CENSUS_PARAMS:
             s = canonical_colors(n, k)
             g = build(Family.odd(n))
-            swap = color_swap_iso(
-                n, s, Block.from_elements(range(1, k + 1), 2 * n - 1), odd_graph=g
-            )
+            swap = color_swap_iso(n, s, Block.from_elements(range(1, k + 1), 2 * n - 1))
             maps_checked += 1
             if not swap.verify():
                 failures.append(("swap", n, k))
@@ -141,14 +139,12 @@ def test_criterion_04_explicit_isomorphisms():
                         if t1 == t2 or t1 == s - t2:
                             continue
                         maps_checked += 1
-                        if not biregular_internal_iso(
-                            n, k, t1, t2, odd_graph=g
-                        ).verify():
+                        if not biregular_internal_iso(n, k, t1, t2).verify():
                             failures.append(("internal", n, k, str(t1), str(t2)))
             if k % 2 == 0:
                 for t, _ in regular_component_partitions(n, s):
                     maps_checked += 1
-                    if not regular_component_to_middle(n, s, t, odd_graph=g).verify():
+                    if not regular_component_to_middle(n, s, t).verify():
                         failures.append(("middle", n, k, str(t)))
         for sig, instances in by_signature.items():
             for a in range(len(instances)):

@@ -77,6 +77,13 @@ class TestDecompose:
         code, _, _ = run(["decompose", "odd", "4"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("colors", ["1,x", "1,,2", "1,1"])
+    def test_bad_colors_exit_2(self, colors, capsys):
+        code, out, err = run(["decompose", "odd", "4", "--colors", colors], capsys)
+        assert code == 2
+        assert err.startswith("error: --colors")
+        assert out == ""
+
 
 class TestVerify:
     @pytest.mark.parametrize(
@@ -158,6 +165,14 @@ class TestHamilton:
         code, _, _ = run(["hamilton"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("graph", [["kneser", "2", "1"], ["middle", "1"]])
+    def test_two_vertices_non_hamiltonian(self, graph, capsys):
+        code, out, _ = run(["hamilton", *graph], capsys)
+        assert code == 0
+        assert "non-Hamiltonian" in out
+        code, _, _ = run(["hamilton", *graph, "--require-cycle"], capsys)
+        assert code == 1
+
 
 class TestOrbits:
     def test_counts(self, capsys):
@@ -186,3 +201,17 @@ class TestExport:
         code, out, _ = run(["export", str(src), "--format", "json"], capsys)
         assert code == 0
         assert out == src.read_text()
+
+    @pytest.mark.parametrize("text", [
+        None,  # no such file
+        "{not json",
+        '{"ground": 3, "vertices": [[1], [2]], "edges": [[0, 5, null]]}',
+    ], ids=["missing", "bad-json", "bad-edge"])
+    def test_bad_input_exit_2(self, text, tmp_path, capsys):
+        src = tmp_path / "g.json"
+        if text is not None:
+            src.write_text(text)
+        code, out, err = run(["export", str(src)], capsys)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert out == ""

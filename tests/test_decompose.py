@@ -15,6 +15,8 @@ from kneserlab.decompose import (
     expected_census,
     middle_component_census,
     remainder_graph,
+    side_u,
+    side_w,
     verify_disjointness,
 )
 from kneserlab.errors import ParameterError, UnlabeledGraphError
@@ -96,6 +98,20 @@ class TestBlockComponent:
         else:
             assert piece.profile.signature == ("biregular", max(want), min(want))
 
+    @pytest.mark.parametrize("n,colors,t", [
+        (4, [5, 6, 7], [6]), (4, [1, 3], [3]), (5, [2, 4, 6, 8], [2, 8]),
+        (5, [9], []), (3, [], []), (3, [3, 4, 5], [3, 4, 5]),
+    ])
+    def test_matches_whole_graph_deletion(self, n, colors, t):
+        # reference: delete from the whole graph, then take the class
+        g = build(Family.odd(n))
+        s, tb = b(colors, 2 * n - 1), b(t, 2 * n - 1)
+        members = [i for i, v in enumerate(g.vertices) if v & s in (tb, s - tb)]
+        piece = block_component(n, s, tb)
+        assert piece.graph == delete_colors(g, s).subgraph(members)
+        assert piece.u_side == tuple(side_u(g, s, tb))
+        assert piece.w_side == tuple(side_w(g, s, tb))
+
     def test_class_union_covers_vertex_set(self, odd4):
         # every vertex lies in exactly one partition-class piece
         s = canonical_colors(4, 3)
@@ -103,7 +119,7 @@ class TestBlockComponent:
         for i in range(4):
             for combo in combinations(s.elements(), i):
                 t = b(combo, 7)
-                piece = block_component(4, s, t, odd_graph=odd4)
+                piece = block_component(4, s, t)
                 for v in piece.graph.vertices:
                     seen.setdefault(v, set()).add(
                         frozenset((t.bits, (s - t).bits))

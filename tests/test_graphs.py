@@ -1,5 +1,7 @@
 """Family construction, labels, degrees, distances, components, girth."""
 
+import weakref
+
 import pytest
 
 from kneserlab.errors import (
@@ -89,6 +91,25 @@ class TestBuild:
             for j, lab in middle3.adj[i]:
                 assert j != i
                 assert middle3.adj_map[j][i] == lab
+
+
+class TestLiveInstance:
+    def test_same_instance_while_held(self, odd3):
+        g = build(Family.bipartite_kneser(7, 2))
+        assert build(Family.bipartite_kneser(7, 2)) is g
+        assert build(Family.odd(3)) is odd3
+        # same vertex set, different family: a different graph
+        assert build(Family.kneser(5, 2)).family == Family.kneser(5, 2)
+
+    def test_dropped_graph_is_freed(self):
+        # no collector run: dropping the last reference must free the graph
+        fam = Family.bipartite_kneser(8, 3)
+        g = build(fam)
+        assert g.index and g.adj_map  # cached views must not keep it alive
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
+        assert build(fam).n_vertices == 2 * binomial(8, 3)
 
 
 class TestEdgeLabels:

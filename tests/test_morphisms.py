@@ -75,7 +75,7 @@ class TestMorphismPredicates:
         assert not is_isomorphism(odd3, middle2, mapping)
 
     def test_non_injective_morphism_not_isomorphism(self, middle2):
-        km = kappa(2, middle_graph=middle2)
+        km = kappa(2)
         assert is_morphism(middle2, middle2, km)
         squash = dict(km.mapping)
         squash[middle2.vertices[0]] = km.mapping[middle2.vertices[1]]
@@ -108,7 +108,7 @@ class TestCoverMap:
             cover_map(4, 2)
 
     def test_kappa_is_not_a_double_cover(self, middle2):
-        km = kappa(2, middle_graph=middle2)
+        km = kappa(2)
         km.kind = "covering"
         rep = verify_cover(km, expected_fiber=2)
         assert not rep.ok  # fiber is 1, not 2
@@ -119,7 +119,7 @@ class TestKappa:
         assert kappa(2).apply(b([1], 3)) == b([2, 3], 3)
 
     def test_involution(self, middle4):
-        km = kappa(4, middle_graph=middle4)
+        km = kappa(4)
         assert km.verify()
         twice = km.compose(km)
         assert all(twice.apply(v) == v for v in middle4.vertices)
@@ -130,7 +130,7 @@ class TestKappa:
         assert rep.ok, rep.failures[:3]
 
     def test_specific_edge_relabeling(self, middle3):
-        km = kappa(3, middle_graph=middle3)
+        km = kappa(3)
         u, v = b([1, 2], 5), b([1, 2, 3], 5)
         assert km.apply(u) == b([3, 4, 5], 5)
         assert km.apply(v) == b([4, 5], 5)
@@ -160,7 +160,7 @@ class TestColorSwap:
         assert color_swap_iso(4, [5, 6, 7], [1, 6, 7]).verify()
 
     def test_same_set_is_identity(self, odd3):
-        cs = color_swap_iso(3, [4, 5], [4, 5], odd_graph=odd3)
+        cs = color_swap_iso(3, [4, 5], [4, 5])
         assert cs.verify()
         assert all(cs.apply(v) == v for v in cs.source.vertices)
 
@@ -227,7 +227,7 @@ class TestMiddleComponentIso:
         assert emb.apply(b([1, 2], 3)) == b([3, 5], 5)
 
     def test_embed_image_is_regular_component(self, odd4):
-        emb = embed_middle_in_odd(3, odd_graph=odd4)
+        emb = embed_middle_in_odd(3)
         image = {emb.apply(v) for v in emb.source.vertices}
         deleted = delete_colors(odd4, canonical_colors(4, 2))
         from kneserlab.graphs import component_index_sets
@@ -245,8 +245,7 @@ class TestMiddleComponentIso:
         assert vmap.verify()
 
     def test_middle_class_chain(self, middle4):
-        vmap = middle_class_to_middle(4, canonical_colors(4, 2), b([6], 7),
-                                      middle_graph=middle4)
+        vmap = middle_class_to_middle(4, canonical_colors(4, 2), b([6], 7))
         assert vmap.verify()
         assert vmap.target.family == Family.middle_levels(3)
 
@@ -254,14 +253,14 @@ class TestMiddleComponentIso:
 class TestLiftCircuit:
     def test_odd_base_gives_single_doubled(self, odd3, middle3):
         c5 = brute_force_cycle(odd3, 5)
-        lift = lift_circuit(c5, middle_graph=middle3)
+        lift = lift_circuit(c5)
         assert lift.kind == "single"
         assert lift.circuits[0].length == 10
         assert lift.circuits[0].closed
 
     def test_even_base_splits_in_two(self, odd3, middle3):
         c6 = brute_force_cycle(odd3, 6)
-        lift = lift_circuit(c6, middle_graph=middle3)
+        lift = lift_circuit(c6)
         assert lift.kind == "pair"
         assert [c.length for c in lift.circuits] == [6, 6]
         assert lift.antipodal
@@ -275,14 +274,14 @@ class TestLiftCircuit:
     def test_projection_reproduces_base(self, odd3, middle3):
         cm = cover_map(5, 2)
         c5 = brute_force_cycle(odd3, 5)
-        lifted = lift_circuit(c5, middle_graph=middle3).circuits[0]
+        lifted = lift_circuit(c5).circuits[0]
         projected = [cm.apply(x) for x in lifted.blocks()]
         base = list(c5.blocks())
         assert projected == base + base
 
     def test_starts_at_lex_smaller_preimage(self, odd3, middle3):
         c5 = brute_force_cycle(odd3, 5)
-        lifted = lift_circuit(c5, middle_graph=middle3).circuits[0]
+        lifted = lift_circuit(c5).circuits[0]
         v0 = c5.blocks()[0]
         lo = min(v0, v0.complement(), key=lambda x: x.lex_key())
         assert lifted.blocks()[0] == lo
@@ -309,7 +308,7 @@ class TestLiftCircuit:
                 continue  # want genuinely non-simple walks here
             walks_found += 1
             seq = PathSeq.from_indices(odd3, walk, closed=True)
-            lift = lift_circuit(seq, middle_graph=middle3)
+            lift = lift_circuit(seq)
             base = list(seq.blocks())
             expect_single = len(walk) % 2 == 1
             assert (lift.kind == "single") == expect_single

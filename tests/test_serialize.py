@@ -58,9 +58,30 @@ class TestJsonRoundTrip:
         assert pairs == sorted(pairs)
         assert all(u < v for u, v in pairs)
 
+    @staticmethod
+    def _doc(**fields):
+        data = {"ground": 3, "vertices": [[1], [2]], "edges": [[0, 1, None]]}
+        data.update(fields)
+        return json.dumps(data)
+
     def test_malformed_document_rejected(self):
         with pytest.raises(ParameterError):
             graph_from_json("{}")
+        graph_from_json(self._doc())  # the base document is well formed
+        for text in [
+            "{not json",
+            "[1, 2]",
+            self._doc(edges=[[0, 5, None]]),
+            self._doc(edges=[[-1, 0, None]]),
+            self._doc(edges=[[0, "1", None]]),
+            self._doc(edges=[[0, [1], None]]),
+            self._doc(edges=[[0, 1]]),
+            self._doc(vertices=5),
+            self._doc(vertices=[[1], [7]]),
+            self._doc(family="odd", params=["x"]),
+        ]:
+            with pytest.raises(ParameterError):
+                graph_from_json(text)
 
     def test_family_less_graph_round_trips(self, odd3):
         from kneserlab.decompose import delete_colors

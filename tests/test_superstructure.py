@@ -58,7 +58,7 @@ class TestTwoColorPath:
         g = build(Family.odd(n))
         colors = canonical_colors(n, 2)
         a, c = colors.elements()
-        piece = block_component(n, colors, Block.empty(2 * n - 1), odd_graph=g)
+        piece = block_component(n, colors, Block.empty(2 * n - 1))
         remainder = set(piece.graph.vertices)
         hits = 0
         for v in g.vertices:
