@@ -3,8 +3,7 @@
 Builds the four graph families, decomposes them by edge-color deletion,
 verifies the component censuses, explicit isomorphisms, covering maps,
 meta-graph structure and Catalan-number identities that govern them, and
-searches for Hamiltonian cycles with an exhaustive backtracking kernel
-(compiled when available, pure Python otherwise).
+searches for Hamiltonian cycles with an exhaustive backtracking kernel.
 """
 
 from .errors import (
@@ -28,7 +27,6 @@ from .graphs import (
     verify_distance_formula,
 )
 from .hamilton import (
-    HAVE_COMPILED_KERNEL,
     SearchBudget,
     SearchResult,
     find_hamiltonian_cycle,
@@ -55,7 +53,6 @@ __all__ = [
     "DegenerateCaseError",
     "DegreeProfile",
     "Family",
-    "HAVE_COMPILED_KERNEL",
     "LabeledGraph",
     "MAX_GROUND",
     "NotAdjacentError",

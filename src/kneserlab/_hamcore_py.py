@@ -1,9 +1,8 @@
 """Pure-Python Hamiltonian cycle search kernel.
 
-Mirrors the compiled kernel in kneserlab._hamcore: same algorithm, same
-expansion order, same node accounting, so results (and node counts) are
-interchangeable.  Selected automatically when the compiled module is not
-available; also used directly by the benchmark.
+The only search kernel: kneserlab.hamilton.find_hamiltonian_cycle calls
+solve() as hamilton._kernel.solve, and the benchmark patches it there.
+Node counts are deterministic for a given rank array and node budget.
 
 The search is a depth-first backtrack from a fixed start vertex with:
   * candidate ordering by fewest remaining continuations (ties broken by

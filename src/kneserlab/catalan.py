@@ -112,10 +112,6 @@ class OrbitSet:
     graph: LabeledGraph
 
     @property
-    def representatives(self) -> tuple[int, ...]:
-        return tuple(orbit[0] for orbit in self.orbits)
-
-    @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(orbit) for orbit in self.orbits)
 

@@ -192,7 +192,7 @@ _SUITE_DEFAULT_N = {
     "identities": 30, "distance": 5, "orbits": 6, "coxeter": 4,
 }
 _SUITE_CAP_N = {
-    "covers": 6, "decompose": 7, "isomorphisms": 7, "superstructure": 7,
+    "covers": 6, "decompose": 6, "isomorphisms": 6, "superstructure": 6,
     "identities": 64, "distance": 6, "orbits": 8, "coxeter": 5,
 }
 
@@ -460,6 +460,8 @@ _SUITES: dict[str, Callable[[RunReport, int], None]] = {
 
 
 def run_suite(suite: str, max_n: Optional[int] = None) -> RunReport:
+    if max_n is not None and max_n < 1:
+        raise ParameterError(f"--max-n must be at least 1, got {max_n}")
     names = list(_SUITES) if suite == "all" else [suite]
     report = RunReport(suite)
     for name in names:

@@ -518,9 +518,6 @@ class PathSeq:
         """Number of edges traversed."""
         return len(self.labels)
 
-    def is_simple(self) -> bool:
-        return len(set(self.indices)) == len(self.indices)
-
 
 @dataclass
 class Report:

@@ -1,9 +1,7 @@
 """Hamiltonian cycle search and the lift-and-embed recursion diagnostics.
 
-The search kernel is compiled (Cython) when available and pure Python
-otherwise; both implement the same exhaustive backtracking with identical
-expansion order, so a negative answer is a proof of non-Hamiltonicity
-regardless of kernel.
+The search kernel (kneserlab._hamcore_py) is an exhaustive backtracking
+search, so a negative answer is a proof of non-Hamiltonicity.
 
 The recursion pipeline walks the chain odd(n-1) <- middle(n-1) -> odd(n):
 find a Hamiltonian cycle downstairs, lift it through the double cover,
@@ -22,20 +20,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import _hamcore_py as _kernel
 from .decompose import canonical_colors, remainder_graph
 from .errors import DegenerateCaseError, ParameterError
 from .graphs import Family, LabeledGraph, PathSeq, build
 from .morphisms import LiftResult, embed_middle_in_odd, lift_circuit
 from .superstructure import two_color_path
-
-try:  # compiled kernel, optional
-    from . import _hamcore as _kernel
-
-    HAVE_COMPILED_KERNEL = True
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _hamcore_py as _kernel
-
-    HAVE_COMPILED_KERNEL = False
 
 FOUND = "found"
 NONE = "none"  # search space exhausted: proof of non-Hamiltonicity
@@ -86,7 +76,6 @@ def _tie_break_ranks(n: int, seed: int) -> list[int]:
 def find_hamiltonian_cycle(
     g: LabeledGraph,
     budget: SearchBudget = SearchBudget(),
-    kernel=None,
 ) -> SearchResult:
     """Search g for a Hamiltonian cycle within the budget.
 
@@ -106,7 +95,6 @@ def find_hamiltonian_cycle(
             NONE, None, 0, 0.0, kernel_name(),
             "two vertices: a cycle would reuse the single edge",
         )
-    kern = kernel if kernel is not None else _kernel
     neighbors = [list(g.neighbors(i)) for i in range(g.n_vertices)]
     rank = _tie_break_ranks(g.n_vertices, budget.seed)
     depth_need = g.n_vertices + 100
@@ -115,7 +103,7 @@ def find_hamiltonian_cycle(
         sys.setrecursionlimit(depth_need + 1000)
     t0 = time.perf_counter()
     try:
-        code, path, nodes = kern.solve(
+        code, path, nodes = _kernel.solve(
             neighbors, 0, rank, budget.max_nodes, budget.max_seconds
         )
     finally:
@@ -127,7 +115,7 @@ def find_hamiltonian_cycle(
         cycle = PathSeq.from_indices(g, path, closed=True)
         if not verify_cycle(g, path):
             raise AssertionError("kernel returned an invalid cycle")
-    return SearchResult(status, cycle, nodes, elapsed, kern.KERNEL_NAME)
+    return SearchResult(status, cycle, nodes, elapsed, kernel_name())
 
 
 def verify_cycle(g: LabeledGraph, sequence) -> bool:

@@ -464,9 +464,9 @@ def middle_class_to_middle(n: int, colors, t) -> VertexMap:
     if k % 2 or tb.card != k // 2:
         raise ParameterError("regular classes need |S| even and |T| = |S|/2")
     g = build(Family.middle_levels(n))
-    deleted = delete_colors(g, s)
-    members = [g.index_of(v) for v in g.vertices if (v & s) == tb]
-    class_graph = deleted.subgraph(members)
+    s_bits, t_bits = s.bits, tb.bits
+    members = [i for i, v in enumerate(g.vertices) if v.bits & s_bits == t_bits]
+    class_graph = delete_colors(g.subgraph(members), s)
     emb = embed_middle_in_odd(n)
     big_ground = 2 * n + 1
     s_up = Block.from_elements(

@@ -101,9 +101,6 @@ class Block:
         self._check_same_ground(other)
         return self.bits & ~other.bits == 0
 
-    def issubset(self, other: "Block") -> bool:
-        return self <= other
-
     def isdisjoint(self, other: "Block") -> bool:
         self._check_same_ground(other)
         return self.bits & other.bits == 0
@@ -197,9 +194,6 @@ class Perm:
         for x, y in enumerate(self.images, start=1):
             inv[y - 1] = x
         return Perm(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(y == x for x, y in enumerate(self.images, start=1))
 
 
 def apply_perm(p: Perm, b: Block) -> Block:

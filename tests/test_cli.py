@@ -103,6 +103,15 @@ class TestVerify:
         assert code == 0, out
         assert "0 failed" in out
 
+    @pytest.mark.parametrize(
+        "suite,max_n", [("identities", "0"), ("all", "-1"), ("covers", "0")]
+    )
+    def test_bad_max_n_exit_2(self, suite, max_n, capsys):
+        code, out, err = run(["verify", suite, "--max-n", max_n], capsys)
+        assert code == 2
+        assert err.startswith("error: --max-n")
+        assert out == ""
+
     def test_run_suite_api(self):
         report = run_suite("identities", 10)
         assert report.exit_status == 0

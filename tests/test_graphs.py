@@ -278,7 +278,6 @@ class TestPathSeq:
         )
         assert p.length == 2
         assert p.labels == (5, 2)
-        assert p.is_simple()
 
     def test_invalid_step_raises(self, odd3):
         with pytest.raises(NotAdjacentError):

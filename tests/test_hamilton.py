@@ -1,14 +1,14 @@
-"""Search kernels, cycle verification, and the recursion pipeline."""
+"""Search kernel, cycle verification, and the recursion pipeline."""
+
+import random
 
 import pytest
 
-from kneserlab import _hamcore_py
 from kneserlab.errors import ParameterError
-from kneserlab.graphs import Family, build, graph_from_edges
+from kneserlab.graphs import graph_from_edges
 from kneserlab.hamilton import (
     EXHAUSTED_BUDGET,
     FOUND,
-    HAVE_COMPILED_KERNEL,
     NONE,
     SearchBudget,
     find_hamiltonian_cycle,
@@ -83,59 +83,73 @@ class TestFindCycle:
         assert len({r.nodes for r in runs}) == 1
 
 
-@pytest.mark.skipif(not HAVE_COMPILED_KERNEL, reason="compiled kernel absent")
-class TestKernelParity:
-    @pytest.mark.parametrize(
-        "fam,seed",
-        [
-            (Family.odd(3), 0),
-            (Family.odd(4), 0),
-            (Family.middle_levels(3), 0),
-            (Family.middle_levels(4), 0),
-            (Family.odd(5), 1),
-        ],
-    )
-    def test_kernels_agree_exactly(self, fam, seed):
-        from kneserlab import _hamcore
+def held_karp_hamiltonian(g) -> bool:
+    """Exact Hamiltonicity by the Bellman / Held-Karp bitmask DP.
 
-        g = build(fam)
-        budget = SearchBudget(max_nodes=10**6, max_seconds=60, seed=seed)
-        compiled = find_hamiltonian_cycle(g, budget, kernel=_hamcore)
-        pure = find_hamiltonian_cycle(g, budget, kernel=_hamcore_py)
-        assert compiled.status == pure.status
-        assert compiled.nodes == pure.nodes
-        if compiled.status == FOUND:
-            assert compiled.cycle.indices == pure.cycle.indices
+    reach[mask] holds, as a bitmask, the vertices v != 0 that end a path
+    starting at vertex 0 and visiting exactly the vertices of mask.  A
+    single vertex counts as a trivial cycle and two vertices do not, the
+    conventions of verify_cycle.
+    """
+    n = g.n_vertices
+    if n <= 2:
+        return n == 1
+    adj = [sum(1 << w for w in g.neighbors(v)) for v in range(n)]
+    reach = [0] * (1 << n)
+    reach[1] = 1  # the path that is vertex 0 alone ends at 0
+    for mask in range(3, 1 << n, 2):
+        ends = 0
+        rest = mask & ~1
+        while rest:
+            low = rest & -rest
+            if adj[low.bit_length() - 1] & reach[mask ^ low]:
+                ends |= low
+            rest ^= low
+        reach[mask] = ends
+    return bool(reach[(1 << n) - 1] & adj[0])
 
-    def test_kernels_agree_on_random_graphs(self):
-        import random
 
-        from kneserlab import _hamcore
-        from kneserlab.graphs import graph_from_edges
+def small_graph(nv: int, edges):
+    """Unlabeled graph on the singletons of [nv], nv <= 13."""
+    return graph_from_edges(13, [b([i], 13) for i in range(1, nv + 1)], edges)
 
+
+class TestExactOracle:
+    def test_oracle_on_known_graphs(self, odd3, middle2):
+        complete = [(i, j, None) for i in range(5) for j in range(i + 1, 5)]
+        ring = [(i, (i + 1) % 7, None) for i in range(7)]
+        star = [(0, j, None) for j in range(1, 6)]
+        assert held_karp_hamiltonian(small_graph(5, complete))
+        assert held_karp_hamiltonian(small_graph(7, ring))
+        assert not held_karp_hamiltonian(small_graph(7, ring[:-1]))  # a path
+        assert not held_karp_hamiltonian(small_graph(6, star))
+        assert held_karp_hamiltonian(middle2)  # the hexagon
+        assert not held_karp_hamiltonian(odd3)  # the Petersen graph
+
+    def test_search_agrees_with_oracle_on_random_graphs(self, odd3):
         rng = random.Random(2024)
         statuses = set()
-        for trial in range(40):
-            nv = rng.randrange(4, 13)
-            p = rng.choice([0.25, 0.4, 0.6])
-            verts = [Block.from_elements([i], 13) for i in range(1, nv + 1)]
-            edges = [
+        for trial in range(1300):  # 20 graphs per size and density
+            nv = trial % 13 + 1
+            p = (0.15, 0.3, 0.45, 0.6, 0.8)[trial // 13 % 5]
+            g = small_graph(nv, [
                 (i, j, None)
                 for i in range(nv)
                 for j in range(i + 1, nv)
                 if rng.random() < p
-            ]
-            g = graph_from_edges(13, verts, edges)
-            budget = SearchBudget(max_nodes=10**5, max_seconds=30, seed=trial)
-            compiled = find_hamiltonian_cycle(g, budget, kernel=_hamcore)
-            pure = find_hamiltonian_cycle(g, budget, kernel=_hamcore_py)
-            assert compiled.status == pure.status
-            assert compiled.nodes == pure.nodes
-            statuses.add(compiled.status)
-            if compiled.status == FOUND:
-                assert compiled.cycle.indices == pure.cycle.indices
-                assert verify_cycle(g, compiled.cycle)
-        assert {FOUND, NONE} <= statuses  # both outcomes exercised
+            ])
+            budget = SearchBudget(max_nodes=10**6, max_seconds=60, seed=trial)
+            result = find_hamiltonian_cycle(g, budget)
+            assert result.status != EXHAUSTED_BUDGET
+            assert (result.status == FOUND) == held_karp_hamiltonian(g), (
+                f"trial {trial}: {nv} vertices, p={p}, search {result.status}"
+            )
+            if not result.reason:  # the kernel ran, not a shortcut
+                statuses.add(result.status)
+        assert statuses == {FOUND, NONE}  # both outcomes from the kernel
+        petersen = find_hamiltonian_cycle(odd3, SearchBudget(max_nodes=10**6))
+        assert petersen.status == NONE
+        assert not held_karp_hamiltonian(odd3)
 
 
 class TestVerifyCycle:

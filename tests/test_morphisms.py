@@ -245,9 +245,18 @@ class TestMiddleComponentIso:
         assert vmap.verify()
 
     def test_middle_class_chain(self, middle4):
-        vmap = middle_class_to_middle(4, canonical_colors(4, 2), b([6], 7))
+        s, t = canonical_colors(4, 2), b([6], 7)
+        vmap = middle_class_to_middle(4, s, t)
         assert vmap.verify()
         assert vmap.target.family == Family.middle_levels(3)
+        # the class cut from its piece equals the class cut from the
+        # whole-graph deletion
+        members = [
+            middle4.index_of(v) for v in middle4.vertices if (v & s) == t
+        ]
+        whole = delete_colors(middle4, s).subgraph(members)
+        assert vmap.source.vertices == whole.vertices
+        assert vmap.source.adj == whole.adj
 
 
 class TestLiftCircuit:

@@ -56,7 +56,7 @@ class TestBlock:
         assert (a & b).elements() == (2,)
         assert (a - b).elements() == (1,)
         assert (a ^ b).elements() == (1, 3)
-        assert a.issubset(a | b)
+        assert a <= a | b
         assert not a.isdisjoint(b)
 
     def test_mixed_grounds_rejected(self):
@@ -130,7 +130,7 @@ class TestPerm:
     @settings(max_examples=40)
     def test_inverse(self, m, data):
         p = Perm(tuple(data.draw(st.permutations(list(range(1, m + 1))))))
-        assert p.compose(p.inverse()).is_identity()
+        assert p.compose(p.inverse()).images == tuple(range(1, m + 1))
         bits = data.draw(st.integers(0, (1 << m) - 1))
         b = Block(bits, m)
         assert apply_perm(p.inverse(), apply_perm(p, b)) == b
