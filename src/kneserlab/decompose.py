@@ -229,7 +229,7 @@ def remainder_graph(n: int, k: int) -> RemainderGraph:
         raise AssertionError(
             f"remainder piece of O_{n}({k}) is {prof}, expected biregular({n},{n - k})"
         )
-    if not piece.graph.is_connected():
+    if not piece.graph.connected:
         raise AssertionError(f"remainder piece of O_{n}({k}) is not connected")
     return RemainderGraph(n=n, k=k, colors=s, graph=piece.graph, profile=prof)
 

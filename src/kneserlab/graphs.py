@@ -153,6 +153,17 @@ class LabeledGraph:
         """Per-vertex {neighbor index: label} for O(1) adjacency tests."""
         return tuple(dict(row) for row in self.adj)
 
+    @cached_property
+    def neighbor_table(self) -> tuple[tuple[int, ...], ...]:
+        """Per-vertex neighbor index tuples, as the search kernel reads them."""
+        return tuple(tuple(j for j, _ in row) for row in self.adj)
+
+    @cached_property
+    def connected(self) -> bool:
+        if self.n_vertices == 0:
+            return True
+        return len(_component_of(self, 0)) == self.n_vertices
+
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
@@ -201,11 +212,6 @@ class LabeledGraph:
             for i in chosen
         )
         return LabeledGraph(self.ground, verts, adj, family=None, labeled=self.labeled)
-
-    def is_connected(self) -> bool:
-        if self.n_vertices == 0:
-            return True
-        return len(_component_of(self, 0)) == self.n_vertices
 
     def __str__(self) -> str:
         fam = f" {self.family}" if self.family else ""

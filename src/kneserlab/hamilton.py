@@ -86,7 +86,7 @@ def find_hamiltonian_cycle(
     """
     if g.n_vertices == 0:
         return SearchResult(NONE, None, 0, 0.0, kernel_name(), "empty graph")
-    if not g.is_connected():
+    if not g.connected:
         return SearchResult(
             NONE, None, 0, 0.0, kernel_name(), "disconnected input"
         )
@@ -95,7 +95,6 @@ def find_hamiltonian_cycle(
             NONE, None, 0, 0.0, kernel_name(),
             "two vertices: a cycle would reuse the single edge",
         )
-    neighbors = [list(g.neighbors(i)) for i in range(g.n_vertices)]
     rank = _tie_break_ranks(g.n_vertices, budget.seed)
     depth_need = g.n_vertices + 100
     old_limit = sys.getrecursionlimit()
@@ -104,7 +103,7 @@ def find_hamiltonian_cycle(
     t0 = time.perf_counter()
     try:
         code, path, nodes = _kernel.solve(
-            neighbors, 0, rank, budget.max_nodes, budget.max_seconds
+            g.neighbor_table, 0, rank, budget.max_nodes, budget.max_seconds
         )
     finally:
         sys.setrecursionlimit(old_limit)

@@ -254,6 +254,21 @@ class TestComponents:
         firsts = [c.vertices[0].bits for c in comps]
         assert firsts == sorted(firsts)
 
+    def test_connected_is_cached(self, odd3):
+        from kneserlab.decompose import delete_colors
+
+        assert odd3.connected
+        assert "connected" in vars(odd3)
+        assert not delete_colors(odd3, [4, 5]).connected
+        assert graph_from_edges(3, [], []).connected  # no vertices
+
+
+class TestNeighborTable:
+    def test_matches_neighbors_and_is_cached(self, odd4):
+        table = odd4.neighbor_table
+        assert table == tuple(odd4.neighbors(i) for i in range(35))
+        assert odd4.neighbor_table is table
+
 
 class TestGirth:
     def test_examples(self, odd3):

@@ -1,11 +1,13 @@
 """Search kernel, cycle verification, and the recursion pipeline."""
 
+import hashlib
 import random
 
 import pytest
 
+from kneserlab import _hamcore_py
 from kneserlab.errors import ParameterError
-from kneserlab.graphs import graph_from_edges
+from kneserlab.graphs import Family, build, graph_from_edges
 from kneserlab.hamilton import (
     EXHAUSTED_BUDGET,
     FOUND,
@@ -256,3 +258,136 @@ class TestOddOrderParity:
             odd_order = binomial(2 * n - 1, n - 1) % 2 == 1
             power_of_two = n & (n - 1) == 0
             assert odd_order == power_of_two
+
+
+def oracle_graphs():
+    """The seeded graphs and budgets of the random-graph oracle test."""
+    rng = random.Random(2024)
+    for trial in range(1300):
+        nv = trial % 13 + 1
+        p = (0.15, 0.3, 0.45, 0.6, 0.8)[trial // 13 % 5]
+        g = small_graph(nv, [
+            (i, j, None)
+            for i in range(nv)
+            for j in range(i + 1, nv)
+            if rng.random() < p
+        ])
+        yield g, SearchBudget(max_nodes=10**6, max_seconds=60, seed=trial)
+
+
+def generalized_petersen(n: int, k: int):
+    """GP(n, k): outer cycle u_i = i, spokes u_i v_i, inner v_i v_{i+k}."""
+    nb = [[] for _ in range(2 * n)]
+    for i in range(n):
+        for x, y in ((i, (i + 1) % n), (i, n + i), (n + i, n + (i + k) % n)):
+            nb[x].append(y)
+            nb[y].append(x)
+    return nb
+
+
+def cycle_digest(result) -> str:
+    text = ",".join(map(str, result.cycle.indices))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestExpansionOrder:
+    """Node counts and cycles pinned, so that any change to the prunes or
+    to the order of expansion shows, not only a wrong answer."""
+
+    def test_oracle_graphs_node_total(self):
+        total = sum(
+            find_hamiltonian_cycle(g, budget).nodes
+            for g, budget in oracle_graphs()
+        )
+        assert total == 6891
+
+    # GP(n, 2) is non-Hamiltonian exactly when n = 5 (mod 6)
+    @pytest.mark.parametrize("n, nodes", [(11, 1532), (17, 12710)])
+    def test_generalized_petersen_proofs(self, n, nodes):
+        nb = generalized_petersen(n, 2)
+        m = 2 * n
+        g = graph_from_edges(
+            m,
+            [b([i], m) for i in range(1, m + 1)],
+            [(x, y, None) for x in range(m) for y in nb[x] if x < y],
+        )
+        result = find_hamiltonian_cycle(g, SearchBudget(max_nodes=10**6))
+        assert (result.status, result.nodes) == (NONE, nodes)
+
+    # tie seed -> (status, nodes, cycle digest) at max_nodes=2000
+    SEEDED = {
+        Family.odd(4): [
+            (FOUND, 39, "0ab2541e0c74d679"), (FOUND, 58, "d074df6afbb81f9e"),
+            (FOUND, 557, "77377fc5487b580e"), (FOUND, 41, "9608e250bd307385"),
+            (FOUND, 211, "ed1e584de67b6793"), (FOUND, 222, "e5e0c558eac4bfba"),
+            (FOUND, 48, "39793fa2a7f635c4"), (FOUND, 198, "161e456808ceb2b0"),
+        ],
+        Family.middle_levels(4): [
+            (FOUND, 237, "bb798ce268bfa1e2"), (FOUND, 1017, "e72942004c0a08ae"),
+            (EXHAUSTED_BUDGET, 2001, None), (FOUND, 138, "7c498d52239f04fc"),
+            (FOUND, 82, "9ca35802453b765e"), (FOUND, 139, "25ccdfc51ba2eebf"),
+            (FOUND, 982, "0734b119d2ed40a9"), (FOUND, 1101, "b7c1c685f8bb6802"),
+        ],
+        Family.odd(5): [
+            (EXHAUSTED_BUDGET, 2001, None), (FOUND, 626, "84bf799d9447020f"),
+            (FOUND, 879, "04e678d03535e045"), (FOUND, 921, "b87cf6ea6e629473"),
+            (EXHAUSTED_BUDGET, 2001, None), (FOUND, 196, "0432c59caaeb5d46"),
+            (FOUND, 568, "eeae8d25bded1cff"), (FOUND, 1081, "213ae30fe62cc4c4"),
+        ],
+    }
+
+    @pytest.mark.parametrize("family", list(SEEDED), ids=str)
+    def test_seeded_family_searches(self, family):
+        g = build(family)
+        got = []
+        for seed in range(8):
+            result = find_hamiltonian_cycle(
+                g, SearchBudget(max_nodes=2000, seed=seed)
+            )
+            digest = cycle_digest(result) if result.cycle else None
+            got.append((result.status, result.nodes, digest))
+        assert got == self.SEEDED[family]
+
+
+class TestSolveDirect:
+    """solve() on inputs find_hamiltonian_cycle never passes it."""
+
+    @pytest.mark.parametrize("neighbors, start, expected", [
+        # disconnected: the root's full connectivity search fails
+        ([(1, 2), (0, 2), (0, 1), (4, 5), (3, 5), (3, 4)], 0,
+         (_hamcore_py.DEAD, [], 1)),
+        # a pendant vertex away from the start: the root's count fails
+        ([(1, 3), (0, 2), (1, 3, 4), (0, 2), (2,)], 0,
+         (_hamcore_py.DEAD, [], 1)),
+        # a pendant neighbor forces the root, so its child has no anchor
+        ([(1, 5), (0, 2), (1, 3), (2, 4), (3, 5), (4, 0), (7,), (6,)], 7,
+         (_hamcore_py.DEAD, [], 2)),
+        ([(1, 2, 3), (0,), (0, 3), (0, 2)], 0, (_hamcore_py.DEAD, [], 2)),
+        ([(1,), (0,)], 0, (_hamcore_py.FOUND, [0, 1], 2)),
+        # a ring: one check at the root, then a forced chain to the end
+        ([((i - 1) % 7, (i + 1) % 7) for i in range(7)], 6,
+         (_hamcore_py.FOUND, [6, 0, 1, 2, 3, 4, 5], 7)),
+        # the start's neighbor 1 has degree 2
+        ([(1, 2, 3), (0, 4), (0, 3, 4), (0, 2, 4), (1, 2, 3)], 0,
+         (_hamcore_py.FOUND, [0, 1, 4, 2, 3], 5)),
+        ([], 0, (_hamcore_py.DEAD, [], 0)),
+        ([()], 0, (_hamcore_py.FOUND, [0], 0)),
+    ], ids=[
+        "two-triangles", "starved-pendant", "forced-root-hexagon",
+        "forced-root-pendant", "single-edge", "ring", "degree-2-neighbor",
+        "no-vertices", "one-vertex",
+    ])
+    def test_pinned_results(self, neighbors, start, expected):
+        rank = list(range(len(neighbors)))
+        assert _hamcore_py.solve(neighbors, start, rank, 10**6, 60.0) == expected
+
+    def test_budgets(self):
+        nb = generalized_petersen(17, 2)
+        rank = list(range(34))
+        # the clock is read every 4096 nodes
+        assert _hamcore_py.solve(nb, 0, rank, 10**6, 1e-9) == (
+            _hamcore_py.BUDGET, [], 4096
+        )
+        assert _hamcore_py.solve(nb, 0, rank, 100, 60.0) == (
+            _hamcore_py.BUDGET, [], 101
+        )
