@@ -23,6 +23,7 @@ from .graphs import (
     build,
     component_index_sets,
     degree_profile,
+    gc_paused,
 )
 from .setcore import Block, binomial
 
@@ -51,22 +52,43 @@ def canonical_colors(n: int, k: int) -> Block:
     return Block.from_elements(range(2 * n - k, 2 * n), m)
 
 
+@gc_paused
 def delete_colors(g: LabeledGraph, colors: ColorsLike) -> LabeledGraph:
     """Same vertex set, minus every edge whose label lies in the color set."""
     if not g.labeled:
         raise UnlabeledGraphError("color deletion needs a labeled graph")
-    s = as_color_block(colors, g.ground)
-    adj = tuple(
-        tuple((j, lab) for j, lab in row if lab not in s) for row in g.adj
-    )
+    drop = frozenset(as_color_block(colors, g.ground).elements())
+    adj = tuple([
+        tuple([pair for pair in row if pair[1] not in drop]) for row in g.adj
+    ])
     return LabeledGraph(g.ground, g.vertices, adj, family=None, labeled=True)
 
 
 def component_signature(g: LabeledGraph, vertex_indices: list[int]) -> tuple:
-    """Census key of one component: isolated / regular / biregular."""
+    """Census key of one component: isolated / regular / biregular / irregular.
+
+    The same key as degree_profile(g.subgraph(vertex_indices)).signature,
+    read from g.adj: a component is closed under adjacency, so its degrees
+    in g are its degrees in the subgraph.
+    """
     if len(vertex_indices) == 1:
         return ISOLATED
-    return degree_profile(g.subgraph(vertex_indices)).signature
+    adj = g.adj
+    degrees = {len(adj[i]) for i in vertex_indices}
+    if len(degrees) == 1:
+        return ("regular", degrees.pop())
+    if len(degrees) == 2:
+        b, a = sorted(degrees)
+        # biregular: every neighbour of a degree-a vertex has degree b and
+        # every neighbour of a degree-b vertex has degree a
+        for i in vertex_indices:
+            row = adj[i]
+            other = a + b - len(row)
+            for j, _ in row:
+                if len(adj[j]) != other:
+                    return ("irregular",)
+        return ("biregular", a, b)
+    return ("irregular",)
 
 
 @dataclass(frozen=True)

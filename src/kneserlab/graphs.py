@@ -10,15 +10,38 @@ u | v, for a middle levels graph the unique element of u ^ v.
 
 from __future__ import annotations
 
+import gc
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, wraps
+from itertools import chain, combinations, islice, repeat
+from operator import add, and_, eq, itemgetter, lt, mul, neg, or_, xor
 from typing import Iterator, Optional, Sequence
 
 from .errors import NotAdjacentError, ParameterError, UnlabeledGraphError
-from .setcore import Block, binomial, check_ground, k_blocks
+from .setcore import Block, binomial, check_ground, k_masks
+
+
+def gc_paused(fn):
+    """Run fn with the cyclic garbage collector paused.
+
+    Building a graph or a document allocates millions of small tuples and
+    lists, none of them cyclic.  With the collector on, those allocations
+    set off full collections that walk every live object (the graphs
+    already held, a parsed document) and free nothing.
+    """
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
+
 
 KNESER = "kneser"
 BIPARTITE_KNESER = "bikneser"
@@ -85,6 +108,20 @@ class Family:
             return self.n - 1
         assert self.k is not None
         return self.k
+
+    @property
+    def block_sizes(self) -> tuple[int, ...]:
+        """Sizes of the vertex blocks: k for the Kneser and odd graphs, the
+        smaller and larger of k and m - k for the bipartite ones."""
+        k = self.subset_size
+        if self.kind in (KNESER, ODD) or 2 * k == self.ground:
+            return (k,)
+        return tuple(sorted((k, self.ground - k)))
+
+    @property
+    def n_vertices(self) -> int:
+        """Closed-form vertex count: C(m, size) summed over block_sizes."""
+        return sum(binomial(self.ground, size) for size in self.block_sizes)
 
     @property
     def params(self) -> tuple[int, ...]:
@@ -221,19 +258,54 @@ class LabeledGraph:
         )
 
 
-def _assemble(
-    ground: int,
-    vertices: list[Block],
-    edge_list: list[tuple[int, int, Optional[int]]],
-    family: Optional[Family],
-    labeled: bool,
-) -> LabeledGraph:
-    rows: list[list[tuple[int, Optional[int]]]] = [[] for _ in vertices]
-    for i, j, lab in edge_list:
-        rows[i].append((j, lab))
-        rows[j].append((i, lab))
-    adj = tuple(tuple(sorted(row)) for row in rows)
-    return LabeledGraph(ground, tuple(vertices), adj, family=family, labeled=labeled)
+def edge_rows(
+    n: int,
+    ends_u: Sequence,
+    ends_v: Sequence,
+    labels: Sequence,
+    remap: dict,
+) -> tuple[tuple[tuple[int, Optional[int]], ...], ...]:
+    """Adjacency rows of n vertices from parallel endpoint and label lists.
+
+    remap maps every accepted endpoint value to its vertex index.  Rows
+    come out sorted by neighbour index.  An endpoint that remap does not
+    hold, a self-loop or a duplicate edge raises ParameterError.  Edges
+    listed as increasing (u, v) pairs with u < v, as the exporter writes
+    them, skip the sort.
+    """
+    try:
+        us = list(map(remap.__getitem__, ends_u))
+        vs = list(map(remap.__getitem__, ends_v))
+    except (KeyError, TypeError):
+        for i, j in zip(ends_u, ends_v):
+            try:
+                remap[i], remap[j]
+            except (KeyError, TypeError):
+                raise ParameterError(
+                    f"edge ({i!r}, {j!r}): endpoints must be vertex indices"
+                    f" 0..{n - 1}"
+                ) from None
+        raise
+    labels = list(labels)
+    if not all(map(lt, us, vs)):
+        us, vs = list(map(min, us, vs)), list(map(max, us, vs))
+        if any(map(eq, us, vs)):
+            raise ParameterError("self-loops are not allowed")
+    keys = list(map(add, map(mul, us, repeat(n)), vs))
+    if not all(map(lt, keys, islice(keys, 1, None))):
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        keys = [keys[e] for e in order]
+        if any(map(eq, keys, islice(keys, 1, None))):
+            raise ParameterError("duplicate edge")
+        us = [us[e] for e in order]
+        vs = [vs[e] for e in order]
+        labels = [labels[e] for e in order]
+    # with the edges in increasing (u, v) order, each row takes its lower
+    # neighbours first, then its higher ones, each run already ascending
+    rows: list[list[tuple[int, Optional[int]]]] = [[] for _ in range(n)]
+    deque(map(list.append, map(rows.__getitem__, vs), zip(us, labels)), 0)
+    deque(map(list.append, map(rows.__getitem__, us), zip(vs, labels)), 0)
+    return tuple(map(tuple, rows))
 
 
 def graph_from_edges(
@@ -252,29 +324,15 @@ def graph_from_edges(
     """
     order = sorted(range(len(vertices)), key=lambda i: vertices[i].bits)
     remap = {old: new for new, old in enumerate(order)}
-    verts = [vertices[i] for i in order]
+    verts = tuple(vertices[i] for i in order)
     if len(set(verts)) != len(verts):
         raise ParameterError("duplicate vertices")
+    triples = [(i, j, lab) for i, j, lab in edges]
+    ends_u, ends_v, labels = (list(map(itemgetter(x), triples)) for x in range(3))
     if labeled is None:
-        labeled = any(lab is not None for _, _, lab in edges)
-    seen = set()
-    edge_list = []
-    for i, j, lab in edges:
-        try:
-            a, b = remap[i], remap[j]
-        except (KeyError, TypeError):
-            raise ParameterError(
-                f"edge ({i!r}, {j!r}): endpoints must be vertex indices"
-                f" 0..{len(verts) - 1}"
-            ) from None
-        if a == b:
-            raise ParameterError("self-loops are not allowed")
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            raise ParameterError("duplicate edge")
-        seen.add(key)
-        edge_list.append((a, b, lab))
-    return _assemble(ground, verts, edge_list, family, labeled)
+        labeled = any(lab is not None for lab in labels)
+    adj = edge_rows(len(verts), ends_u, ends_v, labels, remap)
+    return LabeledGraph(ground, verts, adj, family=family, labeled=labeled)
 
 
 # The live graph of each family: an entry lasts only while some caller
@@ -282,6 +340,7 @@ def graph_from_edges(
 _live: weakref.WeakValueDictionary[Family, LabeledGraph] = weakref.WeakValueDictionary()
 
 
+@gc_paused
 def build(family: Family) -> LabeledGraph:
     """The family instance with canonical vertex order.
 
@@ -300,53 +359,102 @@ def build(family: Family) -> LabeledGraph:
     return g
 
 
+def _subset_columns(
+    sources: list[int], w: int, size: int, descending: bool
+) -> Iterator[list[int]]:
+    """Columns of subsets picked out of each source mask.
+
+    Every source has w set bits.  For each size-subset P of the bit
+    positions 0..w-1 (counted from the low end), in colex order or its
+    reverse, yield the list whose x-th mask holds the bits of sources[x]
+    at positions P.  Within one source the yielded masks therefore ascend
+    (or descend).  Each column costs a few C-level passes over the sources.
+    """
+    low = []  # low[p][x]: the p-th lowest set bit of sources[x]
+    rest = sources
+    for _ in range(w):
+        bit = list(map(and_, rest, map(neg, rest)))
+        low.append(bit)
+        rest = list(map(xor, rest, bit))
+    patterns = sorted(
+        combinations(range(w), size),
+        key=lambda ps: sum(1 << p for p in ps),
+        reverse=descending,
+    )
+    flip = 2 * size > w  # pick the smaller of P and its complement
+    for ps in patterns:
+        picks = [p for p in range(w) if p not in ps] if flip else ps
+        col = low[picks[0]] if picks else [0] * len(sources)
+        for p in picks[1:]:
+            col = list(map(or_, col, low[p]))
+        yield list(map(xor, sources, col)) if flip else col
+
+
+def _rows(
+    bases: list[int],
+    sources: list[int],
+    w: int,
+    size: int,
+    descending: bool,
+    index: dict[int, int],
+    labeled: bool,
+) -> list[tuple[tuple[int, Optional[int]], ...]]:
+    """Adjacency rows of vertices whose neighbours are bases[x] ^ D for the
+    size-subsets D of sources[x], listed so that the neighbours ascend.
+
+    When labeled, every D is a single element and labels its edge (the
+    element outside u | v of an odd graph, the element of u ^ v of a
+    middle levels graph); otherwise every label is None.
+    """
+    columns = []
+    for picked in _subset_columns(sources, w, size, descending):
+        nbrs = map(index.__getitem__, map(xor, bases, picked))
+        labels = map(int.bit_length, picked) if labeled else repeat(None)
+        columns.append(list(zip(nbrs, labels)))
+    if not columns:
+        return [()] * len(bases)
+    return list(zip(*columns))
+
+
 def _build_kneser(family: Family) -> LabeledGraph:
     m = family.ground
     k = family.subset_size
     label_edges = family.kind == ODD
-    vertices = k_blocks(m, k)
-    index = {v.bits: i for i, v in enumerate(vertices)}
-    full = (1 << m) - 1
-    edge_list: list[tuple[int, int, Optional[int]]] = []
-    for i, u in enumerate(vertices):
-        rest = [e for e in range(1, m + 1) if not (u.bits >> (e - 1)) & 1]
-        for combo in combinations(rest, k):
-            bits = 0
-            for e in combo:
-                bits |= 1 << (e - 1)
-            j = index[bits]
-            if i < j:
-                lab = None
-                if label_edges:
-                    missing = full & ~(u.bits | bits)
-                    lab = missing.bit_length()  # unique element outside u | v
-                edge_list.append((i, j, lab))
-    return _assemble(m, vertices, edge_list, family, label_edges)
+    masks = k_masks(m, k)
+    index = dict(zip(masks, range(len(masks))))
+    if k == 0 or 2 * k > m:  # no disjoint pairs (odd(1): no self-loop)
+        adj = [()] * len(masks)
+    else:
+        # the neighbours of u are u's complement minus (m - 2k) of its bits;
+        # the larger the removed part, the smaller the neighbour
+        comps = list(map(xor, masks, repeat((1 << m) - 1)))
+        adj = _rows(comps, comps, m - k, m - 2 * k, True, index, label_edges)
+    return LabeledGraph(m, tuple(Block._trusted(masks, m)), tuple(adj),
+                        family=family, labeled=label_edges)
 
 
 def _build_bipartite_kneser(family: Family) -> LabeledGraph:
     m = family.ground
-    k = family.subset_size
-    lo, hi = min(k, m - k), max(k, m - k)
     label_edges = family.kind == MIDDLE_LEVELS
-    blocks = k_blocks(m, lo) if lo == hi else k_blocks(m, lo) + k_blocks(m, hi)
-    vertices = sorted(blocks, key=lambda b: b.bits)
-    index = {v.bits: i for i, v in enumerate(vertices)}
-    edge_list: list[tuple[int, int, Optional[int]]] = []
-    if lo != hi:
-        for v in k_blocks(m, lo):
-            i = index[v.bits]
-            rest = [e for e in range(1, m + 1) if not (v.bits >> (e - 1)) & 1]
-            for combo in combinations(rest, hi - lo):
-                bits = v.bits
-                for e in combo:
-                    bits |= 1 << (e - 1)
-                j = index[bits]
-                lab = None
-                if label_edges:
-                    lab = (bits ^ v.bits).bit_length()  # unique element of u ^ v
-                edge_list.append((i, j, lab))
-    return _assemble(m, vertices, edge_list, family, label_edges)
+    sizes = family.block_sizes
+    if len(sizes) == 1:  # both sides are the same blocks: no containments
+        masks = k_masks(m, sizes[0])
+        adj = [()] * len(masks)
+    else:
+        lo, hi = sizes
+        lows, highs = k_masks(m, lo), k_masks(m, hi)
+        masks = sorted(lows + highs)
+        index = dict(zip(masks, range(len(masks))))
+        comps = list(map(xor, lows, repeat((1 << m) - 1)))
+        # a low block gains hi - lo bits of its complement, a high block
+        # loses hi - lo of its own
+        row_of = dict(zip(lows, _rows(
+            lows, comps, m - lo, hi - lo, False, index, label_edges)))
+        row_of.update(zip(highs, _rows(
+            highs, highs, hi, hi - lo, True, index, label_edges)))
+        adj = list(map(row_of.__getitem__, masks))
+    return LabeledGraph(m, tuple(Block._trusted(masks, m)), tuple(adj),
+                        family=family, labeled=label_edges)
 
 
 def edge_label(g: LabeledGraph, u: Block, v: Block) -> int:
@@ -389,41 +497,46 @@ def degree_profile(g: LabeledGraph) -> DegreeProfile:
 
 
 def expected_family_degree(family: Family) -> int:
-    """Closed-form regular degree C(n-k, k) of a family instance."""
-    if family.kind in (ODD, MIDDLE_LEVELS):
-        return family.n
-    assert family.k is not None
-    return binomial(family.n - family.k, family.k)
+    """Closed-form regular degree of a family instance over ground [m].
+
+    A k-block of a Kneser or odd graph meets C(m-k, k) disjoint k-blocks
+    (none for k = 0: the empty block is not its own neighbour); a block of
+    a bipartite family with sizes lo < hi has C(hi, lo) neighbours (none
+    when the two sizes coincide).
+    """
+    m, k = family.ground, family.subset_size
+    if family.kind in (KNESER, ODD):
+        return binomial(m - k, k) if k else 0
+    sizes = family.block_sizes
+    return binomial(sizes[1], sizes[0]) if len(sizes) == 2 else 0
 
 
-def _component_of(g: LabeledGraph, start: int) -> list[int]:
-    seen = bytearray(g.n_vertices)
-    seen[start] = 1
-    queue = deque([start])
-    out = [start]
-    while queue:
-        x = queue.popleft()
-        for y, _ in g.adj[x]:
-            if not seen[y]:
-                seen[y] = 1
-                out.append(y)
-                queue.append(y)
-    return out
+def _component_of(g: LabeledGraph, start: int) -> set[int]:
+    """Vertex indices of the component of start, reached a BFS level at a
+    time with set operations."""
+    adj = g.adj
+    first = itemgetter(0)
+    comp = {start}
+    level = [start]
+    while level:
+        reached = set(map(first, chain.from_iterable(map(adj.__getitem__, level))))
+        reached -= comp
+        comp |= reached
+        level = reached
+    return comp
 
 
 def component_index_sets(g: LabeledGraph) -> list[list[int]]:
     """Vertex-index sets of the connected components, ordered by smallest
     contained vertex (equivalently smallest index, since vertex order is
     canonical)."""
-    seen = bytearray(g.n_vertices)
+    seen: set[int] = set()
     comps = []
     for s in range(g.n_vertices):
-        if seen[s]:
-            continue
-        comp = _component_of(g, s)
-        for x in comp:
-            seen[x] = 1
-        comps.append(sorted(comp))
+        if s not in seen:
+            comp = _component_of(g, s)
+            seen |= comp
+            comps.append(sorted(comp))
     return comps
 
 

@@ -15,28 +15,117 @@ byte-identical.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
+from functools import lru_cache, partial
+from itertools import chain, islice, repeat
+from operator import (
+    add, and_, attrgetter, getitem, is_, is_not, itemgetter, lt, or_, rshift, sub, xor,
+)
 from typing import Optional
 
 from .errors import ParameterError
-from .graphs import Family, LabeledGraph, graph_from_edges
-from .setcore import Block
+from .graphs import (
+    KNESER,
+    MIDDLE_LEVELS,
+    ODD,
+    Family,
+    LabeledGraph,
+    edge_rows,
+    expected_family_degree,
+    gc_paused,
+)
+from .setcore import Block, check_ground
+
+_CHUNK = 8  # bits per lookup when writing a vertex's elements
 
 
-def graph_to_dict(g: LabeledGraph) -> dict:
+def _head(g: LabeledGraph) -> dict:
     return {
         "family": g.family.kind if g.family else None,
         "params": list(g.family.params) if g.family else [],
         "ground": g.ground,
+    }
+
+
+def graph_to_dict(g: LabeledGraph) -> dict:
+    return {
+        **_head(g),
         "vertices": [list(v.elements()) for v in g.vertices],
         "edges": [[u, v, lab] for u, v, lab in g.edges()],
     }
 
 
+@gc_paused
 def graph_to_json(g: LabeledGraph) -> str:
-    return json.dumps(graph_to_dict(g), separators=(", ", ": ")) + "\n"
+    """json.dumps(graph_to_dict(g)) with ", " and ": " separators, plus a
+    newline; the vertex and edge lists are written from masks and rows."""
+    head = json.dumps(_head(g), separators=(", ", ": "))
+    return (f'{head[:-1]}, "vertices": {_vertices_text(g)},'
+            f' "edges": {_edges_text(g)}}}\n')
 
 
+@lru_cache(maxsize=None)
+def _chunk_texts(m: int) -> tuple[list[str], ...]:
+    """For each _CHUNK-bit slice of a mask over [m], the text "e, f, " of
+    the elements that every value of the slice holds."""
+    return tuple(
+        ["".join(f"{base + p + 1}, " for p in range(_CHUNK) if x >> p & 1)
+         for x in range(1 << _CHUNK)]
+        for base in range(0, m, _CHUNK)
+    )
+
+
+def _vertices_text(g: LabeledGraph) -> str:
+    masks = list(map(attrgetter("bits"), g.vertices))
+    if not masks:
+        return "[]"
+    texts: list[str] = [""] * len(masks)
+    low = (1 << _CHUNK) - 1
+    for c, table in enumerate(_chunk_texts(g.ground)):
+        part = map(table.__getitem__,
+                   map(and_, map(rshift, masks, repeat(c * _CHUNK)), repeat(low)))
+        texts = list(map(add, texts, part))
+    return "[[" + "], [".join(map(str.rstrip, texts, repeat(", "))) + "]]"
+
+
+def _edges_text(g: LabeledGraph) -> str:
+    adj = g.adj
+    first = itemgetter(0)
+    # rows ascend, so the neighbours above vertex i are the tail of its row
+    cuts = list(map(partial(bisect_right, key=first), adj, range(len(adj))))
+    tails = list(chain.from_iterable(
+        map(getitem, adj, map(slice, cuts, repeat(None)))))
+    if not tails:
+        return "[]"
+    names = list(map(str, range(len(adj))))
+    # each edge is the six pieces  u ", " v ", " label "], ["
+    pieces = [", "] * (6 * len(tails))
+    pieces[0::6] = chain.from_iterable(
+        map(repeat, names, map(sub, map(len, adj), cuts)))
+    pieces[2::6] = map(names.__getitem__, map(first, tails))
+    pieces[4::6] = _json_texts(list(map(itemgetter(1), tails)))
+    pieces[5::6] = repeat("], [", len(tails))
+    pieces[-1] = "]]"
+    return "[[" + "".join(pieces)
+
+
+def _json_texts(values: list) -> list[str]:
+    """json.dumps of each value; ints and None go through a table."""
+    if set(map(type, values)) <= {int, type(None)}:
+        table = {v: json.dumps(v) for v in set(values)}
+        return list(map(table.__getitem__, values))
+    return list(map(json.dumps, values))
+
+
+@gc_paused
 def graph_from_dict(data: dict) -> LabeledGraph:
+    """The graph of an interchange document.
+
+    Vertices must be listed in canonical order.  A document that names a
+    family must hold exactly that family's graph: its ground, vertex count,
+    block sizes and edge count, and on every edge an adjacent pair with
+    the label the two blocks imply.  Any violation raises ParameterError.
+    """
     try:
         ground = data["ground"]
         vert_lists = data["vertices"]
@@ -47,19 +136,91 @@ def graph_from_dict(data: dict) -> LabeledGraph:
         raise ParameterError(f"malformed graph document: {exc}") from exc
     try:
         family = None if family_kind is None else Family(family_kind, *params)
-        vertices = [Block.from_elements(elems, ground) for elems in vert_lists]
-        edges = [(u, v, lab) for u, v, lab in edge_lists]
+        masks = _vertex_masks(vert_lists, ground)
+        if set(map(len, edge_lists)) - {3}:
+            raise ValueError("an edge is not [u, v, label]")
+        ends_u, ends_v, labels = (
+            list(map(itemgetter(x), edge_lists)) for x in range(3))
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"malformed graph document: {exc}") from exc
-    labeled = None
-    if family is not None:
-        labeled = family.kind in ("odd", "middle")
-    g = graph_from_edges(ground, vertices, edges, family=family, labeled=labeled)
-    if list(g.vertices) != vertices:
+    if not all(map(lt, masks, islice(masks, 1, None))):
+        if len(set(masks)) != len(masks):
+            raise ParameterError("duplicate vertices")
         raise ParameterError("vertices were not in canonical order")
-    return g
+    n = len(masks)
+    adj = edge_rows(n, ends_u, ends_v, labels, dict(zip(range(n), range(n))))
+    if family is None:
+        labeled = any(map(is_not, labels, repeat(None)))
+    else:
+        mask_of = dict(zip(range(n), masks))
+        _check_family(family, ground, masks,
+                      list(map(mask_of.__getitem__, ends_u)),
+                      list(map(mask_of.__getitem__, ends_v)), labels)
+        labeled = family.kind in (ODD, MIDDLE_LEVELS)
+    vertices = tuple(Block._trusted(masks, ground))
+    return LabeledGraph(ground, vertices, adj, family=family, labeled=labeled)
 
 
+def _vertex_masks(vert_lists, ground: int) -> list[int]:
+    """The bitmask of every element list, with Block.from_elements's checks."""
+    check_ground(ground)
+    if set(map(type, chain.from_iterable(vert_lists))) <= {int}:
+        bit = {e: 1 << (e - 1) for e in range(1, ground + 1)}
+        try:
+            masks = list(map(sum, map(map, repeat(bit.__getitem__), vert_lists)))
+        except KeyError:
+            pass  # an element outside [ground]
+        else:
+            if list(map(int.bit_count, masks)) == list(map(len, vert_lists)):
+                return masks
+    # repeated, out-of-range or non-int elements take the checked path
+    return [Block.from_elements(elems, ground).bits for elems in vert_lists]
+
+
+def _check_family(
+    family: Family,
+    ground: int,
+    masks: list[int],
+    ends_u: list[int],
+    ends_v: list[int],
+    labels: list,
+) -> None:
+    """Check a document's vertices (distinct, in canonical order) and
+    edges (distinct, given by endpoint masks) against the family it names."""
+    if ground != family.ground:
+        raise ParameterError(
+            f"{family} lives on ground [{family.ground}], not [{ground}]")
+    if len(masks) != family.n_vertices:
+        raise ParameterError(
+            f"{family} has {family.n_vertices} vertices, not {len(masks)}")
+    if not set(map(int.bit_count, masks)) <= set(family.block_sizes):
+        raise ParameterError(
+            f"{family} has blocks of sizes {family.block_sizes} only")
+    if family.kind in (KNESER, ODD):
+        if any(map(and_, ends_u, ends_v)):
+            raise ParameterError(f"an edge joins intersecting blocks of {family}")
+        # the label of an odd graph edge is the one element outside u | v
+        full = (1 << ground) - 1
+        want = map(int.bit_length, map(xor, map(or_, ends_u, ends_v), repeat(full)))
+    else:
+        if list(map(and_, ends_u, ends_v)) != list(map(min, ends_u, ends_v)):
+            raise ParameterError(
+                f"an edge joins blocks of {family} neither of which contains"
+                " the other")
+        # the label of a middle levels edge is the one element of u ^ v
+        want = map(int.bit_length, map(xor, ends_u, ends_v))
+    if family.kind in (ODD, MIDDLE_LEVELS):
+        implied = set(map(type, labels)) <= {int} and list(want) == labels
+    else:
+        implied = all(map(is_, labels, repeat(None)))
+    if not implied:
+        raise ParameterError(f"an edge label is not the one {family} implies")
+    n_edges = family.n_vertices * expected_family_degree(family) // 2
+    if len(labels) != n_edges:
+        raise ParameterError(f"{family} has {n_edges} edges, not {len(labels)}")
+
+
+@gc_paused
 def graph_from_json(text: str) -> LabeledGraph:
     try:
         data = json.loads(text)

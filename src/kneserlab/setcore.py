@@ -9,8 +9,10 @@ point is used anywhere.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from .errors import ParameterError
@@ -25,7 +27,7 @@ def check_ground(m: int) -> int:
     return m
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, slots=True)
 class Block:
     """A subset of the ground set [m], encoded as a bitmask.
 
@@ -42,6 +44,19 @@ class Block:
             raise ParameterError(
                 f"bitmask {self.bits:#x} does not fit ground [{self.m}]"
             )
+
+    @classmethod
+    def _trusted(cls, masks: Iterable[int], m: int) -> list["Block"]:
+        """Blocks over [m] from masks that fit it by construction.
+
+        Skips the per-block __post_init__ check; the caller vouches for m
+        and for every mask.
+        """
+        masks = list(masks)
+        blocks = list(map(object.__new__, repeat(cls, len(masks))))
+        deque(map(_set_bits, blocks, masks), 0)
+        deque(map(_set_m, blocks, repeat(m)), 0)
+        return blocks
 
     @classmethod
     def from_elements(cls, elements: Iterable[int], m: int) -> "Block":
@@ -66,7 +81,13 @@ class Block:
         return self.bits.bit_count()
 
     def elements(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.m) if self.bits >> i & 1)
+        out = []
+        v = self.bits
+        while v:
+            low = v & -v
+            out.append(low.bit_length())
+            v ^= low
+        return tuple(out)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements())
@@ -120,6 +141,11 @@ class Block:
 
     def __repr__(self) -> str:
         return f"Block({str(self)}, m={self.m})"
+
+
+# Slot setters of Block, bypassing the frozen __setattr__ (see _trusted).
+_set_bits = Block.__dict__["bits"].__set__
+_set_m = Block.__dict__["m"].__set__
 
 
 def complement(b: Block) -> Block:
@@ -201,8 +227,8 @@ def apply_perm(p: Perm, b: Block) -> Block:
     return p.apply(b)
 
 
-def k_blocks(m: int, k: int) -> list[Block]:
-    """All k-subsets of [m] in colexicographic order of bitmask value.
+def k_masks(m: int, k: int) -> list[int]:
+    """Bitmasks of all k-subsets of [m], in increasing (colex) order.
 
     Colex order by bitmask is the canonical vertex order used everywhere;
     enumeration walks the masks with Gosper's hack, so the list is produced
@@ -212,17 +238,22 @@ def k_blocks(m: int, k: int) -> list[Block]:
     if not 0 <= k <= m:
         raise ParameterError(f"k={k} out of range 0..{m}")
     if k == 0:
-        return [Block(0, m)]
+        return [0]
     out = []
     v = (1 << k) - 1
     limit = 1 << m
     while v < limit:
-        out.append(Block(v, m))
+        out.append(v)
         # Gosper's hack: next integer with the same popcount
         c = v & -v
         r = v + c
         v = (((r ^ v) >> 2) // c) | r
     return out
+
+
+def k_blocks(m: int, k: int) -> list[Block]:
+    """All k-subsets of [m] in colexicographic order of bitmask value."""
+    return Block._trusted(k_masks(m, k), m)
 
 
 def binomial(n: int, k: int) -> int:

@@ -224,3 +224,13 @@ class TestExport:
         assert code == 2
         assert err.startswith("error: ")
         assert out == ""
+
+    def test_contradicted_family_exit_2(self, tmp_path, capsys):
+        # odd(2) has 3 vertices, and label 7 lies outside the ground [3]
+        src = tmp_path / "g.json"
+        src.write_text('{"family": "odd", "params": [2], "ground": 3,'
+                       ' "vertices": [[1], [2]], "edges": [[0, 1, 7]]}')
+        code, out, err = run(["export", str(src), "--format", "json"], capsys)
+        assert code == 2
+        assert err.startswith("error: odd(2) has 3 vertices")
+        assert out == ""

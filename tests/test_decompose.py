@@ -11,6 +11,7 @@ from kneserlab.decompose import (
     block_component,
     canonical_colors,
     classify_components,
+    component_signature,
     delete_colors,
     expected_census,
     middle_component_census,
@@ -20,7 +21,14 @@ from kneserlab.decompose import (
     verify_disjointness,
 )
 from kneserlab.errors import ParameterError, UnlabeledGraphError
-from kneserlab.graphs import Family, build, girth
+from kneserlab.graphs import (
+    Family,
+    build,
+    component_index_sets,
+    degree_profile,
+    girth,
+    graph_from_edges,
+)
 from kneserlab.setcore import Block, binomial
 
 b = Block.from_elements
@@ -187,6 +195,51 @@ class TestCensus:
         )
         assert census.counts == expected_census(4, 2, "middle")
         assert census.counts[("regular", 3)] == 2
+
+
+class TestComponentSignature:
+    """component_signature reads degrees from the whole graph's rows; it
+    must agree with the profile of each component cut out as a subgraph."""
+
+    @staticmethod
+    def _assert_agrees(g):
+        for comp in component_index_sets(g):
+            want = (ISOLATED if len(comp) == 1
+                    else degree_profile(g.subgraph(comp)).signature)
+            assert component_signature(g, comp) == want
+
+    @pytest.mark.parametrize(
+        "fam",
+        [Family.odd(4), Family.odd(5), Family.odd(6),
+         Family.middle_levels(4), Family.middle_levels(5)],
+        ids=str,
+    )
+    def test_matches_subgraph_profile(self, fam):
+        g = build(fam)
+        colors = range(1, g.ground + 1)
+        for size in (1, 2):
+            for s in combinations(colors, size):
+                self._assert_agrees(delete_colors(g, s))
+
+    def test_hand_made_components(self):
+        # a triangle, a star K(1,3), a path on four vertices (two degrees,
+        # but its middle edge joins two degree-2 vertices), a spider with
+        # degrees 1, 2 and 3, and an isolated vertex
+        edges = [(0, 1), (1, 2), (0, 2),
+                 (3, 4), (3, 5), (3, 6),
+                 (7, 8), (8, 9), (9, 10),
+                 (11, 12), (12, 13), (12, 14), (14, 15)]
+        g = graph_from_edges(
+            5, [Block(bits, 5) for bits in range(1, 18)],
+            [(i, j, 1 + (i + j) % 5) for i, j in edges],
+        )
+        assert g.labeled
+        self._assert_agrees(g)
+        assert component_signature(g, [7, 8, 9, 10]) == ("irregular",)
+        assert classify_components(g).counts == {
+            ISOLATED: 1, ("regular", 2): 1, ("biregular", 3, 1): 1,
+            ("irregular",): 2,
+        }
 
 
 class TestRemainder:

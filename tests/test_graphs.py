@@ -17,6 +17,7 @@ from kneserlab.graphs import (
     degree_profile,
     distance,
     edge_label,
+    expected_family_degree,
     girth,
     graph_from_edges,
     verify_distance_formula,
@@ -91,6 +92,66 @@ class TestBuild:
             for j, lab in middle3.adj[i]:
                 assert j != i
                 assert middle3.adj_map[j][i] == lab
+
+
+def reference_build(fam):
+    """The family by brute force over all vertex pairs: blocks of the
+    defining sizes in mask order; Kneser-type blocks adjacent when
+    disjoint and distinct, bipartite ones when one properly contains the
+    other; odd labels the element outside u | v, middle labels the
+    element of u ^ v."""
+    m = fam.ground
+    k = fam.n - 1 if fam.kind in ("odd", "middle") else fam.k
+    sizes = {k} if fam.kind in ("kneser", "odd") else {k, m - k}
+    verts = [x for x in range(1 << m) if bin(x).count("1") in sizes]
+    rows = []
+    for u in verts:
+        row = []
+        for j, v in enumerate(verts):
+            if fam.kind in ("kneser", "odd"):
+                adjacent = u & v == 0 and u != v
+            else:
+                adjacent = u & v in (u, v) and u != v
+            if not adjacent:
+                continue
+            label = None
+            if fam.kind == "odd":
+                label = ((1 << m) - 1 ^ (u | v)).bit_length()
+            elif fam.kind == "middle":
+                label = (u ^ v).bit_length()
+            row.append((j, label))
+        rows.append(tuple(row))
+    return verts, tuple(rows)
+
+
+REFERENCE_FAMILIES = (
+    [Family.odd(n) for n in range(1, 7)]
+    + [Family.middle_levels(n) for n in range(1, 6)]
+    + [Family.kneser(n, k) for n in range(2, 9) for k in range(1, n)]
+    + [Family.bipartite_kneser(n, k) for n in range(2, 8) for k in range(1, n)]
+)
+
+
+class TestReferenceBuilder:
+    @pytest.mark.parametrize("fam", REFERENCE_FAMILIES, ids=str)
+    def test_build_matches_brute_force(self, fam):
+        g = build(fam)
+        verts, adj = reference_build(fam)
+        assert [v.bits for v in g.vertices] == verts
+        assert all(v.m == fam.ground for v in g.vertices)
+        assert g.adj == adj
+        assert g.labeled == (fam.kind in ("odd", "middle"))
+        # the closed forms an imported document is checked against
+        assert fam.n_vertices == len(verts)
+        assert {bin(x).count("1") for x in verts} == set(fam.block_sizes)
+        assert {len(row) for row in adj} == {expected_family_degree(fam)}
+
+    def test_degenerate_instances(self):
+        assert build(Family.odd(1)).adj == ((),)  # K1, no self-loop
+        assert build(Family.middle_levels(1)).adj == (((1, 1),), ((0, 1),))  # K2
+        for n, k in [(2, 1), (4, 2), (6, 3)]:  # 2k = n: no containments
+            g = build(Family.bipartite_kneser(n, k))
+            assert g.n_vertices == binomial(n, k) and g.n_edges == 0
 
 
 class TestLiveInstance:
@@ -231,6 +292,33 @@ class TestDistance:
         rep = verify_distance_formula(n)
         assert rep.ok, rep.summary()
         assert rep.details["diameter"] == n - 1
+
+
+class TestGraphFromEdges:
+    VERTS = [b([1], 4), b([2], 4), b([3], 4), b([4], 4)]
+
+    def test_rows_sorted_from_any_edge_order(self):
+        edges = [(0, 1, 1), (0, 3, 2), (1, 2, 3), (2, 3, 4), (1, 3, None)]
+        want = graph_from_edges(4, self.VERTS, edges)
+        assert want.adj[1] == ((0, 1), (2, 3), (3, None))
+        shuffled = [(j, i, lab) for i, j, lab in reversed(edges)]
+        assert graph_from_edges(4, self.VERTS, shuffled).adj == want.adj
+        # vertices given out of order are sorted and the edges remapped
+        back = graph_from_edges(4, self.VERTS[::-1],
+                                [(3 - i, 3 - j, lab) for i, j, lab in edges])
+        assert back.adj == want.adj
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1, None), (1, 2, None), (0, 1, None)],
+        [(0, 1, None), (2, 3, None), (1, 0, 5)],
+        [(2, 2, None)],
+        [(0, 4, None)],
+        [(0, -1, None)],
+    ], ids=["duplicate", "duplicate-reversed", "self-loop", "out-of-range",
+            "negative"])
+    def test_bad_edges_rejected(self, edges):
+        with pytest.raises(ParameterError):
+            graph_from_edges(4, self.VERTS, edges)
 
 
 class TestComponents:

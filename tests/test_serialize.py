@@ -1,5 +1,6 @@
 """JSON, DOT and CSV serialization; round-trip fidelity."""
 
+import hashlib
 import json
 import re
 
@@ -7,8 +8,10 @@ import pytest
 
 from kneserlab.errors import ParameterError
 from kneserlab.graphs import Family, build
+from kneserlab.setcore import Block
 from kneserlab.serialize import (
     graph_from_json,
+    graph_to_dict,
     graph_to_dot,
     graph_to_edge_csv,
     graph_to_json,
@@ -83,6 +86,25 @@ class TestJsonRoundTrip:
             with pytest.raises(ParameterError):
                 graph_from_json(text)
 
+    @pytest.mark.parametrize("fields, match", [
+        ({"edges": [[0, 1, None], [1, 0, None]]}, "duplicate edge"),
+        ({"edges": [[1, 1, None]]}, "self-loop"),
+        ({"vertices": [[2], [1]]}, "canonical order"),
+        ({"vertices": [[1], [1]]}, "duplicate vertices"),
+        ({"vertices": [[1], [1.0]]}, "malformed"),
+        ({"vertices": [[1], [0]]}, "malformed"),
+        ({"ground": 0, "vertices": [], "edges": []}, "malformed"),
+    ], ids=["duplicate-edge", "self-loop", "order", "duplicate-vertex",
+            "float-element", "zero-element", "ground-0"])
+    def test_structural_faults_rejected(self, fields, match):
+        with pytest.raises(ParameterError, match=match):
+            graph_from_json(self._doc(**fields))
+
+    def test_repeated_element_read_as_one(self):
+        # as Block.from_elements reads it: [2, 2] is the block {2}
+        g = graph_from_json(self._doc(vertices=[[1], [2, 2]]))
+        assert [v.elements() for v in g.vertices] == [(1,), (2,)]
+
     def test_family_less_graph_round_trips(self, odd3):
         from kneserlab.decompose import delete_colors
         from kneserlab.graphs import components
@@ -93,6 +115,113 @@ class TestJsonRoundTrip:
         back = graph_from_json(text)
         assert back == piece
         assert graph_to_json(back) == text
+
+
+def sha16(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestPinnedExport:
+    """Export bytes pinned from the object-by-object writer that preceded
+    the mask-based one: (length, SHA-256 prefix)."""
+
+    @pytest.mark.parametrize("fam, length, digest", [
+        (Family.odd(6), 28728, "7abbb4e6518cc971"),
+        (Family.middle_levels(5), 12880, "df9b58959f45fbe0"),
+        (Family.kneser(7, 3), 1542, "b75d7d4dccf4809c"),
+        (Family.bipartite_kneser(7, 2), 3864, "066149988745df1a"),
+    ], ids=str)
+    def test_json(self, fam, length, digest):
+        text = graph_to_json(build(fam))
+        assert (len(text), sha16(text)) == (length, digest)
+
+    def test_dot_and_edge_csv(self, odd4):
+        dot, csv = graph_to_dot(odd4), graph_to_edge_csv(odd4)
+        assert (len(dot), sha16(dot)) == (2643, "ef497ee04a001eba")
+        assert (len(csv), sha16(csv)) == (530, "c0e39536fd1ba266")
+
+    def test_text_is_the_dict_document(self, odd3):
+        from kneserlab.decompose import delete_colors
+        from kneserlab.graphs import components, graph_from_edges
+
+        pieces = components(delete_colors(odd3, [4, 5]))
+        unusual_labels = graph_from_edges(
+            4, [Block(3, 4), Block(0, 4), Block(8, 4)],
+            [(2, 0, "x"), (1, 2, True), (0, 1, 2.5)],
+        )
+        for g in family_instances(200) + pieces + [unusual_labels]:
+            want = json.dumps(graph_to_dict(g), separators=(", ", ": ")) + "\n"
+            assert graph_to_json(g) == want
+
+
+class TestFamilyClaim:
+    """A document that names a family must hold that family's graph."""
+
+    FOUND = ('{"family": "odd", "params": [2], "ground": 3,'
+             ' "vertices": [[1], [2]], "edges": [[0, 1, 7]]}')
+
+    def test_contradicting_document_rejected(self):
+        with pytest.raises(ParameterError, match="vertices"):
+            graph_from_json(self.FOUND)
+
+    @staticmethod
+    def _doc(fam):
+        return json.loads(graph_to_json(build(fam)))
+
+    @staticmethod
+    def _rejects(data, match):
+        with pytest.raises(ParameterError, match=match):
+            graph_from_json(json.dumps(data))
+
+    def test_ground(self):
+        data = self._doc(Family.odd(3))
+        data["ground"] = 6
+        self._rejects(data, "ground")
+
+    def test_vertex_count(self):
+        data = self._doc(Family.kneser(5, 2))
+        data["vertices"].pop()  # {4,5} is last and has no edges above it
+        data["edges"] = [e for e in data["edges"] if 9 not in e[:2]]
+        self._rejects(data, "vertices")
+
+    def test_block_size(self):
+        data = self._doc(Family.kneser(5, 2))
+        data["vertices"][-1] = [1, 2, 3, 4, 5]  # still last in colex order
+        self._rejects(data, "sizes")
+
+    def test_non_adjacent_edge(self):
+        data = self._doc(Family.odd(3))
+        v = data["vertices"]
+        # {1,2} and {1,3} intersect; the pair is no edge of the document
+        data["edges"][0][:2] = [v.index([1, 2]), v.index([1, 3])]
+        self._rejects(data, "intersecting")
+        data = self._doc(Family.middle_levels(3))
+        v = data["vertices"]
+        # neither of {1,2} and {1,3,4} contains the other
+        data["edges"][0][:2] = [v.index([1, 2]), v.index([1, 3, 4])]
+        self._rejects(data, "contains")
+
+    @pytest.mark.parametrize("label", [None, 1, 1.0, 99])
+    def test_wrong_label(self, label):
+        data = self._doc(Family.odd(3))
+        if data["edges"][0][2] == label:
+            label = 2
+        data["edges"][0][2] = label
+        self._rejects(data, "label")
+
+    def test_label_on_unlabeled_family(self):
+        data = self._doc(Family.kneser(5, 2))
+        data["edges"][0][2] = 1
+        self._rejects(data, "label")
+
+    def test_edge_count(self):
+        data = self._doc(Family.bipartite_kneser(5, 1))
+        data["edges"].pop()
+        self._rejects(data, "edges")
+
+    def test_family_instances_accepted(self):
+        for g in family_instances(200):
+            assert graph_from_json(graph_to_json(g)) == g
 
 
 class TestDot:

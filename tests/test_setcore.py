@@ -63,6 +63,22 @@ class TestBlock:
         with pytest.raises(ParameterError):
             Block.from_elements([1], 3) | Block.from_elements([1], 5)
 
+    def test_slotted_frozen_value(self):
+        b = Block.from_elements([2, 6], 7)
+        assert not hasattr(b, "__dict__")
+        with pytest.raises(AttributeError):
+            b.bits = 1
+        assert b == Block(34, 7) and hash(b) == hash(Block(34, 7))
+        assert repr(b) == "Block({2,6}, m=7)"
+        assert Block(0, 7).elements() == () and Block.full(63).elements()[-1] == 63
+
+    def test_trusted_blocks_equal_checked_ones(self):
+        masks = [0, 1, 6, 40, 127]
+        trusted = Block._trusted(masks, 7)
+        assert trusted == [Block(x, 7) for x in masks]
+        assert [hash(t) for t in trusted] == [hash(Block(x, 7)) for x in masks]
+        assert k_blocks(7, 3)[0] == Block(7, 7)
+
     def test_complement_examples(self):
         assert complement(Block.from_elements([1, 2], 5)).elements() == (3, 4, 5)
         assert complement(Block.empty(3)).elements() == (1, 2, 3)
