@@ -24,8 +24,13 @@ from .setcore import (
     catalan_fourth_convolution,
 )
 
+# identities are also checked on built graphs up to this n
+STRUCTURAL_LIMIT = 5
+# most orbit unions one excision survey size enumerates
+UNION_CAP = 1_000_000
 
-def verify_size_identity(n: int, structural_limit: int = 5) -> Report:
+
+def verify_size_identity(n: int) -> Report:
     """Check |V(odd(n))| = (2n-1) * catalan(n-1), exactly; for small n the
     graph is also built and counted."""
     if n < 1:
@@ -36,7 +41,7 @@ def verify_size_identity(n: int, structural_limit: int = 5) -> Report:
     if lhs != rhs:
         failures.append(f"{lhs} != {rhs}")
     details = {"vertices": lhs, "factor": catalan(n - 1)}
-    if n <= structural_limit:
+    if n <= STRUCTURAL_LIMIT:
         built = build(Family.odd(n)).n_vertices
         details["built_vertices"] = built
         if built != lhs:
@@ -44,7 +49,7 @@ def verify_size_identity(n: int, structural_limit: int = 5) -> Report:
     return Report(f"size identity odd({n})", not failures, details, failures)
 
 
-def verify_difference_identity(n: int, structural_limit: int = 5) -> Report:
+def verify_difference_identity(n: int) -> Report:
     """Check |V(middle(n))| - |remainder(n+1, 2)| = catalan(n): exactly via
     binomials, and for small n by building both graphs."""
     if n < 1:
@@ -60,7 +65,7 @@ def verify_difference_identity(n: int, structural_limit: int = 5) -> Report:
         "remainder": remainder_size,
         "catalan": want,
     }
-    if n <= structural_limit:
+    if n <= STRUCTURAL_LIMIT:
         built_mid = build(Family.middle_levels(n)).n_vertices
         built_rem = _built_remainder_size(n + 1)
         details["built_middle"] = built_mid
@@ -72,7 +77,7 @@ def verify_difference_identity(n: int, structural_limit: int = 5) -> Report:
     return Report(f"difference identity n={n}", not failures, details, failures)
 
 
-def remainder_size_form(n: int, structural_limit: int = 5) -> Report:
+def remainder_size_form(n: int) -> Report:
     """Check the remainder-size closed form C(2n+1, n) - 2 C(2n-1, n-1) =
     C(2n, n-1) (OEIS A001791), and for small n the built size."""
     if n < 1:
@@ -83,7 +88,7 @@ def remainder_size_form(n: int, structural_limit: int = 5) -> Report:
     if lhs != rhs:
         failures.append(f"{lhs} != {rhs}")
     details = {"size": rhs}
-    if n <= structural_limit:
+    if n <= STRUCTURAL_LIMIT:
         built = _built_remainder_size(n + 1)
         details["built"] = built
         if built != rhs:
@@ -164,13 +169,11 @@ def necklace_of(v: Block, n: int) -> str:
     return min(raw[r:] + raw[:r] for r in range(m))
 
 
-def independent_orbit_excision(
-    n: int, union_cap: int = 1_000_000
-) -> Report:
+def independent_orbit_excision(n: int) -> Report:
     """Survey deletions of independent orbit unions of the pinned size.
 
     The pinned size is the fourth Catalan convolution at n; the operation
-    enumerates all unions of that many orbits (up to union_cap of them),
+    enumerates all unions of that many orbits (up to UNION_CAP of them),
     keeps the independent ones (no edge inside the union), deletes each and
     records the degree profile of the rest.  Sizes one off the pinned value
     are also tried to confirm no cubic outcome arises there.
@@ -194,7 +197,7 @@ def independent_orbit_excision(
         truncated = False
         for combo in combinations(range(len(orb.orbits)), size):
             tried += 1
-            if tried > union_cap:
+            if tried > UNION_CAP:
                 truncated = True
                 break
             union = sorted(x for ci in combo for x in orb.orbits[ci])
@@ -202,7 +205,7 @@ def independent_orbit_excision(
                 independents.append(combo)
                 outcomes.append(_deletion_profile(g, tuple(union)))
         if truncated:
-            details[f"truncated_at_size_{size}"] = union_cap
+            details[f"truncated_at_size_{size}"] = UNION_CAP
         return independents, outcomes
 
     independents, outcomes = survey(k)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Optional
 
 from . import decompose as dec
@@ -31,50 +32,38 @@ from .graphs import (
     MIDDLE_LEVELS,
     ODD,
     Family,
+    Report,
     build,
     girth,
+    signature_name,
     verify_distance_formula,
 )
 from .setcore import Block, binomial, catalan, catalan_fourth_convolution
 
-PASS = "pass"
-FAIL = "FAIL"
-SKIP = "skip"
-
-
-@dataclass
-class CheckLine:
-    """One verification check: id, literature reference, outcome, data."""
-
-    check_id: str
-    reference: str
-    status: str
-    detail: str = ""
-
-
 @dataclass
 class RunReport:
-    """A verify-suite run; exit status 0 iff nothing failed."""
+    """A verify-suite run, one Report per row; exit status 0 iff nothing
+    failed."""
 
     suite: str
-    lines: list[CheckLine] = field(default_factory=list)
+    lines: list[Report] = field(default_factory=list)
 
     def add(self, check_id: str, reference: str, ok: bool, detail: str = ""):
         self.lines.append(
-            CheckLine(check_id, reference, PASS if ok else FAIL, detail)
+            Report(check_id, bool(ok), reference=reference, note=detail)
         )
 
     def skip(self, check_id: str, reference: str, detail: str = ""):
-        self.lines.append(CheckLine(check_id, reference, SKIP, detail))
+        self.lines.append(Report(check_id, None, reference=reference, note=detail))
 
     @property
     def exit_status(self) -> int:
-        return 1 if any(line.status == FAIL for line in self.lines) else 0
+        return 1 if any(line.ok is False for line in self.lines) else 0
 
     def render(self) -> str:
         rows = [("check", "status", "reference", "detail")]
         rows += [
-            (line.check_id, line.status, line.reference, line.detail)
+            (line.name, line.status, line.reference, line.note)
             for line in self.lines
         ]
         widths = [max(len(r[i]) for r in rows) for i in range(3)]
@@ -86,11 +75,10 @@ class RunReport:
             )
             if i == 0:
                 out.append("-" * (sum(widths) + 6))
-        counts = {s: sum(1 for l in self.lines if l.status == s)
-                  for s in (PASS, FAIL, SKIP)}
+        oks = [line.ok for line in self.lines]
         out.append(
-            f"suite {self.suite}: {counts[PASS]} passed,"
-            f" {counts[FAIL]} failed, {counts[SKIP]} skipped"
+            f"suite {self.suite}: {oks.count(True)} passed,"
+            f" {oks.count(False)} failed, {oks.count(None)} skipped"
         )
         return "\n".join(out)
 
@@ -175,13 +163,12 @@ def cmd_decompose(args) -> int:
     for sig in sorted(sigs):
         got = census.counts.get(sig, 0)
         want = expected.get(sig, None) if expected is not None else None
-        name = sig[0] + (f"({','.join(str(x) for x in sig[1:])})" if len(sig) > 1 else "")
         want_str = "-" if want is None else str(want)
         mark = ""
         if want is not None and got != want:
             ok = False
             mark = "  <- mismatch"
-        print(f"{name:<22}{got:>8}{want_str:>10}{mark}")
+        print(f"{signature_name(sig):<22}{got:>8}{want_str:>10}{mark}")
     return 0 if ok else 1
 
 
@@ -286,11 +273,9 @@ def _suite_isomorphisms(report: RunReport, max_n: int):
         swapped = mor.color_swap_iso(n, s, Block.from_elements(range(1, k + 1), 2 * n - 1))
         report.add(f"color-swap-odd({n})-{k}", "color-set invariance",
                    swapped.verify(), f"{s} -> [{k}]")
-        from itertools import combinations as combos
-
         for i in range(0, k // 2 + 1):
             subs = [Block.from_elements(c, 2 * n - 1)
-                    for c in combos(s.elements(), i)]
+                    for c in combinations(s.elements(), i)]
             by_signature.setdefault((n - i, n - k + i), []).append((n, k, subs[0]))
             pair = None
             for t1 in subs:

@@ -10,6 +10,7 @@ identical census (checked, not assumed).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Union
 
 from .errors import ParameterError, UnlabeledGraphError
@@ -24,6 +25,7 @@ from .graphs import (
     component_index_sets,
     degree_profile,
     gc_paused,
+    signature_name,
 )
 from .setcore import Block, binomial
 
@@ -100,19 +102,13 @@ class ComponentCensus:
     """
 
     entries: tuple[tuple[tuple, tuple[int, ...]], ...]
-    component_count: int
 
     @property
     def counts(self) -> dict[tuple, int]:
         return {sig: len(ixs) for sig, ixs in self.entries}
 
     def __str__(self) -> str:
-        parts = []
-        for sig, ixs in self.entries:
-            name = sig[0]
-            if len(sig) > 1:
-                name += "(" + ",".join(str(x) for x in sig[1:]) + ")"
-            parts.append(f"{name}: {len(ixs)}")
+        parts = [f"{signature_name(sig)}: {len(ixs)}" for sig, ixs in self.entries]
         return "{" + ", ".join(parts) + "}"
 
 
@@ -123,12 +119,11 @@ def classify_components(g: LabeledGraph) -> ComponentCensus:
     than regular(0), so regularity statements range over components that
     actually carry edges.
     """
-    comp_sets = component_index_sets(g)
     by_sig: dict[tuple, list[int]] = {}
-    for idx, ixs in enumerate(comp_sets):
+    for idx, ixs in enumerate(component_index_sets(g)):
         by_sig.setdefault(component_signature(g, ixs), []).append(idx)
     entries = tuple(sorted((sig, tuple(ixs)) for sig, ixs in by_sig.items()))
-    return ComponentCensus(entries, len(comp_sets))
+    return ComponentCensus(entries)
 
 
 def expected_census(n: int, k: int, family_kind: str = ODD) -> dict[tuple, int]:
@@ -183,9 +178,6 @@ def side_w(g: LabeledGraph, s: Block, t: Block) -> list[Block]:
 class BlockComponent:
     """One partition-class piece of a color-deleted odd graph."""
 
-    n: int
-    colors: Block
-    t: Block
     graph: LabeledGraph
     profile: DegreeProfile
     u_side: tuple[Block, ...]
@@ -218,9 +210,6 @@ def block_component(n: int, colors: ColorsLike, t: ColorsLike) -> BlockComponent
     members = u if u_bits == w_bits else u + w
     sub = delete_colors(g.subgraph(members), s)
     return BlockComponent(
-        n=n,
-        colors=s,
-        t=tb,
         graph=sub,
         profile=degree_profile(sub),
         u_side=tuple(g.vertices[i] for i in u),
@@ -233,9 +222,6 @@ class RemainderGraph:
     """The unique (n, n-k)-biregular piece of O_n(k): the T-empty class of
     the canonical deleted color set."""
 
-    n: int
-    k: int
-    colors: Block
     graph: LabeledGraph
     profile: DegreeProfile
 
@@ -244,8 +230,7 @@ def remainder_graph(n: int, k: int) -> RemainderGraph:
     """Build the remainder graph of O_n after deleting k canonical colors."""
     if not 0 < k < n:
         raise ParameterError(f"remainder graph needs 0 < k < n, got ({n}, {k})")
-    s = canonical_colors(n, k)
-    piece = block_component(n, s, Block.empty(2 * n - 1))
+    piece = block_component(n, canonical_colors(n, k), Block.empty(2 * n - 1))
     prof = piece.profile
     if prof.signature != ("biregular", n, n - k):
         raise AssertionError(
@@ -253,7 +238,7 @@ def remainder_graph(n: int, k: int) -> RemainderGraph:
         )
     if not piece.graph.connected:
         raise AssertionError(f"remainder piece of O_{n}({k}) is not connected")
-    return RemainderGraph(n=n, k=k, colors=s, graph=piece.graph, profile=prof)
+    return RemainderGraph(graph=piece.graph, profile=prof)
 
 
 def verify_disjointness(n: int, colors: ColorsLike) -> Report:
@@ -274,10 +259,8 @@ def verify_disjointness(n: int, colors: ColorsLike) -> Report:
     failures = []
     checked = 0
     s_elems = s.elements()
-    from itertools import combinations as _combos
-
     for i in range(0, k + 1):
-        subsets = [Block.from_elements(c, m) for c in _combos(s_elems, i)]
+        subsets = [Block.from_elements(c, m) for c in combinations(s_elems, i)]
         for a in range(len(subsets)):
             for b in range(a + 1, len(subsets)):
                 t1, t2 = subsets[a], subsets[b]
@@ -311,12 +294,10 @@ def regular_component_partitions(n: int, s: Block) -> list[tuple[Block, Block]]:
     k = s.card
     if k % 2:
         return []
-    from itertools import combinations as _combos
-
     m = 2 * n - 1
     seen = set()
     out = []
-    for c in _combos(s.elements(), k // 2):
+    for c in combinations(s.elements(), k // 2):
         t = Block.from_elements(c, m)
         rest = s - t
         key = frozenset((t.bits, rest.bits))
@@ -353,31 +334,20 @@ def middle_component_census(n: int, k: int, family_kind: str = ODD) -> Report:
 
     failures = []
     details: dict = {"expected_regular": expected, "target": f"middle({mm})"}
+    g = build(Family.odd(n) if family_kind == ODD else Family.middle_levels(n))
+    s = canonical_colors(n, k)
+    census = classify_components(delete_colors(g, s))
+    regular_ix = census.counts.get(("regular", mm), 0)
+    details["found_regular"] = regular_ix
+    if regular_ix != expected:
+        failures.append(f"count {regular_ix} != {expected}")
     if family_kind == ODD:
-        s = canonical_colors(n, k)
-        g = build(Family.odd(n))
-        deleted = delete_colors(g, s)
-        census = classify_components(deleted)
-        regular_ix = census.counts.get(("regular", mm), 0)
-        details["found_regular"] = regular_ix
-        if regular_ix != expected:
-            failures.append(f"count {regular_ix} != {expected}")
         for t, _rest in regular_component_partitions(n, s):
             vmap = morphisms.regular_component_to_middle(n, s, t)
             if not morphisms.is_isomorphism(vmap.source, vmap.target, vmap):
                 failures.append(f"component T={t} not isomorphic to middle({mm})")
     else:
-        g = build(Family.middle_levels(n))
-        s = canonical_colors(n, k)
-        deleted = delete_colors(g, s)
-        census = classify_components(deleted)
-        regular_ix = census.counts.get(("regular", mm), 0)
-        details["found_regular"] = regular_ix
-        if regular_ix != expected:
-            failures.append(f"count {regular_ix} != {expected}")
-        from itertools import combinations as _combos
-
-        for c in _combos(s.elements(), k // 2):
+        for c in combinations(s.elements(), k // 2):
             t = Block.from_elements(c, 2 * n - 1)
             vmap = morphisms.middle_class_to_middle(n, s, t)
             if not morphisms.is_isomorphism(vmap.source, vmap.target, vmap):

@@ -146,7 +146,6 @@ class DegreeProfile:
     kind: str
     a: int = 0
     b: int = 0
-    degree_counts: tuple[tuple[int, int], ...] = ()
     sides: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
 
     @property
@@ -159,11 +158,14 @@ class DegreeProfile:
         return ("irregular",)
 
     def __str__(self) -> str:
-        if self.kind == "regular":
-            return f"regular({self.a})"
-        if self.kind == "biregular":
-            return f"biregular({self.a},{self.b})"
-        return "irregular"
+        return signature_name(self.signature)
+
+
+def signature_name(sig: tuple) -> str:
+    """A census signature as text: regular(3), biregular(4,3), isolated."""
+    if len(sig) == 1:
+        return sig[0]
+    return f"{sig[0]}({','.join(map(str, sig[1:]))})"
 
 
 @dataclass(frozen=True)
@@ -474,26 +476,19 @@ def degree_profile(g: LabeledGraph) -> DegreeProfile:
     regular classification takes precedence when a == b.
     """
     degs = [g.degree(i) for i in range(g.n_vertices)]
-    counts: dict[int, int] = {}
-    for d in degs:
-        counts[d] = counts.get(d, 0) + 1
-    count_items = tuple(sorted(counts.items()))
-    if len(counts) == 1:
-        return DegreeProfile("regular", a=degs[0] if degs else 0,
-                             degree_counts=count_items)
-    if len(counts) == 2:
-        b, a = sorted(counts)
+    distinct = set(degs)
+    if len(distinct) == 1:
+        return DegreeProfile("regular", a=degs[0])
+    if len(distinct) == 2:
+        b, a = sorted(distinct)
         side_a = tuple(i for i, d in enumerate(degs) if d == a)
         side_b = tuple(i for i, d in enumerate(degs) if d == b)
         crossing = all(
             g.degree(j) == b for i in side_a for j in g.neighbors(i)
         ) and all(g.degree(j) == a for i in side_b for j in g.neighbors(i))
         if crossing:
-            return DegreeProfile(
-                "biregular", a=a, b=b, degree_counts=count_items,
-                sides=(side_a, side_b),
-            )
-    return DegreeProfile("irregular", degree_counts=count_items)
+            return DegreeProfile("biregular", a=a, b=b, sides=(side_a, side_b))
+    return DegreeProfile("irregular")
 
 
 def expected_family_degree(family: Family) -> int:
@@ -640,21 +635,26 @@ class PathSeq:
 
 @dataclass
 class Report:
-    """Outcome of a verification run: a named check with measured data."""
+    """Outcome of one check, from a library function or a verify row.
+
+    name says what was checked (a verify row's check id); ok is None for
+    a skipped check.  Library checks fill details and failures with the
+    measured data; a verify row carries its literature reference and a
+    one-line note.
+    """
 
     name: str
-    ok: bool
+    ok: Optional[bool]
     details: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
+    reference: str = ""
+    note: str = ""
 
-    def summary(self) -> str:
-        status = "pass" if self.ok else "FAIL"
-        parts = [f"{self.name}: {status}"]
-        for key, val in self.details.items():
-            parts.append(f"{key}={val}")
-        if self.failures:
-            parts.append(f"first failure: {self.failures[0]}")
-        return "  ".join(str(p) for p in parts)
+    @property
+    def status(self) -> str:
+        if self.ok is None:
+            return "skip"
+        return "pass" if self.ok else "FAIL"
 
 
 def verify_distance_formula(n: int) -> Report:
@@ -676,7 +676,7 @@ def verify_distance_formula(n: int) -> Report:
         u = g.vertices[i]
         for j in range(i + 1, g.n_vertices):
             v = g.vertices[j]
-            c = (u & v).card
+            c = (u.bits & v.bits).bit_count()
             want = min(2 * (n - 1 - c), 2 * c + 1)
             got = dist[j]
             diameter = max(diameter, got)

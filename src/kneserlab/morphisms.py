@@ -497,12 +497,6 @@ class LiftResult:
     circuits: tuple[PathSeq, ...]
     antipodal: bool
 
-    @property
-    def single(self) -> PathSeq:
-        if self.kind != "single":
-            raise ParameterError("lift produced a pair of circuits")
-        return self.circuits[0]
-
 
 def lift_circuit(c: PathSeq) -> LiftResult:
     """Lift a closed walk of the odd graph through the two-to-one cover by

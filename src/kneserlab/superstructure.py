@@ -13,7 +13,6 @@ vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .decompose import classify_components, delete_colors
 from .errors import DegenerateCaseError, ParameterError
@@ -100,22 +99,17 @@ class SuperGraph:
     rule and the partition-data shortcut produced the same edges.
     """
 
-    ids: tuple[MiddleComponentId, ...]
     graph: LabeledGraph
     target: Family
     iso: VertexMap
     criteria_agree: bool
 
 
-def middle_components(
-    n: int, k: int, family_kind: str = ODD, distinguished: Optional[int] = None
-) -> list[MiddleComponentId]:
-    """Ids of the middle-levels components of the family instance minus
-    the colors [k] (distinguished color k by default)."""
-    m = 2 * n - 1
-    s = Block.from_elements(range(1, k + 1), m)
-    d = k if distinguished is None else distinguished
-    return _component_ids(n, s, d, family_kind)
+def middle_components(n: int, k: int) -> list[MiddleComponentId]:
+    """Ids of the middle-levels components of the odd graph minus the
+    colors [k], with distinguished color k."""
+    s = Block.from_elements(range(1, k + 1), 2 * n - 1)
+    return _component_ids(n, s, k, ODD)
 
 
 def _component_ids(
@@ -124,14 +118,9 @@ def _component_ids(
     k = s.card
     if k <= 0 or k % 2:
         raise ParameterError(f"need a nonempty even color set, got |S|={k}")
-    if d not in s:
-        raise ParameterError(f"distinguished color {d} not in {s}")
-    if family_kind not in (ODD, MIDDLE_LEVELS):
-        raise ParameterError(f"unsupported family {family_kind!r}")
     mm = n - k // 2
     if mm < 1:
         raise ParameterError(f"no middle-levels components for n={n}, k={k}")
-    m = 2 * n - 1
     relabel = _relabel_map(s, d)
     fam = Family.odd(n) if family_kind == ODD else Family.middle_levels(n)
     g = build(fam)
@@ -139,29 +128,18 @@ def _component_ids(
     ids = []
     seen_halves = set()
     for comp in component_index_sets(deleted):
-        rep = deleted.vertices[comp[0]]
-        trace = rep & s
-        if family_kind == ODD:
-            if trace.card != k // 2:
-                continue
-            half = trace if d in trace else s - trace
-            if half.bits in seen_halves:
-                raise AssertionError(f"class {{{half}, ...}} split across components")
-            seen_halves.add(half.bits)
-            label = Block.from_elements(
-                [relabel[e] for e in half.elements() if e != d], k - 1
-            )
-            ids.append(MiddleComponentId(family_kind, n, k, half, label))
-        else:
-            if trace.card != k // 2:
-                continue
-            if trace.bits in seen_halves:
-                raise AssertionError(f"class {trace} split across components")
-            seen_halves.add(trace.bits)
-            label = Block.from_elements(
-                [relabel[e] for e in trace.elements() if e != d], k - 1
-            )
-            ids.append(MiddleComponentId(family_kind, n, k, trace, label))
+        trace = deleted.vertices[comp[0]] & s
+        if trace.card != k // 2:
+            continue
+        # an odd-graph class {T, S-T} is named by its half holding d
+        half = s - trace if family_kind == ODD and d not in trace else trace
+        if half.bits in seen_halves:
+            raise AssertionError(f"class {half} split across components")
+        seen_halves.add(half.bits)
+        label = Block.from_elements(
+            [relabel[e] for e in half.elements() if e != d], k - 1
+        )
+        ids.append(MiddleComponentId(family_kind, n, k, half, label))
     ids.sort(key=lambda c: c.label.bits)
     return ids
 
@@ -228,7 +206,7 @@ def _build_super(
         name=f"superstructure -> {target}",
     )
     iso.verify()
-    return SuperGraph(tuple(ids), graph, target, iso, agree)
+    return SuperGraph(graph, target, iso, agree)
 
 
 def build_m(n: int, k: int) -> SuperGraph:
@@ -257,8 +235,6 @@ class BottomLevel:
     fixed vertex, its component census, and the meta-graph of its
     components."""
 
-    base_vertex: Block
-    graph: LabeledGraph
     census: Report
     superstructure: SuperGraph
 
@@ -312,4 +288,4 @@ def bottom_level(n: int, v: Block) -> BottomLevel:
     )
     d = max(colors.elements())
     sup = _build_super(n, colors, d, ODD)
-    return BottomLevel(v, sub, report, sup)
+    return BottomLevel(report, sup)

@@ -1,10 +1,14 @@
 """Command-line interface: commands, formats, exit codes."""
 
+import hashlib
+import inspect
 import json
 
 import pytest
 
+from kneserlab import cli
 from kneserlab.cli import main, run_suite
+from kneserlab.graphs import Report
 from kneserlab.serialize import graph_from_json
 
 
@@ -12,6 +16,10 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def sha256_prefix(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 class TestBuild:
@@ -77,6 +85,12 @@ class TestDecompose:
         code, _, _ = run(["decompose", "odd", "4"], capsys)
         assert code == 2
 
+    def test_pinned_table(self, capsys):
+        code, out, _ = run(["decompose", "odd", "4", "--k", "4"], capsys)
+        assert code == 0
+        assert "isolated" in out and "biregular(3,1)" in out
+        assert sha256_prefix(out) == "12cbe76099026a47"
+
     @pytest.mark.parametrize("colors", ["1,x", "1,,2", "1,1"])
     def test_bad_colors_exit_2(self, colors, capsys):
         code, out, err = run(["decompose", "odd", "4", "--colors", colors], capsys)
@@ -132,6 +146,48 @@ class TestVerify:
         report.add("bad", "ref", False, "boom")
         assert report.exit_status == 1
         assert "FAIL" in report.render()
+
+    def test_rows_are_reports_with_one_status(self):
+        from kneserlab.cli import RunReport
+
+        report = RunReport("demo")
+        report.skip("later", "ref", "needs max-n >= 9")
+        assert report.exit_status == 0
+        report.add("falsy", "ref", None)  # any falsy outcome fails, never skips
+        assert report.exit_status == 1
+        report.add("truthy", "ref", 1)
+        first = report.lines[0]
+        assert (first.name, first.ok, first.reference, first.note) == (
+            "later", None, "ref", "needs max-n >= 9")
+        assert [line.status for line in report.lines] == ["skip", "FAIL", "pass"]
+        assert report.render().endswith("1 passed, 1 failed, 1 skipped")
+
+    @pytest.mark.parametrize(
+        "depth,prefix,last",
+        [
+            (["--max-n", "64"], "1553bdd4eab4ca56", "93 passed, 0 failed, 0 skipped"),
+            ([], "be020cfad88d6228", "86 passed, 0 failed, 0 skipped"),
+            (["--max-n", "3"], "9b26f0a1a91cc5bf", "23 passed, 0 failed, 10 skipped"),
+        ],
+        ids=["max-n-64", "default", "max-n-3"],
+    )
+    def test_pinned_table(self, depth, prefix, last, capsys):
+        code, out, _ = run(["verify", "all", *depth], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == f"suite all: {last}"
+        assert sha256_prefix(out) == prefix
+
+    def test_suites_are_plain_functions_filling_reports(self):
+        # perfbench/layers.py times each _SUITES value as one call, so a suite
+        # must do its work inside that call
+        assert set(cli._SUITES) == {
+            "covers", "decompose", "isomorphisms", "superstructure",
+            "identities", "distance", "orbits", "coxeter",
+        }
+        for name, suite in cli._SUITES.items():
+            assert not inspect.isgeneratorfunction(suite), name
+            lines = run_suite(name, 3).lines
+            assert lines and all(isinstance(line, Report) for line in lines), name
 
 
 class TestHamilton:

@@ -290,7 +290,7 @@ class TestDistance:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_distance_formula(self, n):
         rep = verify_distance_formula(n)
-        assert rep.ok, rep.summary()
+        assert rep.ok, rep.failures
         assert rep.details["diameter"] == n - 1
 
 
