@@ -4,7 +4,9 @@ The only search kernel: kneserlab.hamilton.find_hamiltonian_cycle calls
 solve() as hamilton._kernel.solve, and the benchmark patches it there.
 Node counts are deterministic for a given rank array and node budget.
 
-The search is a depth-first backtrack from a fixed start vertex with:
+The search is a depth-first backtrack from a fixed start vertex, run as
+one loop over an explicit stack with a frame per path vertex, so its
+depth is not bounded by the interpreter's recursion limit.  It has:
   * candidate ordering by fewest remaining continuations (ties broken by
     a caller-supplied rank array, then by index);
   * a degree-availability prune: every unvisited vertex must keep at
@@ -28,8 +30,8 @@ invariants:
     usable connections number its degree: `starved` is set when a vertex
     that is neither the start nor one of its neighbors has degree < 2.
   * An anchor is a node whose connectivity check ran and passed; its
-    path index is passed down the recursion, and forced nodes, which
-    skip the check, pass on the one they received.  At anchor index a,
+    path index is held in its frame, and forced nodes, which skip the
+    check, hold in theirs the one they received.  At anchor index a,
     G[U ∪ {path[a]}] was connected, U being the unvisited set then.  If
     W is the unvisited set now and R = path[a:-1], that graph is
     G[W ∪ R ∪ {tip}], so every component of G[W ∪ {tip}] holds the tip
@@ -40,7 +42,7 @@ invariants:
     it) fall back to a full search from the tip, so solve() stays exact
     on any input, disconnected ones included.
 
-The search is exhaustive, so a DEAD result is a proof that no Hamiltonian
+The search is exhaustive, so a NONE result is a proof that no Hamiltonian
 cycle exists.
 """
 
@@ -51,9 +53,9 @@ from typing import Optional, Sequence
 
 KERNEL_NAME = "python"
 
-FOUND = 0
-DEAD = 1  # search space exhausted: no Hamiltonian cycle
-BUDGET = 2  # node or time budget exceeded
+FOUND = "found"
+NONE = "none"  # search space exhausted: proof of non-Hamiltonicity
+EXHAUSTED_BUDGET = "exhausted-budget"  # node or time budget exceeded
 
 _CLOCK_STRIDE = 4096
 
@@ -73,7 +75,7 @@ def solve(
     """
     nv = len(neighbors)
     if nv == 0:
-        return DEAD, [], 0
+        return NONE, [], 0
     if nv == 1:
         return FOUND, [start], 0
     on_start = bytearray(nv)
@@ -178,18 +180,11 @@ def solve(
                 return False
         return True
 
-    def extend(tip: int, anchor: Optional[int]) -> int:
-        nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            return BUDGET
-        if nodes % _CLOCK_STRIDE == 0 and time.monotonic() > deadline:
-            return BUDGET
-        if len(path) == nv:
-            return FOUND if on_start[tip] else DEAD
+    def children(tip: int, anchor: Optional[int]) -> tuple:
+        """The tip's candidates in search order, none if the node is dead,
+        and the anchor they inherit."""
         if starved and len(path) == 1:
-            return DEAD
-
+            return (), anchor
         # availability prune and candidate collection over the tip's
         # neighbors; below the root no non-neighbor can be starved
         cands = []
@@ -200,38 +195,53 @@ def solve(
                 continue
             avail = free_deg[x] + on_start[x]
             if avail < 1:  # only usable edge is the tip itself
-                return DEAD
+                return (), anchor
             cands.append(x)
             if avail == 1:  # tip edge is one of exactly two usable
                 forced = x
                 n_forced += 1
         if not cands or n_forced > 1:
-            return DEAD
+            return (), anchor
         if forced is not None:
-            cands = [forced]
-        elif not (
+            return (forced,), anchor
+        if not (
             connected_from(tip) if anchor is None else connected_since(anchor)
         ):
-            return DEAD
-        else:
-            anchor = len(path) - 1
+            return (), anchor
         cands.sort(key=lambda x: (free_deg[x], rank[x], x))
+        return cands, len(path) - 1
 
-        for w in cands:
-            visited[w] = 1
-            path.append(w)
-            for y in neighbors[w]:
-                free_deg[y] -= 1
-            status = extend(w, anchor)
-            if status == FOUND:
-                return FOUND  # leave the completed path in place
+    # one frame per path vertex: an iterator over its untried candidates
+    # and the anchor they inherit
+    frames = []
+    tip, anchor = start, None
+    while True:
+        nodes += 1
+        if nodes > max_nodes:
+            return EXHAUSTED_BUDGET, [], nodes
+        if nodes % _CLOCK_STRIDE == 0 and time.monotonic() > deadline:
+            return EXHAUSTED_BUDGET, [], nodes
+        if len(path) < nv:
+            cands, anchor = children(tip, anchor)
+        elif on_start[tip]:
+            return FOUND, path, nodes
+        else:
+            cands = ()
+        frames.append((iter(cands), anchor))
+        # backtrack past exhausted frames to the next untried candidate
+        while True:
+            untried, anchor = frames[-1]
+            tip = next(untried, -1)
+            if tip >= 0:
+                break
+            frames.pop()
+            if not frames:
+                return NONE, [], nodes
+            w = path.pop()
+            visited[w] = 0
             for y in neighbors[w]:
                 free_deg[y] += 1
-            path.pop()
-            visited[w] = 0
-            if status == BUDGET:
-                return BUDGET
-        return DEAD
-
-    status = extend(start, None)
-    return status, (list(path) if status == FOUND else []), nodes
+        visited[tip] = 1
+        path.append(tip)
+        for y in neighbors[tip]:
+            free_deg[y] -= 1

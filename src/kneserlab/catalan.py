@@ -165,8 +165,11 @@ def necklace_of(v: Block, n: int) -> str:
     m = 2 * n - 1
     if v.m != m or v.card != n - 1:
         raise ParameterError(f"{v} is not a vertex of odd({n})")
-    raw = "".join("0" if i in v else "1" for i in range(1, m + 1))
-    return min(raw[r:] + raw[:r] for r in range(m))
+    full = (1 << m) - 1
+    # the absence word as an m-bit int, ground position 1 its top bit
+    x = int(format(~v.bits & full, f"0{m}b")[::-1], 2)
+    least = min(((x << r) | (x >> (m - r))) & full for r in range(m))
+    return format(least, f"0{m}b")
 
 
 def independent_orbit_excision(n: int) -> Report:

@@ -19,6 +19,7 @@ from . import morphisms as mor
 from . import serialize
 from . import superstructure as sup
 from .catalan import (
+    STRUCTURAL_LIMIT,
     coxeter_excision,
     independent_orbit_excision,
     necklace_of,
@@ -372,7 +373,7 @@ def _suite_identities(report: RunReport, max_n: int):
         verify_difference_identity(n).ok for n in range(1, max_n + 1)
     )
     report.add("difference-identity", "middle minus remainder = catalan(n)",
-               ok_diff, f"n <= {max_n}, structural n <= 5")
+               ok_diff, f"n <= {max_n}, structural n <= {STRUCTURAL_LIMIT}")
     ok_rem = all(remainder_size_form(n).ok for n in range(1, max_n + 1))
     report.add("remainder-size-form", "OEIS A001791", ok_rem,
                f"n <= {max_n}")

@@ -344,13 +344,13 @@ def middle_component_census(n: int, k: int, family_kind: str = ODD) -> Report:
     if family_kind == ODD:
         for t, _rest in regular_component_partitions(n, s):
             vmap = morphisms.regular_component_to_middle(n, s, t)
-            if not morphisms.is_isomorphism(vmap.source, vmap.target, vmap):
+            if not vmap.verify():
                 failures.append(f"component T={t} not isomorphic to middle({mm})")
     else:
         for c in combinations(s.elements(), k // 2):
             t = Block.from_elements(c, 2 * n - 1)
             vmap = morphisms.middle_class_to_middle(n, s, t)
-            if not morphisms.is_isomorphism(vmap.source, vmap.target, vmap):
+            if not vmap.verify():
                 failures.append(f"class T={t} not isomorphic to middle({mm})")
     return Report(
         f"regular-components {family_kind}({n}) minus {k} colors",

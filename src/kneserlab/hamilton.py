@@ -15,23 +15,17 @@ cycle is exactly the unresolved step.
 from __future__ import annotations
 
 import random
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import _hamcore_py as _kernel
+from ._hamcore_py import EXHAUSTED_BUDGET, FOUND, NONE  # search statuses
 from .decompose import canonical_colors, remainder_graph
 from .errors import DegenerateCaseError, ParameterError
 from .graphs import Family, LabeledGraph, PathSeq, build
 from .morphisms import LiftResult, embed_middle_in_odd, lift_circuit
 from .superstructure import two_color_path
-
-FOUND = "found"
-NONE = "none"  # search space exhausted: proof of non-Hamiltonicity
-EXHAUSTED_BUDGET = "exhausted-budget"
-
-_STATUS = {0: FOUND, 1: NONE, 2: EXHAUSTED_BUDGET}
 
 
 def kernel_name() -> str:
@@ -96,19 +90,11 @@ def find_hamiltonian_cycle(
             "two vertices: a cycle would reuse the single edge",
         )
     rank = _tie_break_ranks(g.n_vertices, budget.seed)
-    depth_need = g.n_vertices + 100
-    old_limit = sys.getrecursionlimit()
-    if old_limit < depth_need + 1000:
-        sys.setrecursionlimit(depth_need + 1000)
     t0 = time.perf_counter()
-    try:
-        code, path, nodes = _kernel.solve(
-            g.neighbor_table, 0, rank, budget.max_nodes, budget.max_seconds
-        )
-    finally:
-        sys.setrecursionlimit(old_limit)
+    status, path, nodes = _kernel.solve(
+        g.neighbor_table, 0, rank, budget.max_nodes, budget.max_seconds
+    )
     elapsed = time.perf_counter() - t0
-    status = _STATUS[code]
     cycle = None
     if status == FOUND:
         cycle = PathSeq.from_indices(g, path, closed=True)

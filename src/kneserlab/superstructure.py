@@ -28,7 +28,7 @@ from .graphs import (
     component_index_sets,
     graph_from_edges,
 )
-from .morphisms import VertexMap, is_isomorphism, regular_component_to_middle
+from .morphisms import VertexMap, regular_component_to_middle
 from .setcore import Block, binomial
 
 
@@ -78,8 +78,6 @@ class MiddleComponentId:
     """
 
     family_kind: str
-    n: int
-    k: int
     half: Block
     label: Block
 
@@ -139,7 +137,7 @@ def _component_ids(
         label = Block.from_elements(
             [relabel[e] for e in half.elements() if e != d], k - 1
         )
-        ids.append(MiddleComponentId(family_kind, n, k, half, label))
+        ids.append(MiddleComponentId(family_kind, half, label))
     ids.sort(key=lambda c: c.label.bits)
     return ids
 
@@ -273,7 +271,7 @@ def bottom_level(n: int, v: Block) -> BottomLevel:
         if vmap.source != comp_graph:
             failures.append(f"component at {rep} is not the color-deleted class")
             continue
-        if not is_isomorphism(vmap.source, vmap.target, vmap):
+        if not vmap.verify():
             failures.append(f"component at {rep} not isomorphic to middle({target_m})")
     report = Report(
         f"bottom level odd({n}) around {v}",

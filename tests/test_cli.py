@@ -250,6 +250,16 @@ class TestOrbits:
         assert code == 0
         assert "00111" in out
 
+    @pytest.mark.parametrize("n, prefix", [
+        ("4", "53b3d5d8e78983d4"),
+        ("6", "63c5236f4358389b"),
+        ("8", "cff3b7d2098403f8"),
+    ])
+    def test_pinned_necklaces(self, n, prefix, capsys):
+        code, out, _ = run(["orbits", n, "--necklaces"], capsys)
+        assert code == 0
+        assert sha256_prefix(out) == prefix
+
 
 class TestExport:
     def test_json_to_dot(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -52,6 +53,17 @@ class TestFindCycle:
         assert result.cycle is not None
         assert len(result.cycle.indices) == 35
         assert verify_cycle(odd4, result.cycle)
+
+    def test_recursion_limit_left_alone(self, odd4, monkeypatch):
+        def refuse(limit):
+            pytest.fail(f"search set the recursion limit to {limit}")
+
+        before = sys.getrecursionlimit()
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        result = find_hamiltonian_cycle(odd4)
+        assert result.status == FOUND
+        assert verify_cycle(odd4, result.cycle)
+        assert sys.getrecursionlimit() == before
 
     def test_disconnected_is_immediate_none(self):
         g = graph_from_edges(
@@ -355,23 +367,23 @@ class TestSolveDirect:
     @pytest.mark.parametrize("neighbors, start, expected", [
         # disconnected: the root's full connectivity search fails
         ([(1, 2), (0, 2), (0, 1), (4, 5), (3, 5), (3, 4)], 0,
-         (_hamcore_py.DEAD, [], 1)),
+         (NONE, [], 1)),
         # a pendant vertex away from the start: the root's count fails
         ([(1, 3), (0, 2), (1, 3, 4), (0, 2), (2,)], 0,
-         (_hamcore_py.DEAD, [], 1)),
+         (NONE, [], 1)),
         # a pendant neighbor forces the root, so its child has no anchor
         ([(1, 5), (0, 2), (1, 3), (2, 4), (3, 5), (4, 0), (7,), (6,)], 7,
-         (_hamcore_py.DEAD, [], 2)),
-        ([(1, 2, 3), (0,), (0, 3), (0, 2)], 0, (_hamcore_py.DEAD, [], 2)),
-        ([(1,), (0,)], 0, (_hamcore_py.FOUND, [0, 1], 2)),
+         (NONE, [], 2)),
+        ([(1, 2, 3), (0,), (0, 3), (0, 2)], 0, (NONE, [], 2)),
+        ([(1,), (0,)], 0, (FOUND, [0, 1], 2)),
         # a ring: one check at the root, then a forced chain to the end
         ([((i - 1) % 7, (i + 1) % 7) for i in range(7)], 6,
-         (_hamcore_py.FOUND, [6, 0, 1, 2, 3, 4, 5], 7)),
+         (FOUND, [6, 0, 1, 2, 3, 4, 5], 7)),
         # the start's neighbor 1 has degree 2
         ([(1, 2, 3), (0, 4), (0, 3, 4), (0, 2, 4), (1, 2, 3)], 0,
-         (_hamcore_py.FOUND, [0, 1, 4, 2, 3], 5)),
-        ([], 0, (_hamcore_py.DEAD, [], 0)),
-        ([()], 0, (_hamcore_py.FOUND, [0], 0)),
+         (FOUND, [0, 1, 4, 2, 3], 5)),
+        ([], 0, (NONE, [], 0)),
+        ([()], 0, (FOUND, [0], 0)),
     ], ids=[
         "two-triangles", "starved-pendant", "forced-root-hexagon",
         "forced-root-pendant", "single-edge", "ring", "degree-2-neighbor",
@@ -386,8 +398,16 @@ class TestSolveDirect:
         rank = list(range(34))
         # the clock is read every 4096 nodes
         assert _hamcore_py.solve(nb, 0, rank, 10**6, 1e-9) == (
-            _hamcore_py.BUDGET, [], 4096
+            EXHAUSTED_BUDGET, [], 4096
         )
         assert _hamcore_py.solve(nb, 0, rank, 100, 60.0) == (
-            _hamcore_py.BUDGET, [], 101
+            EXHAUSTED_BUDGET, [], 101
+        )
+
+    def test_ring_deeper_than_recursion_limit(self):
+        n = 20_000
+        assert n > sys.getrecursionlimit()
+        ring = [((i - 1) % n, (i + 1) % n) for i in range(n)]
+        assert _hamcore_py.solve(ring, 0, list(range(n)), 10**6, 60.0) == (
+            FOUND, list(range(n)), n
         )
