@@ -11,6 +11,7 @@ excision must remove is pinned by a Catalan convolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .decompose import classify_components
@@ -18,7 +19,6 @@ from .errors import ParameterError
 from .graphs import Family, LabeledGraph, Report, build, girth
 from .setcore import (
     Block,
-    Perm,
     binomial,
     catalan,
     catalan_fourth_convolution,
@@ -121,32 +121,31 @@ class OrbitSet:
         return tuple(len(orbit) for orbit in self.orbits)
 
 
-def rotation(n: int) -> Perm:
-    """The full cycle (1, 2, ..., 2n-1) on the odd-graph ground set."""
-    return Perm.cycle(2 * n - 1, range(1, 2 * n))
-
-
 def orbits(n: int) -> OrbitSet:
-    """Orbits of the odd-graph vertices under repeated ground rotation,
-    each listed from its minimal vertex index; the orbit count must equal
-    catalan(n-1)."""
+    """Orbits of the odd-graph vertices under repeated ground rotation
+    (the cycle 1 -> 2 -> ... -> 2n-1 -> 1), each listed from its minimal
+    vertex index; the orbit count must equal catalan(n-1)."""
     if n < 2:
         raise ParameterError("need n >= 2")
     g = build(Family.odd(n))
-    sigma = rotation(n)
+    m = 2 * n - 1
+    full = (1 << m) - 1
+    masks = [v.bits for v in g.vertices]
+    index = dict(zip(masks, range(len(masks))))
     seen = bytearray(g.n_vertices)
     out = []
-    for i, v in enumerate(g.vertices):
+    for i, x in enumerate(masks):
         if seen[i]:
             continue
         orbit = [i]
         seen[i] = 1
-        w = sigma.apply(v)
-        while w != v:
-            j = g.index_of(w)
+        w = x
+        # element e sits at bit e-1, so the rotation is a one-bit left
+        # rotation of the m-bit mask
+        while (w := ((w << 1) | (w >> (m - 1))) & full) != x:
+            j = index[w]
             seen[j] = 1
             orbit.append(j)
-            w = sigma.apply(w)
         out.append(tuple(sorted(orbit)))
     want = catalan(n - 1)
     if len(out) != want:
@@ -165,11 +164,16 @@ def necklace_of(v: Block, n: int) -> str:
     m = 2 * n - 1
     if v.m != m or v.card != n - 1:
         raise ParameterError(f"{v} is not a vertex of odd({n})")
-    full = (1 << m) - 1
-    # the absence word as an m-bit int, ground position 1 its top bit
-    x = int(format(~v.bits & full, f"0{m}b")[::-1], 2)
-    least = min(((x << r) | (x >> (m - r))) & full for r in range(m))
-    return format(least, f"0{m}b")
+    # the absence string, ground position 1 first; its rotations are the
+    # length-m windows of the string written twice
+    word = format(~v.bits & ((1 << m) - 1), f"0{m}b")[::-1] * 2
+    return min(map(word.__getitem__, _windows(m)))
+
+
+@lru_cache(maxsize=None)
+def _windows(m: int) -> tuple[slice, ...]:
+    """The m length-m windows of a doubled length-m string."""
+    return tuple(map(slice, range(m), range(m, 2 * m)))
 
 
 def independent_orbit_excision(n: int) -> Report:

@@ -36,6 +36,7 @@ from .graphs import (
     Report,
     build,
     girth,
+    holding_families,
     signature_name,
     verify_distance_formula,
 )
@@ -453,7 +454,8 @@ def run_suite(suite: str, max_n: Optional[int] = None) -> RunReport:
     for name in names:
         cap = _SUITE_CAP_N[name]
         n = _SUITE_DEFAULT_N[name] if max_n is None else min(max_n, cap)
-        _SUITES[name](report, n)
+        with holding_families():
+            _SUITES[name](report, n)
     return report
 
 

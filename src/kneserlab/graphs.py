@@ -13,8 +13,9 @@ from __future__ import annotations
 import gc
 import weakref
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import cached_property, reduce, wraps
 from itertools import chain, combinations, islice, repeat
 from operator import add, and_, eq, itemgetter, lt, mul, neg, or_, xor
 from typing import Iterator, Optional, Sequence
@@ -340,6 +341,24 @@ def graph_from_edges(
 # The live graph of each family: an entry lasts only while some caller
 # holds the graph, so reuse never keeps a large graph resident.
 _live: weakref.WeakValueDictionary[Family, LabeledGraph] = weakref.WeakValueDictionary()
+# The open holds of holding_families by id, each mapping family to graph.
+_holds: dict[int, dict[Family, LabeledGraph]] = {}
+
+
+@contextmanager
+def holding_families() -> Iterator[None]:
+    """Keep every graph that build returns inside the block alive until the
+    block ends, so that a family asked for again is not constructed again.
+
+    Leaving the block drops the hold, and with it every graph no other
+    caller holds.
+    """
+    held: dict[Family, LabeledGraph] = {}
+    _holds[id(held)] = held
+    try:
+        yield
+    finally:
+        del _holds[id(held)]
 
 
 @gc_paused
@@ -347,7 +366,8 @@ def build(family: Family) -> LabeledGraph:
     """The family instance with canonical vertex order.
 
     While any caller holds the graph of a family, build returns that same
-    instance; otherwise it constructs the graph afresh.  Labels are
+    instance; otherwise it constructs the graph afresh.  An open
+    holding_families block holds every graph build returns.  Labels are
     populated only for the odd and middle-levels families, where the
     defining difference set is a singleton.
     """
@@ -358,6 +378,8 @@ def build(family: Family) -> LabeledGraph:
         else:
             g = _build_bipartite_kneser(family)
         _live[family] = g
+    for held in _holds.values():
+        held[family] = g
     return g
 
 
@@ -664,24 +686,28 @@ def verify_distance_formula(n: int) -> Report:
     For distinct (n-1)-subsets u, v of [2n-1] with c = |u & v| the rule
     predicts d(u, v) = min(2(n-1-c), 2c+1): even distances 2r arise from
     c = n-1-r and odd distances 2r+1 from c = r; the diameter must equal
-    n-1.
+    n-1.  Every vertex's distance spheres are compared with the rule's
+    as masks; only when some sphere differs does a per-pair BFS list the
+    failing pairs.
     """
     if n < 2:
         raise ParameterError("distance check needs n >= 2")
     g = build(Family.odd(n))
+    diameter = _rule_diameter(g, n)
     failures = []
-    diameter = 0
-    for i in range(g.n_vertices):
-        dist = bfs_distances(g, i)
-        u = g.vertices[i]
-        for j in range(i + 1, g.n_vertices):
-            v = g.vertices[j]
-            c = (u.bits & v.bits).bit_count()
-            want = min(2 * (n - 1 - c), 2 * c + 1)
-            got = dist[j]
-            diameter = max(diameter, got)
-            if got != want:
-                failures.append((str(u), str(v), c, got, want))
+    if diameter is None:
+        diameter = 0
+        for i in range(g.n_vertices):
+            dist = bfs_distances(g, i)
+            u = g.vertices[i]
+            for j in range(i + 1, g.n_vertices):
+                v = g.vertices[j]
+                c = (u.bits & v.bits).bit_count()
+                want = min(2 * (n - 1 - c), 2 * c + 1)
+                got = dist[j]
+                diameter = max(diameter, got)
+                if got != want:
+                    failures.append((str(u), str(v), c, got, want))
     ok = not failures and diameter == n - 1
     return Report(
         f"distance-formula O_{n}",
@@ -690,3 +716,59 @@ def verify_distance_formula(n: int) -> Report:
                  "diameter": diameter, "expected_diameter": n - 1},
         failures=failures,
     )
+
+
+def _rule_diameter(g: LabeledGraph, n: int) -> Optional[int]:
+    """The diameter of g when every vertex's distance spheres are the ones
+    the odd-graph distance rule predicts, None when some sphere differs.
+
+    A vertex set is an nv-bit mask over vertex indices.  The true spheres
+    come from balls grown a level at a time (ball_d(u) is ball_{d-1}(u)
+    joined with the balls of u's neighbours; sphere d is ball_d minus
+    ball_{d-1}).  The predicted ones come from bit-sliced counts: adding
+    the membership masks of u's elements gives, for every vertex v at
+    once, c = |u & v| in binary.  The rule sends each c in 0..n-1 to its
+    own distance, at most n-1, so the predicted spheres partition the
+    vertices and matching them also proves every vertex reachable.
+    """
+    nv = g.n_vertices
+    full = (1 << nv) - 1
+    masks = [v.bits for v in g.vertices]
+    # member[e]: the vertices holding ground element e (bit e of a mask)
+    member = [
+        int("".join(["1" if x >> e & 1 else "0" for x in reversed(masks)]), 2)
+        for e in range(g.ground)
+    ]
+    rule = [min(2 * (n - 1 - c), 2 * c + 1) for c in range(n)]
+    want = [[0] * nv for _ in range(n)]  # want[d][u]: predicted sphere d of u
+    for u, x in enumerate(masks):
+        planes: list[int] = []  # planes[p]: bit p of every vertex's count
+        for e in range(g.ground):
+            if x >> e & 1:
+                carry = member[e]
+                for p, plane in enumerate(planes):
+                    planes[p], carry = plane ^ carry, plane & carry
+                if carry:
+                    planes.append(carry)
+        for c, d in enumerate(rule):
+            if c >> len(planes) == 0:  # else no vertex has this count
+                eq = full
+                for p, plane in enumerate(planes):
+                    eq &= plane if c >> p & 1 else ~plane
+                want[d][u] = eq
+    balls = [1 << u for u in range(nv)]
+    if balls != want[0]:
+        return None
+    diameter = 0
+    for d in range(1, n):
+        grown = [
+            reduce(or_, map(balls.__getitem__, row), ball)
+            for ball, row in zip(balls, g.neighbor_table)
+        ]
+        spheres = list(map(xor, grown, balls))
+        if spheres != want[d]:
+            return None
+        if any(spheres):
+            diameter = d
+        balls = grown
+    return diameter

@@ -1,5 +1,7 @@
 """Identities, rotation orbits, necklaces, independent-orbit excision."""
 
+import hashlib
+
 import pytest
 
 from kneserlab.catalan import (
@@ -8,15 +10,31 @@ from kneserlab.catalan import (
     necklace_of,
     orbits,
     remainder_size_form,
-    rotation,
     verify_difference_identity,
     verify_size_identity,
 )
 from kneserlab.errors import ParameterError
-from kneserlab.graphs import degree_profile
-from kneserlab.setcore import Block, apply_perm, binomial, catalan
+from kneserlab.graphs import Family, build, degree_profile
+from kneserlab.setcore import Block, Perm, apply_perm, binomial, catalan
 
 b = Block.from_elements
+
+# SHA-256 prefixes of repr(orbits(n).orbits) and of the necklaces of every
+# vertex of odd(n), one per line in vertex order, recorded from the
+# Perm-based orbit walk and the string-rotation necklaces
+PINNED = {
+    2: ("91dc352bb99129da", "b5f8073c1706a545"),
+    3: ("bc0080afff891c35", "4b8235b16782ac13"),
+    4: ("5be3cb438eaa8ebf", "60b7c66ce771424e"),
+    5: ("69a79012bfd30be1", "55c778d5387daee8"),
+    6: ("404a8be8ff091c06", "67870b8c1e69230d"),
+    7: ("8006cd93cec5719d", "b8986846d3a972c7"),
+    8: ("5538c4217705154d", "fb8a67f2061b251e"),
+}
+
+
+def sha256_prefix(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 class TestIdentities:
@@ -72,9 +90,25 @@ class TestOrbits:
         assert set(orb.sizes) == {2 * n - 1}
 
     def test_rotation_acts_as_shift(self):
-        sigma = rotation(3)
+        sigma = Perm.cycle(5, range(1, 6))
         assert apply_perm(sigma, b([1, 2], 5)) == b([2, 3], 5)
         assert apply_perm(sigma, b([4, 5], 5)) == b([1, 5], 5)
+        # every orbit is the walk of its first vertex under the ground
+        # cycle 1 -> 2 -> ... -> 2n-1 -> 1, applied as a Perm
+        for n in (3, 4, 5):
+            orb = orbits(n)
+            g = orb.graph
+            sigma = Perm.cycle(2 * n - 1, range(1, 2 * n))
+            for orbit in orb.orbits:
+                v = g.vertices[orbit[0]]
+                walk = [v]
+                while (w := apply_perm(sigma, walk[-1])) != v:
+                    walk.append(w)
+                assert sorted(map(g.index_of, walk)) == list(orbit)
+
+    @pytest.mark.parametrize("n", sorted(PINNED))
+    def test_pinned_orbits(self, n):
+        assert sha256_prefix(repr(orbits(n).orbits)) == PINNED[n][0]
 
     def test_small_n_rejected(self):
         with pytest.raises(ParameterError):
@@ -105,6 +139,12 @@ class TestNecklaces:
     def test_wrong_vertex_rejected(self):
         with pytest.raises(ParameterError):
             necklace_of(b([1, 2, 3], 5), 3)
+
+    @pytest.mark.parametrize("n", sorted(PINNED))
+    def test_pinned_on_every_vertex(self, n):
+        g = build(Family.odd(n))
+        text = "\n".join(necklace_of(v, n) for v in g.vertices)
+        assert sha256_prefix(text) == PINNED[n][1]
 
 
 class TestExcision:

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from kneserlab import cli
+from kneserlab import cli, graphs
 from kneserlab.cli import main, run_suite
 from kneserlab.graphs import Report
 from kneserlab.serialize import graph_from_json
@@ -188,6 +188,21 @@ class TestVerify:
             assert not inspect.isgeneratorfunction(suite), name
             lines = run_suite(name, 3).lines
             assert lines and all(isinstance(line, Report) for line in lines), name
+
+    def test_suites_hold_their_families(self, monkeypatch, capsys):
+        # each suite constructs a family at most once; with nothing held a
+        # pass made 155 constructions of 24 families
+        built = []
+        for name in ("_build_kneser", "_build_bipartite_kneser"):
+            construct = getattr(graphs, name)
+            monkeypatch.setattr(
+                graphs, name,
+                lambda family, construct=construct:
+                    built.append(family) or construct(family))
+        code, _, _ = run(["verify", "all", "--max-n", "64"], capsys)
+        assert code == 0
+        assert 0 < len(built) <= 66
+        assert not graphs._holds
 
 
 class TestHamilton:

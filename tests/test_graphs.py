@@ -1,9 +1,11 @@
 """Family construction, labels, degrees, distances, components, girth."""
 
 import weakref
+from collections import deque
 
 import pytest
 
+from kneserlab import graphs
 from kneserlab.errors import (
     NotAdjacentError,
     ParameterError,
@@ -172,6 +174,18 @@ class TestLiveInstance:
         assert ref() is None
         assert build(fam).n_vertices == 2 * binomial(8, 3)
 
+    def test_hold_keeps_graphs_until_it_closes(self):
+        fam, other = Family.bipartite_kneser(8, 2), Family.bipartite_kneser(8, 3)
+        with graphs.holding_families():
+            with graphs.holding_families():  # the same graph, held twice
+                ref = weakref.ref(build(fam))
+            assert ref() is not None
+            assert build(fam) is ref()
+            other_ref = weakref.ref(build(other))
+            assert other_ref() is not None
+        assert ref() is None and other_ref() is None
+        assert not graphs._holds
+
 
 class TestEdgeLabels:
     def test_examples(self, odd3, odd4, middle2):
@@ -292,6 +306,69 @@ class TestDistance:
         rep = verify_distance_formula(n)
         assert rep.ok, rep.failures
         assert rep.details["diameter"] == n - 1
+
+
+def brute_force_distance_report(g, n):
+    """(ok, details, failures) of the distance rule on g from one BFS per
+    vertex and set intersections per pair, in the checker's pair order."""
+    verts = g.vertices
+    failures = []
+    diameter = 0
+    for i, u in enumerate(verts):
+        dist = {i: 0}
+        queue = deque([i])
+        while queue:
+            x = queue.popleft()
+            for y in g.neighbors(x):
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        for j in range(i + 1, len(verts)):
+            v = verts[j]
+            c = len(set(u.elements()) & set(v.elements()))
+            want = min(2 * (n - 1 - c), 2 * c + 1)
+            got = dist.get(j, -1)
+            diameter = max(diameter, got)
+            if got != want:
+                failures.append((str(u), str(v), c, got, want))
+    details = {"pairs": len(verts) * (len(verts) - 1) // 2,
+               "diameter": diameter, "expected_diameter": n - 1}
+    return not failures and diameter == n - 1, details, failures
+
+
+def _perturbed(g, kind):
+    """g with one edge removed, one chord added or vertex 0 cut off."""
+    edges = list(g.edges())
+    if kind == "remove-first":
+        del edges[0]
+    elif kind == "remove-middle":
+        del edges[len(edges) // 2]
+    elif kind == "isolate":
+        edges = [e for e in edges if 0 not in e[:2]]
+    else:
+        pairs = [(i, j) for i in range(g.n_vertices)
+                 for j in range(i + 1, g.n_vertices) if not g.has_edge(i, j)]
+        i, j = pairs[0] if kind == "chord-first" else pairs[-1]
+        edges.append((i, j, None))
+    return graph_from_edges(g.ground, g.vertices, edges, labeled=True)
+
+
+class TestDistanceFailurePath:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_spheres_match_without_per_pair_loop(self, n):
+        assert graphs._rule_diameter(build(Family.odd(n)), n) == n - 1
+
+    @pytest.mark.parametrize("kind", ["remove-first", "remove-middle",
+                                      "chord-first", "chord-last", "isolate"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_report_matches_brute_force(self, n, kind, monkeypatch):
+        g = _perturbed(build(Family.odd(n)), kind)
+        monkeypatch.setattr(graphs, "build", lambda family: g)
+        assert graphs._rule_diameter(g, n) is None
+        rep = verify_distance_formula(n)
+        ok, details, failures = brute_force_distance_report(g, n)
+        assert failures  # every perturbation breaks the rule somewhere
+        assert (rep.ok, rep.details, rep.failures) == (ok, details, failures)
 
 
 class TestGraphFromEdges:

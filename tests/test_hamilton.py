@@ -244,6 +244,30 @@ class TestPipeline:
         with pytest.raises(ParameterError):
             recursion_pipeline(4, start="sideways")
 
+    def test_connectors_collide_in_pairs(self):
+        # The connector of an embedded vertex v is the middle vertex of the
+        # two-color path from v to its image w under the transposition of
+        # the two deleted colors, the complement of v | w.  The path from w
+        # leads back to v through the same vertex, so every middle vertex
+        # is reached exactly twice: collisions are half the connectors.
+        rounds = ([(5, start, seed) for start in ("odd", "middle")
+                   for seed in range(6)]
+                  + [(6, "odd", seed) for seed in range(6)]
+                  + [(6, "middle", seed) for seed in (0, 7, 12)])
+        found = {}
+        for n, start, seed in rounds:
+            budget = SearchBudget(max_nodes=20_000, seed=seed)
+            rep = recursion_pipeline(n, budget, start=start)
+            if rep.base_search.status != FOUND:
+                continue
+            found[n, start] = found.get((n, start), 0) + 1
+            assert rep.connector_count > 0, (n, start, seed)
+            assert rep.middle_vertex_collisions * 2 == rep.connector_count, (
+                n, start, seed)
+        # the seeds cover both starts at both sizes
+        assert found == {(5, "odd"): 6, (5, "middle"): 6,
+                         (6, "odd"): 5, (6, "middle"): 2}
+
     def test_lift_projects_back_onto_base_twice(self, odd4):
         from kneserlab.morphisms import cover_map, lift_circuit
 
