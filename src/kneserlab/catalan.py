@@ -14,7 +14,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .decompose import classify_components
+from .decompose import (
+    block_component,
+    canonical_colors,
+    classify_components,
+    remainder_graph,
+)
 from .errors import ParameterError
 from .graphs import Family, LabeledGraph, Report, build, girth
 from .setcore import (
@@ -100,8 +105,6 @@ def _built_remainder_size(n: int) -> int:
     """Vertex count of the built remainder of odd(n) minus two colors; n=2
     degenerates to the single isolated vertex, below the remainder-graph
     constructor's domain."""
-    from .decompose import block_component, canonical_colors, remainder_graph
-
     if n > 2:
         return remainder_graph(n, 2).graph.n_vertices
     piece = block_component(n, canonical_colors(n, 2), Block.empty(2 * n - 1))
@@ -225,7 +228,7 @@ def independent_orbit_excision(n: int) -> Report:
         details["cubic_fingerprint"] = (
             cubic[0]["vertices"],
             cubic[0]["edges"],
-            cubic[0]["girth"],
+            girth(cubic[0]["graph"]),
         )
     for off in (-1, 1):
         size = k + off
@@ -253,8 +256,8 @@ def _is_independent(g: LabeledGraph, vertex_indices: list[int]) -> bool:
 
 
 def _deletion_profile(g: LabeledGraph, removed: tuple[int, ...]) -> dict:
-    keep = [i for i in range(g.n_vertices) if i not in set(removed)]
-    sub = g.subgraph(keep)
+    gone = set(removed)
+    sub = g.subgraph([i for i in range(g.n_vertices) if i not in gone])
     census = classify_components(sub)
     sigs = set(census.counts)
     signature = sigs.pop() if len(sigs) == 1 else ("mixed",)
@@ -263,7 +266,6 @@ def _deletion_profile(g: LabeledGraph, removed: tuple[int, ...]) -> dict:
         "vertices": sub.n_vertices,
         "edges": sub.n_edges,
         "signature": signature,
-        "girth": girth(sub),
         "graph": sub,
     }
 
@@ -286,6 +288,7 @@ def coxeter_excision(n: int = 4) -> tuple[LabeledGraph, Report]:
         return g, Report("cubic excision odd(4)", False,
                          failures=["no independent orbit"])
     prof = _deletion_profile(g, chosen)
+    prof["girth"] = girth(prof["graph"])
     expected = {"vertices": 28, "edges": 42,
                 "signature": ("regular", 3), "girth": 7}
     for key, want in expected.items():

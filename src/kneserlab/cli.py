@@ -146,8 +146,12 @@ def cmd_decompose(args) -> int:
     if colors is None and args.k is None:
         raise ParameterError("need --colors or --k")
     n = args.n
-    kind = ODD if args.family.lower() in ("odd", "o") else MIDDLE_LEVELS
-    fam = Family.odd(n) if kind == ODD else Family.middle_levels(n)
+    _, builder = _FAMILY_BUILDERS.get(args.family.lower(), (0, None))
+    if builder not in (Family.odd, Family.middle_levels):
+        raise ParameterError(
+            f"decompose takes an odd or middle family, got {args.family!r}"
+        )
+    fam = builder(n)
     g = build(fam)
     s = (dec.as_color_block(colors, g.ground) if colors is not None
          else dec.canonical_colors(n, args.k))
@@ -155,7 +159,7 @@ def cmd_decompose(args) -> int:
     deleted = dec.delete_colors(g, s)
     census = dec.classify_components(deleted)
     try:
-        expected = dec.expected_census(n, k, kind)
+        expected = dec.expected_census(n, k, fam.kind)
     except ParameterError:
         expected = None
     print(f"{fam} minus colors {s}: {deleted.n_edges} edges left")

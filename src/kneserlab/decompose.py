@@ -9,6 +9,7 @@ identical census (checked, not assumed).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Union
@@ -163,15 +164,15 @@ def expected_census(n: int, k: int, family_kind: str = ODD) -> dict[tuple, int]:
     raise ParameterError(f"no closed-form census for family {family_kind!r}")
 
 
-def side_u(g: LabeledGraph, s: Block, t: Block) -> list[Block]:
-    """Vertices whose color trace inside s is exactly t."""
-    return [v for v in g.vertices if v & s == t]
-
-
-def side_w(g: LabeledGraph, s: Block, t: Block) -> list[Block]:
-    """Vertices whose color trace inside s is exactly s - t."""
-    rest = s - t
-    return [v for v in g.vertices if v & s == rest]
+def trace_classes(g: LabeledGraph, colors: ColorsLike) -> dict[int, list[int]]:
+    """{trace mask: vertex indices in canonical order} of g's vertices by
+    their trace v & S, in one pass.  The {T, S-T} class of a color deletion
+    is the union of the entries for T and S - T; an unused trace has none."""
+    s_bits = as_color_block(colors, g.ground).bits
+    classes: defaultdict[int, list[int]] = defaultdict(list)
+    for i, v in enumerate(g.vertices):
+        classes[v.bits & s_bits].append(i)
+    return dict(classes)
 
 
 @dataclass(frozen=True)
@@ -197,17 +198,11 @@ def block_component(n: int, colors: ColorsLike, t: ColorsLike) -> BlockComponent
     if not tb <= s:
         raise ParameterError(f"T={tb} is not a subset of S={s}")
     g = build(Family.odd(n))
-    s_bits, u_bits, w_bits = s.bits, tb.bits, (s - tb).bits
-    u: list[int] = []
-    w: list[int] = []
-    for i, v in enumerate(g.vertices):
-        trace = v.bits & s_bits
-        if trace == u_bits:
-            u.append(i)
-        if trace == w_bits:
-            w.append(i)
+    classes = trace_classes(g, s)
+    u = classes.get(tb.bits, [])
+    w = classes.get((s - tb).bits, [])
     # T = S - T only for S empty: both sides are then the whole graph
-    members = u if u_bits == w_bits else u + w
+    members = u if tb == s - tb else u + w
     sub = delete_colors(g.subgraph(members), s)
     return BlockComponent(
         graph=sub,
@@ -250,10 +245,9 @@ def verify_disjointness(n: int, colors: ColorsLike) -> Report:
     s = as_color_block(colors, m)
     k = s.card
     g = build(Family.odd(n))
-    deleted = delete_colors(g, s)
-    comp_sets = component_index_sets(deleted)
-    comp_of = {}
-    for ci, ixs in enumerate(comp_sets):
+    classes = trace_classes(g, s)
+    comp_of = [0] * g.n_vertices
+    for ci, ixs in enumerate(component_index_sets(delete_colors(g, s))):
         for x in ixs:
             comp_of[x] = ci
     failures = []
@@ -261,24 +255,24 @@ def verify_disjointness(n: int, colors: ColorsLike) -> Report:
     s_elems = s.elements()
     for i in range(0, k + 1):
         subsets = [Block.from_elements(c, m) for c in combinations(s_elems, i)]
-        for a in range(len(subsets)):
-            for b in range(a + 1, len(subsets)):
-                t1, t2 = subsets[a], subsets[b]
-                checked += 1
-                u1, w1 = set(side_u(g, s, t1)), set(side_w(g, s, t1))
-                u2, w2 = set(side_u(g, s, t2)), set(side_w(g, s, t2))
-                if 2 * i == k and (t1 & t2).card == 0:
-                    if not (u1 == w2 and w1 == u2):
-                        failures.append((str(t1), str(t2), "expected side swap"))
-                    continue
-                set1, set2 = u1 | w1, u2 | w2
-                if set1 & set2:
-                    failures.append((str(t1), str(t2), "vertex sets intersect"))
-                    continue
-                comps1 = {comp_of[g.index_of(v)] for v in set1}
-                comps2 = {comp_of[g.index_of(v)] for v in set2}
-                if comps1 & comps2:
-                    failures.append((str(t1), str(t2), "share a component"))
+        sides = [
+            (t, set(classes.get(t.bits, ())), set(classes.get((s - t).bits, ())))
+            for t in subsets
+        ]
+        for (t1, u1, w1), (t2, u2, w2) in combinations(sides, 2):
+            checked += 1
+            if 2 * i == k and (t1 & t2).card == 0:
+                if not (u1 == w2 and w1 == u2):
+                    failures.append((str(t1), str(t2), "expected side swap"))
+                continue
+            set1, set2 = u1 | w1, u2 | w2
+            if set1 & set2:
+                failures.append((str(t1), str(t2), "vertex sets intersect"))
+                continue
+            comps1 = {comp_of[x] for x in set1}
+            comps2 = {comp_of[x] for x in set2}
+            if comps1 & comps2:
+                failures.append((str(t1), str(t2), "share a component"))
     return Report(
         f"class-separation O_{n}({str(s)})",
         not failures,

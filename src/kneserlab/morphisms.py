@@ -17,6 +17,7 @@ from .decompose import (
     block_component,
     canonical_colors,
     delete_colors,
+    trace_classes,
 )
 from .errors import DegenerateCaseError, ParameterError
 from .graphs import (
@@ -317,6 +318,54 @@ def biregular_internal_iso(n: int, k: int, t1, t2) -> VertexMap:
     )
 
 
+def _cross(bits: int, s1_bits: int, gain_bits: int) -> int:
+    """Vertex formula of the cross-parameter block move: keep the elements
+    outside S1 and gain T2 (U side) or S2 - T2 (W side)."""
+    return (bits & ~s1_bits) | gain_bits
+
+
+def _drop(bits: int, m: int) -> int:
+    """Vertex formula from odd(m+1) minus {2m, 2m+1} onto middle(m): a
+    vertex holding 2m drops it, one holding 2m+1 drops it and is
+    complemented within [2m-1]."""
+    low_full = (1 << (2 * m - 1)) - 1
+    if bits >> (2 * m - 1) & 1:
+        return bits & low_full
+    return (bits & low_full) ^ low_full
+
+
+def _embed(bits: int, m: int) -> int:
+    """Vertex formula from middle(m) into odd(m+1): a small block gains 2m,
+    a large block is complemented within [2m-1] and gains 2m+1."""
+    if bits.bit_count() == m - 1:
+        return bits | (1 << (2 * m - 1))
+    return (bits ^ ((1 << (2 * m - 1)) - 1)) | (1 << (2 * m))
+
+
+def _sided(u_side, w_side, image) -> dict[Block, Block]:
+    """{v: image(v, on_u)} over the two sides of a {T, S-T} class.  For S
+    empty both sides are the whole graph, and the U side's image wins."""
+    mapping = {v: image(v, False) for v in w_side}
+    mapping.update((v, image(v, True)) for v in u_side)
+    return mapping
+
+
+def _regular_chain(n: int, s: Block):
+    """image(v, on_u) from a regular class of odd(n) minus S onto
+    middle(mm), mm = n - |S|/2: swap S onto the canonical colors (sides
+    stay put), cross to odd(mm+1) minus {2mm, 2mm+1}, drop onto middle(mm)."""
+    mm = n - s.card // 2
+    s_canon = canonical_colors(n, s.card)
+    p = swap_perm(s, s_canon)
+    gains = (1 << (2 * mm), 1 << (2 * mm - 1))  # W side {2mm+1}, U side {2mm}
+
+    def image(v: Block, on_u: bool) -> Block:
+        moved = _cross(p.apply(v).bits, s_canon.bits, gains[on_u])
+        return Block(_drop(moved, mm), 2 * mm - 1)
+
+    return image
+
+
 def biregular_cross_iso(n: int, k: int, t1, n2: int, p2: int, t2) -> VertexMap:
     """Isomorphism between same-signature block components across different
     (ground, deleted-count) parameters, both with canonical color sets.
@@ -338,17 +387,11 @@ def biregular_cross_iso(n: int, k: int, t1, n2: int, p2: int, t2) -> VertexMap:
         )
     comp1 = block_component(n, s1, tb1)
     comp2 = block_component(n2, s2, tb2)
-    m2 = 2 * n2 - 1
-    u_gain = tb2.bits
-    w_gain = (s2 - tb2).bits
-    s1_bits = s1.bits
-    mapping = {}
-    for v in comp1.graph.vertices:
-        common = v.bits & ~s1_bits  # lives in both grounds
-        if (v & s1) == tb1:
-            mapping[v] = Block(common | u_gain, m2)
-        else:
-            mapping[v] = Block(common | w_gain, m2)
+    gains = ((s2 - tb2).bits, tb2.bits)  # W side, U side
+    mapping = _sided(
+        comp1.u_side, comp1.w_side,
+        lambda v, on_u: Block(_cross(v.bits, s1.bits, gains[on_u]), 2 * n2 - 1),
+    )
     return VertexMap(
         comp1.graph, comp2.graph, mapping, kind=ISOMORPHISM,
         name=f"cross ({n},{k},{tb1})->({n2},{p2},{tb2})",
@@ -364,23 +407,11 @@ def middle_component_iso(m: int) -> VertexMap:
     """
     if m < 1:
         raise ParameterError("need m >= 1")
-    n = m + 1
-    ground = 2 * n - 1
-    s = canonical_colors(n, 2)  # {2m, 2m+1}
-    t = Block.from_elements([2 * m], ground)
-    comp = block_component(n, s, t)
-    dst = build(Family.middle_levels(m))
-    low_full = (1 << (2 * m - 1)) - 1
-    bit_2m = 1 << (2 * m - 1)
-    mapping = {}
-    for v in comp.graph.vertices:
-        if v.bits & bit_2m:
-            mapping[v] = Block(v.bits & low_full, 2 * m - 1)
-        else:
-            mapping[v] = Block((v.bits & low_full) ^ low_full, 2 * m - 1)
+    comp = block_component(m + 1, canonical_colors(m + 1, 2), [2 * m])
+    mapping = {v: Block(_drop(v.bits, m), 2 * m - 1) for v in comp.graph.vertices}
     return VertexMap(
-        comp.graph, dst, mapping, kind=ISOMORPHISM,
-        name=f"middle-component odd({n}) -> middle({m})",
+        comp.graph, build(Family.middle_levels(m)), mapping, kind=ISOMORPHISM,
+        name=f"middle-component odd({m + 1}) -> middle({m})",
     )
 
 
@@ -392,16 +423,7 @@ def embed_middle_in_odd(m: int) -> VertexMap:
         raise ParameterError("need m >= 1")
     src = build(Family.middle_levels(m))
     dst = build(Family.odd(m + 1))
-    ground = 2 * m + 1
-    low_full = (1 << (2 * m - 1)) - 1
-    bit_2m = 1 << (2 * m - 1)
-    bit_2m1 = 1 << (2 * m)
-    mapping = {}
-    for w in src.vertices:
-        if w.card == m - 1:
-            mapping[w] = Block(w.bits | bit_2m, ground)
-        else:
-            mapping[w] = Block((w.bits ^ low_full) | bit_2m1, ground)
+    mapping = {w: Block(_embed(w.bits, m), 2 * m + 1) for w in src.vertices}
     return VertexMap(
         src, dst, mapping, kind=MORPHISM,
         name=f"embed middle({m}) -> odd({m + 1})",
@@ -410,81 +432,55 @@ def embed_middle_in_odd(m: int) -> VertexMap:
 
 def regular_component_to_middle(n: int, colors, t) -> VertexMap:
     """Verified isomorphism from a regular component of the odd graph minus
-    an even color set onto the reference middle levels graph, assembled
-    from the explicit pieces: a color swap to the canonical set, a
-    cross-parameter block move down to odd(m+1) minus two colors, and the
-    final drop/complement map."""
+    an even color set onto the reference middle levels graph.  Each vertex
+    goes through the explicit pieces in turn: a color swap to the
+    canonical set, a cross-parameter block move down to odd(m+1) minus two
+    colors, and the final drop/complement map."""
     m_ground = 2 * n - 1
     s = as_color_block(colors, m_ground)
     tb = as_color_block(t, m_ground)
     k = s.card
     if k % 2 or tb.card != k // 2:
         raise ParameterError("regular components need |S| even and |T| = |S|/2")
-    g = build(Family.odd(n))  # held, so every piece below is cut from one build
     mm = n - k // 2
-    s_canon = canonical_colors(n, k)
-    if s == s_canon:
-        chain = None
-        t_canon = tb
-    else:
-        p = swap_perm(s, s_canon)
-        t_canon = p.apply(tb)
-        comp_src = block_component(n, s, tb)
-        comp_dst = block_component(n, s_canon, t_canon)
-        chain = VertexMap(
-            comp_src.graph,
-            comp_dst.graph,
-            {v: p.apply(v) for v in comp_src.graph.vertices},
-            kind=ISOMORPHISM,
-            name=f"swap {s}->{s_canon} restricted",
-        )
-    t_target = Block.from_elements([2 * mm], 2 * mm + 1)
-    cross = biregular_cross_iso(n, k, t_canon, mm + 1, 2, t_target)
-    final = middle_component_iso(mm)
-    out = final.compose(cross)
-    if chain is not None:
-        out = out.compose(chain)
-    out.kind = ISOMORPHISM
-    out.name = f"regular component ({n},{str(s)},{str(tb)}) -> middle({mm})"
-    return out
+    comp = block_component(n, s, tb)
+    mapping = _sided(comp.u_side, comp.w_side, _regular_chain(n, s))
+    return VertexMap(
+        comp.graph, build(Family.middle_levels(mm)), mapping, kind=ISOMORPHISM,
+        name=f"regular component ({n},{str(s)},{str(tb)}) -> middle({mm})",
+    )
 
 
 def middle_class_to_middle(n: int, colors, t) -> VertexMap:
     """Verified isomorphism from a regular component of the middle levels
     graph minus an even color set onto the reference middle levels graph.
 
-    The component embeds into odd(n+1) (where it becomes a regular
-    component of the graph minus k+2 colors) and the odd-side chain
-    finishes the job.
+    Each vertex embeds into odd(n+1), where the class lies in a regular
+    component of the graph minus S + {2n, 2n+1}, and goes on through the
+    odd-side chain.
     """
     ground = 2 * n - 1
     s = as_color_block(colors, ground)
     tb = as_color_block(t, ground)
     k = s.card
-    if k % 2 or tb.card != k // 2:
-        raise ParameterError("regular classes need |S| even and |T| = |S|/2")
+    if k % 2 or tb.card != k // 2 or not tb <= s:
+        raise ParameterError("regular classes need |S| even and T a half of S")
     g = build(Family.middle_levels(n))
-    s_bits, t_bits = s.bits, tb.bits
-    members = [i for i, v in enumerate(g.vertices) if v.bits & s_bits == t_bits]
+    members = trace_classes(g, s).get(tb.bits, [])
     class_graph = delete_colors(g.subgraph(members), s)
-    emb = embed_middle_in_odd(n)
-    big_ground = 2 * n + 1
-    s_up = Block.from_elements(
-        s.elements() + (2 * n, 2 * n + 1), big_ground
-    )
-    t_up = Block.from_elements(tb.elements() + (2 * n,), big_ground)
-    comp_up = block_component(n + 1, s_up, t_up)
-    restricted = VertexMap(
-        class_graph,
-        comp_up.graph,
-        {v: emb.mapping[v] for v in class_graph.vertices},
+    s_up = Block.from_elements(s.elements() + (2 * n, 2 * n + 1), 2 * n + 1)
+    image = _regular_chain(n + 1, s_up)
+    # a small block embeds with trace T + {2n}, on the U side of the class
+    # of T + {2n}; a large one with trace (S - T) + {2n+1}, on the W side
+    mapping = {
+        v: image(Block(_embed(v.bits, n), 2 * n + 1), v.card == n - 1)
+        for v in class_graph.vertices
+    }
+    return VertexMap(
+        class_graph, build(Family.middle_levels(n - k // 2)), mapping,
         kind=ISOMORPHISM,
-        name=f"embed class {tb} into odd({n + 1})",
+        name=f"middle class ({n},{str(s)},{str(tb)}) -> middle({n - k // 2})",
     )
-    chain = regular_component_to_middle(n + 1, s_up, t_up)
-    out = chain.compose(restricted)
-    out.name = f"middle class ({n},{str(s)},{str(tb)}) -> middle({n - k // 2})"
-    return out
 
 
 @dataclass(frozen=True)

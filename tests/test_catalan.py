@@ -197,6 +197,26 @@ class TestExcision:
         with pytest.raises(ParameterError):
             independent_orbit_excision(2)
 
+    @pytest.mark.parametrize("n,details", [
+        (3, {"pinned_orbit_count": 0, "orbits": 2, "independent_unions": 1,
+             "cubic_outcomes": 1, "cubic_fingerprint": (10, 15, 5)}),
+        (4, {"pinned_orbit_count": 1, "orbits": 5, "independent_unions": 2,
+             "cubic_outcomes": 2, "cubic_fingerprint": (28, 42, 7)}),
+        (5, {"pinned_orbit_count": 4, "orbits": 14, "independent_unions": 0,
+             "cubic_outcomes": 0}),
+    ])
+    def test_pinned_details(self, n, details):
+        # girth is taken only for the cubic fingerprint, not per outcome
+        rep = independent_orbit_excision(n)
+        assert rep.ok and not rep.failures
+        assert rep.details == details
+
+    def test_pinned_coxeter_report(self):
+        _graph, rep = coxeter_excision(4)
+        assert (rep.name, rep.ok, rep.failures) == ("cubic excision odd(4)", True, [])
+        assert rep.details == {"vertices": 28, "edges": 42,
+                               "signature": ("regular", 3), "girth": 7}
+
 
 class TestCoxeterTransitivitySpotCheck:
     def test_automorphisms_carry_sampled_pairs(self):

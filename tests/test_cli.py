@@ -3,10 +3,12 @@
 import hashlib
 import inspect
 import json
+import sys
 
 import pytest
 
 from kneserlab import cli, graphs
+from kneserlab import decompose as dec
 from kneserlab.cli import main, run_suite
 from kneserlab.graphs import Report
 from kneserlab.serialize import graph_from_json
@@ -90,6 +92,23 @@ class TestDecompose:
         assert code == 0
         assert "isolated" in out and "biregular(3,1)" in out
         assert sha256_prefix(out) == "12cbe76099026a47"
+
+    @pytest.mark.parametrize("family", ["kneser", "bikneser", "foo"])
+    def test_family_outside_odd_and_middle_exit_2(self, family, capsys):
+        code, out, err = run(["decompose", family, "4", "--k", "2"], capsys)
+        assert code == 2
+        assert err.startswith("error: decompose takes an odd or middle family")
+        assert out == ""
+
+    @pytest.mark.parametrize("argv,prefix", [
+        (["o", "4", "--k", "3"], "f1d47a89e0776ccd"),
+        (["b", "4", "--k", "2"], "b60b436f2dff9bf2"),
+        (["middle-levels", "4", "--k", "2"], "b60b436f2dff9bf2"),
+    ])
+    def test_family_aliases(self, argv, prefix, capsys):
+        code, out, _ = run(["decompose", *argv], capsys)
+        assert code == 0
+        assert sha256_prefix(out) == prefix
 
     @pytest.mark.parametrize("colors", ["1,x", "1,,2", "1,1"])
     def test_bad_colors_exit_2(self, colors, capsys):
@@ -203,6 +222,26 @@ class TestVerify:
         assert code == 0
         assert 0 < len(built) <= 66
         assert not graphs._holds
+
+    def test_pass_cuts_each_class_once(self, monkeypatch, capsys):
+        # the component-to-middle chains cut only their source class and
+        # map each vertex through the block formulas; composing maps
+        # between intermediate pieces made 130 cuts per pass
+        cuts = []
+        original = dec.block_component
+
+        def counted(*args):
+            cuts.append(args)
+            return original(*args)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("kneserlab"):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counted)
+        code, _, _ = run(["verify", "all", "--max-n", "64"], capsys)
+        assert code == 0
+        assert 0 < len(cuts) <= 60
 
 
 class TestHamilton:

@@ -16,8 +16,7 @@ from kneserlab.decompose import (
     expected_census,
     middle_component_census,
     remainder_graph,
-    side_u,
-    side_w,
+    trace_classes,
     verify_disjointness,
 )
 from kneserlab.errors import ParameterError, UnlabeledGraphError
@@ -117,8 +116,8 @@ class TestBlockComponent:
         members = [i for i, v in enumerate(g.vertices) if v & s in (tb, s - tb)]
         piece = block_component(n, s, tb)
         assert piece.graph == delete_colors(g, s).subgraph(members)
-        assert piece.u_side == tuple(side_u(g, s, tb))
-        assert piece.w_side == tuple(side_w(g, s, tb))
+        assert piece.u_side == tuple(v for v in g.vertices if v & s == tb)
+        assert piece.w_side == tuple(v for v in g.vertices if v & s == s - tb)
 
     def test_class_union_covers_vertex_set(self, odd4):
         # every vertex lies in exactly one partition-class piece
@@ -134,6 +133,21 @@ class TestBlockComponent:
                     )
         assert set(seen) == set(odd4.vertices)
         assert all(len(classes) == 1 for classes in seen.values())
+
+
+class TestTraceClasses:
+    @pytest.mark.parametrize("fam", [Family.odd(4), Family.middle_levels(4)], ids=str)
+    @pytest.mark.parametrize("colors", [[], [7], [6, 7], [1, 4, 6], [2, 3, 5, 7]])
+    def test_partition_matches_inline_filter(self, fam, colors):
+        g = build(fam)
+        s = b(colors, g.ground)
+        classes = trace_classes(g, s)
+        members = sorted(i for ixs in classes.values() for i in ixs)
+        assert members == list(range(g.n_vertices))
+        for trace, ixs in classes.items():
+            t = Block(trace, g.ground)
+            assert t <= s
+            assert ixs == [i for i, v in enumerate(g.vertices) if v & s == t]
 
 
 class TestCensus:
@@ -272,13 +286,12 @@ class TestDisjointness:
         rep = verify_disjointness(4, [5, 6, 7])
         assert rep.ok, rep.failures[:3]
 
-    def test_half_size_complement_swaps_sides(self, odd4):
-        from kneserlab.decompose import side_u, side_w
-
+    def test_half_size_complement_swaps_sides(self):
         s = b([6, 7], 7)
-        t1, t2 = b([6], 7), b([7], 7)
-        assert set(side_u(odd4, s, t1)) == set(side_w(odd4, s, t2))
-        assert set(side_w(odd4, s, t1)) == set(side_u(odd4, s, t2))
+        one, two = block_component(4, s, b([6], 7)), block_component(4, s, b([7], 7))
+        assert one.u_side and one.w_side
+        assert one.u_side == two.w_side
+        assert one.w_side == two.u_side
 
     def test_four_color_classes_separate(self):
         rep = verify_disjointness(5, [6, 7, 8, 9])

@@ -1,5 +1,7 @@
 """Explicit maps: verification, covers, swaps, component isos, lifting."""
 
+import hashlib
+
 import pytest
 
 from kneserlab.decompose import canonical_colors, delete_colors
@@ -257,6 +259,93 @@ class TestMiddleComponentIso:
         whole = delete_colors(middle4, s).subgraph(members)
         assert vmap.source.vertices == whole.vertices
         assert vmap.source.adj == whole.adj
+
+
+def mapping_digest(vmap):
+    pairs = sorted((v.bits, w.bits) for v, w in vmap.mapping.items())
+    return hashlib.sha256(repr(pairs).encode()).hexdigest()[:16]
+
+
+# (n, S, T, digest of the map): every class the verify suites and
+# middle_component_census send down the chains, plus every half T of the
+# canonical S and of S = [k] for the census parameters with even k
+REGULAR_CHAIN_PINS = [
+    (3, [1, 2], [1], "8c70bf35f8fd2b19"),
+    (3, [1, 2], [2], "4481c185f3c4486f"),
+    (3, [4, 5], [4], "2ece7a60a66c9179"),
+    (3, [4, 5], [5], "bebd5ba3451b1057"),
+    (4, [1, 2], [1], "22c1fbd07bacb0eb"),
+    (4, [1, 2], [2], "5e72a7e4e2fdca23"),
+    (4, [4, 5, 6, 7], [4, 5], "bec8dea220e1343d"),
+    (4, [4, 5, 6, 7], [4, 6], "2c20312de9738cbe"),
+    (4, [4, 5, 6, 7], [5, 6], "9d8236eea0a481d6"),
+    (4, [6, 7], [6], "f74bdb71372ea82d"),
+    (4, [6, 7], [7], "be1ecb2e773b9ee2"),
+    (5, [1, 2], [1], "181ceedccbe5fd47"),
+    (5, [1, 2], [2], "cd4d64a2567e9f72"),
+    (5, [1, 2, 3, 4], [1, 2], "4f37dbe58a079ba7"),
+    (5, [1, 2, 3, 4], [1, 3], "74d9f96385d84899"),
+    (5, [1, 2, 3, 4], [1, 4], "d0999b83b9f738db"),
+    (5, [1, 2, 3, 4], [2, 3], "47b3c70123fb750f"),
+    (5, [1, 2, 3, 4], [2, 4], "cf3d7b18ef3660f2"),
+    (5, [1, 2, 3, 4], [3, 4], "ad048f1823308ec7"),
+    (5, [6, 7, 8, 9], [6, 7], "2ba6e060fc71a2da"),
+    (5, [6, 7, 8, 9], [6, 8], "4f5a13cfddfa1433"),
+    (5, [6, 7, 8, 9], [6, 9], "90e3a1e269185b26"),
+    (5, [6, 7, 8, 9], [7, 8], "26a8addc9b7e5371"),
+    (5, [6, 7, 8, 9], [7, 9], "eb2e5d848b6070ad"),
+    (5, [6, 7, 8, 9], [8, 9], "fa779c07bd661829"),
+    (5, [8, 9], [8], "07f79ed988054352"),
+    (5, [8, 9], [9], "367e23e0ba911083"),
+    (6, [1, 2], [1], "f0796a9bbb6d13e4"),
+    (6, [1, 2], [2], "6bc9b863cc88368e"),
+    (6, [1, 2, 3, 4], [1, 2], "af1d2c952070ce9e"),
+    (6, [1, 2, 3, 4], [1, 3], "8c6406c975bd05d0"),
+    (6, [1, 2, 3, 4], [1, 4], "ad541fa990baf95f"),
+    (6, [1, 2, 3, 4], [2, 3], "1eca5842340cc049"),
+    (6, [1, 2, 3, 4], [2, 4], "26a593fb90246419"),
+    (6, [1, 2, 3, 4], [3, 4], "65e33694aca20d94"),
+    (6, [8, 9, 10, 11], [8, 9], "98b1cf81a4e718e5"),
+    (6, [8, 9, 10, 11], [8, 10], "608a5d1f83f504a7"),
+    (6, [8, 9, 10, 11], [8, 11], "35bc76dbe6229eae"),
+    (6, [8, 9, 10, 11], [9, 10], "18cc82bb4c3d3a56"),
+    (6, [8, 9, 10, 11], [9, 11], "ffefcedbba1a2d64"),
+    (6, [8, 9, 10, 11], [10, 11], "85e063e689c9ce18"),
+    (6, [10, 11], [10], "2134520677386961"),
+    (6, [10, 11], [11], "f0a763ddfc6f6a7e"),
+]
+
+MIDDLE_CLASS_PINS = [
+    (3, [4, 5], [4], "118d0131c744873b"),
+    (3, [4, 5], [5], "6a98bca87e08ee01"),
+    (4, [6, 7], [6], "2eeb4bd359c107c9"),
+    (4, [6, 7], [7], "94b801bb0c98eec6"),
+    (5, [6, 7, 8, 9], [6, 7], "12a8c1ef780b3690"),
+    (5, [6, 7, 8, 9], [6, 8], "0ea11336dcc49b4c"),
+    (5, [6, 7, 8, 9], [6, 9], "5e58554c39aab5c2"),
+    (5, [6, 7, 8, 9], [7, 8], "f5795c7b01e07c61"),
+    (5, [6, 7, 8, 9], [7, 9], "0891ffa2a7f412cf"),
+    (5, [6, 7, 8, 9], [8, 9], "c7224408bc47d0c2"),
+    (5, [8, 9], [8], "031c342f3b8ac5c5"),
+    (5, [8, 9], [9], "ba7ba8db1d7baa8c"),
+]
+
+
+class TestChainPins:
+    """The chains send each vertex through the block formulas in turn; the
+    maps are pinned to the ones composed from the intermediate graphs."""
+
+    @pytest.mark.parametrize("n,s,t,digest", REGULAR_CHAIN_PINS)
+    def test_regular_component_to_middle(self, n, s, t, digest):
+        vmap = regular_component_to_middle(n, s, t)
+        assert mapping_digest(vmap) == digest
+        assert vmap.verify()
+
+    @pytest.mark.parametrize("n,s,t,digest", MIDDLE_CLASS_PINS)
+    def test_middle_class_to_middle(self, n, s, t, digest):
+        vmap = middle_class_to_middle(n, s, t)
+        assert mapping_digest(vmap) == digest
+        assert vmap.verify()
 
 
 class TestLiftCircuit:
