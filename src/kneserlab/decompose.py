@@ -238,16 +238,19 @@ def remainder_graph(n: int, k: int) -> RemainderGraph:
 
 def verify_disjointness(n: int, colors: ColorsLike) -> Report:
     """Check, for every pair of equal-size subsets T1 != T2 of the deleted
-    set, the separation trichotomy: complementary half-size pairs swap
-    their two sides, every other pair is vertex-disjoint and lies in
-    different components of the color-deleted graph."""
+    set, the separation trichotomy: a complementary half-size pair names
+    one class, which is exactly one component of the color-deleted graph
+    (each half's U side is the other's W side); every other pair is
+    vertex-disjoint and lies in different components."""
     m = 2 * n - 1
     s = as_color_block(colors, m)
     k = s.card
     g = build(Family.odd(n))
     classes = trace_classes(g, s)
     comp_of = [0] * g.n_vertices
+    comp_sizes = []
     for ci, ixs in enumerate(component_index_sets(delete_colors(g, s))):
+        comp_sizes.append(len(ixs))
         for x in ixs:
             comp_of[x] = ci
     failures = []
@@ -262,8 +265,10 @@ def verify_disjointness(n: int, colors: ColorsLike) -> Report:
         for (t1, u1, w1), (t2, u2, w2) in combinations(sides, 2):
             checked += 1
             if 2 * i == k and (t1 & t2).card == 0:
-                if not (u1 == w2 and w1 == u2):
-                    failures.append((str(t1), str(t2), "expected side swap"))
+                members = u1 | w1
+                comps = {comp_of[x] for x in members}
+                if len(comps) != 1 or comp_sizes[comps.pop()] != len(members):
+                    failures.append((str(t1), str(t2), "class is not one component"))
                 continue
             set1, set2 = u1 | w1, u2 | w2
             if set1 & set2:

@@ -17,8 +17,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, reduce, wraps
 from itertools import chain, combinations, islice, repeat
-from operator import add, and_, eq, itemgetter, lt, mul, neg, or_, xor
-from typing import Iterator, Optional, Sequence
+from operator import add, and_, attrgetter, eq, itemgetter, lt, mul, neg, or_, xor
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import NotAdjacentError, ParameterError, UnlabeledGraphError
 from .setcore import Block, binomial, check_ground, k_masks
@@ -175,7 +175,7 @@ class LabeledGraph:
 
     adj[i] is a tuple of (neighbor index, label-or-None) pairs sorted by
     neighbor index; every edge is stored in both endpoint lists with the
-    same label.
+    same label.  Every vertex lies over [ground].
     """
 
     ground: int
@@ -185,8 +185,11 @@ class LabeledGraph:
     labeled: bool = False
 
     @cached_property
-    def index(self) -> dict[Block, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
+    def index(self) -> dict[int, int]:
+        """{vertex mask: index}.  Every vertex lies over the graph's ground,
+        so its mask alone names it."""
+        masks = map(attrgetter("bits"), self.vertices)
+        return dict(zip(masks, range(len(self.vertices))))
 
     @cached_property
     def adj_map(self) -> tuple[dict[int, Optional[int]], ...]:
@@ -221,11 +224,23 @@ class LabeledGraph:
     def has_edge(self, i: int, j: int) -> bool:
         return j in self.adj_map[i]
 
+    def has_vertex(self, v: Block) -> bool:
+        return v.m == self.ground and v.bits in self.index
+
     def index_of(self, v: Block) -> int:
+        if v.m == self.ground:
+            i = self.index.get(v.bits)
+            if i is not None:
+                return i
+        raise ParameterError(f"vertex {v} not in graph")
+
+    def mask_indices(self, masks: Iterable[int]) -> list[int]:
+        """The indices of the vertices with the given masks."""
         try:
-            return self.index[v]
-        except KeyError:
-            raise ParameterError(f"vertex {v} not in graph") from None
+            return list(map(self.index.__getitem__, masks))
+        except KeyError as exc:
+            missing = Block(exc.args[0], self.ground)
+            raise ParameterError(f"vertex {missing} not in graph") from None
 
     def edges(self) -> Iterator[tuple[int, int, Optional[int]]]:
         """All edges as (i, j, label) with i < j, sorted by (i, j)."""
@@ -243,14 +258,15 @@ class LabeledGraph:
             ) from None
 
     def subgraph(self, vertex_indices: Sequence[int]) -> "LabeledGraph":
-        """Induced subgraph; vertices re-sorted into canonical order."""
-        chosen = sorted(vertex_indices, key=lambda i: self.vertices[i].bits)
-        keep = {old: new for new, old in enumerate(chosen)}
-        verts = tuple(self.vertices[i] for i in chosen)
-        adj = tuple(
-            tuple((keep[j], lab) for j, lab in self.adj[i] if j in keep)
+        """Induced subgraph; vertices re-sorted into canonical order (which
+        is index order)."""
+        chosen = sorted(vertex_indices)
+        keep = dict(zip(chosen, range(len(chosen))))
+        verts = tuple(map(self.vertices.__getitem__, chosen))
+        adj = tuple([
+            tuple([(keep[j], lab) for j, lab in self.adj[i] if j in keep])
             for i in chosen
-        )
+        ])
         return LabeledGraph(self.ground, verts, adj, family=None, labeled=self.labeled)
 
     def __str__(self) -> str:
@@ -320,11 +336,14 @@ def graph_from_edges(
 ) -> LabeledGraph:
     """Build a graph from explicit vertex and (i, j, label) edge lists.
 
-    Vertices must already be distinct; they are re-sorted into canonical
-    colex order and edge indices remapped accordingly; an edge endpoint
-    that is not a vertex index raises ParameterError.  labeled defaults
-    to whether any edge carries a label.
+    Vertices must already be distinct and lie over [ground]; they are
+    re-sorted into canonical colex order and edge indices remapped
+    accordingly; an edge endpoint that is not a vertex index raises
+    ParameterError.  labeled defaults to whether any edge carries a label.
     """
+    for v in vertices:
+        if v.m != ground:
+            raise ParameterError(f"vertex {v} lies over [{v.m}], not [{ground}]")
     order = sorted(range(len(vertices)), key=lambda i: vertices[i].bits)
     remap = {old: new for new, old in enumerate(order)}
     verts = tuple(vertices[i] for i in order)
@@ -497,7 +516,7 @@ def degree_profile(g: LabeledGraph) -> DegreeProfile:
     one side of degree a and every vertex of the other of degree b; a
     regular classification takes precedence when a == b.
     """
-    degs = [g.degree(i) for i in range(g.n_vertices)]
+    degs = list(map(len, g.adj))
     distinct = set(degs)
     if len(distinct) == 1:
         return DegreeProfile("regular", a=degs[0])
@@ -505,10 +524,10 @@ def degree_profile(g: LabeledGraph) -> DegreeProfile:
         b, a = sorted(distinct)
         side_a = tuple(i for i, d in enumerate(degs) if d == a)
         side_b = tuple(i for i, d in enumerate(degs) if d == b)
-        crossing = all(
-            g.degree(j) == b for i in side_a for j in g.neighbors(i)
-        ) and all(g.degree(j) == a for i in side_b for j in g.neighbors(i))
-        if crossing:
+        # with two degrees, the sides cross when no edge joins equal degrees
+        own = [d for d in degs for _ in range(d)]
+        other = [degs[j] for row in g.adj for j, _ in row]
+        if not any(map(eq, own, other)):
             return DegreeProfile("biregular", a=a, b=b, sides=(side_a, side_b))
     return DegreeProfile("irregular")
 
@@ -632,13 +651,15 @@ class PathSeq:
         idxs = tuple(indices)
         if not idxs:
             raise ParameterError("empty vertex sequence")
-        labels = []
-        steps = list(zip(idxs, idxs[1:]))
-        if closed and len(idxs) > 1:
-            steps.append((idxs[-1], idxs[0]))
-        for x, y in steps:
-            labels.append(g.label_between(x, y))  # raises if not an edge
-        return cls(g, idxs, closed, tuple(labels))
+        succ = idxs[1:] + idxs[:1] if closed and len(idxs) > 1 else idxs[1:]
+        try:
+            rows = map(g.adj_map.__getitem__, idxs)
+            labels = tuple(map(dict.__getitem__, rows, succ))
+        except KeyError:
+            for x, y in zip(idxs, succ):
+                g.label_between(x, y)  # raises at the first step off an edge
+            raise
+        return cls(g, idxs, closed, labels)
 
     @classmethod
     def from_blocks(

@@ -24,7 +24,7 @@ from ._hamcore_py import EXHAUSTED_BUDGET, FOUND, NONE  # search statuses
 from .decompose import canonical_colors, remainder_graph
 from .errors import DegenerateCaseError, ParameterError
 from .graphs import Family, LabeledGraph, PathSeq, build
-from .morphisms import LiftResult, embed_middle_in_odd, lift_circuit
+from .morphisms import LiftResult, embed_indices, lift_circuit
 from .superstructure import two_color_path
 
 
@@ -124,7 +124,14 @@ def verify_cycle(g: LabeledGraph, sequence) -> bool:
 
 @dataclass
 class PipelineReport:
-    """Feasibility data from one lift-and-embed round ending in odd(n)."""
+    """Feasibility data from one lift-and-embed round ending in odd(n).
+
+    stage_s holds the wall time in seconds of each stage the round ran, in
+    the order run: search (building the base graph and searching it),
+    fallback, lift, embed (building odd(n) and embedding), remainder and
+    connectors.  The stages follow one another, so their sum is the time
+    of the round after its arguments are checked.
+    """
 
     n: int
     start: str
@@ -140,6 +147,7 @@ class PipelineReport:
     middle_vertex_collisions: int = 0
     fallback_search: Optional[SearchResult] = None
     notes: list[str] = field(default_factory=list)
+    stage_s: dict[str, float] = field(default_factory=dict)
 
     def summary_lines(self) -> list[str]:
         base_name = (
@@ -182,9 +190,27 @@ class PipelineReport:
                 f"  fallback direct search in odd({self.n}): "
                 f"{self.fallback_search.status}"
             )
+        if self.stage_s:
+            lines.append("  stage times: " + ", ".join(
+                f"{stage} {1000 * t:.1f} ms" for stage, t in self.stage_s.items()
+            ))
         for note in self.notes:
             lines.append(f"  note: {note}")
         return lines
+
+
+def _stage_clock(stage_s: dict[str, float]):
+    """lap(stage): record under stage the time since the previous lap (or
+    since the clock was made)."""
+    last = time.perf_counter()
+
+    def lap(stage: str) -> None:
+        nonlocal last
+        now = time.perf_counter()
+        stage_s[stage] = now - last
+        last = now
+
+    return lap
 
 
 def recursion_pipeline(
@@ -198,16 +224,23 @@ def recursion_pipeline(
     it searches middle(n-1) directly, embeds that cycle, and then lifts
     the embedded circuit onward through the cover of odd(n) by middle(n).
     When the base search proves its graph non-Hamiltonian (odd(3)), the
-    pipeline falls back to a direct search of odd(n) and says so.
+    pipeline falls back to a direct search of odd(n) and says so.  After
+    the search the round works on vertex masks and indices: the embedding
+    is read from its mask formula and every walk is checked edge by edge
+    against its graph.
     """
     if n < 3:
         raise ParameterError("pipeline needs n >= 3")
     if start not in ("odd", "middle"):
         raise ParameterError("start must be 'odd' or 'middle'")
+    odd_family = Family.odd(n)  # checks the ground before anything is built
+    stage_s: dict[str, float] = {}
+    lap = _stage_clock(stage_s)
     middle = build(Family.middle_levels(n - 1))
     base = build(Family.odd(n - 1)) if start == "odd" else middle
     result = find_hamiltonian_cycle(base, budget)
-    report = PipelineReport(n=n, start=start, base_search=result)
+    report = PipelineReport(n=n, start=start, base_search=result, stage_s=stage_s)
+    lap("search")
     if result.status != FOUND:
         if result.status == NONE:
             report.notes.append(
@@ -215,16 +248,14 @@ def recursion_pipeline(
                 " falling back to direct search"
             )
             report.fallback_search = find_hamiltonian_cycle(
-                build(Family.odd(n)), budget
+                build(odd_family), budget
             )
+            lap("fallback")
         else:
             report.notes.append("base search exhausted its budget; partial report")
         return report
 
     assert result.cycle is not None
-    odd_up = build(Family.odd(n))
-    emb = embed_middle_in_odd(n - 1)
-
     if start == "odd":
         lift = lift_circuit(result.cycle)
         report.lift = lift
@@ -233,39 +264,44 @@ def recursion_pipeline(
             lift.kind == "single"
             and verify_cycle(middle, lift.circuits[0])
         )
-        embedded = {emb.apply(v) for v in middle.vertices}
+        lap("lift")
+        odd_up = build(odd_family)
+        embedded = embed_indices(middle, odd_up, range(middle.n_vertices))
+        lap("embed")
     else:
-        embedded_blocks = [emb.apply(x) for x in result.cycle.blocks()]
-        embedded_cycle = PathSeq.from_blocks(odd_up, embedded_blocks, closed=True)
+        odd_up = build(odd_family)
+        embedded = embed_indices(middle, odd_up, result.cycle.indices)
+        embedded_cycle = PathSeq.from_indices(odd_up, embedded, closed=True)
         report.embedded_lengths = (embedded_cycle.length,)
-        embedded = set(embedded_blocks)
-        onward = lift_circuit(embedded_cycle)
-        report.lift = onward
-
+        lap("embed")
+        report.lift = lift_circuit(embedded_cycle)
+        lap("lift")
+    embedded = sorted(set(embedded))  # odd(n) indices, in mask order
     report.embedded_vertex_count = len(embedded)
 
-    colors = canonical_colors(n, 2)
-    a, b = colors.elements()
     rem = remainder_graph(n, 2)
-    rem_vertices = set(rem.graph.vertices)
-    report.remainder_size = len(rem_vertices)
-    report.remainder_odd = len(rem_vertices) % 2 == 1
+    rem_masks = {v.bits for v in rem.graph.vertices}
+    report.remainder_size = len(rem_masks)
+    report.remainder_odd = len(rem_masks) % 2 == 1
     if report.remainder_odd:
         report.notes.append(
             "remainder size is odd; the antipode-splicing scheme cannot pair"
             " its vertices"
         )
+    lap("remainder")
 
+    a, b = canonical_colors(n, 2).elements()
+    verts = odd_up.vertices
     middles = []
     complete = True
-    for v in sorted(embedded, key=lambda x: x.bits):
+    for i in embedded:
         try:
-            path = two_color_path(odd_up, v, a, b)
+            path = two_color_path(odd_up, verts[i], a, b)
         except DegenerateCaseError:
             complete = False
             continue
-        mid = path.blocks()[1]
-        if mid not in rem_vertices:
+        mid = verts[path.indices[1]].bits
+        if mid not in rem_masks:
             complete = False
             continue
         middles.append(mid)
@@ -277,9 +313,10 @@ def recursion_pipeline(
             "connector middle vertices collide in the remainder; any tour"
             " built from them would repeat vertices (simplicity violation)"
         )
-    coverage = len(embedded) + len(rem_vertices)
+    coverage = len(embedded) + len(rem_masks)
     if coverage == odd_up.n_vertices:
         report.notes.append(
             "embedded component and remainder partition the vertex set"
         )
+    lap("connectors")
     return report

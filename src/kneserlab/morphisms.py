@@ -10,7 +10,7 @@ solely as a cross-validation oracle for graphs of a couple dozen vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .decompose import (
     as_color_block,
@@ -62,7 +62,7 @@ class VertexMap:
             return False
         images = set(self.mapping.values())
         return len(images) == len(self.mapping) and all(
-            v in self.target.index for v in images
+            map(self.target.has_vertex, images)
         )
 
     def fibers(self) -> dict[Block, list[Block]]:
@@ -128,9 +128,9 @@ def is_morphism(g: LabeledGraph, h: LabeledGraph, m) -> bool:
     himg = []
     for v in g.vertices:
         w = mapping[v]
-        if w not in h.index:
+        if not h.has_vertex(w):
             return False
-        himg.append(h.index_of(w))
+        himg.append(h.index[w.bits])
     for i, j, _ in g.edges():
         if not h.has_edge(himg[i], himg[j]):
             return False
@@ -144,7 +144,7 @@ def is_isomorphism(g: LabeledGraph, h: LabeledGraph, m) -> bool:
     if len(mapping) != g.n_vertices or g.n_vertices != h.n_vertices:
         return False
     values = set(mapping.values())
-    if len(values) != len(mapping) or any(w not in h.index for w in values):
+    if len(values) != len(mapping) or not all(map(h.has_vertex, values)):
         return False
     if not is_morphism(g, h, mapping):
         return False
@@ -430,6 +430,20 @@ def embed_middle_in_odd(m: int) -> VertexMap:
     )
 
 
+def embed_indices(
+    middle: LabeledGraph, odd_up: LabeledGraph, indices: Iterable[int]
+) -> list[int]:
+    """Indices in odd_up = odd(m+1) of the images under embed_middle_in_odd
+    of the vertices of middle = middle(m) at the given indices, read from
+    the vertex formula with no map built."""
+    m = (middle.ground + 1) // 2
+    if (middle.family != Family.middle_levels(m)
+            or odd_up.family != Family.odd(m + 1)):
+        raise ParameterError("embed_indices needs middle(m) and odd(m+1)")
+    verts = middle.vertices
+    return odd_up.mask_indices([_embed(verts[i].bits, m) for i in indices])
+
+
 def regular_component_to_middle(n: int, colors, t) -> VertexMap:
     """Verified isomorphism from a regular component of the odd graph minus
     an even color set onto the reference middle levels graph.  Each vertex
@@ -502,7 +516,9 @@ def lift_circuit(c: PathSeq) -> LiftResult:
     vertex, each base edge has a unique preimage at the current lifted
     vertex; a base circuit of odd length closes only after a second pass
     (one circuit of doubled length), an even one closes immediately (two
-    complementary circuits exchanged by complementation).
+    complementary circuits exchanged by complementation).  The walk runs
+    on masks: a lifted vertex of size n steps to the next base vertex, any
+    other to its complement.
     """
     if not c.closed:
         raise ParameterError("can only lift closed walks")
@@ -512,27 +528,27 @@ def lift_circuit(c: PathSeq) -> LiftResult:
         raise ParameterError("base graph ground must be odd")
     n = (ground + 1) // 2
     bg = build(Family.middle_levels(n))
-    base = [g.vertices[i] for i in c.indices]
-    length = len(base)
+    full = (1 << ground) - 1
+    base = [g.vertices[i].bits for i in c.indices]
+    passes = 1 if len(base) % 2 == 0 else 2
+    # of a block and its complement, the lexicographically smaller holds
+    # element 1, unless the block is empty
     v0 = base[0]
-    start = min(v0, v0.complement(), key=lambda b: b.lex_key())
+    start = v0 if v0 & 1 or not v0 else v0 ^ full
     lifted = [start]
     x = start
-    passes = 1 if length % 2 == 0 else 2
-    for _ in range(passes):
-        for step in range(length):
-            nxt_base = base[(step + 1) % length]
-            x = nxt_base if x.card == n else nxt_base.complement()
-            lifted.append(x)
+    for nxt in (base[1:] + base[:1]) * passes:
+        x = nxt if x.bit_count() == n else nxt ^ full
+        lifted.append(x)
     if lifted[-1] != start:
         raise AssertionError("lift did not close; cover structure violated")
     lifted.pop()
-    first = PathSeq.from_blocks(bg, lifted, closed=True)
+    first = PathSeq.from_indices(bg, bg.mask_indices(lifted), closed=True)
     if passes == 2:
         return LiftResult("single", (first,), antipodal=False)
-    partner_blocks = [b.complement() for b in lifted]
-    partner = PathSeq.from_blocks(bg, partner_blocks, closed=True)
-    antipodal = set(partner_blocks).isdisjoint(set(lifted))
+    partner_masks = [x ^ full for x in lifted]
+    partner = PathSeq.from_indices(bg, bg.mask_indices(partner_masks), closed=True)
+    antipodal = set(partner_masks).isdisjoint(lifted)
     return LiftResult("pair", (first, partner), antipodal=antipodal)
 
 

@@ -40,23 +40,29 @@ def two_color_path(
 
     Requires exactly one of a, b to lie in v; otherwise the transposition
     fixes v and no such path exists.  The middle vertex is the complement
-    of v plus the missing color, so it meets neither a nor b.
+    of v plus the missing color, so it meets neither a nor b.  Both other
+    vertices are found from their masks in g's index.
     """
     ground = g.ground
     if ground % 2 == 0:
         raise ParameterError("two-color paths live in odd graphs")
     if not (1 <= a <= ground and 1 <= b <= ground) or a == b:
         raise ParameterError(f"colors must be distinct elements of [{ground}]")
-    a_in, b_in = a in v, b in v
-    if a_in == b_in:
+    bits = v.bits
+    a_bit, b_bit = 1 << (a - 1), 1 << (b - 1)
+    a_in = bool(bits & a_bit)
+    if a_in == bool(bits & b_bit):
         raise DegenerateCaseError(
             f"transposition ({a},{b}) fixes {v}; no two-color path"
         )
-    inside, outside = (a, b) if a_in else (b, a)
-    x = (v | Block.from_elements([outside], ground)).complement()
-    w_bits = (v.bits & ~(1 << (inside - 1))) | (1 << (outside - 1))
-    w = Block(w_bits, ground)
-    return PathSeq.from_blocks(g, [v, x, w], closed=False)
+    out_bit = b_bit if a_in else a_bit
+    # x: the complement of v plus the outside color; w: v with the two
+    # colors traded
+    x_bits = (bits | out_bit) ^ ((1 << ground) - 1)
+    w_bits = bits ^ a_bit ^ b_bit
+    iv = g.index_of(v)
+    ix, iw = g.mask_indices((x_bits, w_bits))
+    return PathSeq.from_indices(g, (iv, ix, iw), closed=False)
 
 
 def _relabel_map(s: Block, distinguished: int) -> dict[int, int]:

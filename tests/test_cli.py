@@ -280,6 +280,29 @@ class TestHamilton:
         assert "single circuit of length 70" in out
         assert "remainder size: 56" in out
 
+    def test_pipeline_ground_too_large_exit_2_before_building(
+        self, capsys, monkeypatch
+    ):
+        # odd(33) has ground 65 > 63: the round must stop before it builds
+        # middle(32) or any other graph
+        from kneserlab import hamilton
+
+        def refuse(family):
+            pytest.fail(f"built {family}")
+
+        monkeypatch.setattr(graphs, "build", refuse)
+        monkeypatch.setattr(hamilton, "build", refuse)
+        code, _, err = run(["hamilton", "--pipeline", "33"], capsys)
+        assert code == 2
+        assert "ground size must be in 1..63, got 65" in err
+
+    def test_pipeline_prints_stage_times(self, capsys):
+        code, out, _ = run(["hamilton", "--pipeline", "5", "--seed", "1"], capsys)
+        assert code == 0
+        line = next(x for x in out.splitlines() if "stage times" in x)
+        stages = [part.split()[0] for part in line.split(": ", 1)[1].split(", ")]
+        assert stages == ["search", "lift", "embed", "remainder", "connectors"]
+
     def test_missing_arguments_exit_2(self, capsys):
         code, _, _ = run(["hamilton"], capsys)
         assert code == 2

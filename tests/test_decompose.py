@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kneserlab import decompose as dec
 from kneserlab.decompose import (
     ISOLATED,
     block_component,
@@ -296,6 +297,22 @@ class TestDisjointness:
     def test_four_color_classes_separate(self):
         rep = verify_disjointness(5, [6, 7, 8, 9])
         assert rep.ok, rep.failures[:3]
+
+    def test_perturbed_half_class_fails(self, monkeypatch):
+        # a half-size class missing one vertex is a proper part of its
+        # component in the color-deleted graph; a check that compared the
+        # class's sides with themselves passed it
+        real = dec.trace_classes
+
+        def perturbed(g, colors):
+            classes = real(g, colors)
+            classes[b([6, 7], 9).bits] = classes[b([6, 7], 9).bits][1:]
+            return classes
+
+        monkeypatch.setattr(dec, "trace_classes", perturbed)
+        rep = verify_disjointness(5, [6, 7, 8, 9])
+        assert not rep.ok
+        assert rep.failures == [("{6,7}", "{8,9}", "class is not one component")]
 
 
 class TestMiddleComponentCensus:

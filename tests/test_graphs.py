@@ -371,8 +371,31 @@ class TestDistanceFailurePath:
         assert (rep.ok, rep.details, rep.failures) == (ok, details, failures)
 
 
+class TestVertexIndex:
+    def test_keyed_by_mask(self, odd4):
+        assert odd4.index == {v.bits: i for i, v in enumerate(odd4.vertices)}
+        for i, v in enumerate(odd4.vertices):
+            assert odd4.index_of(v) == i
+            assert odd4.has_vertex(v)
+        masks = [v.bits for v in odd4.vertices][::-1]
+        assert odd4.mask_indices(masks) == list(range(odd4.n_vertices))[::-1]
+
+    def test_other_ground_or_missing_vertex_rejected(self, odd3):
+        same_mask = Block(b([1, 2], 5).bits, 7)
+        for v in (same_mask, b([1, 2, 3], 5)):
+            assert not odd3.has_vertex(v)
+            with pytest.raises(ParameterError):
+                odd3.index_of(v)
+        with pytest.raises(ParameterError):
+            odd3.mask_indices([b([1, 2], 5).bits, b([1, 2, 3], 5).bits])
+
+
 class TestGraphFromEdges:
     VERTS = [b([1], 4), b([2], 4), b([3], 4), b([4], 4)]
+
+    def test_vertex_over_another_ground_rejected(self):
+        with pytest.raises(ParameterError):
+            graph_from_edges(4, self.VERTS[:3] + [b([4], 5)], [])
 
     def test_rows_sorted_from_any_edge_order(self):
         edges = [(0, 1, 1), (0, 3, 2), (1, 2, 3), (2, 3, 4), (1, 3, None)]
@@ -462,6 +485,16 @@ class TestPathSeq:
     def test_invalid_step_raises(self, odd3):
         with pytest.raises(NotAdjacentError):
             PathSeq.from_blocks(odd3, [b([1, 2], 5), b([1, 3], 5)], closed=False)
+
+    def test_invalid_closing_step_raises(self, odd3):
+        path = [b([1, 2], 5), b([3, 4], 5), b([1, 5], 5)]
+        with pytest.raises(NotAdjacentError):
+            PathSeq.from_blocks(odd3, path, closed=True)
+
+    def test_single_vertex(self, odd3):
+        for closed in (False, True):
+            p = PathSeq.from_indices(odd3, [4], closed=closed)
+            assert (p.indices, p.labels) == ((4,), ())
 
     def test_closed_includes_closing_label(self, middle2):
         cyc = [b([1], 3), b([1, 2], 3), b([2], 3), b([2, 3], 3),

@@ -284,6 +284,111 @@ class TestPipeline:
             recursion_pipeline(2)
 
 
+def _search_facts(r):
+    if r is None:
+        return None
+    return (r.status, r.nodes, r.kernel, r.reason,
+            None if r.cycle is None else _path_facts(r.cycle))
+
+
+def _path_facts(p):
+    return (str(p.graph.family), p.indices, p.closed, p.labels)
+
+
+def report_digest(rep) -> str:
+    """SHA-256 prefix of every deterministic PipelineReport field: all of
+    them but the stage times, with the searches' cycles and the lift's
+    circuits as index and label sequences."""
+    lift = rep.lift
+    facts = (
+        rep.n, rep.start, _search_facts(rep.base_search),
+        None if lift is None else (
+            lift.kind, lift.antipodal, [_path_facts(c) for c in lift.circuits]),
+        rep.embedded_lengths, rep.embedded_vertex_count,
+        rep.lifted_is_hamiltonian_middle, rep.remainder_size, rep.remainder_odd,
+        rep.connector_count, rep.connectors_complete,
+        rep.middle_vertex_collisions, _search_facts(rep.fallback_search),
+        rep.notes,
+    )
+    return hashlib.sha256(repr(facts).encode()).hexdigest()[:16]
+
+
+class TestPipelinePins:
+    """Every report field of the rounds into odd(3..6), from both starts on
+    tie seeds 0..7 at a 20,000-node budget, as the Block-based rounds
+    computed them before the rounds moved onto masks."""
+
+    DIGESTS = {
+        (3, "odd"): [
+            "3a78832955fffd77", "3a78832955fffd77", "3a78832955fffd77",
+            "3a78832955fffd77", "3a78832955fffd77", "874e3172806820cb",
+            "874e3172806820cb", "874e3172806820cb"],
+        (3, "middle"): [
+            "57a70ec77a6f18e8", "fcf7252b41a52530", "57a70ec77a6f18e8",
+            "57a70ec77a6f18e8", "fcf7252b41a52530", "fcf7252b41a52530",
+            "fcf7252b41a52530", "fcf7252b41a52530"],
+        (4, "odd"): [
+            "fa1fb63f59a67c32", "d0270726bd7c6835", "7aed9c9df9a1cf9c",
+            "c3e8d6d0f8c8f671", "6e5aeec9353082aa", "b8666339d37bc0a3",
+            "5e5f917aab27d683", "70bb586795fd16fd"],
+        (4, "middle"): [
+            "d07285c38ac7bad0", "37e9f3f462beadf1", "7fdcd7878dda0e81",
+            "d3f38c1ad2ce9209", "bdf9c04cb4fad533", "088e34da6da1f72d",
+            "cceb983ceeff8913", "038776d4e441d4fb"],
+        (5, "odd"): [
+            "af0d2ac48a5695b1", "f7b6e7fb6c2f468a", "d6cdee01e78396b5",
+            "6507b9c7a40ef5bb", "1fa2b6146c546ee7", "8e1dc4ad29346f5d",
+            "fee45da3eedf70e5", "acec54dd61f41c55"],
+        (5, "middle"): [
+            "4b3266a9b98167e0", "5749682cb0a5dcd1", "5e712fccec9ae8d7",
+            "327a6f33ebb0e3d0", "0a5b4e259968c50d", "b171b116c4092acd",
+            "6ce9e881c4bbc013", "b7491481393f4267"],
+        (6, "odd"): [
+            "a255f7515ee69c53", "7d47929a5a473217", "5c7590d394b8124a",
+            "29b36637732ea10c", "f5480e85079bce80", "1cd125794526a53d",
+            "35309cb413d4f94d", "7b3e92ed444d0bca"],
+        (6, "middle"): [
+            "73a35467248ae28e", "73a35467248ae28e", "73a35467248ae28e",
+            "73a35467248ae28e", "73a35467248ae28e", "73a35467248ae28e",
+            "73a35467248ae28e", "79ede53396243ec9"],
+    }
+
+    @pytest.mark.parametrize("n,start", list(DIGESTS))
+    def test_reports_unchanged(self, n, start):
+        got = [
+            report_digest(recursion_pipeline(
+                n, SearchBudget(max_nodes=20_000, seed=seed), start=start))
+            for seed in range(8)
+        ]
+        assert got == self.DIGESTS[n, start]
+
+
+class TestStageTimes:
+    def test_found_round_times_every_stage(self):
+        for start, order in (("odd", ["search", "lift", "embed"]),
+                             ("middle", ["search", "embed", "lift"])):
+            rep = recursion_pipeline(5, SearchBudget(seed=1), start=start)
+            assert rep.base_search.status == FOUND
+            assert list(rep.stage_s) == order + ["remainder", "connectors"]
+            assert all(t >= 0 for t in rep.stage_s.values())
+            assert rep.stage_s["search"] >= rep.base_search.elapsed
+
+    def test_fallback_and_exhausted_rounds(self):
+        rep = recursion_pipeline(4, SearchBudget(max_seconds=60))
+        assert list(rep.stage_s) == ["search", "fallback"]
+        rep = recursion_pipeline(6, SearchBudget(max_nodes=10, seed=0))
+        assert rep.base_search.status == EXHAUSTED_BUDGET
+        assert list(rep.stage_s) == ["search"]
+
+    def test_summary_prints_stages_on_one_line(self):
+        rep = recursion_pipeline(5, SearchBudget(seed=1))
+        rep.stage_s = {"search": 0.0043, "lift": 0.0008, "embed": 0.0002,
+                       "remainder": 0.0019, "connectors": 0.0031}
+        lines = [x for x in rep.summary_lines() if "stage times" in x]
+        assert lines == ["  stage times: search 4.3 ms, lift 0.8 ms,"
+                         " embed 0.2 ms, remainder 1.9 ms, connectors 3.1 ms"]
+
+
 class TestOddOrderParity:
     def test_single_lift_only_at_powers_of_two(self):
         # |V(odd(n))| = C(2n-1, n-1) is odd exactly when n is a power of

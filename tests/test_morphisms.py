@@ -13,6 +13,7 @@ from kneserlab.morphisms import (
     biregular_internal_iso,
     color_swap_iso,
     cover_map,
+    embed_indices,
     embed_middle_in_odd,
     find_isomorphism,
     generic_double_cover,
@@ -223,6 +224,22 @@ class TestMiddleComponentIso:
         for w in emb.source.vertices:
             assert iso.apply(emb.apply(w)) == w
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_embed_indices_match_the_map(self, m):
+        emb = embed_middle_in_odd(m)
+        src, dst = emb.source, emb.target
+        order = list(range(src.n_vertices))[::-1]
+        got = embed_indices(src, dst, order)
+        assert [dst.vertices[j] for j in got] == [
+            emb.apply(src.vertices[i]) for i in order
+        ]
+
+    def test_embed_indices_needs_middle_and_next_odd(self, odd3, odd4, middle3):
+        with pytest.raises(ParameterError):
+            embed_indices(middle3, odd3, [0])
+        with pytest.raises(ParameterError):
+            embed_indices(odd3, odd4, [0])
+
     def test_embed_examples(self):
         emb = embed_middle_in_odd(2)
         assert emb.apply(b([1], 3)) == b([1, 4], 5)
@@ -415,6 +432,57 @@ class TestLiftCircuit:
                 projected = [cm.apply(x) for x in circuit.blocks()]
                 assert projected == (base + base if expect_single else base)
         assert walks_found >= 5
+
+
+def lift_cases():
+    """(graph, cycle indices) on odd(3..5): short cycles found by DFS and
+    seeded Hamiltonian cycles, each also from its first vertex without
+    element 1, whose lift starts at the complement."""
+    from kneserlab.hamilton import SearchBudget, find_hamiltonian_cycle
+
+    for n, lengths, seeds in ((3, (5, 6, 8, 9), ()), (4, (6, 7), (1, 2)),
+                              (5, (6, 9), (1, 2))):
+        g = build(Family.odd(n))
+        cycles = [brute_force_cycle(g, length).indices for length in lengths]
+        for seed in seeds:
+            found = find_hamiltonian_cycle(
+                g, SearchBudget(max_nodes=20_000, seed=seed))
+            cycles.append(found.cycle.indices)
+        for c in cycles:
+            k = next(i for i, x in enumerate(c) if not g.vertices[x].bits & 1)
+            yield g, list(c)
+            yield g, list(c[k:] + c[:k])
+
+
+def lift_digest(lift) -> str:
+    facts = (lift.kind, lift.antipodal, [
+        (str(c.graph.family), c.indices, c.closed, c.labels)
+        for c in lift.circuits
+    ])
+    return hashlib.sha256(repr(facts).encode()).hexdigest()[:16]
+
+
+class TestLiftPins:
+    """lift_circuit's circuits, indices and labels, as the Block-based
+    lift computed them before the lift moved onto masks."""
+
+    DIGESTS = [
+        "70dce222fcaabb98", "a3eb0c9c2ccf5345", "a13c9b4de06b9968",
+        "b63b9ca501320025", "94fa2229120af2c0", "e1d6adc4ce4cb7e3",
+        "01056d357d145b5e", "0dee4d29765c5561", "8ebd138f49d5a084",
+        "d5da65899c2bf4f8", "56581a563a669b15", "424730d3d115fbfe",
+        "1a95416df5c5666a", "eeb915c5cb351cb3", "01b63a4d3589f46b",
+        "a33842347472486f", "db7115b907e55ddb", "5148f06ba581b33e",
+        "5070bd3707c84547", "6095d2052dd9336d", "3f1fd77a820db425",
+        "673663479a52ed93", "1bc195fe0f06e058", "45b35e3a866b3719",
+    ]
+
+    def test_lifts_unchanged(self):
+        got = [
+            lift_digest(lift_circuit(PathSeq.from_indices(g, c, closed=True)))
+            for g, c in lift_cases()
+        ]
+        assert got == self.DIGESTS
 
 
 class TestGenericDoubleCover:

@@ -52,6 +52,35 @@ class TestTwoColorPath:
         assert sorted(path.labels) == [3, 7]
 
     @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_every_vertex_and_color_pair(self, n):
+        # labels run (outside, inside) and the middle vertex is the
+        # complement of v | w, for every v and every a < b split by v
+        g = build(Family.odd(n))
+        m = 2 * n - 1
+        paths = 0
+        for v in g.vertices:
+            for a in range(1, m + 1):
+                for c in range(a + 1, m + 1):
+                    if (a in v) == (c in v):
+                        continue
+                    inside, outside = (a, c) if a in v else (c, a)
+                    path = two_color_path(g, v, a, c)
+                    first, mid, w = path.blocks()
+                    assert first == v
+                    assert w == v - b([inside], m) | b([outside], m)
+                    assert mid == (v | w).complement()
+                    assert path.labels == (outside, inside)
+                    paths += 1
+        assert paths == g.n_vertices * (n - 1) * n
+
+    def test_vertex_over_another_ground_rejected(self, odd3):
+        v = b([1, 2], 5)
+        with pytest.raises(ParameterError):
+            two_color_path(odd3, Block(v.bits, 7), 1, 3)
+        with pytest.raises(ParameterError):
+            odd3.index_of(Block(v.bits, 7))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
     def test_middle_vertex_lies_in_top_remainder(self, n):
         # with the two canonical colors, the connector's middle vertex
         # avoids both, landing in the empty-trace class
