@@ -193,6 +193,8 @@ def independent_orbit_excision(n: int) -> Report:
     k = catalan_fourth_convolution(n)
     orb = orbits(n)
     g = orb.graph
+    clash = _orbit_clashes(orb)
+    bit = [1 << ci for ci in range(len(orb.orbits))]
     failures = []
     details: dict = {"pinned_orbit_count": k, "orbits": len(orb.orbits)}
 
@@ -210,10 +212,13 @@ def independent_orbit_excision(n: int) -> Report:
             if tried > UNION_CAP:
                 truncated = True
                 break
+            # independent: no orbit of the union clashes with one in it
+            chosen = sum(map(bit.__getitem__, combo))
+            if any(map(chosen.__and__, map(clash.__getitem__, combo))):
+                continue
             union = sorted(x for ci in combo for x in orb.orbits[ci])
-            if _is_independent(g, union):
-                independents.append(combo)
-                outcomes.append(_deletion_profile(g, tuple(union)))
+            independents.append(combo)
+            outcomes.append(_deletion_profile(g, tuple(union)))
         if truncated:
             details[f"truncated_at_size_{size}"] = UNION_CAP
         return independents, outcomes
@@ -248,11 +253,19 @@ def independent_orbit_excision(n: int) -> Report:
     )
 
 
-def _is_independent(g: LabeledGraph, vertex_indices: list[int]) -> bool:
-    inside = set(vertex_indices)
-    return all(
-        not inside.intersection(g.neighbors(i)) for i in vertex_indices
-    )
+def _orbit_clashes(orb: OrbitSet) -> list[int]:
+    """clash[o]: the mask, one bit per orbit, of the orbits holding a
+    neighbour of a vertex of orbit o; o's own bit is set when the orbit is
+    not independent."""
+    orbit_of = [0] * orb.graph.n_vertices
+    for oi, orbit in enumerate(orb.orbits):
+        for x in orbit:
+            orbit_of[x] = oi
+    table = orb.graph.neighbor_table
+    return [
+        sum(1 << oi for oi in {orbit_of[y] for x in orbit for y in table[x]})
+        for orbit in orb.orbits
+    ]
 
 
 def _deletion_profile(g: LabeledGraph, removed: tuple[int, ...]) -> dict:
@@ -278,11 +291,8 @@ def coxeter_excision(n: int = 4) -> tuple[LabeledGraph, Report]:
         raise ParameterError("the cubic excision fingerprint is pinned at n=4")
     orb = orbits(4)
     g = orb.graph
-    chosen = None
-    for orbit in orb.orbits:
-        if _is_independent(g, list(orbit)):
-            chosen = orbit
-            break
+    free = [oi for oi, c in enumerate(_orbit_clashes(orb)) if not c >> oi & 1]
+    chosen = orb.orbits[free[0]] if free else None
     failures = []
     if chosen is None:
         return g, Report("cubic excision odd(4)", False,

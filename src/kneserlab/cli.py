@@ -113,8 +113,11 @@ def _write_output(text: str, out: Optional[str]):
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParameterError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------- build

@@ -222,9 +222,21 @@ class RemainderGraph:
 
 
 def remainder_graph(n: int, k: int) -> RemainderGraph:
-    """Build the remainder graph of O_n after deleting k canonical colors."""
+    """The remainder graph of O_n after deleting k canonical colors.
+
+    It is built and checked once per built O_n: the graph's memo keeps it
+    for as long as that O_n lives.
+    """
     if not 0 < k < n:
         raise ParameterError(f"remainder graph needs 0 < k < n, got ({n}, {k})")
+    memo = build(Family.odd(n)).memo
+    key = ("remainder", k)
+    if key not in memo:
+        memo[key] = _remainder_piece(n, k)
+    return memo[key]
+
+
+def _remainder_piece(n: int, k: int) -> RemainderGraph:
     piece = block_component(n, canonical_colors(n, k), Block.empty(2 * n - 1))
     prof = piece.profile
     if prof.signature != ("biregular", n, n - k):

@@ -198,8 +198,14 @@ class LabeledGraph:
 
     @cached_property
     def neighbor_table(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex neighbor index tuples, as the search kernel reads them."""
-        return tuple(tuple(j for j, _ in row) for row in self.adj)
+        """Per-vertex neighbor index tuples, ascending, as the search kernel
+        and the map checks read them."""
+        return tuple(map(tuple, map(map, repeat(itemgetter(0)), self.adj)))
+
+    @cached_property
+    def memo(self) -> dict:
+        """Values derived from the graph, kept exactly as long as it lives."""
+        return {}
 
     @cached_property
     def connected(self) -> bool:

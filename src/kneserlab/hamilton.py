@@ -34,14 +34,15 @@ def kernel_name() -> str:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Limits for the backtracking search; all limits must be positive."""
+    """Limits for the backtracking search; all limits must be positive (an
+    infinite time limit is allowed, NaN is not)."""
 
     max_nodes: int = 10_000_000
     max_seconds: float = 60.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_nodes <= 0 or self.max_seconds <= 0:
+        if self.max_nodes <= 0 or not self.max_seconds > 0:
             raise ParameterError("budget limits must be positive")
 
 
@@ -279,8 +280,7 @@ def recursion_pipeline(
     embedded = sorted(set(embedded))  # odd(n) indices, in mask order
     report.embedded_vertex_count = len(embedded)
 
-    rem = remainder_graph(n, 2)
-    rem_masks = {v.bits for v in rem.graph.vertices}
+    rem_masks = remainder_graph(n, 2).graph.index
     report.remainder_size = len(rem_masks)
     report.remainder_odd = len(rem_masks) % 2 == 1
     if report.remainder_odd:

@@ -2,15 +2,19 @@
 
 Every map built here comes from a closed formula (complementation, color
 swaps, block moves between deleted-color components, the double-cover
-projection); verification is a separate code path that checks the claimed
-property edge by edge.  A small backtracking isomorphism search exists
+projection) and is stored as an index array; verification is a separate
+code path that checks the claimed property against the neighbour rows of
+both graphs.  A small backtracking isomorphism search exists
 solely as a cross-validation oracle for graphs of a couple dozen vertices.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from itertools import repeat
+from operator import attrgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 from .decompose import (
     as_color_block,
@@ -38,7 +42,8 @@ AUTOMORPHISM = "automorphism"
 
 @dataclass
 class VertexMap:
-    """A function between the vertex sets of two graphs.
+    """A function between the vertex sets of two graphs, as an index array:
+    images[i] is the target index of the image of source vertex i.
 
     verified is tri-state: None until checked, then the outcome of
     verify() for the claimed kind.
@@ -46,110 +51,88 @@ class VertexMap:
 
     source: LabeledGraph
     target: LabeledGraph
-    mapping: dict[Block, Block]
+    images: tuple[int, ...]
     kind: str = MORPHISM
     name: str = ""
     verified: Optional[bool] = field(default=None, compare=False)
 
     def apply(self, v: Block) -> Block:
-        return self.mapping[v]
-
-    def is_total(self) -> bool:
-        return all(v in self.mapping for v in self.source.vertices)
-
-    def is_bijection(self) -> bool:
-        if len(self.mapping) != self.target.n_vertices:
-            return False
-        images = set(self.mapping.values())
-        return len(images) == len(self.mapping) and all(
-            map(self.target.has_vertex, images)
-        )
-
-    def fibers(self) -> dict[Block, list[Block]]:
-        out: dict[Block, list[Block]] = {}
-        for v, w in self.mapping.items():
-            out.setdefault(w, []).append(v)
-        return out
-
-    def inverse(self) -> "VertexMap":
-        if not self.is_bijection():
-            raise ParameterError(f"map {self.name!r} is not a bijection")
-        return VertexMap(
-            self.target,
-            self.source,
-            {w: v for v, w in self.mapping.items()},
-            kind=self.kind,
-            name=f"{self.name}^-1",
-        )
-
-    def compose(self, inner: "VertexMap") -> "VertexMap":
-        """self after inner (inner runs first)."""
-        if inner.target != self.source:
-            raise ParameterError(
-                f"cannot compose: {inner.name!r} lands in a different graph "
-                f"than {self.name!r} starts from"
-            )
-        mapping = {v: self.mapping[w] for v, w in inner.mapping.items()}
-        kind = (
-            ISOMORPHISM
-            if self.kind in (ISOMORPHISM, AUTOMORPHISM)
-            and inner.kind in (ISOMORPHISM, AUTOMORPHISM)
-            else MORPHISM
-        )
-        return VertexMap(
-            inner.source, self.target, mapping, kind=kind,
-            name=f"{self.name} after {inner.name}",
-        )
+        return self.target.vertices[self.images[self.source.index_of(v)]]
 
     def verify(self) -> bool:
         """Check the property claimed by kind; records and returns it."""
         if self.kind == COVERING:
             ok = verify_cover(self).ok
         elif self.kind in (ISOMORPHISM, AUTOMORPHISM):
-            ok = is_isomorphism(self.source, self.target, self)
+            ok = is_isomorphism(self.source, self.target, self.images)
             if self.kind == AUTOMORPHISM:
                 ok = ok and self.source == self.target
         else:
-            ok = is_morphism(self.source, self.target, self)
+            ok = is_morphism(self.source, self.target, self.images)
         self.verified = ok
         return ok
 
 
-def _mapping_of(m) -> dict[Block, Block]:
-    return m.mapping if isinstance(m, VertexMap) else dict(m)
+def _formula_map(
+    source: LabeledGraph,
+    target: LabeledGraph,
+    image: Callable[[int], int],
+    kind: str,
+    name: str,
+) -> VertexMap:
+    """The map sending the source vertex with mask x to the target vertex
+    with mask image(x)."""
+    masks = map(attrgetter("bits"), source.vertices)
+    images = tuple(target.mask_indices(map(image, masks)))
+    return VertexMap(source, target, images, kind=kind, name=name)
 
 
-def is_morphism(g: LabeledGraph, h: LabeledGraph, m) -> bool:
-    """True iff the map sends every edge of g to an edge of h."""
-    mapping = _mapping_of(m)
-    missing = [v for v in g.vertices if v not in mapping]
-    if missing:
-        raise ParameterError(f"map not total: missing {missing[0]}")
-    himg = []
-    for v in g.vertices:
-        w = mapping[v]
-        if not h.has_vertex(w):
-            return False
-        himg.append(h.index[w.bits])
-    for i, j, _ in g.edges():
-        if not h.has_edge(himg[i], himg[j]):
-            return False
-    return True
+def _in_range(images: Sequence[int], n: int) -> bool:
+    return not images or (min(images) >= 0 and max(images) < n)
 
 
-def is_isomorphism(g: LabeledGraph, h: LabeledGraph, m) -> bool:
-    """True iff the map is a bijective morphism whose inverse is also a
-    morphism (the inverse direction is checked explicitly)."""
-    mapping = _mapping_of(m)
-    if len(mapping) != g.n_vertices or g.n_vertices != h.n_vertices:
+def _row_mismatch(
+    g: LabeledGraph, h: LabeledGraph, images: Sequence[int]
+) -> Optional[int]:
+    """The first vertex i of g whose neighbour row, mapped and sorted, is
+    not the neighbour row of images[i] in h; None when every row matches.
+    Every image must be a vertex index of h."""
+    mapped = list(map(tuple, map(sorted, map(
+        map, repeat(images.__getitem__), g.neighbor_table))))
+    wanted = list(map(h.neighbor_table.__getitem__, images))
+    if mapped == wanted:
+        return None
+    return next(i for i, (a, b) in enumerate(zip(mapped, wanted)) if a != b)
+
+
+def is_morphism(g: LabeledGraph, h: LabeledGraph, images: Sequence[int]) -> bool:
+    """True iff the map (images[i]: the h-index of the image of vertex i of
+    g) sends every edge of g to an edge of h: the image of each neighbour
+    row lies inside the row of the image."""
+    n = g.n_vertices
+    if len(images) < n:
+        raise ParameterError(f"map not total: missing {g.vertices[len(images)]}")
+    if len(images) > n:
+        raise ParameterError(f"map has {len(images)} images for {n} vertices")
+    if not _in_range(images, h.n_vertices):
         return False
-    values = set(mapping.values())
-    if len(values) != len(mapping) or not all(map(h.has_vertex, values)):
+    img = images.__getitem__
+    return all(
+        all(map(row.__contains__, map(img, nbrs)))
+        for row, nbrs in zip(map(h.adj_map.__getitem__, images), g.neighbor_table)
+    )
+
+
+def is_isomorphism(g: LabeledGraph, h: LabeledGraph, images: Sequence[int]) -> bool:
+    """True iff the map is a bijection onto h that sends the neighbour row
+    of every vertex onto the neighbour row of its image.  For a bijection
+    this says exactly that the map and its inverse are both morphisms."""
+    n = g.n_vertices
+    if len(images) != n or h.n_vertices != n:
         return False
-    if not is_morphism(g, h, mapping):
+    if len(set(images)) != n or not _in_range(images, n):
         return False
-    inverse = {w: v for v, w in mapping.items()}
-    return is_morphism(h, g, inverse)
+    return _row_mismatch(g, h, images) is None
 
 
 def cover_map(n: int, k: int) -> VertexMap:
@@ -160,53 +143,50 @@ def cover_map(n: int, k: int) -> VertexMap:
         raise ParameterError(f"need 0 < k < n, got ({n}, {k})")
     if 2 * k == n:
         raise DegenerateCaseError("k = n-k collapses the two sides")
-    src = build(Family.bipartite_kneser(n, k))
-    dst = build(Family.kneser(n, k))
-    mapping = {
-        v: (v if v.card == k else v.complement()) for v in src.vertices
-    }
-    return VertexMap(src, dst, mapping, kind=COVERING, name=f"cover({n},{k})")
+    full = (1 << n) - 1
+    return _formula_map(
+        build(Family.bipartite_kneser(n, k)), build(Family.kneser(n, k)),
+        lambda x: x if x.bit_count() == k else x ^ full,
+        COVERING, f"cover({n},{k})",
+    )
 
 
 def verify_cover(m: VertexMap, expected_fiber: Optional[int] = None) -> Report:
     """Check that a map is a covering: constant fiber size over the whole
     target, a morphism, and a bijection between the edges at any source
-    vertex and the edges at its image."""
+    vertex and the edges at its image (the image of its neighbour row is
+    exactly the row of its image)."""
+    name = f"cover {m.name}"
+    src, dst, images = m.source, m.target, m.images
+    if len(images) != src.n_vertices:
+        fault = "map not total" if len(images) < src.n_vertices else "map too long"
+        return Report(name, False, failures=[fault])
+    fibers = Counter(images)
+    outside = [j for j in fibers if not 0 <= j < dst.n_vertices]
+    if outside:
+        return Report(name, False, failures=[f"image {outside[0]} outside target"])
     failures = []
-    mapping = m.mapping
-    if not m.is_total():
-        failures.append("map not total")
-        return Report(f"cover {m.name}", False, failures=failures)
-    fiber_sizes = {w: 0 for w in m.target.vertices}
-    for v, w in mapping.items():
-        if w not in fiber_sizes:
-            failures.append(f"image {w} outside target")
-            return Report(f"cover {m.name}", False, failures=failures)
-        fiber_sizes[w] += 1
-    sizes = set(fiber_sizes.values())
+    sizes = set(fibers.values())
+    if len(fibers) < dst.n_vertices:
+        sizes.add(0)
     fiber = sizes.pop() if len(sizes) == 1 else None
     if fiber is None or fiber == 0:
         failures.append("fiber size not constant")
     elif expected_fiber is not None and fiber != expected_fiber:
         failures.append(f"fiber {fiber} != expected {expected_fiber}")
-    if not is_morphism(m.source, m.target, mapping):
-        failures.append("not a morphism")
-    else:
-        for i, v in enumerate(m.source.vertices):
-            w = m.target.index_of(mapping[v])
-            nbr_imgs = [
-                m.target.index_of(mapping[m.source.vertices[j]])
-                for j in m.source.neighbors(i)
-            ]
-            target_nbrs = set(m.target.neighbors(w))
-            if len(nbr_imgs) != len(set(nbr_imgs)) or set(nbr_imgs) != target_nbrs:
-                failures.append(f"edges at {v} not bijective onto edges at {mapping[v]}")
-                break
-    ok = not failures
+    bad = _row_mismatch(src, dst, images)
+    if bad is not None:
+        if not is_morphism(src, dst, images):
+            failures.append("not a morphism")
+        else:
+            failures.append(
+                f"edges at {src.vertices[bad]} not bijective onto edges at"
+                f" {dst.vertices[images[bad]]}"
+            )
     return Report(
-        f"cover {m.name}", ok,
-        details={"fiber": fiber, "source": m.source.n_vertices,
-                 "target": m.target.n_vertices},
+        name, not failures,
+        details={"fiber": fiber, "source": src.n_vertices,
+                 "target": dst.n_vertices},
         failures=failures,
     )
 
@@ -214,22 +194,20 @@ def verify_cover(m: VertexMap, expected_fiber: Optional[int] = None) -> Report:
 def kappa(n: int) -> VertexMap:
     """The complementation automorphism of the middle levels graph."""
     g = build(Family.middle_levels(n))
-    mapping = {v: v.complement() for v in g.vertices}
-    return VertexMap(g, g, mapping, kind=AUTOMORPHISM, name=f"kappa({n})")
+    full = (1 << g.ground) - 1
+    return _formula_map(g, g, full.__xor__, AUTOMORPHISM, f"kappa({n})")
 
 
 def kappa_preserves_labels(n: int) -> Report:
     """Check that complementation keeps every edge label of the middle
     levels graph: if u ^ v = {a} then kappa(u) ^ kappa(v) = {a}."""
     g = build(Family.middle_levels(n))
-    km = kappa(n)
+    img = kappa(n).images
     failures = []
     for i, j, lab in g.edges():
-        u, v = g.vertices[i], g.vertices[j]
-        iu, iv = g.index_of(km.apply(u)), g.index_of(km.apply(v))
-        lab2 = g.label_between(iu, iv)
+        lab2 = g.label_between(img[i], img[j])
         if lab2 != lab:
-            failures.append((str(u), str(v), lab, lab2))
+            failures.append((str(g.vertices[i]), str(g.vertices[j]), lab, lab2))
     return Report(
         f"kappa label preservation middle({n})",
         not failures,
@@ -243,25 +221,7 @@ def perm_automorphism(g: LabeledGraph, p: Perm) -> VertexMap:
     pointwise on block vertices."""
     if p.m != g.ground:
         raise ParameterError("permutation acts on a different ground set")
-    mapping = {v: p.apply(v) for v in g.vertices}
-    return VertexMap(g, g, mapping, kind=AUTOMORPHISM, name="perm-action")
-
-
-def transitivity_witness(g: LabeledGraph, u: Block, v: Block) -> VertexMap:
-    """An automorphism carrying u to v, built from any ground permutation
-    mapping the set u onto the set v (order-preserving on u and on its
-    complement)."""
-    if u.card != v.card:
-        raise ParameterError("blocks of different size cannot be exchanged")
-    pairs = list(zip(u.elements(), v.elements()))
-    pairs += list(zip(u.complement().elements(), v.complement().elements()))
-    images = [0] * g.ground
-    for a, b in pairs:
-        images[a - 1] = b
-    p = Perm(tuple(images))
-    vmap = perm_automorphism(g, p)
-    vmap.name = f"carry {u} to {v}"
-    return vmap
+    return _formula_map(g, g, p.apply_mask, AUTOMORPHISM, "perm-action")
 
 
 def swap_perm(s: Block, t: Block) -> Perm:
@@ -283,13 +243,9 @@ def color_swap_iso(n: int, colors_from, colors_to) -> VertexMap:
     if s.card != t.card:
         raise ParameterError(f"|S|={s.card} != |T|={t.card}")
     g = build(Family.odd(n))
-    p = swap_perm(s, t)
-    src = delete_colors(g, s)
-    dst = delete_colors(g, t)
-    mapping = {v: p.apply(v) for v in src.vertices}
-    return VertexMap(
-        src, dst, mapping, kind=ISOMORPHISM,
-        name=f"swap {s}->{t}",
+    return _formula_map(
+        delete_colors(g, s), delete_colors(g, t), swap_perm(s, t).apply_mask,
+        ISOMORPHISM, f"swap {s}->{t}",
     )
 
 
@@ -308,13 +264,10 @@ def biregular_internal_iso(n: int, k: int, t1, t2) -> VertexMap:
     if tb1 == s - tb2 and tb1 != tb2:
         raise ParameterError("T1 = S - T2 names the same component")
     g = build(Family.odd(n))  # held, so both components are cut from one build
-    p = swap_perm(tb1, tb2)
-    comp1 = block_component(n, s, tb1)
-    comp2 = block_component(n, s, tb2)
-    mapping = {v: p.apply(v) for v in comp1.graph.vertices}
-    return VertexMap(
-        comp1.graph, comp2.graph, mapping, kind=ISOMORPHISM,
-        name=f"internal {tb1}->{tb2} in odd({n}) minus {k}",
+    return _formula_map(
+        block_component(n, s, tb1).graph, block_component(n, s, tb2).graph,
+        swap_perm(tb1, tb2).apply_mask,
+        ISOMORPHISM, f"internal {tb1}->{tb2} in odd({n}) minus {k}",
     )
 
 
@@ -342,26 +295,19 @@ def _embed(bits: int, m: int) -> int:
     return (bits ^ ((1 << (2 * m - 1)) - 1)) | (1 << (2 * m))
 
 
-def _sided(u_side, w_side, image) -> dict[Block, Block]:
-    """{v: image(v, on_u)} over the two sides of a {T, S-T} class.  For S
-    empty both sides are the whole graph, and the U side's image wins."""
-    mapping = {v: image(v, False) for v in w_side}
-    mapping.update((v, image(v, True)) for v in u_side)
-    return mapping
-
-
-def _regular_chain(n: int, s: Block):
-    """image(v, on_u) from a regular class of odd(n) minus S onto
+def _regular_chain(n: int, s: Block, t: Block) -> Callable[[int], int]:
+    """Vertex formula from the class {T, S-T} of odd(n) minus S onto
     middle(mm), mm = n - |S|/2: swap S onto the canonical colors (sides
-    stay put), cross to odd(mm+1) minus {2mm, 2mm+1}, drop onto middle(mm)."""
+    stay put), cross to odd(mm+1) minus {2mm, 2mm+1}, drop onto middle(mm).
+    A vertex with trace T is on the U side; for S empty every vertex is."""
     mm = n - s.card // 2
     s_canon = canonical_colors(n, s.card)
-    p = swap_perm(s, s_canon)
+    swap = swap_perm(s, s_canon).apply_mask
     gains = (1 << (2 * mm), 1 << (2 * mm - 1))  # W side {2mm+1}, U side {2mm}
 
-    def image(v: Block, on_u: bool) -> Block:
-        moved = _cross(p.apply(v).bits, s_canon.bits, gains[on_u])
-        return Block(_drop(moved, mm), 2 * mm - 1)
+    def image(x: int) -> int:
+        on_u = (x & s.bits) == t.bits
+        return _drop(_cross(swap(x), s_canon.bits, gains[on_u]), mm)
 
     return image
 
@@ -372,7 +318,8 @@ def biregular_cross_iso(n: int, k: int, t1, n2: int, p2: int, t2) -> VertexMap:
 
     Vertices move by swapping the T-part: the U side drops T1 and gains
     T2, the W side drops S1-T1 and gains S2-T2; everything outside the
-    deleted sets is common to both grounds and stays put.
+    deleted sets is common to both grounds and stays put.  For S1 empty
+    every vertex is on the U side.
     """
     s1 = canonical_colors(n, k)
     s2 = canonical_colors(n2, p2)
@@ -385,16 +332,11 @@ def biregular_cross_iso(n: int, k: int, t1, n2: int, p2: int, t2) -> VertexMap:
         raise ParameterError(
             f"signature mismatch: ({n - i},{n - k + i}) vs ({n2 - j},{n2 - p2 + j})"
         )
-    comp1 = block_component(n, s1, tb1)
-    comp2 = block_component(n2, s2, tb2)
     gains = ((s2 - tb2).bits, tb2.bits)  # W side, U side
-    mapping = _sided(
-        comp1.u_side, comp1.w_side,
-        lambda v, on_u: Block(_cross(v.bits, s1.bits, gains[on_u]), 2 * n2 - 1),
-    )
-    return VertexMap(
-        comp1.graph, comp2.graph, mapping, kind=ISOMORPHISM,
-        name=f"cross ({n},{k},{tb1})->({n2},{p2},{tb2})",
+    return _formula_map(
+        block_component(n, s1, tb1).graph, block_component(n2, s2, tb2).graph,
+        lambda x: _cross(x, s1.bits, gains[(x & s1.bits) == tb1.bits]),
+        ISOMORPHISM, f"cross ({n},{k},{tb1})->({n2},{p2},{tb2})",
     )
 
 
@@ -408,24 +350,22 @@ def middle_component_iso(m: int) -> VertexMap:
     if m < 1:
         raise ParameterError("need m >= 1")
     comp = block_component(m + 1, canonical_colors(m + 1, 2), [2 * m])
-    mapping = {v: Block(_drop(v.bits, m), 2 * m - 1) for v in comp.graph.vertices}
-    return VertexMap(
-        comp.graph, build(Family.middle_levels(m)), mapping, kind=ISOMORPHISM,
-        name=f"middle-component odd({m + 1}) -> middle({m})",
+    return _formula_map(
+        comp.graph, build(Family.middle_levels(m)), lambda x: _drop(x, m),
+        ISOMORPHISM, f"middle-component odd({m + 1}) -> middle({m})",
     )
 
 
 def embed_middle_in_odd(m: int) -> VertexMap:
     """Injective morphism middle(m) -> odd(m+1), inverse to
-    middle_component_iso on its image: small blocks gain element 2m, large
-    blocks are complemented within [2m-1] and gain 2m+1."""
+    middle_component_iso on its image: the map of embed_indices."""
     if m < 1:
         raise ParameterError("need m >= 1")
     src = build(Family.middle_levels(m))
     dst = build(Family.odd(m + 1))
-    mapping = {w: Block(_embed(w.bits, m), 2 * m + 1) for w in src.vertices}
+    images = tuple(embed_indices(src, dst, range(src.n_vertices)))
     return VertexMap(
-        src, dst, mapping, kind=MORPHISM,
+        src, dst, images, kind=MORPHISM,
         name=f"embed middle({m}) -> odd({m + 1})",
     )
 
@@ -433,9 +373,9 @@ def embed_middle_in_odd(m: int) -> VertexMap:
 def embed_indices(
     middle: LabeledGraph, odd_up: LabeledGraph, indices: Iterable[int]
 ) -> list[int]:
-    """Indices in odd_up = odd(m+1) of the images under embed_middle_in_odd
-    of the vertices of middle = middle(m) at the given indices, read from
-    the vertex formula with no map built."""
+    """Indices in odd_up = odd(m+1) of the images of the vertices of
+    middle = middle(m) at the given indices: small blocks gain element 2m,
+    large blocks are complemented within [2m-1] and gain 2m+1."""
     m = (middle.ground + 1) // 2
     if (middle.family != Family.middle_levels(m)
             or odd_up.family != Family.odd(m + 1)):
@@ -457,11 +397,10 @@ def regular_component_to_middle(n: int, colors, t) -> VertexMap:
     if k % 2 or tb.card != k // 2:
         raise ParameterError("regular components need |S| even and |T| = |S|/2")
     mm = n - k // 2
-    comp = block_component(n, s, tb)
-    mapping = _sided(comp.u_side, comp.w_side, _regular_chain(n, s))
-    return VertexMap(
-        comp.graph, build(Family.middle_levels(mm)), mapping, kind=ISOMORPHISM,
-        name=f"regular component ({n},{str(s)},{str(tb)}) -> middle({mm})",
+    return _formula_map(
+        block_component(n, s, tb).graph, build(Family.middle_levels(mm)),
+        _regular_chain(n, s, tb),
+        ISOMORPHISM, f"regular component ({n},{str(s)},{str(tb)}) -> middle({mm})",
     )
 
 
@@ -482,18 +421,16 @@ def middle_class_to_middle(n: int, colors, t) -> VertexMap:
     g = build(Family.middle_levels(n))
     members = trace_classes(g, s).get(tb.bits, [])
     class_graph = delete_colors(g.subgraph(members), s)
-    s_up = Block.from_elements(s.elements() + (2 * n, 2 * n + 1), 2 * n + 1)
-    image = _regular_chain(n + 1, s_up)
+    up = 2 * n + 1
+    s_up = Block.from_elements(s.elements() + (2 * n, 2 * n + 1), up)
     # a small block embeds with trace T + {2n}, on the U side of the class
     # of T + {2n}; a large one with trace (S - T) + {2n+1}, on the W side
-    mapping = {
-        v: image(Block(_embed(v.bits, n), 2 * n + 1), v.card == n - 1)
-        for v in class_graph.vertices
-    }
-    return VertexMap(
-        class_graph, build(Family.middle_levels(n - k // 2)), mapping,
-        kind=ISOMORPHISM,
-        name=f"middle class ({n},{str(s)},{str(tb)}) -> middle({n - k // 2})",
+    image = _regular_chain(n + 1, s_up, Block(tb.bits | 1 << (2 * n - 1), up))
+    return _formula_map(
+        class_graph, build(Family.middle_levels(n - k // 2)),
+        lambda x: image(_embed(x, n)),
+        ISOMORPHISM,
+        f"middle class ({n},{str(s)},{str(tb)}) -> middle({n - k // 2})",
     )
 
 
@@ -571,8 +508,7 @@ def generic_double_cover(g: LabeledGraph) -> tuple[LabeledGraph, VertexMap]:
         edges.append((i, nv + j, None))
         edges.append((j, nv + i, None))
     cover = graph_from_edges(m2, verts, edges)
-    mapping = {v: Block(v.bits & ~mark, g.ground) for v in cover.vertices}
-    vmap = VertexMap(cover, g, mapping, kind=COVERING, name="double cover")
+    vmap = _formula_map(cover, g, lambda x: x & ~mark, COVERING, "double cover")
     return cover, vmap
 
 
@@ -665,7 +601,6 @@ def find_isomorphism(
 
     if not backtrack(0):
         return None
-    mapping = {g.vertices[i]: h.vertices[assign[i]] for i in range(n)}
-    vmap = VertexMap(g, h, mapping, kind=ISOMORPHISM, name="searched iso")
+    vmap = VertexMap(g, h, tuple(assign), kind=ISOMORPHISM, name="searched iso")
     vmap.verify()
     return vmap

@@ -224,7 +224,7 @@ def _check_family(
 def graph_from_json(text: str) -> LabeledGraph:
     try:
         data = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParameterError(f"invalid JSON: {exc}") from exc
     return graph_from_dict(data)
 

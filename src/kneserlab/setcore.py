@@ -201,13 +201,16 @@ class Perm:
     def apply(self, b: Block) -> Block:
         if b.m != self.m:
             raise ParameterError("permutation and block grounds differ")
+        return Block(self.apply_mask(b.bits), b.m)
+
+    def apply_mask(self, v: int) -> int:
+        """The image of the block with mask v, as a mask."""
         bits = 0
-        v = b.bits
         while v:
             low = v & -v
             bits |= 1 << (self.images[low.bit_length() - 1] - 1)
             v ^= low
-        return Block(bits, b.m)
+        return bits
 
     def compose(self, other: "Perm") -> "Perm":
         """self after other: (self.compose(other))(x) == self(other(x))."""

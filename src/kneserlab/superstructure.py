@@ -205,8 +205,9 @@ def _build_super(
                 edges.append((i, j, None))
     graph = graph_from_edges(k - 1, [c.label for c in ids], edges)
     ref = build(target)
+    identity = ref.mask_indices(v.bits for v in graph.vertices)
     iso = VertexMap(
-        graph, ref, {v: v for v in graph.vertices}, kind="isomorphism",
+        graph, ref, tuple(identity), kind="isomorphism",
         name=f"superstructure -> {target}",
     )
     iso.verify()

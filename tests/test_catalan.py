@@ -1,6 +1,7 @@
 """Identities, rotation orbits, necklaces, independent-orbit excision."""
 
 import hashlib
+from itertools import combinations
 
 import pytest
 
@@ -147,6 +148,12 @@ class TestNecklaces:
         assert sha256_prefix(text) == PINNED[n][1]
 
 
+def is_independent(g, vertices):
+    """No edge joins two of the vertices."""
+    inside = set(vertices)
+    return all(inside.isdisjoint(g.neighbors(i)) for i in vertices)
+
+
 class TestExcision:
     def test_at_three_nothing_to_delete(self):
         rep = independent_orbit_excision(3)
@@ -184,14 +191,30 @@ class TestExcision:
         for n in (3, 4, 5):
             orb = orbits(n)
             g = orb.graph
-            from kneserlab.catalan import _deletion_profile, _is_independent
+            from kneserlab.catalan import _deletion_profile
 
             for orbit in orb.orbits:
-                if not _is_independent(g, list(orbit)):
+                if not is_independent(g, orbit):
                     continue
                 prof = _deletion_profile(g, orbit)
                 assert prof["vertices"] == g.n_vertices - (2 * n - 1)
                 assert prof["edges"] == g.n_edges - n * (2 * n - 1)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_clash_table_decides_independence(self, n):
+        from kneserlab.catalan import _orbit_clashes
+
+        orb = orbits(n)
+        clash = _orbit_clashes(orb)
+        verdicts = set()
+        for size in (1, 2, 3):
+            for combo in combinations(range(len(orb.orbits)), size):
+                chosen = sum(1 << ci for ci in combo)
+                by_table = not any(clash[ci] & chosen for ci in combo)
+                union = [x for ci in combo for x in orb.orbits[ci]]
+                assert by_table == is_independent(orb.graph, union), combo
+                verdicts.add(by_table)
+        assert verdicts == ({False} if n == 3 else {False, True})
 
     def test_below_domain_rejected(self):
         with pytest.raises(ParameterError):

@@ -52,6 +52,14 @@ class TestBuild:
         g = graph_from_json(target.read_text())
         assert g.n_vertices == 10
 
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "graph.json"
+        code, out, err = run(["build", "odd", "3", "--out", str(target)], capsys)
+        assert code == 2
+        assert err.startswith(
+            f"error: cannot write {target}: No such file or directory\n")
+        assert out == ""
+
     def test_bad_params_exit_2(self, capsys):
         code, _, err = run(["build", "odd", "99"], capsys)
         assert code == 2
@@ -267,6 +275,27 @@ class TestHamilton:
         assert len(indices) == 35
         assert sorted(indices) == list(range(35))
 
+    def test_unwritable_cycle_out_exit_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "cycle.txt"
+        code, _, err = run(
+            ["hamilton", "odd", "4", "--cycle-out", str(target)], capsys)
+        assert code == 2
+        assert err.startswith(
+            f"error: cannot write {target}: No such file or directory\n")
+
+    def test_nan_time_budget_exit_2(self, capsys):
+        code, out, err = run(
+            ["hamilton", "odd", "3", "--max-seconds", "nan"], capsys)
+        assert code == 2
+        assert err.startswith("error: budget limits must be positive")
+        assert out == ""
+
+    def test_infinite_time_budget_runs(self, capsys):
+        code, out, _ = run(
+            ["hamilton", "odd", "3", "--max-seconds", "inf"], capsys)
+        assert code == 0
+        assert "non-Hamiltonian" in out
+
     def test_budget_exhaustion_exit_1(self, capsys):
         code, out, _ = run(
             ["hamilton", "odd", "5", "--max-nodes", "10"], capsys
@@ -366,6 +395,14 @@ class TestExport:
         code, out, err = run(["export", str(src)], capsys)
         assert code == 2
         assert err.startswith("error: ")
+        assert out == ""
+
+    def test_deeply_nested_json_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "g.json"
+        src.write_text("[" * 100_000)
+        code, out, err = run(["export", str(src)], capsys)
+        assert code == 2
+        assert err.startswith("error: invalid JSON: ")
         assert out == ""
 
     def test_contradicted_family_exit_2(self, tmp_path, capsys):

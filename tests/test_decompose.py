@@ -275,6 +275,28 @@ class TestRemainder:
         census = classify_components(g)
         assert census.counts[("biregular", 5, 2)] == 1
 
+    def test_built_and_checked_once_per_odd_graph(self, monkeypatch):
+        import weakref
+
+        calls = []
+        cut = dec.block_component
+        monkeypatch.setattr(
+            dec, "block_component", lambda *args: calls.append(args) or cut(*args))
+        g = build(Family.odd(7))
+        first = remainder_graph(7, 2)
+        assert remainder_graph(7, 2) is first
+        assert remainder_graph(7, 3).profile.signature == ("biregular", 7, 4)
+        assert len(calls) == 2
+        ref = weakref.ref(first)
+        del first, g
+        assert ref() is None  # the memo lives and dies with odd(7)
+
+    def test_checks_run_when_computed(self, monkeypatch):
+        monkeypatch.setattr(dec, "degree_profile",
+                            lambda g: dec.DegreeProfile("irregular"))
+        with pytest.raises(AssertionError, match="expected biregular"):
+            remainder_graph(7, 2)
+
     def test_degenerate_parameters_rejected(self):
         with pytest.raises(ParameterError):
             remainder_graph(3, 3)

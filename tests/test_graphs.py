@@ -24,8 +24,8 @@ from kneserlab.graphs import (
     graph_from_edges,
     verify_distance_formula,
 )
-from kneserlab.morphisms import transitivity_witness
-from kneserlab.setcore import Block, binomial
+from kneserlab.morphisms import perm_automorphism
+from kneserlab.setcore import Block, Perm, binomial
 
 b = Block.from_elements
 
@@ -502,6 +502,19 @@ class TestPathSeq:
         p = PathSeq.from_blocks(middle2, cyc, closed=True)
         assert p.length == 6
         assert sorted(p.labels) == [1, 1, 2, 2, 3, 3]
+
+
+def transitivity_witness(g, u, v):
+    """An automorphism carrying u to v, built from the ground permutation
+    mapping the set u onto the set v (order-preserving on u and on its
+    complement)."""
+    assert u.card == v.card
+    pairs = list(zip(u.elements(), v.elements()))
+    pairs += list(zip(u.complement().elements(), v.complement().elements()))
+    images = [0] * g.ground
+    for a, b in pairs:
+        images[a - 1] = b
+    return perm_automorphism(g, Perm(tuple(images)))
 
 
 class TestVertexTransitivity:

@@ -30,6 +30,14 @@ class TestSearchBudget:
         with pytest.raises(ParameterError):
             SearchBudget(max_seconds=0)
 
+    def test_nan_time_limit_rejected(self):
+        with pytest.raises(ParameterError):
+            SearchBudget(max_seconds=float("nan"))
+
+    def test_infinite_time_limit_allowed(self, odd3):
+        budget = SearchBudget(max_seconds=float("inf"))
+        assert find_hamiltonian_cycle(odd3, budget).status == NONE
+
 
 class TestFindCycle:
     def test_petersen_proved_non_hamiltonian(self, odd3):

@@ -34,7 +34,22 @@ b = Block.from_elements
 
 
 def identity_map(g):
-    return VertexMap(g, g, {v: v for v in g.vertices}, kind="isomorphism")
+    return VertexMap(g, g, tuple(range(g.n_vertices)), kind="isomorphism")
+
+
+def fibers(vmap):
+    """{target vertex: the source vertices mapped onto it}."""
+    out = {}
+    for i, j in enumerate(vmap.images):
+        out.setdefault(vmap.target.vertices[j], []).append(vmap.source.vertices[i])
+    return out
+
+
+def compose(outer, inner):
+    """outer after inner (inner runs first)."""
+    assert inner.target is outer.source
+    images = tuple(outer.images[j] for j in inner.images)
+    return VertexMap(inner.source, outer.target, images)
 
 
 def brute_force_cycle(g, length, start=0):
@@ -61,27 +76,27 @@ def brute_force_cycle(g, length, start=0):
 
 class TestMorphismPredicates:
     def test_identity(self, odd3):
-        assert is_morphism(odd3, odd3, identity_map(odd3))
-        assert is_isomorphism(odd3, odd3, identity_map(odd3))
+        assert is_morphism(odd3, odd3, identity_map(odd3).images)
+        assert is_isomorphism(odd3, odd3, identity_map(odd3).images)
 
     def test_constant_map_fails(self, odd3):
-        const = {v: odd3.vertices[0] for v in odd3.vertices}
+        const = [0] * odd3.n_vertices
         assert not is_morphism(odd3, odd3, const)
 
     def test_partial_map_rejected(self, odd3):
-        partial = {odd3.vertices[0]: odd3.vertices[0]}
+        partial = [0]
         with pytest.raises(ParameterError):
             is_morphism(odd3, odd3, partial)
 
     def test_size_mismatch_never_isomorphism(self, odd3, middle2):
-        mapping = {v: middle2.vertices[0] for v in odd3.vertices}
-        assert not is_isomorphism(odd3, middle2, mapping)
+        images = [0] * odd3.n_vertices
+        assert not is_isomorphism(odd3, middle2, images)
 
     def test_non_injective_morphism_not_isomorphism(self, middle2):
         km = kappa(2)
-        assert is_morphism(middle2, middle2, km)
-        squash = dict(km.mapping)
-        squash[middle2.vertices[0]] = km.mapping[middle2.vertices[1]]
+        assert is_morphism(middle2, middle2, km.images)
+        squash = list(km.images)
+        squash[0] = km.images[1]
         assert not is_isomorphism(middle2, middle2, squash)
 
 
@@ -100,7 +115,7 @@ class TestCoverMap:
 
     def test_fibers_are_complement_pairs(self):
         cm = cover_map(7, 3)
-        for target, fiber in cm.fibers().items():
+        for target, fiber in fibers(cm).items():
             assert len(fiber) == 2
             lo, hi = sorted(fiber, key=lambda x: x.card)
             assert hi == lo.complement()
@@ -124,7 +139,7 @@ class TestKappa:
     def test_involution(self, middle4):
         km = kappa(4)
         assert km.verify()
-        twice = km.compose(km)
+        twice = compose(km, km)
         assert all(twice.apply(v) == v for v in middle4.vertices)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -219,7 +234,7 @@ class TestMiddleComponentIso:
     def test_embed_is_inverse(self, m):
         emb = embed_middle_in_odd(m)
         assert emb.verify()  # injective morphism
-        assert len(set(emb.mapping.values())) == len(emb.mapping)
+        assert len(set(emb.images)) == len(emb.images)
         iso = middle_component_iso(m)
         for w in emb.source.vertices:
             assert iso.apply(emb.apply(w)) == w
@@ -278,9 +293,14 @@ class TestMiddleComponentIso:
         assert vmap.source.adj == whole.adj
 
 
+def map_pairs(vmap):
+    """Sorted (source mask, image mask) pairs of a map."""
+    src, dst = vmap.source.vertices, vmap.target.vertices
+    return sorted((src[i].bits, dst[j].bits) for i, j in enumerate(vmap.images))
+
+
 def mapping_digest(vmap):
-    pairs = sorted((v.bits, w.bits) for v, w in vmap.mapping.items())
-    return hashlib.sha256(repr(pairs).encode()).hexdigest()[:16]
+    return hashlib.sha256(repr(map_pairs(vmap)).encode()).hexdigest()[:16]
 
 
 # (n, S, T, digest of the map): every class the verify suites and
@@ -483,6 +503,167 @@ class TestLiftPins:
             for g, c in lift_cases()
         ]
         assert got == self.DIGESTS
+
+
+# (maps checked, digest of their (source mask, image mask) pairs in the
+# order checked) for every map the suite checks at its cap depth, recorded
+# from the Block-keyed maps before maps became index arrays
+SUITE_MAP_PINS = {
+    "covers": (11, "8473e467a73bbac9"),
+    "isomorphisms": (28, "35b3d726d359357b"),
+    "superstructure": (16, "469d0262fd129faa"),
+}
+
+
+class TestSuiteMapPins:
+    @pytest.mark.parametrize("suite", sorted(SUITE_MAP_PINS))
+    def test_maps_unchanged(self, suite, monkeypatch):
+        from kneserlab import cli, morphisms
+
+        seen = []
+        verify, cover_check = morphisms.VertexMap.verify, morphisms.verify_cover
+
+        def recording_verify(vmap):
+            seen.append(map_pairs(vmap))
+            return verify(vmap)
+
+        def recording_cover(vmap, *args, **kwargs):
+            seen.append(map_pairs(vmap))
+            return cover_check(vmap, *args, **kwargs)
+
+        monkeypatch.setattr(morphisms.VertexMap, "verify", recording_verify)
+        monkeypatch.setattr(morphisms, "verify_cover", recording_cover)
+        assert cli.run_suite(suite, 64).exit_status == 0
+        digest = hashlib.sha256(repr(seen).encode()).hexdigest()[:16]
+        assert (len(seen), digest) == SUITE_MAP_PINS[suite]
+
+
+def with_images(vmap, images, kind=None):
+    return VertexMap(vmap.source, vmap.target, tuple(images),
+                     kind=kind or vmap.kind, name=vmap.name)
+
+
+def with_extra_edge(g):
+    """g plus one edge between two non-adjacent vertices, and its ends."""
+    i = 0
+    j = next(j for j in range(1, g.n_vertices) if not g.has_edge(i, j))
+    edges = list(g.edges()) + [(i, j, None)]
+    return graph_from_edges(g.ground, g.vertices, edges), i
+
+
+class TestCheckMutants:
+    """Broken maps next to verified ones: every check must catch them, and
+    the covering check with the failure text it gives for that fault."""
+
+    @pytest.mark.parametrize("build_map", [
+        lambda: middle_component_iso(2),
+        lambda: kappa(3),
+        lambda: regular_component_to_middle(4, [6, 7], [6]),
+        lambda: perm_automorphism(build(Family.odd(3)), Perm.cycle(5, range(1, 6))),
+    ], ids=["middle-component", "kappa", "regular-chain", "rotation"])
+    def test_two_swapped_images(self, build_map):
+        # on graphs where no two vertices share their neighbours
+        vmap = build_map()
+        assert vmap.verify()
+        n = vmap.source.n_vertices
+        for i in range(n):
+            for j in range(i + 1, n):
+                images = list(vmap.images)
+                images[i], images[j] = images[j], images[i]
+                g, h = vmap.source, vmap.target
+                assert not is_isomorphism(g, h, images), (i, j)
+                assert not with_images(vmap, images).verify()
+
+    def test_edge_sent_to_non_edge(self, odd3):
+        for i, j, _ in odd3.edges():
+            images = list(range(odd3.n_vertices))
+            images[i] = j  # the edge (i, j) lands on a single vertex
+            assert not is_morphism(odd3, odd3, images)
+            assert not is_isomorphism(odd3, odd3, images)
+        emb = embed_middle_in_odd(2)
+        assert emb.verify()
+        i, j, _ = next(emb.source.edges())
+        images = list(emb.images)
+        images[i] = next(x for x in range(emb.target.n_vertices)
+                         if x not in emb.target.neighbor_table[images[j]])
+        assert not with_images(emb, images).verify()
+
+    def test_bijective_morphism_onto_more_edges(self, odd3):
+        bigger, _ = with_extra_edge(odd3)
+        identity = tuple(range(odd3.n_vertices))
+        assert is_morphism(odd3, bigger, identity)
+        assert not is_isomorphism(odd3, bigger, identity)
+        assert not VertexMap(odd3, bigger, identity, kind="isomorphism").verify()
+        assert not is_morphism(bigger, odd3, identity)  # the inverse
+
+    def test_wrapping_onto_a_same_size_graph_is_not_an_isomorphism(self, middle2):
+        # the hexagon wraps twice around a triangle; three isolated
+        # vertices pad the target to six, and every row still matches
+        h = graph_from_edges(
+            6, [b([i], 6) for i in range(1, 7)],
+            [(0, 1, None), (1, 2, None), (0, 2, None)],
+        )
+        order = [0, 2, 1, 5, 3, 4]  # the walk around middle(2)
+        images = [0] * 6
+        for step, i in enumerate(order):
+            images[i] = step % 3
+        assert is_morphism(middle2, h, images)
+        assert not is_isomorphism(middle2, h, images)
+
+    def test_cover_folding_a_star(self):
+        # a 4-cycle folded onto one edge: fibers of two, a morphism, but
+        # both edges at each vertex land on the one edge at its image
+        square = graph_from_edges(
+            4, [b([i], 4) for i in range(1, 5)],
+            [(0, 1, None), (1, 2, None), (2, 3, None), (3, 0, None)],
+        )
+        edge = graph_from_edges(2, [b([1], 2), b([2], 2)], [(0, 1, None)])
+        rep = verify_cover(VertexMap(square, edge, (0, 1, 0, 1), kind="covering"), 2)
+        assert rep.details["fiber"] == 2
+        assert rep.failures == ["edges at {1} not bijective onto edges at {1}"]
+
+    def test_cover_with_uneven_fiber(self):
+        cm = cover_map(5, 2)
+        assert verify_cover(cm, 2).ok
+        images = list(cm.images)
+        images[0] = images[0] + 1 if images[0] + 1 < cm.target.n_vertices else 0
+        rep = verify_cover(with_images(cm, images), 2)
+        assert not rep.ok
+        assert rep.failures[0] == "fiber size not constant"
+
+    def test_cover_sending_an_edge_to_a_non_edge(self):
+        cm = cover_map(5, 2)
+        src = cm.source
+        i = 0
+        j = next(j for j in range(src.n_vertices)
+                 if cm.images[j] != cm.images[i]
+                 and not cm.target.has_edge(cm.images[j], cm.images[i]))
+        images = list(cm.images)
+        images[i], images[j] = images[j], images[i]  # fibers stay even
+        rep = verify_cover(with_images(cm, images), 2)
+        assert rep.failures == ["not a morphism"]
+
+    def test_cover_whose_star_is_not_a_bijection(self, odd3):
+        bigger, end = with_extra_edge(odd3)
+        identity = tuple(range(odd3.n_vertices))
+        rep = verify_cover(VertexMap(odd3, bigger, identity, kind="covering"))
+        v = odd3.vertices[end]
+        assert rep.failures == [f"edges at {v} not bijective onto edges at {v}"]
+        assert rep.details["fiber"] == 1
+
+    def test_cover_not_total_or_outside_target(self):
+        cm = cover_map(5, 2)
+        rep = verify_cover(with_images(cm, cm.images[:-1]))
+        assert rep.failures == ["map not total"]
+        rep = verify_cover(with_images(cm, cm.images + (0,)))
+        assert rep.failures == ["map too long"]
+        outside = cm.target.n_vertices
+        rep = verify_cover(with_images(cm, cm.images[:-1] + (outside,)))
+        assert rep.failures == [f"image {outside} outside target"]
+
+    def test_longer_map_rejected(self, odd3):
+        with pytest.raises(ParameterError):
+            is_morphism(odd3, odd3, list(range(odd3.n_vertices)) + [0])
 
 
 class TestGenericDoubleCover:

@@ -86,6 +86,12 @@ class TestJsonRoundTrip:
             with pytest.raises(ParameterError):
                 graph_from_json(text)
 
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"a": ' * 100_000],
+                             ids=["arrays", "objects"])
+    def test_nesting_too_deep_rejected(self, text):
+        with pytest.raises(ParameterError, match="^invalid JSON: "):
+            graph_from_json(text)
+
     @pytest.mark.parametrize("fields, match", [
         ({"edges": [[0, 1, None], [1, 0, None]]}, "duplicate edge"),
         ({"edges": [[1, 1, None]]}, "self-loop"),
