@@ -40,7 +40,6 @@ from .setcore import (
     Perm,
     apply_perm,
     binomial,
-    catalan,
     catalan_fourth_convolution,
     complement,
     k_blocks,
@@ -66,7 +65,6 @@ __all__ = [
     "apply_perm",
     "binomial",
     "build",
-    "catalan",
     "catalan_fourth_convolution",
     "complement",
     "components",

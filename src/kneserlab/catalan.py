@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
+from typing import Iterable
 
 from .decompose import (
     block_component,
@@ -27,6 +29,7 @@ from .setcore import (
     binomial,
     catalan,
     catalan_fourth_convolution,
+    k_masks,
 )
 
 # identities are also checked on built graphs up to this n
@@ -113,29 +116,40 @@ def _built_remainder_size(n: int) -> int:
 
 @dataclass(frozen=True)
 class OrbitSet:
-    """Partition of the odd-graph vertices under the full ground rotation."""
+    """Partition of the odd-graph vertices under the full ground rotation.
+
+    masks[i] is the mask of vertex i of odd(n) in canonical order, so the
+    orbits index the vertices of the built graph without building it.
+    """
 
     n: int
     orbits: tuple[tuple[int, ...], ...]
-    graph: LabeledGraph
+    masks: tuple[int, ...]
 
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(orbit) for orbit in self.orbits)
 
+    @property
+    def graph(self) -> LabeledGraph:
+        """odd(n), built only when read: build shares the live instance."""
+        return build(Family.odd(self.n))
+
 
 def orbits(n: int) -> OrbitSet:
     """Orbits of the odd-graph vertices under repeated ground rotation
     (the cycle 1 -> 2 -> ... -> 2n-1 -> 1), each listed from its minimal
-    vertex index; the orbit count must equal catalan(n-1)."""
+    vertex index; the orbit count must equal catalan(n-1).
+
+    The walk runs on the vertex masks in build's canonical order, so no
+    graph is built."""
     if n < 2:
         raise ParameterError("need n >= 2")
-    g = build(Family.odd(n))
     m = 2 * n - 1
     full = (1 << m) - 1
-    masks = [v.bits for v in g.vertices]
+    masks = k_masks(m, n - 1)
     index = dict(zip(masks, range(len(masks))))
-    seen = bytearray(g.n_vertices)
+    seen = bytearray(len(masks))
     out = []
     for i, x in enumerate(masks):
         if seen[i]:
@@ -153,24 +167,33 @@ def orbits(n: int) -> OrbitSet:
     want = catalan(n - 1)
     if len(out) != want:
         raise AssertionError(f"found {len(out)} orbits, expected {want}")
-    return OrbitSet(n, tuple(out), g)
+    return OrbitSet(n, tuple(out), tuple(masks))
+
+
+def necklaces(n: int, masks: Iterable[int]) -> list[str]:
+    """The rotation-canonical absence string of each vertex mask of
+    odd(n): position i carries 1 when i is missing from the vertex, and
+    the string is rotated to its lexicographic minimum, the least length-m
+    window of the string written twice.
+
+    Two vertices share a canonical necklace exactly when they share a
+    rotation orbit.  The caller vouches that every mask is a vertex.
+    """
+    m = 2 * n - 1
+    full = (1 << m) - 1
+    fmt = f"0{m}b"
+    # the absence string, ground position 1 first, written twice
+    words = [format(x ^ full, fmt)[::-1] * 2 for x in masks]
+    # one column of windows per rotation; min picks each word's least
+    return list(map(min, *(map(itemgetter(w), words) for w in _windows(m))))
 
 
 def necklace_of(v: Block, n: int) -> str:
-    """The rotation-canonical absence string of a vertex of odd(n): position
-    i carries 1 when i is missing from v, and the string is rotated to its
-    lexicographic minimum.
-
-    Two vertices share a canonical necklace exactly when they share a
-    rotation orbit.
-    """
+    """The canonical necklace of one vertex of odd(n); see necklaces."""
     m = 2 * n - 1
     if v.m != m or v.card != n - 1:
         raise ParameterError(f"{v} is not a vertex of odd({n})")
-    # the absence string, ground position 1 first; its rotations are the
-    # length-m windows of the string written twice
-    word = format(~v.bits & ((1 << m) - 1), f"0{m}b")[::-1] * 2
-    return min(map(word.__getitem__, _windows(m)))
+    return necklaces(n, [v.bits])[0]
 
 
 @lru_cache(maxsize=None)
@@ -257,7 +280,7 @@ def _orbit_clashes(orb: OrbitSet) -> list[int]:
     """clash[o]: the mask, one bit per orbit, of the orbits holding a
     neighbour of a vertex of orbit o; o's own bit is set when the orbit is
     not independent."""
-    orbit_of = [0] * orb.graph.n_vertices
+    orbit_of = [0] * len(orb.masks)
     for oi, orbit in enumerate(orb.orbits):
         for x in orbit:
             orbit_of[x] = oi

@@ -8,6 +8,8 @@ inconclusive search where a conclusion was demanded, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -22,7 +24,7 @@ from .catalan import (
     STRUCTURAL_LIMIT,
     coxeter_excision,
     independent_orbit_excision,
-    necklace_of,
+    necklaces,
     orbits as rotation_orbits,
     remainder_size_form,
     verify_difference_identity,
@@ -107,6 +109,27 @@ def _family_from_args(kind: str, params: list[int]) -> Family:
             f"family {kind!r} takes {arity} parameter(s), got {len(params)}"
         )
     return builder(*params)
+
+
+def _check_writable(out: Optional[str]):
+    """Refuse an output path that _write_output could not open, before any
+    work is done and without creating the file."""
+    if out is None or out == "-":
+        return
+    parent = os.path.dirname(out) or "."
+    try:
+        os.stat(parent)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {out}: {exc.strerror}") from exc
+    if os.path.isdir(out):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    elif not os.access(out if os.path.exists(out) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ParameterError(f"cannot write {out}: {os.strerror(code)}")
 
 
 def _write_output(text: str, out: Optional[str]):
@@ -405,22 +428,22 @@ def _suite_orbits(report: RunReport, max_n: int):
         ok = len(orb.orbits) == catalan(n - 1)
         report.add(f"orbit-count-odd({n})", "rotation orbit count = catalan(n-1)",
                    ok, f"{len(orb.orbits)} orbits, sizes {set(orb.sizes)}")
-        g = orb.graph
-        necklaces = {}
+        form_of = necklaces(n, orb.masks)
+        seen = {}
         ok_neck = True
         for oi, orbit in enumerate(orb.orbits):
-            forms = {necklace_of(g.vertices[i], n) for i in orbit}
+            forms = set(map(form_of.__getitem__, orbit))
             if len(forms) != 1:
                 ok_neck = False
                 break
             form = forms.pop()
-            if form in necklaces:
+            if form in seen:
                 ok_neck = False
                 break
-            necklaces[form] = oi
+            seen[form] = oi
         report.add(f"necklace-bijection-odd({n})",
                    "necklace correspondence (Stanley)", ok_neck,
-                   f"{len(necklaces)} canonical forms")
+                   f"{len(seen)} canonical forms")
 
 
 def _suite_coxeter(report: RunReport, max_n: int):
@@ -486,6 +509,7 @@ def cmd_hamilton(args) -> int:
     if not args.family or not args.params:
         raise ParameterError("hamilton needs a family and parameters, or --pipeline")
     fam = _family_from_args(args.family, args.params)
+    _check_writable(args.cycle_out)
     g = build(fam)
     result = ham.find_hamiltonian_cycle(g, budget)
     if result.status == ham.FOUND:
@@ -511,15 +535,17 @@ def cmd_hamilton(args) -> int:
 # --------------------------------------------------------------- orbits
 
 def cmd_orbits(args) -> int:
-    orb = rotation_orbits(args.n)
-    g = orb.graph
-    print(f"odd({args.n}): {len(orb.orbits)} rotation orbits"
-          f" (catalan({args.n - 1}) = {catalan(args.n - 1)})")
+    n = args.n
+    orb = rotation_orbits(n)
+    print(f"odd({n}): {len(orb.orbits)} rotation orbits"
+          f" (catalan({n - 1}) = {catalan(n - 1)})")
+    reps = [orb.masks[orbit[0]] for orbit in orb.orbits]
+    forms = necklaces(n, reps) if args.necklaces else None
     for oi, orbit in enumerate(orb.orbits):
-        rep = g.vertices[orbit[0]]
-        line = f"orbit {oi}: size {len(orbit)}, representative {rep}"
+        line = (f"orbit {oi}: size {len(orbit)},"
+                f" representative {Block(reps[oi], 2 * n - 1)}")
         if args.necklaces:
-            line += f", necklace {necklace_of(rep, args.n)}"
+            line += f", necklace {forms[oi]}"
         print(line)
     return 0
 

@@ -181,8 +181,9 @@ class BlockComponent:
 
     graph: LabeledGraph
     profile: DegreeProfile
-    u_side: tuple[Block, ...]
-    w_side: tuple[Block, ...]
+    # indices into odd(n) of the vertices with trace T and with trace S - T
+    u_indices: tuple[int, ...]
+    w_indices: tuple[int, ...]
 
 
 def block_component(n: int, colors: ColorsLike, t: ColorsLike) -> BlockComponent:
@@ -207,8 +208,8 @@ def block_component(n: int, colors: ColorsLike, t: ColorsLike) -> BlockComponent
     return BlockComponent(
         graph=sub,
         profile=degree_profile(sub),
-        u_side=tuple(g.vertices[i] for i in u),
-        w_side=tuple(g.vertices[i] for i in w),
+        u_indices=tuple(u),
+        w_indices=tuple(w),
     )
 
 

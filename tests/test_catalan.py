@@ -1,21 +1,27 @@
 """Identities, rotation orbits, necklaces, independent-orbit excision."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 
+import kneserlab
+from kneserlab import cli, graphs
 from kneserlab.catalan import (
     coxeter_excision,
     independent_orbit_excision,
     necklace_of,
+    necklaces,
     orbits,
     remainder_size_form,
     verify_difference_identity,
     verify_size_identity,
 )
 from kneserlab.errors import ParameterError
-from kneserlab.graphs import Family, build, degree_profile
+from kneserlab.graphs import Family, build, degree_profile, holding_families
 from kneserlab.setcore import Block, Perm, apply_perm, binomial, catalan
 
 b = Block.from_elements
@@ -115,6 +121,50 @@ class TestOrbits:
         with pytest.raises(ParameterError):
             orbits(1)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_masks_are_vertex_masks(self, n):
+        g = build(Family.odd(n))
+        assert orbits(n).masks == tuple(v.bits for v in g.vertices)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_graph_is_the_held_build(self, n):
+        with holding_families():
+            assert orbits(n).graph is build(Family.odd(n))
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Count graph constructions, by both builders, while the test runs."""
+    made = []
+    for name in ("_build_kneser", "_build_bipartite_kneser"):
+        def counted(family, _build=getattr(graphs, name)):
+            made.append(family)
+            return _build(family)
+
+        monkeypatch.setattr(graphs, name, counted)
+    return made
+
+
+class TestNoGraphBuilt:
+    def test_orbits(self, constructions):
+        for n in range(2, 9):
+            orbits(n)
+        assert constructions == []
+
+    def test_orbits_suite_at_cap(self, constructions):
+        report = cli.RunReport("orbits")
+        cli._suite_orbits(report, cli._SUITE_CAP_N["orbits"])
+        assert len(report.lines) == 2 * (cli._SUITE_CAP_N["orbits"] - 2)
+        assert all(line.ok for line in report.lines)
+        assert constructions == []
+
+    def test_graph_built_only_when_read(self, constructions):
+        orb = orbits(6)
+        assert constructions == []
+        g = orb.graph
+        assert g.family == Family.odd(6)
+        assert g.n_vertices == len(orb.masks) == 462
+
 
 class TestNecklaces:
     def test_examples(self):
@@ -140,6 +190,15 @@ class TestNecklaces:
     def test_wrong_vertex_rejected(self):
         with pytest.raises(ParameterError):
             necklace_of(b([1, 2, 3], 5), 3)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_batch_matches_one_at_a_time(self, n):
+        g = build(Family.odd(n))
+        masks = [v.bits for v in g.vertices]
+        assert necklaces(n, masks) == [necklace_of(v, n) for v in g.vertices]
+
+    def test_batch_of_none(self):
+        assert necklaces(4, []) == []
 
     @pytest.mark.parametrize("n", sorted(PINNED))
     def test_pinned_on_every_vertex(self, n):
@@ -252,3 +311,26 @@ class TestCoxeterTransitivitySpotCheck:
                 graph, graph, pin={0: target}, max_vertices=28
             )
             assert iso is not None and iso.verified
+
+
+class TestPackageName:
+    @pytest.mark.parametrize("first", ["", "import kneserlab.cli"])
+    def test_catalan_is_the_submodule(self, first):
+        # the package exports no function under the submodule's name, so
+        # importing the cli first cannot change what the name means
+        code = "; ".join(filter(None, [
+            first,
+            "from kneserlab import catalan",
+            "import kneserlab.catalan as sub",
+            "assert catalan is sub, catalan",
+            "import kneserlab.cli",
+            "from kneserlab import catalan as again",
+            "assert again is sub, again",
+            "from kneserlab.setcore import catalan as count",
+            "assert count(4) == 14",
+        ]))
+        src = os.path.dirname(os.path.dirname(kneserlab.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr

@@ -276,12 +276,41 @@ class TestHamilton:
         assert sorted(indices) == list(range(35))
 
     def test_unwritable_cycle_out_exit_2(self, tmp_path, capsys):
+        # refused before the search: nothing is printed on stdout
         target = tmp_path / "missing" / "cycle.txt"
-        code, _, err = run(
+        code, out, err = run(
             ["hamilton", "odd", "4", "--cycle-out", str(target)], capsys)
         assert code == 2
         assert err.startswith(
             f"error: cannot write {target}: No such file or directory\n")
+        assert out == ""
+
+    def test_cycle_out_into_directory_exit_2(self, tmp_path, capsys):
+        code, out, err = run(
+            ["hamilton", "odd", "4", "--cycle-out", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.startswith(
+            f"error: cannot write {tmp_path}: Is a directory\n")
+        assert out == ""
+
+    def test_cycle_out_under_a_file_exit_2(self, tmp_path, capsys):
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        target = plain / "cycle.txt"
+        code, out, err = run(
+            ["hamilton", "odd", "4", "--cycle-out", str(target)], capsys)
+        assert code == 2
+        assert err.startswith(
+            f"error: cannot write {target}: Not a directory\n")
+        assert out == ""
+
+    def test_no_cycle_writes_no_file(self, tmp_path, capsys):
+        target = tmp_path / "cycle.txt"
+        code, out, _ = run(
+            ["hamilton", "odd", "3", "--cycle-out", str(target)], capsys)
+        assert code == 0
+        assert "non-Hamiltonian" in out
+        assert not target.exists()
 
     def test_nan_time_budget_exit_2(self, capsys):
         code, out, err = run(

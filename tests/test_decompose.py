@@ -89,7 +89,7 @@ class TestBlockComponent:
         piece = block_component(3, [3, 4, 5], [])
         assert piece.graph.n_vertices == 1
         assert piece.graph.vertices[0] == b([1, 2], 5)
-        assert piece.w_side == ()
+        assert piece.w_indices == ()
 
     def test_t_outside_s_rejected(self):
         with pytest.raises(ParameterError):
@@ -117,8 +117,10 @@ class TestBlockComponent:
         members = [i for i, v in enumerate(g.vertices) if v & s in (tb, s - tb)]
         piece = block_component(n, s, tb)
         assert piece.graph == delete_colors(g, s).subgraph(members)
-        assert piece.u_side == tuple(v for v in g.vertices if v & s == tb)
-        assert piece.w_side == tuple(v for v in g.vertices if v & s == s - tb)
+        u_side = tuple(map(g.vertices.__getitem__, piece.u_indices))
+        w_side = tuple(map(g.vertices.__getitem__, piece.w_indices))
+        assert u_side == tuple(v for v in g.vertices if v & s == tb)
+        assert w_side == tuple(v for v in g.vertices if v & s == s - tb)
 
     def test_class_union_covers_vertex_set(self, odd4):
         # every vertex lies in exactly one partition-class piece
@@ -312,9 +314,15 @@ class TestDisjointness:
     def test_half_size_complement_swaps_sides(self):
         s = b([6, 7], 7)
         one, two = block_component(4, s, b([6], 7)), block_component(4, s, b([7], 7))
-        assert one.u_side and one.w_side
-        assert one.u_side == two.w_side
-        assert one.w_side == two.u_side
+        g = build(Family.odd(4))
+
+        def side(indices):
+            return tuple(map(g.vertices.__getitem__, indices))
+
+        assert one.u_indices and one.w_indices
+        assert side(one.u_indices) == side(two.w_indices)
+        assert side(one.w_indices) == side(two.u_indices)
+        assert all(v & s == b([6], 7) for v in side(one.u_indices))
 
     def test_four_color_classes_separate(self):
         rep = verify_disjointness(5, [6, 7, 8, 9])
