@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, compress, repeat
 from typing import Iterable, Union
 
 from .errors import ParameterError, UnlabeledGraphError
@@ -61,23 +61,25 @@ def delete_colors(g: LabeledGraph, colors: ColorsLike) -> LabeledGraph:
     if not g.labeled:
         raise UnlabeledGraphError("color deletion needs a labeled graph")
     drop = frozenset(as_color_block(colors, g.ground).elements())
-    adj = tuple([
-        tuple([pair for pair in row if pair[1] not in drop]) for row in g.adj
-    ])
-    return LabeledGraph(g.ground, g.vertices, adj, family=None, labeled=True)
+    kept = (frozenset(chain.from_iterable(g.label_table)) - drop).__contains__
+    # per row, the neighbours whose label is kept, and those labels
+    nbrs = map(compress, g.neighbor_table, map(map, repeat(kept), g.label_table))
+    labels = map(filter, repeat(kept), g.label_table)
+    return LabeledGraph(g.ground, g.masks, tuple(map(tuple, nbrs)),
+                        tuple(map(tuple, labels)), family=None, labeled=True)
 
 
 def component_signature(g: LabeledGraph, vertex_indices: list[int]) -> tuple:
     """Census key of one component: isolated / regular / biregular / irregular.
 
     The same key as degree_profile(g.subgraph(vertex_indices)).signature,
-    read from g.adj: a component is closed under adjacency, so its degrees
-    in g are its degrees in the subgraph.
+    read from g.neighbor_table: a component is closed under adjacency, so
+    its degrees in g are its degrees in the subgraph.
     """
     if len(vertex_indices) == 1:
         return ISOLATED
-    adj = g.adj
-    degrees = {len(adj[i]) for i in vertex_indices}
+    table = g.neighbor_table
+    degrees = set(map(len, map(table.__getitem__, vertex_indices)))
     if len(degrees) == 1:
         return ("regular", degrees.pop())
     if len(degrees) == 2:
@@ -85,10 +87,10 @@ def component_signature(g: LabeledGraph, vertex_indices: list[int]) -> tuple:
         # biregular: every neighbour of a degree-a vertex has degree b and
         # every neighbour of a degree-b vertex has degree a
         for i in vertex_indices:
-            row = adj[i]
+            row = table[i]
             other = a + b - len(row)
-            for j, _ in row:
-                if len(adj[j]) != other:
+            for j in row:
+                if len(table[j]) != other:
                     return ("irregular",)
         return ("biregular", a, b)
     return ("irregular",)
@@ -170,8 +172,8 @@ def trace_classes(g: LabeledGraph, colors: ColorsLike) -> dict[int, list[int]]:
     is the union of the entries for T and S - T; an unused trace has none."""
     s_bits = as_color_block(colors, g.ground).bits
     classes: defaultdict[int, list[int]] = defaultdict(list)
-    for i, v in enumerate(g.vertices):
-        classes[v.bits & s_bits].append(i)
+    for i, x in enumerate(g.masks):
+        classes[x & s_bits].append(i)
     return dict(classes)
 
 

@@ -1,23 +1,27 @@
 """Graph families (Kneser, bipartite Kneser, odd, middle levels) and
 basic structural queries: degrees, components, distances, girth.
 
-Graphs are immutable after construction.  Vertices are Blocks listed in
-colexicographic (bitmask) order; every index-based API refers to that
-order.  Edge labels exist only for the odd and middle-levels families:
-for an odd graph the label of (u, v) is the unique ground element outside
-u | v, for a middle levels graph the unique element of u ^ v.
+Graphs are immutable after construction.  A graph stores its vertices
+as int bitmasks in colexicographic (bitmask) order, and every index-based
+API refers to that order; its edges are stored as a neighbour row and a
+parallel label row per vertex.  The Block view of the vertices and the
+{neighbour: label} rows are made only when first read.  Edge labels exist
+only for the odd and middle-levels families: for an odd graph the label
+of (u, v) is the unique ground element outside u | v, for a middle levels
+graph the unique element of u ^ v.
 """
 
 from __future__ import annotations
 
 import gc
 import weakref
+from bisect import bisect_right
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, reduce, wraps
-from itertools import chain, combinations, islice, repeat
-from operator import add, and_, attrgetter, eq, itemgetter, lt, mul, neg, or_, xor
+from itertools import chain, combinations, compress, islice, repeat
+from operator import and_, eq, itemgetter, lt, neg, or_, xor
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import NotAdjacentError, ParameterError, UnlabeledGraphError
@@ -67,6 +71,9 @@ class Family:
     def __post_init__(self):
         if self.kind not in _FAMILY_KINDS:
             raise ParameterError(f"unknown family kind {self.kind!r}")
+        for p in (self.n, self.k):
+            if p is not None and (isinstance(p, bool) or not isinstance(p, int)):
+                raise ParameterError(f"{self.kind} parameters must be ints, got {p!r}")
         if self.kind in (KNESER, BIPARTITE_KNESER):
             if self.k is None or not 0 < self.k < self.n:
                 raise ParameterError(
@@ -171,36 +178,40 @@ def signature_name(sig: tuple) -> str:
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    """Immutable undirected graph on Block vertices with optional edge colors.
+    """Immutable undirected graph on subsets of [ground] with optional edge
+    colors, stored as three tables over the vertex indices.
 
-    adj[i] is a tuple of (neighbor index, label-or-None) pairs sorted by
-    neighbor index; every edge is stored in both endpoint lists with the
-    same label.  Every vertex lies over [ground].
+    masks[i] is the bitmask of vertex i.  neighbor_table[i] holds the
+    neighbour indices of vertex i, ascending, as the search kernel and the
+    map checks read them; label_table[i] holds the label (or None) of each
+    of those edges, in the same order.  Every edge is stored in both
+    endpoint rows with the same label.  The Block view `vertices`, the
+    mask `index` and the {neighbour: label} rows of `adj_map` are made on
+    first read.
     """
 
     ground: int
-    vertices: tuple[Block, ...]
-    adj: tuple[tuple[tuple[int, Optional[int]], ...], ...]
+    masks: tuple[int, ...]
+    neighbor_table: tuple[tuple[int, ...], ...]
+    label_table: tuple[tuple[Optional[int], ...], ...]
     family: Optional[Family] = None
     labeled: bool = False
+
+    @cached_property
+    def vertices(self) -> tuple[Block, ...]:
+        """The vertices as Blocks over [ground], in index order."""
+        return tuple(Block._trusted(self.masks, self.ground))
 
     @cached_property
     def index(self) -> dict[int, int]:
         """{vertex mask: index}.  Every vertex lies over the graph's ground,
         so its mask alone names it."""
-        masks = map(attrgetter("bits"), self.vertices)
-        return dict(zip(masks, range(len(self.vertices))))
+        return dict(zip(self.masks, range(len(self.masks))))
 
     @cached_property
     def adj_map(self) -> tuple[dict[int, Optional[int]], ...]:
         """Per-vertex {neighbor index: label} for O(1) adjacency tests."""
-        return tuple(dict(row) for row in self.adj)
-
-    @cached_property
-    def neighbor_table(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex neighbor index tuples, ascending, as the search kernel
-        and the map checks read them."""
-        return tuple(map(tuple, map(map, repeat(itemgetter(0)), self.adj)))
+        return tuple(map(dict, map(zip, self.neighbor_table, self.label_table)))
 
     @cached_property
     def memo(self) -> dict:
@@ -215,17 +226,17 @@ class LabeledGraph:
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.masks)
 
     @cached_property
     def n_edges(self) -> int:
-        return sum(len(row) for row in self.adj) // 2
+        return sum(map(len, self.neighbor_table)) // 2
 
     def degree(self, i: int) -> int:
-        return len(self.adj[i])
+        return len(self.neighbor_table[i])
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j, _ in self.adj[i])
+        return self.neighbor_table[i]
 
     def has_edge(self, i: int, j: int) -> bool:
         return j in self.adj_map[i]
@@ -250,10 +261,10 @@ class LabeledGraph:
 
     def edges(self) -> Iterator[tuple[int, int, Optional[int]]]:
         """All edges as (i, j, label) with i < j, sorted by (i, j)."""
-        for i, row in enumerate(self.adj):
-            for j, lab in row:
-                if i < j:
-                    yield i, j, lab
+        for i, (row, labels) in enumerate(zip(self.neighbor_table, self.label_table)):
+            # rows ascend, so the neighbours above i are the tail of its row
+            cut = bisect_right(row, i)
+            yield from zip(repeat(i), row[cut:], labels[cut:])
 
     def label_between(self, i: int, j: int) -> Optional[int]:
         try:
@@ -268,12 +279,16 @@ class LabeledGraph:
         is index order)."""
         chosen = sorted(vertex_indices)
         keep = dict(zip(chosen, range(len(chosen))))
-        verts = tuple(map(self.vertices.__getitem__, chosen))
-        adj = tuple([
-            tuple([(keep[j], lab) for j, lab in self.adj[i] if j in keep])
-            for i in chosen
-        ])
-        return LabeledGraph(self.ground, verts, adj, family=None, labeled=self.labeled)
+        kept = keep.__contains__
+        # per kept row, its kept neighbours renumbered, and their labels
+        rows = list(map(self.neighbor_table.__getitem__, chosen))
+        nbrs = map(map, repeat(keep.__getitem__), map(filter, repeat(kept), rows))
+        labels = map(compress, map(self.label_table.__getitem__, chosen),
+                     map(map, repeat(kept), rows))
+        masks = tuple(map(self.masks.__getitem__, chosen))
+        return LabeledGraph(self.ground, masks, tuple(map(tuple, nbrs)),
+                            tuple(map(tuple, labels)), family=None,
+                            labeled=self.labeled)
 
     def __str__(self) -> str:
         fam = f" {self.family}" if self.family else ""
@@ -289,23 +304,24 @@ def edge_rows(
     ends_v: Sequence,
     labels: Sequence,
     remap: dict,
-) -> tuple[tuple[tuple[int, Optional[int]], ...], ...]:
-    """Adjacency rows of n vertices from parallel endpoint and label lists.
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[Optional[int], ...], ...]]:
+    """The neighbour table and the parallel label table of n vertices from
+    parallel endpoint and label lists.
 
-    remap maps every accepted endpoint value to its vertex index.  Rows
-    come out sorted by neighbour index.  An endpoint that remap does not
-    hold, a self-loop or a duplicate edge raises ParameterError.  Edges
-    listed as increasing (u, v) pairs with u < v, as the exporter writes
-    them, skip the sort.
+    remap maps every accepted endpoint value, an int, to its vertex index.
+    Rows come out sorted by neighbour index.  An endpoint that is not an
+    int (a bool is not) or that remap does not hold, a self-loop or a
+    duplicate edge raises ParameterError.  Edges listed as increasing
+    (u, v) pairs with u < v, as the exporter writes them, skip the sort.
     """
     try:
+        if not set(map(type, ends_u)) | set(map(type, ends_v)) <= {int}:
+            raise TypeError("an endpoint is not an int")
         us = list(map(remap.__getitem__, ends_u))
         vs = list(map(remap.__getitem__, ends_v))
     except (KeyError, TypeError):
         for i, j in zip(ends_u, ends_v):
-            try:
-                remap[i], remap[j]
-            except (KeyError, TypeError):
+            if not (type(i) is int and i in remap and type(j) is int and j in remap):
                 raise ParameterError(
                     f"edge ({i!r}, {j!r}): endpoints must be vertex indices"
                     f" 0..{n - 1}"
@@ -316,21 +332,26 @@ def edge_rows(
         us, vs = list(map(min, us, vs)), list(map(max, us, vs))
         if any(map(eq, us, vs)):
             raise ParameterError("self-loops are not allowed")
-    keys = list(map(add, map(mul, us, repeat(n)), vs))
-    if not all(map(lt, keys, islice(keys, 1, None))):
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        keys = [keys[e] for e in order]
-        if any(map(eq, keys, islice(keys, 1, None))):
-            raise ParameterError("duplicate edge")
+    if not _ascending(us, vs):
+        order = sorted(range(len(us)), key=lambda e: (us[e], vs[e]))
         us = [us[e] for e in order]
         vs = [vs[e] for e in order]
+        if not _ascending(us, vs):
+            raise ParameterError("duplicate edge")
         labels = [labels[e] for e in order]
     # with the edges in increasing (u, v) order, each row takes its lower
     # neighbours first, then its higher ones, each run already ascending
-    rows: list[list[tuple[int, Optional[int]]]] = [[] for _ in range(n)]
-    deque(map(list.append, map(rows.__getitem__, vs), zip(us, labels)), 0)
-    deque(map(list.append, map(rows.__getitem__, us), zip(vs, labels)), 0)
-    return tuple(map(tuple, rows))
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    labs: list[list[Optional[int]]] = [[] for _ in range(n)]
+    for ends, others in ((vs, us), (us, vs)):
+        deque(map(list.append, map(nbrs.__getitem__, ends), others), 0)
+        deque(map(list.append, map(labs.__getitem__, ends), labels), 0)
+    return tuple(map(tuple, nbrs)), tuple(map(tuple, labs))
+
+
+def _ascending(us: list[int], vs: list[int]) -> bool:
+    """Whether the pairs (us[e], vs[e]) strictly increase with e."""
+    return all(map(lt, zip(us, vs), zip(islice(us, 1, None), islice(vs, 1, None))))
 
 
 def graph_from_edges(
@@ -352,15 +373,15 @@ def graph_from_edges(
             raise ParameterError(f"vertex {v} lies over [{v.m}], not [{ground}]")
     order = sorted(range(len(vertices)), key=lambda i: vertices[i].bits)
     remap = {old: new for new, old in enumerate(order)}
-    verts = tuple(vertices[i] for i in order)
-    if len(set(verts)) != len(verts):
+    masks = tuple(vertices[i].bits for i in order)
+    if len(set(masks)) != len(masks):
         raise ParameterError("duplicate vertices")
     triples = [(i, j, lab) for i, j, lab in edges]
     ends_u, ends_v, labels = (list(map(itemgetter(x), triples)) for x in range(3))
     if labeled is None:
         labeled = any(lab is not None for lab in labels)
-    adj = edge_rows(len(verts), ends_u, ends_v, labels, remap)
-    return LabeledGraph(ground, verts, adj, family=family, labeled=labeled)
+    nbrs, labs = edge_rows(len(masks), ends_u, ends_v, labels, remap)
+    return LabeledGraph(ground, masks, nbrs, labs, family=family, labeled=labeled)
 
 
 # The live graph of each family: an entry lasts only while some caller
@@ -447,22 +468,26 @@ def _rows(
     descending: bool,
     index: dict[int, int],
     labeled: bool,
-) -> list[tuple[tuple[int, Optional[int]], ...]]:
-    """Adjacency rows of vertices whose neighbours are bases[x] ^ D for the
-    size-subsets D of sources[x], listed so that the neighbours ascend.
+) -> tuple[list[tuple[int, ...]], list[tuple[Optional[int], ...]]]:
+    """Neighbour rows and parallel label rows of vertices whose neighbours
+    are bases[x] ^ D for the size-subsets D of sources[x], listed so that
+    the neighbours ascend.
 
     When labeled, every D is a single element and labels its edge (the
     element outside u | v of an odd graph, the element of u ^ v of a
     middle levels graph); otherwise every label is None.
     """
-    columns = []
+    nbr_columns, label_columns = [], []
     for picked in _subset_columns(sources, w, size, descending):
-        nbrs = map(index.__getitem__, map(xor, bases, picked))
-        labels = map(int.bit_length, picked) if labeled else repeat(None)
-        columns.append(list(zip(nbrs, labels)))
-    if not columns:
-        return [()] * len(bases)
-    return list(zip(*columns))
+        nbr_columns.append(list(map(index.__getitem__, map(xor, bases, picked))))
+        if labeled:
+            label_columns.append(list(map(int.bit_length, picked)))
+    if not nbr_columns:
+        return [()] * len(bases), [()] * len(bases)
+    nbrs = list(zip(*nbr_columns))
+    if labeled:
+        return nbrs, list(zip(*label_columns))
+    return nbrs, [(None,) * len(nbr_columns)] * len(bases)
 
 
 def _build_kneser(family: Family) -> LabeledGraph:
@@ -470,15 +495,15 @@ def _build_kneser(family: Family) -> LabeledGraph:
     k = family.subset_size
     label_edges = family.kind == ODD
     masks = k_masks(m, k)
-    index = dict(zip(masks, range(len(masks))))
     if k == 0 or 2 * k > m:  # no disjoint pairs (odd(1): no self-loop)
-        adj = [()] * len(masks)
+        nbrs = labels = [()] * len(masks)
     else:
         # the neighbours of u are u's complement minus (m - 2k) of its bits;
         # the larger the removed part, the smaller the neighbour
+        index = dict(zip(masks, range(len(masks))))
         comps = list(map(xor, masks, repeat((1 << m) - 1)))
-        adj = _rows(comps, comps, m - k, m - 2 * k, True, index, label_edges)
-    return LabeledGraph(m, tuple(Block._trusted(masks, m)), tuple(adj),
+        nbrs, labels = _rows(comps, comps, m - k, m - 2 * k, True, index, label_edges)
+    return LabeledGraph(m, tuple(masks), tuple(nbrs), tuple(labels),
                         family=family, labeled=label_edges)
 
 
@@ -488,21 +513,24 @@ def _build_bipartite_kneser(family: Family) -> LabeledGraph:
     sizes = family.block_sizes
     if len(sizes) == 1:  # both sides are the same blocks: no containments
         masks = k_masks(m, sizes[0])
-        adj = [()] * len(masks)
+        nbrs = labels = [()] * len(masks)
     else:
         lo, hi = sizes
         lows, highs = k_masks(m, lo), k_masks(m, hi)
-        masks = sorted(lows + highs)
+        both = lows + highs
+        order = sorted(range(len(both)), key=both.__getitem__)
+        masks = list(map(both.__getitem__, order))
         index = dict(zip(masks, range(len(masks))))
         comps = list(map(xor, lows, repeat((1 << m) - 1)))
         # a low block gains hi - lo bits of its complement, a high block
         # loses hi - lo of its own
-        row_of = dict(zip(lows, _rows(
-            lows, comps, m - lo, hi - lo, False, index, label_edges)))
-        row_of.update(zip(highs, _rows(
-            highs, highs, hi, hi - lo, True, index, label_edges)))
-        adj = list(map(row_of.__getitem__, masks))
-    return LabeledGraph(m, tuple(Block._trusted(masks, m)), tuple(adj),
+        low_nbrs, low_labels = _rows(
+            lows, comps, m - lo, hi - lo, False, index, label_edges)
+        high_nbrs, high_labels = _rows(
+            highs, highs, hi, hi - lo, True, index, label_edges)
+        nbrs = list(map((low_nbrs + high_nbrs).__getitem__, order))
+        labels = list(map((low_labels + high_labels).__getitem__, order))
+    return LabeledGraph(m, tuple(masks), tuple(nbrs), tuple(labels),
                         family=family, labeled=label_edges)
 
 
@@ -522,7 +550,8 @@ def degree_profile(g: LabeledGraph) -> DegreeProfile:
     one side of degree a and every vertex of the other of degree b; a
     regular classification takes precedence when a == b.
     """
-    degs = list(map(len, g.adj))
+    table = g.neighbor_table
+    degs = list(map(len, table))
     distinct = set(degs)
     if len(distinct) == 1:
         return DegreeProfile("regular", a=degs[0])
@@ -531,8 +560,8 @@ def degree_profile(g: LabeledGraph) -> DegreeProfile:
         side_a = tuple(i for i, d in enumerate(degs) if d == a)
         side_b = tuple(i for i, d in enumerate(degs) if d == b)
         # with two degrees, the sides cross when no edge joins equal degrees
-        own = [d for d in degs for _ in range(d)]
-        other = [degs[j] for row in g.adj for j, _ in row]
+        own = list(chain.from_iterable(map(repeat, degs, degs)))
+        other = list(map(degs.__getitem__, chain.from_iterable(table)))
         if not any(map(eq, own, other)):
             return DegreeProfile("biregular", a=a, b=b, sides=(side_a, side_b))
     return DegreeProfile("irregular")
@@ -556,12 +585,11 @@ def expected_family_degree(family: Family) -> int:
 def _component_of(g: LabeledGraph, start: int) -> set[int]:
     """Vertex indices of the component of start, reached a BFS level at a
     time with set operations."""
-    adj = g.adj
-    first = itemgetter(0)
+    table = g.neighbor_table
     comp = {start}
     level = [start]
     while level:
-        reached = set(map(first, chain.from_iterable(map(adj.__getitem__, level))))
+        reached = set(chain.from_iterable(map(table.__getitem__, level)))
         reached -= comp
         comp |= reached
         level = reached
@@ -589,12 +617,13 @@ def components(g: LabeledGraph) -> list[LabeledGraph]:
 
 def bfs_distances(g: LabeledGraph, start: int) -> list[int]:
     """BFS distance from start to every vertex; -1 marks unreachable."""
+    table = g.neighbor_table
     dist = [-1] * g.n_vertices
     dist[start] = 0
     queue = deque([start])
     while queue:
         x = queue.popleft()
-        for y, _ in g.adj[x]:
+        for y in table[x]:
             if dist[y] < 0:
                 dist[y] = dist[x] + 1
                 queue.append(y)
@@ -614,6 +643,7 @@ def girth(g: LabeledGraph) -> Optional[int]:
     Runs a BFS from every vertex and inspects non-tree edges.
     """
     best: Optional[int] = None
+    table = g.neighbor_table
     n = g.n_vertices
     for s in range(n):
         dist = [-1] * n
@@ -624,7 +654,7 @@ def girth(g: LabeledGraph) -> Optional[int]:
             x = queue.popleft()
             if best is not None and 2 * dist[x] >= best:
                 continue
-            for y, _ in g.adj[x]:
+            for y in table[x]:
                 if dist[y] < 0:
                     dist[y] = dist[x] + 1
                     parent[y] = x
@@ -760,7 +790,7 @@ def _rule_diameter(g: LabeledGraph, n: int) -> Optional[int]:
     """
     nv = g.n_vertices
     full = (1 << nv) - 1
-    masks = [v.bits for v in g.vertices]
+    masks = g.masks
     # member[e]: the vertices holding ground element e (bit e of a mask)
     member = [
         int("".join(["1" if x >> e & 1 else "0" for x in reversed(masks)]), 2)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .decompose import (
@@ -82,8 +81,7 @@ def _formula_map(
 ) -> VertexMap:
     """The map sending the source vertex with mask x to the target vertex
     with mask image(x)."""
-    masks = map(attrgetter("bits"), source.vertices)
-    images = tuple(target.mask_indices(map(image, masks)))
+    images = tuple(target.mask_indices(map(image, source.masks)))
     return VertexMap(source, target, images, kind=kind, name=name)
 
 
@@ -380,8 +378,8 @@ def embed_indices(
     if (middle.family != Family.middle_levels(m)
             or odd_up.family != Family.odd(m + 1)):
         raise ParameterError("embed_indices needs middle(m) and odd(m+1)")
-    verts = middle.vertices
-    return odd_up.mask_indices([_embed(verts[i].bits, m) for i in indices])
+    masks = middle.masks
+    return odd_up.mask_indices([_embed(masks[i], m) for i in indices])
 
 
 def regular_component_to_middle(n: int, colors, t) -> VertexMap:
@@ -466,7 +464,7 @@ def lift_circuit(c: PathSeq) -> LiftResult:
     n = (ground + 1) // 2
     bg = build(Family.middle_levels(n))
     full = (1 << ground) - 1
-    base = [g.vertices[i].bits for i in c.indices]
+    base = list(map(g.masks.__getitem__, c.indices))
     passes = 1 if len(base) % 2 == 0 else 2
     # of a block and its complement, the lexicographically smaller holds
     # element 1, unless the block is empty
@@ -499,8 +497,8 @@ def generic_double_cover(g: LabeledGraph) -> tuple[LabeledGraph, VertexMap]:
     """
     m2 = g.ground + 1
     mark = 1 << (m2 - 1)
-    side1 = [Block(v.bits, m2) for v in g.vertices]
-    side2 = [Block(v.bits | mark, m2) for v in g.vertices]
+    side1 = [Block(x, m2) for x in g.masks]
+    side2 = [Block(x | mark, m2) for x in g.masks]
     verts = side1 + side2
     nv = g.n_vertices
     edges = []

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, islice, repeat
 from operator import (
-    add, and_, attrgetter, getitem, is_, is_not, itemgetter, lt, or_, rshift, sub, xor,
+    add, and_, getitem, is_, is_not, itemgetter, lt, or_, rshift, sub, xor,
 )
 from typing import Optional
 
@@ -76,7 +76,7 @@ def _chunk_texts(m: int) -> tuple[list[str], ...]:
 
 
 def _vertices_text(g: LabeledGraph) -> str:
-    masks = list(map(attrgetter("bits"), g.vertices))
+    masks = g.masks
     if not masks:
         return "[]"
     texts: list[str] = [""] * len(masks)
@@ -89,22 +89,22 @@ def _vertices_text(g: LabeledGraph) -> str:
 
 
 def _edges_text(g: LabeledGraph) -> str:
-    adj = g.adj
-    first = itemgetter(0)
+    table = g.neighbor_table
     # rows ascend, so the neighbours above vertex i are the tail of its row
-    cuts = list(map(partial(bisect_right, key=first), adj, range(len(adj))))
-    tails = list(chain.from_iterable(
-        map(getitem, adj, map(slice, cuts, repeat(None)))))
-    if not tails:
+    cuts = list(map(bisect_right, table, range(len(table))))
+    tails = list(map(slice, cuts, repeat(None)))
+    above = list(chain.from_iterable(map(getitem, table, tails)))
+    if not above:
         return "[]"
-    names = list(map(str, range(len(adj))))
+    names = list(map(str, range(len(table))))
     # each edge is the six pieces  u ", " v ", " label "], ["
-    pieces = [", "] * (6 * len(tails))
+    pieces = [", "] * (6 * len(above))
     pieces[0::6] = chain.from_iterable(
-        map(repeat, names, map(sub, map(len, adj), cuts)))
-    pieces[2::6] = map(names.__getitem__, map(first, tails))
-    pieces[4::6] = _json_texts(list(map(itemgetter(1), tails)))
-    pieces[5::6] = repeat("], [", len(tails))
+        map(repeat, names, map(sub, map(len, table), cuts)))
+    pieces[2::6] = map(names.__getitem__, above)
+    pieces[4::6] = _json_texts(list(chain.from_iterable(
+        map(getitem, g.label_table, tails))))
+    pieces[5::6] = repeat("], [", len(above))
     pieces[-1] = "]]"
     return "[[" + "".join(pieces)
 
@@ -126,6 +126,12 @@ def graph_from_dict(data: dict) -> LabeledGraph:
     block sizes and edge count, and on every edge an adjacent pair with
     the label the two blocks imply.  Any violation raises ParameterError.
     """
+    return _graph_from_columns(*_document_columns(data))
+
+
+def _document_columns(data: dict) -> tuple:
+    """The family, ground and vertex masks of an interchange document, and
+    its three edge columns: the u ends, the v ends and the labels."""
     try:
         ground = data["ground"]
         vert_lists = data["vertices"]
@@ -143,12 +149,25 @@ def graph_from_dict(data: dict) -> LabeledGraph:
             list(map(itemgetter(x), edge_lists)) for x in range(3))
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"malformed graph document: {exc}") from exc
+    return family, ground, masks, ends_u, ends_v, labels
+
+
+def _graph_from_columns(
+    family: Optional[Family],
+    ground: int,
+    masks: list[int],
+    ends_u: list,
+    ends_v: list,
+    labels: list,
+) -> LabeledGraph:
+    """The graph of a document's columns, checked as graph_from_dict
+    describes."""
     if not all(map(lt, masks, islice(masks, 1, None))):
         if len(set(masks)) != len(masks):
             raise ParameterError("duplicate vertices")
         raise ParameterError("vertices were not in canonical order")
     n = len(masks)
-    adj = edge_rows(n, ends_u, ends_v, labels, dict(zip(range(n), range(n))))
+    nbrs, labs = edge_rows(n, ends_u, ends_v, labels, dict(zip(range(n), range(n))))
     if family is None:
         labeled = any(map(is_not, labels, repeat(None)))
     else:
@@ -157,8 +176,8 @@ def graph_from_dict(data: dict) -> LabeledGraph:
                       list(map(mask_of.__getitem__, ends_u)),
                       list(map(mask_of.__getitem__, ends_v)), labels)
         labeled = family.kind in (ODD, MIDDLE_LEVELS)
-    vertices = tuple(Block._trusted(masks, ground))
-    return LabeledGraph(ground, vertices, adj, family=family, labeled=labeled)
+    return LabeledGraph(ground, tuple(masks), nbrs, labs,
+                        family=family, labeled=labeled)
 
 
 def _vertex_masks(vert_lists, ground: int) -> list[int]:
@@ -222,11 +241,16 @@ def _check_family(
 
 @gc_paused
 def graph_from_json(text: str) -> LabeledGraph:
+    """The graph of an interchange document's JSON text, checked as
+    graph_from_dict checks it.  The parsed document is freed as soon as
+    its columns are taken, before any row is built."""
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ParameterError(f"invalid JSON: {exc}") from exc
-    return graph_from_dict(data)
+    columns = _document_columns(data)
+    del data
+    return _graph_from_columns(*columns)
 
 
 def _node_name(v: Block) -> str:

@@ -22,7 +22,7 @@ MAX_GROUND = 63
 
 def check_ground(m: int) -> int:
     """Validate a ground-set size and return it."""
-    if not isinstance(m, int) or m < 1 or m > MAX_GROUND:
+    if isinstance(m, bool) or not isinstance(m, int) or not 1 <= m <= MAX_GROUND:
         raise ParameterError(f"ground size must be in 1..{MAX_GROUND}, got {m!r}")
     return m
 
@@ -63,6 +63,8 @@ class Block:
         check_ground(m)
         bits = 0
         for e in elements:
+            if isinstance(e, bool):
+                raise ParameterError(f"element {e!r} is not an int")
             if not 1 <= e <= m:
                 raise ParameterError(f"element {e} outside ground [{m}]")
             bits |= 1 << (e - 1)

@@ -132,7 +132,7 @@ def _component_ids(
     ids = []
     seen_halves = set()
     for comp in component_index_sets(deleted):
-        trace = deleted.vertices[comp[0]] & s
+        trace = Block(deleted.masks[comp[0]] & s.bits, s.m)
         if trace.card != k // 2:
             continue
         # an odd-graph class {T, S-T} is named by its half holding d
@@ -205,7 +205,7 @@ def _build_super(
                 edges.append((i, j, None))
     graph = graph_from_edges(k - 1, [c.label for c in ids], edges)
     ref = build(target)
-    identity = ref.mask_indices(v.bits for v in graph.vertices)
+    identity = ref.mask_indices(graph.masks)
     iso = VertexMap(
         graph, ref, tuple(identity), kind="isomorphism",
         name=f"superstructure -> {target}",
@@ -271,7 +271,7 @@ def bottom_level(n: int, v: Block) -> BottomLevel:
         failures.append(f"census {census} != expected {mm_copies} regular({target_m})")
     comp_sets = component_index_sets(sub)
     for comp in comp_sets:
-        rep = sub.vertices[comp[0]]
+        rep = Block(sub.masks[comp[0]], sub.ground)
         t = rep & colors
         vmap = regular_component_to_middle(n, colors, t)
         comp_graph = sub.subgraph(comp)

@@ -416,7 +416,9 @@ class TestExport:
         None,  # no such file
         "{not json",
         '{"ground": 3, "vertices": [[1], [2]], "edges": [[0, 5, null]]}',
-    ], ids=["missing", "bad-json", "bad-edge"])
+        '{"family": "odd", "params": [true], "ground": 1, "vertices": [[]],'
+        ' "edges": []}',
+    ], ids=["missing", "bad-json", "bad-edge", "bool-param"])
     def test_bad_input_exit_2(self, text, tmp_path, capsys):
         src = tmp_path / "g.json"
         if text is not None:

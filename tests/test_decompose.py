@@ -72,6 +72,28 @@ class TestDeleteColors:
         twice = delete_colors(delete_colors(odd4, s), t)
         assert list(once.edges()) == list(twice.edges())
 
+    @staticmethod
+    def _check_against_edge_filter(g, s):
+        d = delete_colors(g, s)
+        want = [e for e in g.edges() if e[2] not in s]
+        assert list(d.edges()) == want
+        # both ends of every kept edge, as an independent build has them
+        ref = graph_from_edges(g.ground, g.vertices, want, labeled=True)
+        assert d.neighbor_table == ref.neighbor_table
+        assert d.label_table == ref.label_table
+        assert d.masks == g.masks and d.labeled and d.family is None
+
+    @pytest.mark.parametrize("name", ["odd5", "middle4"])
+    def test_every_two_colors_matches_edge_filter(self, name, request):
+        g = request.getfixturevalue(name)
+        for s in combinations(range(1, g.ground + 1), 2):
+            self._check_against_edge_filter(g, set(s))
+
+    @given(st.sets(st.integers(1, 7)))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_edge_filter_randomized(self, odd4, s):
+        self._check_against_edge_filter(odd4, s)
+
 
 class TestBlockComponent:
     def test_regular_piece_is_hexagon(self):

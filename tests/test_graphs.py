@@ -4,6 +4,8 @@ import weakref
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kneserlab import graphs
 from kneserlab.errors import (
@@ -91,9 +93,17 @@ class TestBuild:
 
     def test_adjacency_symmetric_no_loops(self, middle3):
         for i in range(middle3.n_vertices):
-            for j, lab in middle3.adj[i]:
+            row, labels = middle3.neighbor_table[i], middle3.label_table[i]
+            assert len(row) == len(labels)
+            for j, lab in zip(row, labels):
                 assert j != i
                 assert middle3.adj_map[j][i] == lab
+
+
+def tables(rows):
+    """(neighbour table, label table) of rows of (neighbour, label) pairs."""
+    return (tuple(tuple(j for j, _ in row) for row in rows),
+            tuple(tuple(lab for _, lab in row) for row in rows))
 
 
 def reference_build(fam):
@@ -141,7 +151,7 @@ class TestReferenceBuilder:
         verts, adj = reference_build(fam)
         assert [v.bits for v in g.vertices] == verts
         assert all(v.m == fam.ground for v in g.vertices)
-        assert g.adj == adj
+        assert (g.neighbor_table, g.label_table) == tables(adj)
         assert g.labeled == (fam.kind in ("odd", "middle"))
         # the closed forms an imported document is checked against
         assert fam.n_vertices == len(verts)
@@ -149,8 +159,10 @@ class TestReferenceBuilder:
         assert {len(row) for row in adj} == {expected_family_degree(fam)}
 
     def test_degenerate_instances(self):
-        assert build(Family.odd(1)).adj == ((),)  # K1, no self-loop
-        assert build(Family.middle_levels(1)).adj == (((1, 1),), ((0, 1),))  # K2
+        k1 = build(Family.odd(1))  # K1, no self-loop
+        assert (k1.neighbor_table, k1.label_table) == tables(((),))
+        k2 = build(Family.middle_levels(1))
+        assert (k2.neighbor_table, k2.label_table) == tables((((1, 1),), ((0, 1),)))
         for n, k in [(2, 1), (4, 2), (6, 3)]:  # 2k = n: no containments
             g = build(Family.bipartite_kneser(n, k))
             assert g.n_vertices == binomial(n, k) and g.n_edges == 0
@@ -210,7 +222,7 @@ class TestEdgeLabels:
         # the n labels at a vertex are exactly the colors of its complement
         for i in range(odd4.n_vertices):
             v = odd4.vertices[i]
-            labels = sorted(lab for _, lab in odd4.adj[i])
+            labels = sorted(odd4.label_table[i])
             assert labels == list(v.complement().elements())
 
     def test_non_adjacent_raises(self, odd3):
@@ -400,13 +412,17 @@ class TestGraphFromEdges:
     def test_rows_sorted_from_any_edge_order(self):
         edges = [(0, 1, 1), (0, 3, 2), (1, 2, 3), (2, 3, 4), (1, 3, None)]
         want = graph_from_edges(4, self.VERTS, edges)
-        assert want.adj[1] == ((0, 1), (2, 3), (3, None))
+        assert want.neighbor_table[1] == (0, 2, 3)
+        assert want.label_table[1] == (1, 3, None)
         shuffled = [(j, i, lab) for i, j, lab in reversed(edges)]
-        assert graph_from_edges(4, self.VERTS, shuffled).adj == want.adj
+        got = graph_from_edges(4, self.VERTS, shuffled)
+        assert got.neighbor_table == want.neighbor_table
+        assert got.label_table == want.label_table
         # vertices given out of order are sorted and the edges remapped
         back = graph_from_edges(4, self.VERTS[::-1],
                                 [(3 - i, 3 - j, lab) for i, j, lab in edges])
-        assert back.adj == want.adj
+        assert back.neighbor_table == want.neighbor_table
+        assert back.label_table == want.label_table
 
     @pytest.mark.parametrize("edges", [
         [(0, 1, None), (1, 2, None), (0, 1, None)],
@@ -449,6 +465,23 @@ class TestComponents:
         assert "connected" in vars(odd3)
         assert not delete_colors(odd3, [4, 5]).connected
         assert graph_from_edges(3, [], []).connected  # no vertices
+
+
+class TestSubgraph:
+    @pytest.mark.parametrize("name", ["odd4", "middle3"])
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_matches_brute_force_induced(self, name, request, data):
+        g = request.getfixturevalue(name)
+        chosen = data.draw(st.sets(st.integers(0, g.n_vertices - 1)))
+        given_order = data.draw(st.permutations(sorted(chosen)))
+        sub = g.subgraph(given_order)
+        order = sorted(chosen)
+        assert sub.masks == tuple(g.masks[i] for i in order)
+        rows = [[(x, g.label_between(i, j)) for x, j in enumerate(order)
+                 if g.has_edge(i, j)] for i in order]
+        assert (sub.neighbor_table, sub.label_table) == tables(rows)
+        assert sub.labeled == g.labeled and sub.family is None
 
 
 class TestNeighborTable:

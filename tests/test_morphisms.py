@@ -290,7 +290,8 @@ class TestMiddleComponentIso:
         ]
         whole = delete_colors(middle4, s).subgraph(members)
         assert vmap.source.vertices == whole.vertices
-        assert vmap.source.adj == whole.adj
+        assert vmap.source.neighbor_table == whole.neighbor_table
+        assert vmap.source.label_table == whole.label_table
 
 
 def map_pairs(vmap):

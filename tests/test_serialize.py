@@ -3,9 +3,11 @@
 import hashlib
 import json
 import re
+import tracemalloc
 
 import pytest
 
+from kneserlab.decompose import delete_colors
 from kneserlab.errors import ParameterError
 from kneserlab.graphs import Family, build
 from kneserlab.setcore import Block
@@ -82,6 +84,14 @@ class TestJsonRoundTrip:
             self._doc(vertices=5),
             self._doc(vertices=[[1], [7]]),
             self._doc(family="odd", params=["x"]),
+            # JSON booleans where the schema wants an int
+            self._doc(family="odd", params=[True], ground=1, vertices=[[]],
+                      edges=[]),
+            graph_to_json(build(Family.kneser(3, 1))).replace(
+                '"params": [3, 1]', '"params": [3, true]'),
+            self._doc(ground=True, vertices=[[1]], edges=[]),
+            self._doc(vertices=[[True], [2]]),
+            self._doc(edges=[[False, True, None]]),
         ]:
             with pytest.raises(ParameterError):
                 graph_from_json(text)
@@ -100,8 +110,15 @@ class TestJsonRoundTrip:
         ({"vertices": [[1], [1.0]]}, "malformed"),
         ({"vertices": [[1], [0]]}, "malformed"),
         ({"ground": 0, "vertices": [], "edges": []}, "malformed"),
+        ({"ground": True, "vertices": [[1]], "edges": []}, "malformed"),
+        ({"vertices": [[True], [2]]}, "malformed"),
+        ({"edges": [[0, True, None]]}, "endpoints must be vertex indices"),
+        ({"edges": [[0, 1.0, None]]}, "endpoints must be vertex indices"),
+        ({"family": "odd", "params": [True], "ground": 1, "vertices": [[]],
+          "edges": []}, "malformed"),
     ], ids=["duplicate-edge", "self-loop", "order", "duplicate-vertex",
-            "float-element", "zero-element", "ground-0"])
+            "float-element", "zero-element", "ground-0", "bool-ground",
+            "bool-element", "bool-endpoint", "float-endpoint", "bool-param"])
     def test_structural_faults_rejected(self, fields, match):
         with pytest.raises(ParameterError, match=match):
             graph_from_json(self._doc(**fields))
@@ -121,6 +138,51 @@ class TestJsonRoundTrip:
         back = graph_from_json(text)
         assert back == piece
         assert graph_to_json(back) == text
+
+
+class TestImportMemory:
+    def test_peak_stays_near_the_parsed_document(self):
+        # the parsed document is freed before the rows are built, so the
+        # import peaks well under twice the document alone
+        text = graph_to_json(build(Family.odd(8)))
+        tracemalloc.start()
+        try:
+            json.loads(text)
+            document_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            g = graph_from_json(text)
+            import_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n_vertices == 6435
+        assert import_peak < 2 * document_peak
+
+
+class TestNoBlockMade:
+    def test_build_delete_export_import(self, monkeypatch):
+        # the construct path reads masks and row tables only: no Block is
+        # made, neither checked nor trusted
+        made = []
+        trusted, checked = Block._trusted.__func__, Block.__post_init__
+        s = Block.from_elements([2, 5], 9)
+
+        def count_trusted(cls, masks, m):
+            made.append("trusted")
+            return trusted(cls, masks, m)
+
+        def count_checked(self):
+            made.append("checked")
+            checked(self)
+
+        monkeypatch.setattr(Block, "_trusted", classmethod(count_trusted))
+        monkeypatch.setattr(Block, "__post_init__", count_checked)
+        g = build(Family.middle_levels(5))
+        d = delete_colors(g, s)
+        back = graph_from_json(graph_to_json(g))
+        assert graph_to_json(back) == graph_to_json(g)
+        assert made == []
+        assert "vertices" not in vars(d) and "vertices" not in vars(back)
+        assert len(d.vertices) == 252 and made == ["trusted"]
 
 
 def sha16(text):
