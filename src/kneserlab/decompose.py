@@ -25,6 +25,7 @@ from .graphs import (
     build,
     component_index_sets,
     degree_profile,
+    degree_signature,
     gc_paused,
     signature_name,
 )
@@ -78,22 +79,7 @@ def component_signature(g: LabeledGraph, vertex_indices: list[int]) -> tuple:
     """
     if len(vertex_indices) == 1:
         return ISOLATED
-    table = g.neighbor_table
-    degrees = set(map(len, map(table.__getitem__, vertex_indices)))
-    if len(degrees) == 1:
-        return ("regular", degrees.pop())
-    if len(degrees) == 2:
-        b, a = sorted(degrees)
-        # biregular: every neighbour of a degree-a vertex has degree b and
-        # every neighbour of a degree-b vertex has degree a
-        for i in vertex_indices:
-            row = table[i]
-            other = a + b - len(row)
-            for j in row:
-                if len(table[j]) != other:
-                    return ("irregular",)
-        return ("biregular", a, b)
-    return ("irregular",)
+    return degree_signature(g.neighbor_table, vertex_indices)
 
 
 @dataclass(frozen=True)
@@ -215,17 +201,10 @@ def block_component(n: int, colors: ColorsLike, t: ColorsLike) -> BlockComponent
     )
 
 
-@dataclass(frozen=True)
-class RemainderGraph:
-    """The unique (n, n-k)-biregular piece of O_n(k): the T-empty class of
-    the canonical deleted color set."""
-
-    graph: LabeledGraph
-    profile: DegreeProfile
-
-
-def remainder_graph(n: int, k: int) -> RemainderGraph:
-    """The remainder graph of O_n after deleting k canonical colors.
+def remainder_graph(n: int, k: int) -> BlockComponent:
+    """The remainder graph of O_n after deleting k canonical colors: the
+    T-empty piece of the canonical deleted set, the unique (n, n-k)-
+    biregular component of O_n(k).
 
     It is built and checked once per built O_n: the graph's memo keeps it
     for as long as that O_n lives.
@@ -235,20 +214,16 @@ def remainder_graph(n: int, k: int) -> RemainderGraph:
     memo = build(Family.odd(n)).memo
     key = ("remainder", k)
     if key not in memo:
-        memo[key] = _remainder_piece(n, k)
+        piece = block_component(n, canonical_colors(n, k), Block.empty(2 * n - 1))
+        if piece.profile.signature != ("biregular", n, n - k):
+            raise AssertionError(
+                f"remainder piece of O_{n}({k}) is {piece.profile},"
+                f" expected biregular({n},{n - k})"
+            )
+        if not piece.graph.connected:
+            raise AssertionError(f"remainder piece of O_{n}({k}) is not connected")
+        memo[key] = piece
     return memo[key]
-
-
-def _remainder_piece(n: int, k: int) -> RemainderGraph:
-    piece = block_component(n, canonical_colors(n, k), Block.empty(2 * n - 1))
-    prof = piece.profile
-    if prof.signature != ("biregular", n, n - k):
-        raise AssertionError(
-            f"remainder piece of O_{n}({k}) is {prof}, expected biregular({n},{n - k})"
-        )
-    if not piece.graph.connected:
-        raise AssertionError(f"remainder piece of O_{n}({k}) is not connected")
-    return RemainderGraph(graph=piece.graph, profile=prof)
 
 
 def verify_disjointness(n: int, colors: ColorsLike) -> Report:

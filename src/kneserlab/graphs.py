@@ -4,11 +4,11 @@ basic structural queries: degrees, components, distances, girth.
 Graphs are immutable after construction.  A graph stores its vertices
 as int bitmasks in colexicographic (bitmask) order, and every index-based
 API refers to that order; its edges are stored as a neighbour row and a
-parallel label row per vertex.  The Block view of the vertices and the
-{neighbour: label} rows are made only when first read.  Edge labels exist
-only for the odd and middle-levels families: for an odd graph the label
-of (u, v) is the unique ground element outside u | v, for a middle levels
-graph the unique element of u ^ v.
+parallel label row per vertex.  The Block view of the vertices is made
+only when first read.  Edge labels exist only for the odd and
+middle-levels families: for an odd graph the label of (u, v) is the
+unique ground element outside u | v, for a middle levels graph the
+unique element of u ^ v.
 """
 
 from __future__ import annotations
@@ -146,15 +146,13 @@ class Family:
 class DegreeProfile:
     """Degree classification of a graph.
 
-    kind is one of "regular", "biregular", "irregular".  For biregular
-    graphs a >= b and sides holds the two vertex-index classes (degree-a
-    side first).
+    kind is one of "regular", "biregular", "irregular"; a is the degree
+    of a regular graph, a > b the two degrees of a biregular one.
     """
 
     kind: str
     a: int = 0
     b: int = 0
-    sides: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
 
     @property
     def signature(self) -> tuple:
@@ -185,9 +183,8 @@ class LabeledGraph:
     neighbour indices of vertex i, ascending, as the search kernel and the
     map checks read them; label_table[i] holds the label (or None) of each
     of those edges, in the same order.  Every edge is stored in both
-    endpoint rows with the same label.  The Block view `vertices`, the
-    mask `index` and the {neighbour: label} rows of `adj_map` are made on
-    first read.
+    endpoint rows with the same label.  The Block view `vertices` and the
+    mask `index` are made on first read.
     """
 
     ground: int
@@ -207,11 +204,6 @@ class LabeledGraph:
         """{vertex mask: index}.  Every vertex lies over the graph's ground,
         so its mask alone names it."""
         return dict(zip(self.masks, range(len(self.masks))))
-
-    @cached_property
-    def adj_map(self) -> tuple[dict[int, Optional[int]], ...]:
-        """Per-vertex {neighbor index: label} for O(1) adjacency tests."""
-        return tuple(map(dict, map(zip, self.neighbor_table, self.label_table)))
 
     @cached_property
     def memo(self) -> dict:
@@ -238,8 +230,19 @@ class LabeledGraph:
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self.neighbor_table[i]
 
+    def _check_indices(self, *indices: int) -> None:
+        """Raise ParameterError unless every index is a vertex index 0..n-1;
+        a negative one would otherwise alias a vertex counted from the end."""
+        for i in indices:
+            if not 0 <= i < len(self.masks):
+                raise ParameterError(
+                    f"vertex index {i} outside 0..{len(self.masks) - 1}")
+
     def has_edge(self, i: int, j: int) -> bool:
-        return j in self.adj_map[i]
+        n = len(self.masks)
+        if not (0 <= i < n and 0 <= j < n):
+            self._check_indices(i, j)
+        return j in self.neighbor_table[i]
 
     def has_vertex(self, v: Block) -> bool:
         return v.m == self.ground and v.bits in self.index
@@ -267,9 +270,10 @@ class LabeledGraph:
             yield from zip(repeat(i), row[cut:], labels[cut:])
 
     def label_between(self, i: int, j: int) -> Optional[int]:
+        self._check_indices(i, j)
         try:
-            return self.adj_map[i][j]
-        except KeyError:
+            return self.label_table[i][self.neighbor_table[i].index(j)]
+        except ValueError:
             raise NotAdjacentError(
                 f"vertices {self.vertices[i]} and {self.vertices[j]} are not adjacent"
             ) from None
@@ -543,28 +547,38 @@ def edge_label(g: LabeledGraph, u: Block, v: Block) -> int:
     return lab
 
 
-def degree_profile(g: LabeledGraph) -> DegreeProfile:
-    """Classify a graph as regular / biregular / irregular.
+def degree_signature(
+    table: Sequence[Sequence[int]], members: Sequence[int]
+) -> tuple:
+    """Census key of the vertex indices members, a set closed under
+    adjacency in the neighbour table: ("regular", d), ("biregular", a, b)
+    with a > b, or ("irregular",).
 
-    A graph is (a, b)-biregular when it is bipartite with every vertex of
-    one side of degree a and every vertex of the other of degree b; a
-    regular classification takes precedence when a == b.
+    The vertices are (a, b)-biregular when they split into two sides,
+    every vertex of one of degree a and every vertex of the other of
+    degree b, and every edge crosses between the sides.
     """
-    table = g.neighbor_table
-    degs = list(map(len, table))
-    distinct = set(degs)
-    if len(distinct) == 1:
-        return DegreeProfile("regular", a=degs[0])
-    if len(distinct) == 2:
-        b, a = sorted(distinct)
-        side_a = tuple(i for i, d in enumerate(degs) if d == a)
-        side_b = tuple(i for i, d in enumerate(degs) if d == b)
-        # with two degrees, the sides cross when no edge joins equal degrees
-        own = list(chain.from_iterable(map(repeat, degs, degs)))
-        other = list(map(degs.__getitem__, chain.from_iterable(table)))
-        if not any(map(eq, own, other)):
-            return DegreeProfile("biregular", a=a, b=b, sides=(side_a, side_b))
-    return DegreeProfile("irregular")
+    degrees = set(map(len, map(table.__getitem__, members)))
+    if len(degrees) == 1:
+        return ("regular", degrees.pop())
+    if len(degrees) == 2:
+        b, a = sorted(degrees)
+        # every neighbour of a degree-a vertex has degree b and every
+        # neighbour of a degree-b vertex has degree a
+        for i in members:
+            row = table[i]
+            other = a + b - len(row)
+            for j in row:
+                if len(table[j]) != other:
+                    return ("irregular",)
+        return ("biregular", a, b)
+    return ("irregular",)
+
+
+def degree_profile(g: LabeledGraph) -> DegreeProfile:
+    """Classify a graph as regular / biregular / irregular by
+    degree_signature over all its vertices."""
+    return DegreeProfile(*degree_signature(g.neighbor_table, range(g.n_vertices)))
 
 
 def expected_family_degree(family: Family) -> int:
@@ -687,11 +701,14 @@ class PathSeq:
         idxs = tuple(indices)
         if not idxs:
             raise ParameterError("empty vertex sequence")
+        rows, labs = g.neighbor_table, g.label_table
+        if min(idxs) < 0 or max(idxs) >= len(rows):
+            g._check_indices(*idxs)
         succ = idxs[1:] + idxs[:1] if closed and len(idxs) > 1 else idxs[1:]
         try:
-            rows = map(g.adj_map.__getitem__, idxs)
-            labels = tuple(map(dict.__getitem__, rows, succ))
-        except KeyError:
+            # each step's label sits where the successor sits in the row
+            labels = tuple([labs[x][rows[x].index(y)] for x, y in zip(idxs, succ)])
+        except ValueError:
             for x, y in zip(idxs, succ):
                 g.label_between(x, y)  # raises at the first step off an edge
             raise

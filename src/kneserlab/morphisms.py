@@ -117,7 +117,8 @@ def is_morphism(g: LabeledGraph, h: LabeledGraph, images: Sequence[int]) -> bool
     img = images.__getitem__
     return all(
         all(map(row.__contains__, map(img, nbrs)))
-        for row, nbrs in zip(map(h.adj_map.__getitem__, images), g.neighbor_table)
+        for row, nbrs in zip(map(h.neighbor_table.__getitem__, images),
+                             g.neighbor_table)
     )
 
 
@@ -340,18 +341,15 @@ def biregular_cross_iso(n: int, k: int, t1, n2: int, p2: int, t2) -> VertexMap:
 
 def middle_component_iso(m: int) -> VertexMap:
     """Isomorphism from the regular component of odd(m+1) minus its two
-    canonical colors {2m, 2m+1} (the class of T = {2m}) onto middle(m).
+    canonical colors {2m, 2m+1} (the class of T = {2m}) onto middle(m):
+    regular_component_to_middle with nothing to swap or cross.
 
     Vertices containing 2m drop it; vertices containing 2m+1 drop it and
     complement within [2m-1].
     """
     if m < 1:
         raise ParameterError("need m >= 1")
-    comp = block_component(m + 1, canonical_colors(m + 1, 2), [2 * m])
-    return _formula_map(
-        comp.graph, build(Family.middle_levels(m)), lambda x: _drop(x, m),
-        ISOMORPHISM, f"middle-component odd({m + 1}) -> middle({m})",
-    )
+    return regular_component_to_middle(m + 1, canonical_colors(m + 1, 2), [2 * m])
 
 
 def embed_middle_in_odd(m: int) -> VertexMap:
@@ -581,7 +579,7 @@ def find_isomorphism(
                     break
             if ok:
                 # assigned non-neighbors must stay non-adjacent
-                jrow = h.adj_map[j]
+                jrow = h.neighbor_table[j]
                 for x in range(n):
                     if assign[x] >= 0 and x != i and assign[x] in jrow:
                         if not g.has_edge(i, x):

@@ -117,18 +117,6 @@ def _json_texts(values: list) -> list[str]:
     return list(map(json.dumps, values))
 
 
-@gc_paused
-def graph_from_dict(data: dict) -> LabeledGraph:
-    """The graph of an interchange document.
-
-    Vertices must be listed in canonical order.  A document that names a
-    family must hold exactly that family's graph: its ground, vertex count,
-    block sizes and edge count, and on every edge an adjacent pair with
-    the label the two blocks imply.  Any violation raises ParameterError.
-    """
-    return _graph_from_columns(*_document_columns(data))
-
-
 def _document_columns(data: dict) -> tuple:
     """The family, ground and vertex masks of an interchange document, and
     its three edge columns: the u ends, the v ends and the labels."""
@@ -160,8 +148,13 @@ def _graph_from_columns(
     ends_v: list,
     labels: list,
 ) -> LabeledGraph:
-    """The graph of a document's columns, checked as graph_from_dict
-    describes."""
+    """The graph of a document's columns.
+
+    Vertices must be listed in canonical order.  A document that names a
+    family must hold exactly that family's graph: its ground, vertex count,
+    block sizes and edge count, and on every edge an adjacent pair with
+    the label the two blocks imply.  Any violation raises ParameterError.
+    """
     if not all(map(lt, masks, islice(masks, 1, None))):
         if len(set(masks)) != len(masks):
             raise ParameterError("duplicate vertices")
@@ -242,8 +235,8 @@ def _check_family(
 @gc_paused
 def graph_from_json(text: str) -> LabeledGraph:
     """The graph of an interchange document's JSON text, checked as
-    graph_from_dict checks it.  The parsed document is freed as soon as
-    its columns are taken, before any row is built."""
+    _graph_from_columns describes.  The parsed document is freed as soon
+    as its columns are taken, before any row is built."""
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kneserlab import graphs
+from kneserlab.decompose import ISOLATED, component_signature
 from kneserlab.errors import (
     NotAdjacentError,
     ParameterError,
@@ -97,7 +98,7 @@ class TestBuild:
             assert len(row) == len(labels)
             for j, lab in zip(row, labels):
                 assert j != i
-                assert middle3.adj_map[j][i] == lab
+                assert middle3.label_between(j, i) == lab
 
 
 def tables(rows):
@@ -180,7 +181,7 @@ class TestLiveInstance:
         # no collector run: dropping the last reference must free the graph
         fam = Family.bipartite_kneser(8, 3)
         g = build(fam)
-        assert g.index and g.adj_map  # cached views must not keep it alive
+        assert g.index and g.vertices  # cached views must not keep it alive
         ref = weakref.ref(g)
         del g
         assert ref() is None
@@ -262,7 +263,7 @@ class TestDegreeProfile:
         )
         prof = degree_profile(star)
         assert prof.signature == ("biregular", 3, 1)
-        assert prof.sides is not None
+        assert (prof.kind, prof.a, prof.b) == ("biregular", 3, 1)
 
     def test_single_vertex_regular_zero(self):
         g = graph_from_edges(3, [b([1], 3)], [])
@@ -535,6 +536,139 @@ class TestPathSeq:
         p = PathSeq.from_blocks(middle2, cyc, closed=True)
         assert p.length == 6
         assert sorted(p.labels) == [1, 1, 2, 2, 3, 3]
+
+
+class TestIndexRange:
+    """-1 must not alias the last vertex, nor n fail with a bare IndexError."""
+
+    @pytest.mark.parametrize("bad", [-1, 10], ids=["minus-one", "n"])
+    def test_out_of_range_indices_raise(self, odd3, bad):
+        j = odd3.neighbor_table[-1][0]  # a neighbour of the last vertex
+        for i, k in ((bad, j), (j, bad)):
+            with pytest.raises(ParameterError):
+                odd3.has_edge(i, k)
+            with pytest.raises(ParameterError):
+                odd3.label_between(i, k)
+        for closed in (False, True):
+            with pytest.raises(ParameterError):
+                PathSeq.from_indices(odd3, [bad, j], closed=closed)
+            with pytest.raises(ParameterError):
+                PathSeq.from_indices(odd3, [j, bad], closed=closed)
+
+
+# labels of any hashable kind, and vertices over a ground of 4 in any order
+ODD_LABELS = st.one_of(
+    st.none(), st.integers(-3, 300), st.booleans(), st.text(max_size=2),
+    st.floats(allow_nan=False), st.tuples(st.integers(0, 2)),
+)
+
+
+@st.composite
+def small_graphs(draw):
+    """(graph, {(i, j): label} in both directions, over graph indices)."""
+    masks = draw(st.lists(st.integers(0, 15), unique=True, max_size=8))
+    n = len(masks)
+    if n > 1 and draw(st.booleans()):
+        # a complete bipartite graph, biregular unless its sides match, and
+        # perhaps one edge short of it
+        cut = draw(st.integers(1, n - 1))
+        ends = {(i, j) for i in range(cut) for j in range(cut, n)}
+        ends -= draw(st.sets(st.sampled_from(sorted(ends)), max_size=1))
+    elif n > 1:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        ends = draw(st.sets(pairs.filter(lambda e: e[0] < e[1]), max_size=16))
+    else:
+        ends = set()
+    edges = [(i, j, draw(ODD_LABELS)) for i, j in sorted(ends)]
+    edges = [(j, i, lab) if draw(st.booleans()) else (i, j, lab)
+             for i, j, lab in draw(st.permutations(edges))]
+    g = graph_from_edges(4, [Block(x, 4) for x in masks], edges)
+    at = {x: i for i, x in enumerate(sorted(masks))}
+    want = {}
+    for i, j, lab in edges:
+        want[at[masks[i]], at[masks[j]]] = want[at[masks[j]], at[masks[i]]] = lab
+    return g, want
+
+
+def reference_signature(nbrs: dict, members: list) -> tuple:
+    """Degree classification from the degree set and a BFS 2-colouring:
+    biregular when every component splits into two non-empty colour
+    classes, each of one degree, the two degrees the graph's two."""
+    degrees = {len(nbrs[i]) for i in members}
+    if len(degrees) == 1:
+        return ("regular", degrees.pop())
+    if len(degrees) != 2:
+        return ("irregular",)
+    color = {}
+    for s in members:
+        if s in color:
+            continue
+        color[s] = 0
+        classes = ([s], [])
+        queue = deque([s])
+        while queue:
+            x = queue.popleft()
+            for y in nbrs[x]:
+                if y not in color:
+                    color[y] = 1 - color[x]
+                    classes[color[y]].append(y)
+                    queue.append(y)
+                elif color[y] == color[x]:
+                    return ("irregular",)
+        side_degrees = [{len(nbrs[x]) for x in side} for side in classes]
+        if (not all(side_degrees) or any(len(d) > 1 for d in side_degrees)
+                or side_degrees[0] == side_degrees[1]):
+            return ("irregular",)
+    return ("biregular", max(degrees), min(degrees))
+
+
+class TestAgainstBruteForce:
+    @given(data=st.data(), case=small_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_edge_queries(self, data, case):
+        g, want = case
+        n = g.n_vertices
+        assert {(i, j): lab for i, j, lab in g.edges()} == {
+            (i, j): lab for (i, j), lab in want.items() if i < j}
+        for i in range(n):
+            for j in range(n):
+                assert g.has_edge(i, j) == ((i, j) in want)
+                if (i, j) in want:
+                    assert g.label_between(i, j) == want[i, j]
+                else:
+                    with pytest.raises(NotAdjacentError):
+                        g.label_between(i, j)
+            for bad in (-1, n):
+                with pytest.raises(ParameterError):
+                    g.has_edge(i, bad)
+                with pytest.raises(ParameterError):
+                    g.label_between(bad, i)
+        if n == 0:
+            return
+        walk = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+        closed = data.draw(st.booleans())
+        steps = list(zip(walk, walk[1:]))
+        if closed and len(walk) > 1:
+            steps.append((walk[-1], walk[0]))
+        if all(step in want for step in steps):
+            p = PathSeq.from_indices(g, walk, closed=closed)
+            assert p.indices == tuple(walk)
+            assert p.labels == tuple(want[step] for step in steps)
+        else:
+            with pytest.raises(NotAdjacentError):
+                PathSeq.from_indices(g, walk, closed=closed)
+
+    @given(case=small_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_degree_classifiers(self, case):
+        g, want = case
+        nbrs = {i: {j for (x, j) in want if x == i} for i in range(g.n_vertices)}
+        assert degree_profile(g).signature == reference_signature(
+            nbrs, list(range(g.n_vertices)))
+        for comp in graphs.component_index_sets(g):
+            expected = (ISOLATED if len(comp) == 1
+                        else reference_signature(nbrs, comp))
+            assert component_signature(g, comp) == expected
 
 
 def transitivity_witness(g, u, v):
