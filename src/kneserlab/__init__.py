@@ -13,7 +13,6 @@ from .errors import (
     UnlabeledGraphError,
 )
 from .graphs import (
-    DegreeProfile,
     Family,
     LabeledGraph,
     PathSeq,
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Block",
     "DegenerateCaseError",
-    "DegreeProfile",
     "Family",
     "LabeledGraph",
     "MAX_GROUND",

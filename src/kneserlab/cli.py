@@ -206,13 +206,11 @@ def cmd_decompose(args) -> int:
 
 # -------------------------------------------------------------- verify
 
-_SUITE_DEFAULT_N = {
-    "covers": 5, "decompose": 6, "isomorphisms": 6, "superstructure": 6,
-    "identities": 30, "distance": 5, "orbits": 6, "coxeter": 4,
-}
-_SUITE_CAP_N = {
-    "covers": 6, "decompose": 6, "isomorphisms": 6, "superstructure": 6,
-    "identities": 64, "distance": 6, "orbits": 8, "coxeter": 5,
+# suite -> (default max-n, cap on --max-n)
+_SUITE_DEPTH = {
+    "covers": (5, 6), "decompose": (6, 6), "isomorphisms": (6, 6),
+    "superstructure": (6, 6), "identities": (30, 64), "distance": (5, 6),
+    "orbits": (6, 8), "coxeter": (4, 5),
 }
 
 CENSUS_PARAMS = [(3, 2), (4, 2), (5, 2), (6, 2), (5, 4), (6, 4), (4, 3), (5, 3)]
@@ -259,7 +257,7 @@ def _suite_decompose(report: RunReport, max_n: int):
             census.counts == want, str(census),
         )
         if k % 2 == 0:
-            rep = dec.middle_component_census(n, k, ODD)
+            rep = mor.middle_component_census(n, k, ODD)
             report.add(
                 f"middle-components-odd({n})-minus-{k}",
                 "middle-levels component count",
@@ -267,7 +265,7 @@ def _suite_decompose(report: RunReport, max_n: int):
                 f"{rep.details['found_regular']} copies of {rep.details['target']}",
             )
     if max_n >= 4:
-        rep = dec.middle_component_census(4, 2, MIDDLE_LEVELS)
+        rep = mor.middle_component_census(4, 2, MIDDLE_LEVELS)
         report.add("middle-components-middle(4)-minus-2",
                    "middle-levels component count", rep.ok,
                    f"{rep.details['found_regular']} copies of {rep.details['target']}")
@@ -293,7 +291,7 @@ def _suite_decompose(report: RunReport, max_n: int):
         report.add(
             f"remainder-size({n},2)", "OEIS A001791",
             rg.graph.n_vertices == want,
-            f"{rg.graph.n_vertices} vertices, {rg.profile}",
+            f"{rg.graph.n_vertices} vertices, {signature_name(rg.signature)}",
         )
 
 
@@ -345,7 +343,7 @@ def _suite_isomorphisms(report: RunReport, max_n: int):
         if k % 2:
             continue
         s = dec.canonical_colors(n, k)
-        for t, _rest in dec.regular_component_partitions(n, s):
+        for t, _rest in dec.regular_component_partitions(s):
             vmap = mor.regular_component_to_middle(n, s, t)
             report.add(
                 f"middle-iso-odd({n})-{k}-T{t}",
@@ -482,8 +480,8 @@ def run_suite(suite: str, max_n: Optional[int] = None) -> RunReport:
     names = list(_SUITES) if suite == "all" else [suite]
     report = RunReport(suite)
     for name in names:
-        cap = _SUITE_CAP_N[name]
-        n = _SUITE_DEFAULT_N[name] if max_n is None else min(max_n, cap)
+        default, cap = _SUITE_DEPTH[name]
+        n = default if max_n is None else min(max_n, cap)
         with holding_families():
             _SUITES[name](report, n)
     return report

@@ -9,7 +9,7 @@ identical census (checked, not assumed).
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, repeat
 from typing import Iterable, Union
@@ -18,7 +18,6 @@ from .errors import ParameterError, UnlabeledGraphError
 from .graphs import (
     MIDDLE_LEVELS,
     ODD,
-    DegreeProfile,
     Family,
     LabeledGraph,
     Report,
@@ -73,8 +72,8 @@ def delete_colors(g: LabeledGraph, colors: ColorsLike) -> LabeledGraph:
 def component_signature(g: LabeledGraph, vertex_indices: list[int]) -> tuple:
     """Census key of one component: isolated / regular / biregular / irregular.
 
-    The same key as degree_profile(g.subgraph(vertex_indices)).signature,
-    read from g.neighbor_table: a component is closed under adjacency, so
+    The same key as degree_profile(g.subgraph(vertex_indices)), read from
+    g.neighbor_table: a component is closed under adjacency, so
     its degrees in g are its degrees in the subgraph.
     """
     if len(vertex_indices) == 1:
@@ -84,20 +83,13 @@ def component_signature(g: LabeledGraph, vertex_indices: list[int]) -> tuple:
 
 @dataclass(frozen=True)
 class ComponentCensus:
-    """Multiset of component degree signatures with member lists.
+    """Multiset of component degree signatures: counts maps each signature
+    to its number of components, in signature order."""
 
-    entries maps a signature to the list of component indices carrying it;
-    component index i refers to components(g)[i] ordering.
-    """
-
-    entries: tuple[tuple[tuple, tuple[int, ...]], ...]
-
-    @property
-    def counts(self) -> dict[tuple, int]:
-        return {sig: len(ixs) for sig, ixs in self.entries}
+    counts: dict[tuple, int]
 
     def __str__(self) -> str:
-        parts = [f"{signature_name(sig)}: {len(ixs)}" for sig, ixs in self.entries]
+        parts = [f"{signature_name(sig)}: {c}" for sig, c in self.counts.items()]
         return "{" + ", ".join(parts) + "}"
 
 
@@ -108,11 +100,8 @@ def classify_components(g: LabeledGraph) -> ComponentCensus:
     than regular(0), so regularity statements range over components that
     actually carry edges.
     """
-    by_sig: dict[tuple, list[int]] = {}
-    for idx, ixs in enumerate(component_index_sets(g)):
-        by_sig.setdefault(component_signature(g, ixs), []).append(idx)
-    entries = tuple(sorted((sig, tuple(ixs)) for sig, ixs in by_sig.items()))
-    return ComponentCensus(entries)
+    counts = Counter(component_signature(g, ixs) for ixs in component_index_sets(g))
+    return ComponentCensus(dict(sorted(counts.items())))
 
 
 def expected_census(n: int, k: int, family_kind: str = ODD) -> dict[tuple, int]:
@@ -168,7 +157,7 @@ class BlockComponent:
     """One partition-class piece of a color-deleted odd graph."""
 
     graph: LabeledGraph
-    profile: DegreeProfile
+    signature: tuple
     # indices into odd(n) of the vertices with trace T and with trace S - T
     u_indices: tuple[int, ...]
     w_indices: tuple[int, ...]
@@ -195,7 +184,7 @@ def block_component(n: int, colors: ColorsLike, t: ColorsLike) -> BlockComponent
     sub = delete_colors(g.subgraph(members), s)
     return BlockComponent(
         graph=sub,
-        profile=degree_profile(sub),
+        signature=degree_profile(sub),
         u_indices=tuple(u),
         w_indices=tuple(w),
     )
@@ -215,9 +204,10 @@ def remainder_graph(n: int, k: int) -> BlockComponent:
     key = ("remainder", k)
     if key not in memo:
         piece = block_component(n, canonical_colors(n, k), Block.empty(2 * n - 1))
-        if piece.profile.signature != ("biregular", n, n - k):
+        if piece.signature != ("biregular", n, n - k):
             raise AssertionError(
-                f"remainder piece of O_{n}({k}) is {piece.profile},"
+                f"remainder piece of O_{n}({k}) is"
+                f" {signature_name(piece.signature)},"
                 f" expected biregular({n},{n - k})"
             )
         if not piece.graph.connected:
@@ -276,74 +266,17 @@ def verify_disjointness(n: int, colors: ColorsLike) -> Report:
     )
 
 
-def regular_component_partitions(n: int, s: Block) -> list[tuple[Block, Block]]:
+def regular_component_partitions(s: Block) -> list[tuple[Block, Block]]:
     """The {T, S-T} partitions indexing the regular components of O_n(S),
-    one representative pair per component, T the lexicographically smaller
-    half."""
+    one pair per component: T is the half that holds min(S), so the
+    lexicographically smaller one, and the pairs come in the lexicographic
+    order of T.  S empty gives its one class (empty, empty)."""
     k = s.card
     if k % 2:
         return []
-    m = 2 * n - 1
-    seen = set()
-    out = []
-    for c in combinations(s.elements(), k // 2):
-        t = Block.from_elements(c, m)
-        rest = s - t
-        key = frozenset((t.bits, rest.bits))
-        if key in seen:
-            continue
-        seen.add(key)
-        lo, hi = sorted((t, rest), key=lambda b: b.lex_key())
-        out.append((lo, hi))
-    return out
-
-
-def middle_component_census(n: int, k: int, family_kind: str = ODD) -> Report:
-    """Count the regular components left after deleting k colors and verify
-    each is a middle-levels graph of the right order.
-
-    For the odd graph the count must be C(k-1, k/2-1); for the middle
-    levels graph it is twice that.  Isomorphism onto the reference middle
-    levels graph is established through the explicit maps in the morphisms
-    module, never by search.
-    """
-    if k <= 0 or k % 2:
-        raise ParameterError(f"regular components need even k > 0, got {k}")
-    from . import morphisms  # cycle: morphisms builds on this module
-
-    mm = n - k // 2
-    if mm < 1:
-        raise ParameterError(f"no middle-levels target for n={n}, k={k}")
-    if family_kind == ODD:
-        expected = binomial(k - 1, k // 2 - 1)
-    elif family_kind == MIDDLE_LEVELS:
-        expected = 2 * binomial(k - 1, k // 2 - 1)
-    else:
-        raise ParameterError(f"unsupported family {family_kind!r}")
-
-    failures = []
-    details: dict = {"expected_regular": expected, "target": f"middle({mm})"}
-    g = build(Family.odd(n) if family_kind == ODD else Family.middle_levels(n))
-    s = canonical_colors(n, k)
-    census = classify_components(delete_colors(g, s))
-    regular_ix = census.counts.get(("regular", mm), 0)
-    details["found_regular"] = regular_ix
-    if regular_ix != expected:
-        failures.append(f"count {regular_ix} != {expected}")
-    if family_kind == ODD:
-        for t, _rest in regular_component_partitions(n, s):
-            vmap = morphisms.regular_component_to_middle(n, s, t)
-            if not vmap.verify():
-                failures.append(f"component T={t} not isomorphic to middle({mm})")
-    else:
-        for c in combinations(s.elements(), k // 2):
-            t = Block.from_elements(c, 2 * n - 1)
-            vmap = morphisms.middle_class_to_middle(n, s, t)
-            if not vmap.verify():
-                failures.append(f"class T={t} not isomorphic to middle({mm})")
-    return Report(
-        f"regular-components {family_kind}({n}) minus {k} colors",
-        not failures,
-        details=details,
-        failures=failures,
-    )
+    if not k:
+        return [(s, s)]
+    first, *rest = s.elements()
+    halves = (Block.from_elements((first, *c), s.m)
+              for c in combinations(rest, k // 2 - 1))
+    return [(t, s - t) for t in halves]

@@ -142,31 +142,6 @@ class Family:
         return f"{self.kind}({','.join(str(p) for p in self.params)})"
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Degree classification of a graph.
-
-    kind is one of "regular", "biregular", "irregular"; a is the degree
-    of a regular graph, a > b the two degrees of a biregular one.
-    """
-
-    kind: str
-    a: int = 0
-    b: int = 0
-
-    @property
-    def signature(self) -> tuple:
-        """Census key: ("regular", d) or ("biregular", a, b) or ("irregular",)."""
-        if self.kind == "regular":
-            return ("regular", self.a)
-        if self.kind == "biregular":
-            return ("biregular", self.a, self.b)
-        return ("irregular",)
-
-    def __str__(self) -> str:
-        return signature_name(self.signature)
-
-
 def signature_name(sig: tuple) -> str:
     """A census signature as text: regular(3), biregular(4,3), isolated."""
     if len(sig) == 1:
@@ -575,10 +550,10 @@ def degree_signature(
     return ("irregular",)
 
 
-def degree_profile(g: LabeledGraph) -> DegreeProfile:
-    """Classify a graph as regular / biregular / irregular by
-    degree_signature over all its vertices."""
-    return DegreeProfile(*degree_signature(g.neighbor_table, range(g.n_vertices)))
+def degree_profile(g: LabeledGraph) -> tuple:
+    """Classify a graph as regular / biregular / irregular: the
+    degree_signature of all its vertices."""
+    return degree_signature(g.neighbor_table, range(g.n_vertices))
 
 
 def expected_family_degree(family: Family) -> int:

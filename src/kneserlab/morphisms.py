@@ -4,26 +4,32 @@ Every map built here comes from a closed formula (complementation, color
 swaps, block moves between deleted-color components, the double-cover
 projection) and is stored as an index array; verification is a separate
 code path that checks the claimed property against the neighbour rows of
-both graphs.  A small backtracking isomorphism search exists
-solely as a cross-validation oracle for graphs of a couple dozen vertices.
+both graphs.  The middle-levels census checks every regular component
+of a color deletion through these maps.  A small backtracking
+isomorphism search exists solely as a cross-validation oracle for graphs
+of a couple dozen vertices.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import combinations, repeat
 from typing import Callable, Iterable, Optional, Sequence
 
 from .decompose import (
     as_color_block,
     block_component,
     canonical_colors,
+    classify_components,
     delete_colors,
+    regular_component_partitions,
     trace_classes,
 )
 from .errors import DegenerateCaseError, ParameterError
 from .graphs import (
+    MIDDLE_LEVELS,
+    ODD,
     Family,
     LabeledGraph,
     PathSeq,
@@ -31,7 +37,7 @@ from .graphs import (
     build,
     graph_from_edges,
 )
-from .setcore import Block, Perm
+from .setcore import Block, Perm, binomial
 
 MORPHISM = "morphism"
 ISOMORPHISM = "isomorphism"
@@ -427,6 +433,55 @@ def middle_class_to_middle(n: int, colors, t) -> VertexMap:
         lambda x: image(_embed(x, n)),
         ISOMORPHISM,
         f"middle class ({n},{str(s)},{str(tb)}) -> middle({n - k // 2})",
+    )
+
+
+def middle_component_census(n: int, k: int, family_kind: str = ODD) -> Report:
+    """Count the regular components left after deleting k colors and verify
+    each is a middle-levels graph of the right order.
+
+    For the odd graph the count must be C(k-1, k/2-1); for the middle
+    levels graph it is twice that.  Isomorphism onto the reference middle
+    levels graph is established through the explicit maps of this module,
+    never by search.
+    """
+    if k <= 0 or k % 2:
+        raise ParameterError(f"regular components need even k > 0, got {k}")
+    mm = n - k // 2
+    if mm < 1:
+        raise ParameterError(f"no middle-levels target for n={n}, k={k}")
+    if family_kind == ODD:
+        expected = binomial(k - 1, k // 2 - 1)
+    elif family_kind == MIDDLE_LEVELS:
+        expected = 2 * binomial(k - 1, k // 2 - 1)
+    else:
+        raise ParameterError(f"unsupported family {family_kind!r}")
+
+    failures = []
+    details: dict = {"expected_regular": expected, "target": f"middle({mm})"}
+    g = build(Family.odd(n) if family_kind == ODD else Family.middle_levels(n))
+    s = canonical_colors(n, k)
+    census = classify_components(delete_colors(g, s))
+    regular_ix = census.counts.get(("regular", mm), 0)
+    details["found_regular"] = regular_ix
+    if regular_ix != expected:
+        failures.append(f"count {regular_ix} != {expected}")
+    if family_kind == ODD:
+        for t, _rest in regular_component_partitions(s):
+            vmap = regular_component_to_middle(n, s, t)
+            if not vmap.verify():
+                failures.append(f"component T={t} not isomorphic to middle({mm})")
+    else:
+        for c in combinations(s.elements(), k // 2):
+            t = Block.from_elements(c, 2 * n - 1)
+            vmap = middle_class_to_middle(n, s, t)
+            if not vmap.verify():
+                failures.append(f"class T={t} not isomorphic to middle({mm})")
+    return Report(
+        f"regular-components {family_kind}({n}) minus {k} colors",
+        not failures,
+        details=details,
+        failures=failures,
     )
 
 

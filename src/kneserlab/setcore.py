@@ -132,10 +132,6 @@ class Block:
         """[m] - self; an involution."""
         return Block(self.bits ^ ((1 << self.m) - 1), self.m)
 
-    def lex_key(self) -> tuple[int, ...]:
-        """Sort key for lexicographic order on the sorted element tuple."""
-        return self.elements()
-
     def __str__(self) -> str:
         if not self.bits:
             return "{}"

@@ -28,7 +28,7 @@ from .graphs import (
     component_index_sets,
     graph_from_edges,
 )
-from .morphisms import VertexMap, regular_component_to_middle
+from .morphisms import ISOMORPHISM, VertexMap, regular_component_to_middle
 from .setcore import Block, binomial
 
 
@@ -207,7 +207,7 @@ def _build_super(
     ref = build(target)
     identity = ref.mask_indices(graph.masks)
     iso = VertexMap(
-        graph, ref, tuple(identity), kind="isomorphism",
+        graph, ref, tuple(identity), kind=ISOMORPHISM,
         name=f"superstructure -> {target}",
     )
     iso.verify()

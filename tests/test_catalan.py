@@ -153,8 +153,9 @@ class TestNoGraphBuilt:
 
     def test_orbits_suite_at_cap(self, constructions):
         report = cli.RunReport("orbits")
-        cli._suite_orbits(report, cli._SUITE_CAP_N["orbits"])
-        assert len(report.lines) == 2 * (cli._SUITE_CAP_N["orbits"] - 2)
+        _, cap = cli._SUITE_DEPTH["orbits"]
+        cli._suite_orbits(report, cap)
+        assert len(report.lines) == 2 * (cap - 2)
         assert all(line.ok for line in report.lines)
         assert constructions == []
 
@@ -225,7 +226,7 @@ class TestExcision:
         assert rep.ok, rep.failures
         assert graph.n_vertices == 28
         assert graph.n_edges == 42
-        assert degree_profile(graph).signature == ("regular", 3)
+        assert degree_profile(graph) == ("regular", 3)
         from kneserlab.graphs import girth
 
         assert girth(graph) == 7

@@ -15,7 +15,7 @@ from kneserlab.decompose import (
     component_signature,
     delete_colors,
     expected_census,
-    middle_component_census,
+    regular_component_partitions,
     remainder_graph,
     trace_classes,
     verify_disjointness,
@@ -29,6 +29,7 @@ from kneserlab.graphs import (
     girth,
     graph_from_edges,
 )
+from kneserlab.morphisms import middle_component_census
 from kneserlab.setcore import Block, binomial
 
 b = Block.from_elements
@@ -99,13 +100,13 @@ class TestBlockComponent:
     def test_regular_piece_is_hexagon(self):
         piece = block_component(3, [4, 5], [4])
         assert piece.graph.n_vertices == 6
-        assert piece.profile.signature == ("regular", 2)
+        assert piece.signature == ("regular", 2)
         assert girth(piece.graph) == 6
 
     def test_empty_t_is_star(self):
         piece = block_component(3, [4, 5], [])
         assert piece.graph.n_vertices == 4
-        assert piece.profile.signature == ("biregular", 3, 1)
+        assert piece.signature == ("biregular", 3, 1)
 
     def test_full_deletion_single_vertex(self):
         piece = block_component(3, [3, 4, 5], [])
@@ -124,9 +125,9 @@ class TestBlockComponent:
         piece = block_component(n, s, t)
         want = (n - i, n - k + i)
         if want[0] == want[1]:
-            assert piece.profile.signature == ("regular", want[0])
+            assert piece.signature == ("regular", want[0])
         else:
-            assert piece.profile.signature == ("biregular", max(want), min(want))
+            assert piece.signature == ("biregular", max(want), min(want))
 
     @pytest.mark.parametrize("n,colors,t", [
         (4, [5, 6, 7], [6]), (4, [1, 3], [3]), (5, [2, 4, 6, 8], [2, 8]),
@@ -244,7 +245,7 @@ class TestComponentSignature:
     def _assert_agrees(g):
         for comp in component_index_sets(g):
             want = (ISOLATED if len(comp) == 1
-                    else degree_profile(g.subgraph(comp)).signature)
+                    else degree_profile(g.subgraph(comp)))
             assert component_signature(g, comp) == want
 
     @pytest.mark.parametrize(
@@ -286,7 +287,7 @@ class TestRemainder:
     def test_sizes(self, n, k, size):
         r = remainder_graph(n, k)
         assert r.graph.n_vertices == size
-        assert r.profile.signature == ("biregular", n, n - k)
+        assert r.signature == ("biregular", n, n - k)
 
     def test_remainder_size_closed_form(self):
         for n in range(3, 6):
@@ -309,7 +310,7 @@ class TestRemainder:
         g = build(Family.odd(7))
         first = remainder_graph(7, 2)
         assert remainder_graph(7, 2) is first
-        assert remainder_graph(7, 3).profile.signature == ("biregular", 7, 4)
+        assert remainder_graph(7, 3).signature == ("biregular", 7, 4)
         assert len(calls) == 2
         ref = weakref.ref(first)
         del first, g
@@ -317,7 +318,7 @@ class TestRemainder:
 
     def test_checks_run_when_computed(self, monkeypatch):
         monkeypatch.setattr(dec, "degree_profile",
-                            lambda g: dec.DegreeProfile("irregular"))
+                            lambda g: ("irregular",))
         with pytest.raises(AssertionError, match="expected biregular"):
             remainder_graph(7, 2)
 
@@ -365,6 +366,41 @@ class TestDisjointness:
         rep = verify_disjointness(5, [6, 7, 8, 9])
         assert not rep.ok
         assert rep.failures == [("{6,7}", "{8,9}", "class is not one component")]
+
+
+def _partitions_by_dedup(n, s):
+    """Every half-size T of S, one pair per unordered {T, S-T}, each pair
+    sorted lexicographically on its element tuples."""
+    if s.card % 2:
+        return []
+    seen, out = set(), []
+    for c in combinations(s.elements(), s.card // 2):
+        t = b(c, 2 * n - 1)
+        key = frozenset((t.bits, (s - t).bits))
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(tuple(sorted((t, s - t), key=Block.elements)))
+    return out
+
+
+class TestRegularComponentPartitions:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_dedup_reference(self, n):
+        m = 2 * n - 1
+        for bits in range(1 << m):
+            s = Block(bits, m)
+            assert regular_component_partitions(s) == _partitions_by_dedup(n, s)
+
+    def test_edge_cases(self):
+        assert regular_component_partitions(Block.empty(5)) == [
+            (Block.empty(5), Block.empty(5))]
+        assert regular_component_partitions(b([1, 4, 5], 5)) == []
+        assert regular_component_partitions(b([2, 3, 4, 5], 5)) == [
+            (b([2, 3], 5), b([4, 5], 5)),
+            (b([2, 4], 5), b([3, 5], 5)),
+            (b([2, 5], 5), b([3, 4], 5)),
+        ]
 
 
 class TestMiddleComponentCensus:

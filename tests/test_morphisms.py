@@ -419,7 +419,7 @@ class TestLiftCircuit:
         c5 = brute_force_cycle(odd3, 5)
         lifted = lift_circuit(c5).circuits[0]
         v0 = c5.blocks()[0]
-        lo = min(v0, v0.complement(), key=lambda x: x.lex_key())
+        lo = min(v0, v0.complement(), key=Block.elements)
         assert lifted.blocks()[0] == lo
 
     def test_open_walk_rejected(self, odd3):
