@@ -168,9 +168,9 @@ def _parse_colors(text: str) -> list[int]:
 
 
 def cmd_decompose(args) -> int:
-    colors = _parse_colors(args.colors) if args.colors else None
-    if colors is None and args.k is None:
-        raise ParameterError("need --colors or --k")
+    if (args.colors is None) == (args.k is None):
+        raise ParameterError("need exactly one of --colors and --k")
+    colors = _parse_colors(args.colors) if args.colors is not None else None
     n = args.n
     _, builder = _FAMILY_BUILDERS.get(args.family.lower(), (0, None))
     if builder not in (Family.odd, Family.middle_levels):
@@ -307,21 +307,13 @@ def _suite_isomorphisms(report: RunReport, max_n: int):
             subs = [Block.from_elements(c, 2 * n - 1)
                     for c in combinations(s.elements(), i)]
             by_signature.setdefault((n - i, n - k + i), []).append((n, k, subs[0]))
-            pair = None
-            for t1 in subs:
-                for t2 in subs:
-                    if t1 != t2 and t1 != s - t2:
-                        pair = (t1, t2)
-                        break
-                if pair:
-                    break
-            if pair is None:
+            if len(subs) < 2 or subs[0] == s - subs[1]:
                 continue
-            vmap = mor.biregular_internal_iso(n, k, pair[0], pair[1])
+            vmap = mor.biregular_internal_iso(n, k, subs[0], subs[1])
             report.add(
                 f"internal-iso-odd({n})-{k}-size{i}",
                 "component isomorphism (same parameters)",
-                vmap.verify(), f"{pair[0]} -> {pair[1]}",
+                vmap.verify(), f"{subs[0]} -> {subs[1]}",
             )
     for sig, instances in sorted(by_signature.items()):
         unique_params = {inst[:2] for inst in instances}
@@ -500,6 +492,8 @@ def cmd_hamilton(args) -> int:
         max_nodes=args.max_nodes, max_seconds=args.max_seconds, seed=args.seed
     )
     if args.pipeline is not None:
+        if args.family or args.params:
+            raise ParameterError("--pipeline takes no family or parameters")
         rep = ham.recursion_pipeline(args.pipeline, budget,
                                      start=args.pipeline_start)
         print("\n".join(rep.summary_lines()))

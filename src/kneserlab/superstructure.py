@@ -1,13 +1,16 @@
 """Meta-structure on the middle-levels components of color-deleted graphs.
 
-Deleting an even number k of colors from an odd graph leaves a family of
-middle-levels components, each determined by a partition of the deleted
-set into two halves.  Components whose partitions are exchanged by a
-transposition through a distinguished deleted color form a graph of their
-own; that graph is again an odd graph (or a middle levels graph when the
-deletion happens inside a middle levels graph).  The same mechanism
-describes the subgraph induced by the vertices farthest from any fixed
-vertex.
+Deleting an even number k of colors S from an odd graph leaves a family of
+middle-levels components, one per partition {T, S-T} of the deleted set
+into equal halves.  A component is named by its half, an int mask: the
+half holding a distinguished color d (in a middle levels graph, the trace
+T itself).  Components whose halves a transposition (a, d) exchanges form
+a graph of their own: with each half minus d packed onto [k-1], that
+graph is again an odd graph (or a middle levels graph when the deletion
+happens inside a middle levels graph).  The same mechanism describes the
+subgraph induced by the vertices farthest from any fixed vertex; its
+components are classes it has already checked, and their halves feed
+the same builder.
 """
 
 from __future__ import annotations
@@ -65,42 +68,17 @@ def two_color_path(
     return PathSeq.from_indices(g, (iv, ix, iw), closed=False)
 
 
-def _relabel_map(s: Block, distinguished: int) -> dict[int, int]:
-    """Order-preserving bijection from S - {distinguished} onto [|S|-1]."""
-    rest = [e for e in s.elements() if e != distinguished]
-    return {e: i + 1 for i, e in enumerate(rest)}
-
-
-@dataclass(frozen=True)
-class MiddleComponentId:
-    """Identifier of one middle-levels component of a color-deleted graph.
-
-    half is the half of the deleted-set partition containing the
-    distinguished color (for components of an odd graph) or the exact
-    color trace of the class (for components of a middle levels graph).
-    label is that data re-expressed over [k-1]: the half minus the
-    distinguished color for the odd case; for the middle case the trace
-    minus the distinguished color when present, the trace itself when not.
-    """
-
-    family_kind: str
-    half: Block
-    label: Block
-
-    def __str__(self) -> str:
-        return str(self.label)
-
-
 @dataclass
 class SuperGraph:
     """The component meta-graph: one vertex per middle-levels component,
     edges where a transposition through the distinguished color carries
-    one component's defining data to the other's.
+    one component's half onto the other's.
 
-    graph encodes the ids over ground [k-1], so the expected target family
-    instance has literally the same vertex set; iso is the identity map on
-    blocks, verified, and criteria_agree records that the transposition
-    rule and the partition-data shortcut produced the same edges.
+    graph's vertices are the halves minus the distinguished color, packed
+    onto ground [k-1], so the expected target family instance has
+    literally the same vertex set; iso is the identity map on masks,
+    verified, and criteria_agree records that the transposition rule and
+    the disjointness/containment rule produced the same edges.
     """
 
     graph: LabeledGraph
@@ -109,101 +87,64 @@ class SuperGraph:
     criteria_agree: bool
 
 
-def middle_components(n: int, k: int) -> list[MiddleComponentId]:
-    """Ids of the middle-levels components of the odd graph minus the
-    colors [k], with distinguished color k."""
-    s = Block.from_elements(range(1, k + 1), 2 * n - 1)
-    return _component_ids(n, s, k, ODD)
-
-
-def _component_ids(
-    n: int, s: Block, d: int, family_kind: str
-) -> list[MiddleComponentId]:
+def _component_halves(n: int, s: Block, d: int, family_kind: str) -> list[int]:
+    """The half masks naming the middle-levels components of the odd
+    (family_kind ODD) or middle levels graph minus the colors S: the
+    class {T, S-T} of an odd graph by its half holding d, a class of a
+    middle levels graph by its trace T."""
     k = s.card
     if k <= 0 or k % 2:
         raise ParameterError(f"need a nonempty even color set, got |S|={k}")
-    mm = n - k // 2
-    if mm < 1:
+    if n - k // 2 < 1:
         raise ParameterError(f"no middle-levels components for n={n}, k={k}")
-    relabel = _relabel_map(s, d)
     fam = Family.odd(n) if family_kind == ODD else Family.middle_levels(n)
-    g = build(fam)
-    deleted = delete_colors(g, s)
-    ids = []
-    seen_halves = set()
+    deleted = delete_colors(build(fam), s)
+    d_bit = 1 << (d - 1)
+    halves = []
     for comp in component_index_sets(deleted):
-        trace = Block(deleted.masks[comp[0]] & s.bits, s.m)
-        if trace.card != k // 2:
+        trace = deleted.masks[comp[0]] & s.bits
+        if trace.bit_count() != k // 2:
             continue
-        # an odd-graph class {T, S-T} is named by its half holding d
-        half = s - trace if family_kind == ODD and d not in trace else trace
-        if half.bits in seen_halves:
-            raise AssertionError(f"class {half} split across components")
-        seen_halves.add(half.bits)
-        label = Block.from_elements(
-            [relabel[e] for e in half.elements() if e != d], k - 1
-        )
-        ids.append(MiddleComponentId(family_kind, half, label))
-    ids.sort(key=lambda c: c.label.bits)
-    return ids
+        half = trace ^ s.bits if family_kind == ODD and not trace & d_bit else trace
+        if half in halves:
+            raise AssertionError(f"class {Block(half, s.m)} split across components")
+        halves.append(half)
+    return halves
 
 
-def _partition_adjacent_by_involution(
-    id1: MiddleComponentId, id2: MiddleComponentId, s: Block, d: int
-) -> bool:
-    """Whether some transposition (a, d), a in S - {d}, carries one
-    component's defining data onto the other's."""
-    m = s.m
-    for a in s.elements():
-        if a == d:
-            continue
-        swapped_bits = id1.half.bits
-        has_a = bool(swapped_bits >> (a - 1) & 1)
-        has_d = bool(swapped_bits >> (d - 1) & 1)
-        if has_a == has_d:
-            continue  # transposition fixes the half
-        swapped = Block(
-            swapped_bits ^ (1 << (a - 1)) ^ (1 << (d - 1)), m
-        )
-        if id1.family_kind == ODD:
-            if swapped == id2.half or swapped == s - id2.half:
-                return True
-        else:
-            if swapped == id2.half:
-                return True
-    return False
-
-
-def _build_super(
-    n: int, s: Block, d: int, family_kind: str
-) -> SuperGraph:
+def _build_super(s: Block, d: int, family_kind: str, halves: list[int]) -> SuperGraph:
+    """The meta-graph on the given component halves of a deletion of the
+    colors S, with distinguished color d."""
     k = s.card
-    ids = _component_ids(n, s, d, family_kind)
     if family_kind == ODD:
         target = Family.odd(k // 2)
         expected_count = binomial(k - 1, k // 2 - 1)
     else:
         target = Family.middle_levels(k // 2)
         expected_count = 2 * binomial(k - 1, k // 2 - 1)
-    if len(ids) != expected_count:
+    if len(halves) != expected_count:
         raise AssertionError(
-            f"found {len(ids)} middle-levels components, expected {expected_count}"
+            f"found {len(halves)} middle-levels components, expected {expected_count}"
         )
+    d_bit = 1 << (d - 1)
+    rest = [1 << (e - 1) for e in s.elements() if e != d]
+    labels = [sum(1 << i for i, bit in enumerate(rest) if h & bit) for h in halves]
     edges = []
     agree = True
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            by_inv = _partition_adjacent_by_involution(ids[i], ids[j], s, d)
-            if family_kind == ODD:
-                by_data = ids[i].label.isdisjoint(ids[j].label)
-            else:
-                small, big = sorted((ids[i].label, ids[j].label), key=lambda x: x.card)
-                by_data = small.card != big.card and small <= big
-            if by_inv != by_data:
-                agree = False
+    for i, hi in enumerate(halves):
+        # images of hi under the transpositions (a, d) that move it; an odd
+        # graph's class is the same under either of its halves
+        moved = {hi ^ bit ^ d_bit for bit in rest if bool(hi & bit) != bool(hi & d_bit)}
+        if family_kind == ODD:
+            moved |= {x ^ s.bits for x in moved}
+        li = labels[i]
+        for j in range(i + 1, len(halves)):
+            lj = labels[j]
+            by_data = not li & lj if family_kind == ODD else (li & lj) in (li, lj)
+            agree = agree and (halves[j] in moved) == by_data
             if by_data:
                 edges.append((i, j, None))
-    graph = graph_from_edges(k - 1, [c.label for c in ids], edges)
+    graph = graph_from_edges(k - 1, [Block(x, k - 1) for x in labels], edges)
     ref = build(target)
     identity = ref.mask_indices(graph.masks)
     iso = VertexMap(
@@ -214,24 +155,24 @@ def _build_super(
     return SuperGraph(graph, target, iso, agree)
 
 
-def build_m(n: int, k: int) -> SuperGraph:
-    """Meta-graph of the middle-levels components of the odd graph minus
-    the colors [k]; isomorphic to odd(k/2)."""
+def _meta_graph(n: int, k: int, family_kind: str) -> SuperGraph:
     m = 2 * n - 1
     if not 0 < k < m:
         raise ParameterError(f"need 0 < k < {m}")
     s = Block.from_elements(range(1, k + 1), m)
-    return _build_super(n, s, k, ODD)
+    return _build_super(s, k, family_kind, _component_halves(n, s, k, family_kind))
+
+
+def build_m(n: int, k: int) -> SuperGraph:
+    """Meta-graph of the middle-levels components of the odd graph minus
+    the colors [k]; isomorphic to odd(k/2)."""
+    return _meta_graph(n, k, ODD)
 
 
 def build_l(n: int, k: int) -> SuperGraph:
     """Meta-graph of the middle-levels components of the middle levels
     graph minus the colors [k]; isomorphic to middle(k/2)."""
-    m = 2 * n - 1
-    if not 0 < k < m:
-        raise ParameterError(f"need 0 < k < {m}")
-    s = Block.from_elements(range(1, k + 1), m)
-    return _build_super(n, s, k, MIDDLE_LEVELS)
+    return _meta_graph(n, k, MIDDLE_LEVELS)
 
 
 @dataclass
@@ -270,9 +211,12 @@ def bottom_level(n: int, v: Block) -> BottomLevel:
     if counts != expected:
         failures.append(f"census {census} != expected {mm_copies} regular({target_m})")
     comp_sets = component_index_sets(sub)
+    d = max(colors.elements())
+    halves = []
     for comp in comp_sets:
         rep = Block(sub.masks[comp[0]], sub.ground)
         t = rep & colors
+        halves.append((t if d in t else colors - t).bits)
         vmap = regular_component_to_middle(n, colors, t)
         comp_graph = sub.subgraph(comp)
         if vmap.source != comp_graph:
@@ -291,6 +235,4 @@ def bottom_level(n: int, v: Block) -> BottomLevel:
         },
         failures=failures,
     )
-    d = max(colors.elements())
-    sup = _build_super(n, colors, d, ODD)
-    return BottomLevel(report, sup)
+    return BottomLevel(report, _build_super(colors, d, ODD, halves))

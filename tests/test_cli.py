@@ -95,6 +95,14 @@ class TestDecompose:
         code, _, _ = run(["decompose", "odd", "4"], capsys)
         assert code == 2
 
+    def test_both_selectors_exit_2(self, capsys):
+        # --k was dropped when --colors was given
+        code, out, err = run(
+            ["decompose", "odd", "4", "--colors", "6,7", "--k", "3"], capsys)
+        assert code == 2
+        assert err.startswith("error: need exactly one of --colors and --k")
+        assert out == ""
+
     def test_pinned_table(self, capsys):
         code, out, _ = run(["decompose", "odd", "4", "--k", "4"], capsys)
         assert code == 0
@@ -364,6 +372,14 @@ class TestHamilton:
     def test_missing_arguments_exit_2(self, capsys):
         code, _, _ = run(["hamilton"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["odd", "3"], ["odd"], ["4"]])
+    def test_pipeline_with_a_family_exit_2(self, argv, capsys):
+        # the family and parameters were dropped in favour of the round
+        code, out, err = run(["hamilton", *argv, "--pipeline", "4"], capsys)
+        assert code == 2
+        assert err.startswith("error: --pipeline takes no family or parameters")
+        assert out == ""
 
     @pytest.mark.parametrize("graph", [["kneser", "2", "1"], ["middle", "1"]])
     def test_two_vertices_non_hamiltonian(self, graph, capsys):

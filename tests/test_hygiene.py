@@ -9,11 +9,15 @@ are read by other modules and count as used.
 The package's modules import each other in one order: the module graph
 has no cycle, and no module imports inside a function.
 
+Every public module-level function and class is read somewhere in src/
+or perfbench/, or is listed with the reason it stays.
+
 A failing Hypothesis test under the repository's pytest settings prints
 its falsifying example and lets the run go on.
 """
 
 import ast
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -208,3 +212,78 @@ def test_failing_hypothesis_test_reports_its_example(tmp_path):
     assert "INTERNALERROR" not in out
     assert "Falsifying example: test_fails(" in out
     assert "1 failed, 1 passed" in out
+
+
+# ------------------------------------------------------- public helpers
+
+# public names nothing in src/ or perfbench/ reads, and why each stays
+UNREAD_PUBLIC = {
+    "serialize.graph_to_dict":
+        "the plain reference that graph_to_json's output is tested against",
+    "catalan.necklace_of":
+        "the one-vertex necklace the tests use to check the necklace claim",
+    "morphisms.perm_automorphism":
+        "the permutation automorphism the tests use to check symmetry claims",
+    "morphisms.middle_component_iso":
+        "the two-color component map the tests check against middle(m)",
+}
+
+
+def _public_definitions(src: Path) -> set[str]:
+    """"module.name" of every public module-level function and class."""
+    return {
+        f"{path.stem}.{node.name}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+
+
+def _names_read_by(paths) -> set[str]:
+    """Every name the modules load, as a name, an attribute, an imported
+    name or an __all__ entry."""
+    read = set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        read |= _read(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return read
+
+
+def _unread_public(src: Path, readers, traced=()) -> list[str]:
+    read = _names_read_by(readers) | set(traced)
+    return sorted(name for name in _public_definitions(src)
+                  if name.partition(".")[2] not in read)
+
+
+def test_every_public_helper_has_a_reader():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_layers", ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    traced = [attr for _module, attr, _measure in layers.FUNCTIONS]
+    readers = [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    assert _unread_public(SRC, readers, traced) == sorted(UNREAD_PUBLIC)
+
+
+def test_detects_an_unread_public_helper(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "__all__ = ['listed']\n"
+        "def listed(): pass\n"
+        "def used(): pass\n"
+        "def traced(): pass\n"
+        "def _private(): pass\n"
+        "def unread(): pass\n"
+        "class Unread: pass\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from . import a\n"
+        "a.used()\n"
+    )
+    readers = sorted(tmp_path.glob("*.py"))
+    assert _unread_public(tmp_path, readers, ["traced"]) == ["a.Unread", "a.unread"]

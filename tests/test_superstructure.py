@@ -1,17 +1,20 @@
 """Two-color paths, component meta-graphs, bottom-level structure."""
 
+import hashlib
+from itertools import combinations
+
 import pytest
 
 from kneserlab.decompose import block_component, canonical_colors
 from kneserlab.errors import DegenerateCaseError, ParameterError
-from kneserlab.graphs import Family, build, girth
+from kneserlab.graphs import MIDDLE_LEVELS, ODD, Family, build, girth
 from kneserlab.morphisms import find_isomorphism
 from kneserlab.setcore import Block, apply_perm, Perm, binomial
+from kneserlab import superstructure
 from kneserlab.superstructure import (
     bottom_level,
     build_l,
     build_m,
-    middle_components,
     two_color_path,
 )
 
@@ -101,22 +104,42 @@ class TestTwoColorPath:
 
 class TestMiddleComponents:
     def test_ids_examples(self):
-        ids44 = middle_components(4, 4)
-        assert [c.label.elements() for c in ids44] == [(1,), (2,), (3,)]
-        ids32 = middle_components(3, 2)
-        assert [c.label.elements() for c in ids32] == [()]
-        ids66 = middle_components(6, 6)
-        assert len(ids66) == 10
-        assert all(c.label.card == 2 for c in ids66)
+        labels44 = build_m(4, 4).graph.vertices
+        assert [v.elements() for v in labels44] == [(1,), (2,), (3,)]
+        labels32 = build_m(3, 2).graph.vertices
+        assert [v.elements() for v in labels32] == [()]
+        labels66 = build_m(6, 6).graph.vertices
+        assert len(labels66) == 10
+        assert all(v.card == 2 for v in labels66)
 
     def test_bijective_with_subsets(self):
-        ids = middle_components(6, 6)
-        labels = {c.label for c in ids}
+        labels = set(build_m(6, 6).graph.vertices)
         assert len(labels) == binomial(5, 2)
 
     def test_odd_k_rejected(self):
         with pytest.raises(ParameterError):
-            middle_components(4, 3)
+            build_m(4, 3)
+
+    @pytest.mark.parametrize("kind,max_n", [(ODD, 5), (MIDDLE_LEVELS, 4)])
+    def test_halves_match_the_partitions(self, kind, max_n):
+        # for every nonempty even S, the halves read off the components
+        # are the k/2-subsets of S: those holding d for an odd graph, all
+        # of them for a middle levels graph
+        sets = 0
+        for n in range(2, max_n + 1):
+            m = 2 * n - 1
+            for k in range(2, m, 2):
+                for chosen in combinations(range(1, m + 1), k):
+                    s = b(chosen, m)
+                    d = chosen[-1]
+                    want = sorted(
+                        b(t, m).bits for t in combinations(chosen, k // 2)
+                        if kind == MIDDLE_LEVELS or d in t
+                    )
+                    got = superstructure._component_halves(n, s, d, kind)
+                    assert sorted(got) == want
+                    sets += 1
+        assert sets == {ODD: 336, MIDDLE_LEVELS: 81}[kind]
 
 
 class TestMetaGraphs:
@@ -194,3 +217,42 @@ class TestBottomLevel:
                  bl.census.details["components"])
             )
         assert len(results) == 1
+
+
+def _super_facts(sg):
+    g = sg.graph
+    return (g.ground, g.masks, g.neighbor_table, g.label_table, str(sg.target),
+            sg.criteria_agree, sg.iso.images, sg.iso.verified, sg.iso.name)
+
+
+def _meta_facts():
+    """Every output of build_m and build_l for n <= 6 and k in -1..2n,
+    errors included, and of bottom_level at four vertices of odd(n) for
+    n = 2..6."""
+    facts = []
+    for n in range(1, 7):
+        for k in range(-1, 2 * n + 1):
+            for builder in (build_m, build_l):
+                try:
+                    fact = _super_facts(builder(n, k))
+                except ParameterError as exc:
+                    fact = (type(exc).__name__, str(exc))
+                facts.append((builder.__name__, n, k, fact))
+    for n in range(2, 7):
+        vertices = build(Family.odd(n)).vertices
+        nv = len(vertices)
+        for i in sorted({0, nv // 3, 2 * nv // 3, nv - 1}):
+            bl = bottom_level(n, vertices[i])
+            c = bl.census
+            fact = (c.name, c.ok, sorted(c.details.items()), c.failures,
+                    _super_facts(bl.superstructure))
+            facts.append(("bottom_level", n, vertices[i].bits, fact))
+    return facts
+
+
+def test_meta_graph_pin():
+    # digest of the graphs, maps, flags, censuses and error messages; it
+    # was taken from the earlier Block-based meta-graph code
+    facts = _meta_facts()
+    assert len(facts) == 127
+    assert hashlib.sha256(repr(facts).encode()).hexdigest()[:16] == "62510332d163603f"
