@@ -249,7 +249,7 @@ def _suite_decompose(report: RunReport, max_n: int):
             continue
         g = build(Family.odd(n))
         census = dec.classify_components(
-            dec.delete_colors(g, dec.canonical_colors(n, k))
+            dec.shared_deletion(g, dec.canonical_colors(n, k))
         )
         want = dec.expected_census(n, k)
         report.add(
@@ -272,8 +272,8 @@ def _suite_decompose(report: RunReport, max_n: int):
         s1 = dec.canonical_colors(4, 2)
         s2 = Block.from_elements([1, 2], 7)
         g4 = build(Family.odd(4))
-        c1 = dec.classify_components(dec.delete_colors(g4, s1))
-        c2 = dec.classify_components(dec.delete_colors(g4, s2))
+        c1 = dec.classify_components(dec.shared_deletion(g4, s1))
+        c2 = dec.classify_components(dec.shared_deletion(g4, s2))
         report.add("census-invariance-odd(4)", "color-set invariance",
                    c1.counts == c2.counts, f"{s1} vs {s2}")
         rep = dec.verify_disjointness(4, [5, 6, 7])
@@ -494,10 +494,16 @@ def cmd_hamilton(args) -> int:
     if args.pipeline is not None:
         if args.family or args.params:
             raise ParameterError("--pipeline takes no family or parameters")
+        if args.cycle_out is not None or args.require_cycle:
+            raise ParameterError(
+                "--cycle-out and --require-cycle act on a family search,"
+                " not on --pipeline")
         rep = ham.recursion_pipeline(args.pipeline, budget,
-                                     start=args.pipeline_start)
+                                     start=args.pipeline_start or "odd")
         print("\n".join(rep.summary_lines()))
         return 0
+    if args.pipeline_start is not None:
+        raise ParameterError("--pipeline-start needs --pipeline")
     if not args.family or not args.params:
         raise ParameterError("hamilton needs a family and parameters, or --pipeline")
     fam = _family_from_args(args.family, args.params)
@@ -590,8 +596,9 @@ def make_parser() -> argparse.ArgumentParser:
     p_ham.add_argument("--pipeline", type=int, default=None,
                        help="run the lift-and-embed round into odd(N)")
     p_ham.add_argument("--pipeline-start", choices=["odd", "middle"],
-                       default="odd",
-                       help="base graph of the round: odd(N-1) or middle(N-1)")
+                       default=None,
+                       help="base graph of the --pipeline round: odd(N-1)"
+                            " (the default) or middle(N-1)")
     p_ham.add_argument("--max-nodes", type=int, default=10_000_000)
     p_ham.add_argument("--max-seconds", type=float, default=60.0)
     p_ham.add_argument("--seed", type=int, default=0)

@@ -12,7 +12,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, repeat
-from typing import Iterable, Union
+from operator import and_
+from typing import Iterable, Sequence, Union
 
 from .errors import ParameterError, UnlabeledGraphError
 from .graphs import (
@@ -67,6 +68,42 @@ def delete_colors(g: LabeledGraph, colors: ColorsLike) -> LabeledGraph:
     labels = map(filter, repeat(kept), g.label_table)
     return LabeledGraph(g.ground, g.masks, tuple(map(tuple, nbrs)),
                         tuple(map(tuple, labels)), family=None, labeled=True)
+
+
+def shared_deletion(g: LabeledGraph, colors: ColorsLike) -> LabeledGraph:
+    """delete_colors(g, colors), made once per graph: g.memo keeps it for
+    as long as g lives.  For graphs that build returns, which many callers
+    share; delete_colors itself stores nothing."""
+    key = ("deleted", as_color_block(colors, g.ground).bits)
+    if key not in g.memo:
+        g.memo[key] = delete_colors(g, colors)
+    return g.memo[key]
+
+
+@gc_paused
+def deleted_subgraph(
+    g: LabeledGraph, vertex_indices: Sequence[int], colors: ColorsLike
+) -> LabeledGraph:
+    """delete_colors(g.subgraph(vertex_indices), colors) in one pass: each
+    kept row is cut to its kept neighbours whose label lies outside the
+    color set."""
+    if not g.labeled:
+        raise UnlabeledGraphError("color deletion needs a labeled graph")
+    drop = frozenset(as_color_block(colors, g.ground).elements())
+    chosen = sorted(vertex_indices)
+    keep = dict(zip(chosen, range(len(chosen))))
+    rows = list(map(g.neighbor_table.__getitem__, chosen))
+    labels = list(map(g.label_table.__getitem__, chosen))
+    kept_label = (frozenset(chain.from_iterable(labels)) - drop).__contains__
+    # per row, whether each edge has its other end kept and a kept label
+    selectors = list(map(list, map(
+        map, repeat(and_), map(map, repeat(keep.__contains__), rows),
+        map(map, repeat(kept_label), labels))))
+    nbrs = map(map, repeat(keep.__getitem__), map(compress, rows, selectors))
+    return LabeledGraph(g.ground, tuple(map(g.masks.__getitem__, chosen)),
+                        tuple(map(tuple, nbrs)),
+                        tuple(map(tuple, map(compress, labels, selectors))),
+                        family=None, labeled=True)
 
 
 def component_signature(g: LabeledGraph, vertex_indices: list[int]) -> tuple:
@@ -169,6 +206,9 @@ def block_component(n: int, colors: ColorsLike, t: ColorsLike) -> BlockComponent
 
     For |T| = i and |S| = k this is biregular of degrees (n-i, n-k+i);
     for k = n and T empty it degenerates to a single isolated vertex.
+    The piece is cut once per built O_n: the graph's memo keeps it for as
+    long as that O_n lives, so inside a holding_families block a second
+    call returns the same object.
     """
     m = 2 * n - 1
     s = as_color_block(colors, m)
@@ -176,18 +216,20 @@ def block_component(n: int, colors: ColorsLike, t: ColorsLike) -> BlockComponent
     if not tb <= s:
         raise ParameterError(f"T={tb} is not a subset of S={s}")
     g = build(Family.odd(n))
-    classes = trace_classes(g, s)
-    u = classes.get(tb.bits, [])
-    w = classes.get((s - tb).bits, [])
-    # T = S - T only for S empty: both sides are then the whole graph
-    members = u if tb == s - tb else u + w
-    sub = delete_colors(g.subgraph(members), s)
-    return BlockComponent(
-        graph=sub,
-        signature=degree_profile(sub),
-        u_indices=tuple(u),
-        w_indices=tuple(w),
-    )
+    key = ("piece", s.bits, tb.bits)
+    if key not in g.memo:
+        classes = trace_classes(g, s)
+        u = classes.get(tb.bits, [])
+        w = classes.get((s - tb).bits, [])
+        # T = S - T only for S empty: both sides are then the whole graph
+        sub = deleted_subgraph(g, u if tb == s - tb else u + w, s)
+        g.memo[key] = BlockComponent(
+            graph=sub,
+            signature=degree_profile(sub),
+            u_indices=tuple(u),
+            w_indices=tuple(w),
+        )
+    return g.memo[key]
 
 
 def remainder_graph(n: int, k: int) -> BlockComponent:
@@ -195,25 +237,30 @@ def remainder_graph(n: int, k: int) -> BlockComponent:
     T-empty piece of the canonical deleted set, the unique (n, n-k)-
     biregular component of O_n(k).
 
-    It is built and checked once per built O_n: the graph's memo keeps it
-    for as long as that O_n lives.
+    block_component cuts the piece once per built O_n, and it is checked
+    once too: the graph's memo keeps the checked piece for as long as that
+    O_n lives.  A piece that fails its check leaves the memo.
     """
     if not 0 < k < n:
         raise ParameterError(f"remainder graph needs 0 < k < n, got ({n}, {k})")
-    memo = build(Family.odd(n)).memo
+    g = build(Family.odd(n))
     key = ("remainder", k)
-    if key not in memo:
-        piece = block_component(n, canonical_colors(n, k), Block.empty(2 * n - 1))
-        if piece.signature != ("biregular", n, n - k):
-            raise AssertionError(
-                f"remainder piece of O_{n}({k}) is"
-                f" {signature_name(piece.signature)},"
-                f" expected biregular({n},{n - k})"
-            )
-        if not piece.graph.connected:
-            raise AssertionError(f"remainder piece of O_{n}({k}) is not connected")
-        memo[key] = piece
-    return memo[key]
+    if key in g.memo:
+        return g.memo[key]
+    s = canonical_colors(n, k)
+    piece = block_component(n, s, Block.empty(2 * n - 1))
+    problem = None
+    if piece.signature != ("biregular", n, n - k):
+        problem = (f"remainder piece of O_{n}({k}) is"
+                   f" {signature_name(piece.signature)},"
+                   f" expected biregular({n},{n - k})")
+    elif not piece.graph.connected:
+        problem = f"remainder piece of O_{n}({k}) is not connected"
+    if problem:
+        del g.memo[("piece", s.bits, 0)]  # a failed check memoizes nothing
+        raise AssertionError(problem)
+    g.memo[key] = piece
+    return piece
 
 
 def verify_disjointness(n: int, colors: ColorsLike) -> Report:
@@ -229,7 +276,7 @@ def verify_disjointness(n: int, colors: ColorsLike) -> Report:
     classes = trace_classes(g, s)
     comp_of = [0] * g.n_vertices
     comp_sizes = []
-    for ci, ixs in enumerate(component_index_sets(delete_colors(g, s))):
+    for ci, ixs in enumerate(component_index_sets(shared_deletion(g, s))):
         comp_sizes.append(len(ixs))
         for x in ixs:
             comp_of[x] = ci

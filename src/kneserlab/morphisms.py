@@ -22,8 +22,9 @@ from .decompose import (
     block_component,
     canonical_colors,
     classify_components,
-    delete_colors,
+    deleted_subgraph,
     regular_component_partitions,
+    shared_deletion,
     trace_classes,
 )
 from .errors import DegenerateCaseError, ParameterError
@@ -249,7 +250,7 @@ def color_swap_iso(n: int, colors_from, colors_to) -> VertexMap:
         raise ParameterError(f"|S|={s.card} != |T|={t.card}")
     g = build(Family.odd(n))
     return _formula_map(
-        delete_colors(g, s), delete_colors(g, t), swap_perm(s, t).apply_mask,
+        shared_deletion(g, s), shared_deletion(g, t), swap_perm(s, t).apply_mask,
         ISOMORPHISM, f"swap {s}->{t}",
     )
 
@@ -422,7 +423,7 @@ def middle_class_to_middle(n: int, colors, t) -> VertexMap:
         raise ParameterError("regular classes need |S| even and T a half of S")
     g = build(Family.middle_levels(n))
     members = trace_classes(g, s).get(tb.bits, [])
-    class_graph = delete_colors(g.subgraph(members), s)
+    class_graph = deleted_subgraph(g, members, s)
     up = 2 * n + 1
     s_up = Block.from_elements(s.elements() + (2 * n, 2 * n + 1), up)
     # a small block embeds with trace T + {2n}, on the U side of the class
@@ -461,7 +462,7 @@ def middle_component_census(n: int, k: int, family_kind: str = ODD) -> Report:
     details: dict = {"expected_regular": expected, "target": f"middle({mm})"}
     g = build(Family.odd(n) if family_kind == ODD else Family.middle_levels(n))
     s = canonical_colors(n, k)
-    census = classify_components(delete_colors(g, s))
+    census = classify_components(shared_deletion(g, s))
     regular_ix = census.counts.get(("regular", mm), 0)
     details["found_regular"] = regular_ix
     if regular_ix != expected:

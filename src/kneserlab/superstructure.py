@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decompose import classify_components, delete_colors
+from .decompose import classify_components, shared_deletion
 from .errors import DegenerateCaseError, ParameterError
 from .graphs import (
     MIDDLE_LEVELS,
@@ -98,7 +98,7 @@ def _component_halves(n: int, s: Block, d: int, family_kind: str) -> list[int]:
     if n - k // 2 < 1:
         raise ParameterError(f"no middle-levels components for n={n}, k={k}")
     fam = Family.odd(n) if family_kind == ODD else Family.middle_levels(n)
-    deleted = delete_colors(build(fam), s)
+    deleted = shared_deletion(build(fam), s)
     d_bit = 1 << (d - 1)
     halves = []
     for comp in component_index_sets(deleted):

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import sys
+import weakref
 
 import pytest
 
@@ -241,23 +242,35 @@ class TestVerify:
 
     def test_pass_cuts_each_class_once(self, monkeypatch, capsys):
         # the component-to-middle chains cut only their source class and
-        # map each vertex through the block formulas; composing maps
-        # between intermediate pieces made 130 cuts per pass
-        cuts = []
-        original = dec.block_component
+        # map each vertex through the block formulas (composing maps between
+        # intermediate pieces made 130 block_component calls per pass); a
+        # suite deletes colors from a family graph, or cuts a piece of it,
+        # once through the graph's memo (a pass made 99 deletions and 98
+        # subgraphs without it, each piece costing one of both).  As in a
+        # fresh process, no graph outlives its suite: a graph that a session
+        # fixture holds would carry its memo from suite to suite.
+        monkeypatch.setattr(graphs, "_live", weakref.WeakValueDictionary())
+        targets = [(dec, "block_component"), (dec, "delete_colors"),
+                   (dec, "deleted_subgraph"), (graphs.LabeledGraph, "subgraph")]
+        calls = dict.fromkeys((name for _, name in targets), 0)
+        modules = [module for module in list(sys.modules.values())
+                   if getattr(module, "__name__", "").startswith("kneserlab")]
+        for owner, name in targets:
+            original = getattr(owner, name)
 
-        def counted(*args):
-            cuts.append(args)
-            return original(*args)
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
 
-        for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("kneserlab"):
+            monkeypatch.setattr(owner, name, counted)
+            for module in modules:
                 for key, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, key, counted)
         code, _, _ = run(["verify", "all", "--max-n", "64"], capsys)
         assert code == 0
-        assert 0 < len(cuts) <= 60
+        assert calls == {"block_component": 56, "delete_colors": 32,
+                         "deleted_subgraph": 47, "subgraph": 40}
 
 
 class TestHamilton:
@@ -380,6 +393,31 @@ class TestHamilton:
         assert code == 2
         assert err.startswith("error: --pipeline takes no family or parameters")
         assert out == ""
+
+    def test_pipeline_start_without_pipeline_exit_2(self, capsys):
+        code, out, err = run(
+            ["hamilton", "odd", "3", "--pipeline-start", "middle"], capsys)
+        assert code == 2
+        assert err.startswith("error: --pipeline-start needs --pipeline\n")
+        assert out == ""
+
+    def test_pipeline_start_middle(self, capsys):
+        code, out, _ = run(
+            ["hamilton", "--pipeline", "5", "--pipeline-start", "middle"], capsys)
+        assert code == 0
+        assert out.startswith("recursion pipeline into odd(5), starting from middle(4)")
+
+    @pytest.mark.parametrize("flag", ["--cycle-out", "--require-cycle"])
+    def test_pipeline_with_cycle_flags_exit_2(self, flag, tmp_path, capsys):
+        # a round writes no cycle and proves nothing non-Hamiltonian
+        flags = [flag, str(tmp_path / "cycle.txt")] if flag == "--cycle-out" else [flag]
+        code, out, err = run(
+            ["hamilton", "--pipeline", "4", *flags], capsys)
+        assert code == 2
+        assert err.startswith("error: --cycle-out and --require-cycle act on a"
+                              " family search, not on --pipeline\n")
+        assert out == ""
+        assert not (tmp_path / "cycle.txt").exists()
 
     @pytest.mark.parametrize("graph", [["kneser", "2", "1"], ["middle", "1"]])
     def test_two_vertices_non_hamiltonian(self, graph, capsys):

@@ -1,5 +1,6 @@
 """Color-deletion subgraphs, block components, censuses, remainders."""
 
+import weakref
 from itertools import combinations
 
 import pytest
@@ -14,9 +15,11 @@ from kneserlab.decompose import (
     classify_components,
     component_signature,
     delete_colors,
+    deleted_subgraph,
     expected_census,
     regular_component_partitions,
     remainder_graph,
+    shared_deletion,
     trace_classes,
     verify_disjointness,
 )
@@ -28,6 +31,7 @@ from kneserlab.graphs import (
     degree_profile,
     girth,
     graph_from_edges,
+    holding_families,
 )
 from kneserlab.morphisms import middle_component_census
 from kneserlab.setcore import Block, binomial
@@ -94,6 +98,64 @@ class TestDeleteColors:
     @settings(max_examples=25, deadline=None)
     def test_matches_edge_filter_randomized(self, odd4, s):
         self._check_against_edge_filter(odd4, s)
+
+
+class TestDeletedSubgraph:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_two_step_cut_for_every_class(self, n):
+        g = build(Family.odd(n))
+        for k in range(n + 1):
+            s = canonical_colors(n, k)
+            classes = trace_classes(g, s)
+            for i in range(k + 1):
+                for combo in combinations(s.elements(), i):
+                    t = b(combo, 2 * n - 1)
+                    members = classes.get(t.bits, []) + classes.get((s - t).bits, [])
+                    assert deleted_subgraph(g, members, s) == delete_colors(
+                        g.subgraph(members), s)
+
+    def test_middle_class_matches_two_step_cut(self, middle4):
+        s = b([5, 6, 7], 7)
+        for members in trace_classes(middle4, s).values():
+            assert deleted_subgraph(middle4, members, s) == delete_colors(
+                middle4.subgraph(members), s)
+
+    def test_unlabeled_rejected(self):
+        with pytest.raises(UnlabeledGraphError):
+            deleted_subgraph(build(Family.kneser(5, 2)), [0, 1], [1])
+
+
+class TestGraphMemo:
+    def test_public_deletion_stores_nothing(self, odd4):
+        g = delete_colors(odd4, [])  # a fresh graph with an empty memo
+        for colors in ([], [7], [5, 6, 7]):
+            delete_colors(g, colors)
+        assert g.memo == {}
+        shared = shared_deletion(g, [6, 7])
+        assert shared == delete_colors(g, [6, 7])
+        assert shared_deletion(g, b([6, 7], 7)) is shared
+        assert list(g.memo) == [("deleted", b([6, 7], 7).bits)]
+
+    def test_repeated_piece_in_a_hold_is_cut_once(self, monkeypatch):
+        cuts = []
+        cut = dec.deleted_subgraph
+        monkeypatch.setattr(
+            dec, "deleted_subgraph", lambda *args: cuts.append(args) or cut(*args))
+        with holding_families():
+            first = block_component(6, [8, 9, 10, 11], [8, 11])
+            assert block_component(6, b([8, 9, 10, 11], 11), [11, 8]) is first
+            other = block_component(6, [8, 9, 10, 11], [9, 10])
+        assert len(cuts) == 2
+        assert other.graph == first.graph
+        assert other.u_indices == first.w_indices
+
+    def test_memo_entries_freed_with_their_graph(self):
+        g = build(Family.odd(7))
+        refs = [weakref.ref(block_component(7, [12, 13], [12])),
+                weakref.ref(shared_deletion(g, [12, 13]))]
+        assert all(ref() is not None for ref in refs)
+        del g
+        assert [ref() for ref in refs] == [None, None]
 
 
 class TestBlockComponent:
@@ -301,8 +363,6 @@ class TestRemainder:
         assert census.counts[("biregular", 5, 2)] == 1
 
     def test_built_and_checked_once_per_odd_graph(self, monkeypatch):
-        import weakref
-
         calls = []
         cut = dec.block_component
         monkeypatch.setattr(
@@ -317,10 +377,17 @@ class TestRemainder:
         assert ref() is None  # the memo lives and dies with odd(7)
 
     def test_checks_run_when_computed(self, monkeypatch):
+        g = build(Family.odd(7))
         monkeypatch.setattr(dec, "degree_profile",
                             lambda g: ("irregular",))
         with pytest.raises(AssertionError, match="expected biregular"):
             remainder_graph(7, 2)
+        # a failed check memoizes nothing: a clean call cuts and checks again
+        assert not [key for key in g.memo if key[0] in ("piece", "remainder")]
+        monkeypatch.undo()
+        piece = remainder_graph(7, 2)
+        assert piece.signature == ("biregular", 7, 5)
+        assert piece.graph.n_vertices == binomial(12, 5)
 
     def test_degenerate_parameters_rejected(self):
         with pytest.raises(ParameterError):

@@ -14,6 +14,10 @@ or perfbench/, or is listed with the reason it stays.
 
 A failing Hypothesis test under the repository's pytest settings prints
 its falsifying example and lets the run go on.
+
+Only decompose writes into a graph's memo, and each of its writers keys
+its entries by a tuple headed by a string tag of its own, so two writers
+cannot collide on one key.
 """
 
 import ast
@@ -21,6 +25,7 @@ import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -287,3 +292,90 @@ def test_detects_an_unread_public_helper(tmp_path):
     )
     readers = sorted(tmp_path.glob("*.py"))
     assert _unread_public(tmp_path, readers, ["traced"]) == ["a.Unread", "a.unread"]
+
+
+# -------------------------------------------------------------- graph memo
+
+MEMO_MODULE = "decompose.py"
+
+
+def _memo_writes(path: Path) -> list[tuple[str, Optional[str]]]:
+    """(writer, tag) of every store into some graph's memo, `x.memo[key] =
+    ...`, in the module.  The writer is "module.function"; the tag is the
+    string literal that heads the key tuple, written at the store or bound
+    to the key's name in the same function, and None for any other key."""
+    tree = ast.parse(path.read_text())
+    writes = []
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.Module, ast.FunctionDef)):
+            continue
+        # the scope's own nodes: nested functions are scopes of their own
+        nodes, todo = [], list(ast.iter_child_nodes(scope))
+        while todo:
+            node = todo.pop()
+            nodes.append(node)
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                todo.extend(ast.iter_child_nodes(node))
+        nodes.sort(key=lambda node: (getattr(node, "lineno", 0),
+                                     getattr(node, "col_offset", 0)))
+        bound = {target.id: node.value for node in nodes
+                 if isinstance(node, ast.Assign)
+                 for target in node.targets if isinstance(target, ast.Name)}
+        for node in nodes:
+            if not (isinstance(node, ast.Subscript)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "memo"):
+                continue
+            key = node.slice
+            if isinstance(key, ast.Name):
+                key = bound.get(key.id)
+            head = key.elts[0] if isinstance(key, ast.Tuple) and key.elts else None
+            tag = (head.value if isinstance(head, ast.Constant)
+                   and isinstance(head.value, str) else None)
+            writes.append((f"{path.stem}.{getattr(scope, 'name', '')}", tag))
+    return writes
+
+
+def _memo_faults(paths) -> list[str]:
+    """Every memo store outside MEMO_MODULE, every key without a string
+    tag, and every tag that two writers share."""
+    faults, writer_of = [], {}
+    for path in paths:
+        for writer, tag in _memo_writes(path):
+            if path.name != MEMO_MODULE:
+                faults.append(f"{writer} writes a graph memo")
+            if tag is None:
+                faults.append(f"{writer} writes a key with no string tag")
+            elif writer_of.setdefault(tag, writer) != writer:
+                faults.append(f"{writer} reuses the tag {tag!r} of {writer_of[tag]}")
+    return faults
+
+
+def test_graph_memo_keys_cannot_collide():
+    # a graph's memo is one dict shared by every module: each key tuple
+    # starts with a tag that only one function writes, and only decompose
+    # writes at all
+    assert _memo_faults(sorted(SRC.glob("*.py"))) == []
+    assert sorted(tag for _, tag in _memo_writes(SRC / MEMO_MODULE)) == [
+        "deleted", "piece", "remainder"]
+
+
+def test_detects_a_colliding_memo_write(tmp_path):
+    (tmp_path / MEMO_MODULE).write_text(
+        "def one(g):\n"
+        "    key = ('piece', 1)\n"
+        "    g.memo[key] = 1\n"
+        "def two(g):\n"
+        "    g.memo[('piece', 2)] = 2\n"
+        "    g.memo[3] = 3\n"
+    )
+    (tmp_path / "other.py").write_text(
+        "def three(g):\n"
+        "    g.memo[('other',)] = 4\n"
+    )
+    assert _memo_faults(sorted(tmp_path.glob("*.py"))) == [
+        "decompose.two reuses the tag 'piece' of decompose.one",
+        "decompose.two writes a key with no string tag",
+        "other.three writes a graph memo",
+    ]
