@@ -277,36 +277,39 @@ class LabeledGraph:
         )
 
 
+def are_vertex_indices(ends: Sequence, n: int) -> bool:
+    """Whether every entry of ends is an int (a bool is not) in 0..n-1."""
+    return set(map(type, ends)) <= {int} and (
+        not ends or min(ends) >= 0 and max(ends) < n)
+
+
 def edge_rows(
     n: int,
     ends_u: Sequence,
     ends_v: Sequence,
     labels: Sequence,
-    remap: dict,
+    remap: Optional[dict[int, int]] = None,
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[Optional[int], ...], ...]]:
     """The neighbour table and the parallel label table of n vertices from
     parallel endpoint and label lists.
 
-    remap maps every accepted endpoint value, an int, to its vertex index.
-    Rows come out sorted by neighbour index.  An endpoint that is not an
-    int (a bool is not) or that remap does not hold, a self-loop or a
-    duplicate edge raises ParameterError.  Edges listed as increasing
-    (u, v) pairs with u < v, as the exporter writes them, skip the sort.
+    Every endpoint must be a vertex index, an int (a bool is not) in
+    0..n-1; remap, when given, renumbers the indices (vertex i becomes
+    remap[i]), and otherwise the rows hold the endpoint ints themselves.
+    Rows come out sorted by neighbour index.  An endpoint that is not a
+    vertex index, a self-loop or a duplicate edge raises ParameterError.
+    Edges listed as increasing (u, v) pairs with u < v, as the exporter
+    writes them, skip the sort.
     """
-    try:
-        if not set(map(type, ends_u)) | set(map(type, ends_v)) <= {int}:
-            raise TypeError("an endpoint is not an int")
-        us = list(map(remap.__getitem__, ends_u))
-        vs = list(map(remap.__getitem__, ends_v))
-    except (KeyError, TypeError):
+    if not (are_vertex_indices(ends_u, n) and are_vertex_indices(ends_v, n)):
         for i, j in zip(ends_u, ends_v):
-            if not (type(i) is int and i in remap and type(j) is int and j in remap):
+            if not (type(i) is int and 0 <= i < n and type(j) is int and 0 <= j < n):
                 raise ParameterError(
                     f"edge ({i!r}, {j!r}): endpoints must be vertex indices"
-                    f" 0..{n - 1}"
-                ) from None
-        raise
-    labels = list(labels)
+                    f" 0..{n - 1}")
+    us, vs = ends_u, ends_v
+    if remap is not None:
+        us, vs = list(map(remap.__getitem__, us)), list(map(remap.__getitem__, vs))
     if not all(map(lt, us, vs)):
         us, vs = list(map(min, us, vs)), list(map(max, us, vs))
         if any(map(eq, us, vs)):
@@ -319,13 +322,22 @@ def edge_rows(
             raise ParameterError("duplicate edge")
         labels = [labels[e] for e in order]
     # with the edges in increasing (u, v) order, each row takes its lower
-    # neighbours first, then its higher ones, each run already ascending
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    labs: list[list[Optional[int]]] = [[] for _ in range(n)]
-    for ends, others in ((vs, us), (us, vs)):
-        deque(map(list.append, map(nbrs.__getitem__, ends), others), 0)
-        deque(map(list.append, map(labs.__getitem__, ends), labels), 0)
-    return tuple(map(tuple, nbrs)), tuple(map(tuple, labs))
+    # neighbours first, then its higher ones, each run already ascending;
+    # the neighbour rows are tuples, and their lists freed, before the
+    # label rows are made
+    nbrs = _edge_table(n, us, vs, us, vs)
+    return nbrs, _edge_table(n, us, vs, labels, labels)
+
+
+def _edge_table(n: int, us: Sequence[int], vs: Sequence[int],
+                lower: Sequence, upper: Sequence) -> tuple[tuple, ...]:
+    """The rows of n vertices where, for each edge e in turn, row vs[e]
+    takes lower[e], and then, again for each edge in turn, row us[e]
+    takes upper[e]."""
+    rows: list[list] = [[] for _ in range(n)]
+    deque(map(list.append, map(rows.__getitem__, vs), lower), 0)
+    deque(map(list.append, map(rows.__getitem__, us), upper), 0)
+    return tuple(map(tuple, rows))
 
 
 def _ascending(us: list[int], vs: list[int]) -> bool:

@@ -30,6 +30,7 @@ from .graphs import (
     ODD,
     Family,
     LabeledGraph,
+    are_vertex_indices,
     edge_rows,
     expected_family_degree,
     gc_paused,
@@ -37,6 +38,7 @@ from .graphs import (
 from .setcore import Block, check_ground
 
 _CHUNK = 8  # bits per lookup when writing a vertex's elements
+_BLOCK_ROWS = 4096  # rows of the edge list written per text block
 
 
 def _head(g: LabeledGraph) -> dict:
@@ -58,10 +60,11 @@ def graph_to_dict(g: LabeledGraph) -> dict:
 @gc_paused
 def graph_to_json(g: LabeledGraph) -> str:
     """json.dumps(graph_to_dict(g)) with ", " and ": " separators, plus a
-    newline; the vertex and edge lists are written from masks and rows."""
+    newline; the vertex and edge lists are written from masks and rows,
+    and every piece is joined once."""
     head = json.dumps(_head(g), separators=(", ", ": "))
-    return (f'{head[:-1]}, "vertices": {_vertices_text(g)},'
-            f' "edges": {_edges_text(g)}}}\n')
+    return "".join([f'{head[:-1]}, "vertices": ', _vertices_text(g),
+                    ', "edges": ', *_edge_blocks(g), "}\n"])
 
 
 @lru_cache(maxsize=None)
@@ -88,25 +91,37 @@ def _vertices_text(g: LabeledGraph) -> str:
     return "[[" + "], [".join(map(str.rstrip, texts, repeat(", "))) + "]]"
 
 
-def _edges_text(g: LabeledGraph) -> str:
-    table = g.neighbor_table
+def _edge_blocks(g: LabeledGraph) -> list[str]:
+    """The text of the edge list in pieces, one per _BLOCK_ROWS rows, so
+    that no list of pieces per edge is made for the whole graph."""
+    names = list(map(str, range(g.n_vertices)))
+    blocks = list(filter(None, (
+        _edge_block(g, names, start)
+        for start in range(0, g.n_vertices, _BLOCK_ROWS))))
+    if not blocks:
+        return ["[]"]
+    blocks[-1] = blocks[-1][:-len("], [")] + "]]"
+    return ["[[", *blocks]
+
+
+def _edge_block(g: LabeledGraph, names: list[str], start: int) -> str:
+    """The edges of rows start, ..., start + _BLOCK_ROWS - 1 that go up to
+    a higher index, each as "u, v, label], [", in (u, v) order."""
+    stop = start + _BLOCK_ROWS
+    rows, label_rows = g.neighbor_table[start:stop], g.label_table[start:stop]
     # rows ascend, so the neighbours above vertex i are the tail of its row
-    cuts = list(map(bisect_right, table, range(len(table))))
+    cuts = list(map(bisect_right, rows, range(start, stop)))
     tails = list(map(slice, cuts, repeat(None)))
-    above = list(chain.from_iterable(map(getitem, table, tails)))
-    if not above:
-        return "[]"
-    names = list(map(str, range(len(table))))
+    above = list(chain.from_iterable(map(getitem, rows, tails)))
     # each edge is the six pieces  u ", " v ", " label "], ["
     pieces = [", "] * (6 * len(above))
     pieces[0::6] = chain.from_iterable(
-        map(repeat, names, map(sub, map(len, table), cuts)))
+        map(repeat, names[start:stop], map(sub, map(len, rows), cuts)))
     pieces[2::6] = map(names.__getitem__, above)
     pieces[4::6] = _json_texts(list(chain.from_iterable(
-        map(getitem, g.label_table, tails))))
+        map(getitem, label_rows, tails))))
     pieces[5::6] = repeat("], [", len(above))
-    pieces[-1] = "]]"
-    return "[[" + "".join(pieces)
+    return "".join(pieces)
 
 
 def _json_texts(values: list) -> list[str]:
@@ -119,7 +134,13 @@ def _json_texts(values: list) -> list[str]:
 
 def _document_columns(data: dict) -> tuple:
     """The family, ground and vertex masks of an interchange document, and
-    its three edge columns: the u ends, the v ends and the labels."""
+    its three edge columns: the u ends, the v ends and the labels.
+
+    Each endpoint column is taken once, while the document is alive, and
+    a column of vertex indices is mapped through one shared list of index
+    ints, so the ints json parsed die with the document.  A column holding
+    any other entry stays as parsed, for edge_rows to report.
+    """
     try:
         ground = data["ground"]
         vert_lists = data["vertices"]
@@ -133,11 +154,22 @@ def _document_columns(data: dict) -> tuple:
         masks = _vertex_masks(vert_lists, ground)
         if set(map(len, edge_lists)) - {3}:
             raise ValueError("an edge is not [u, v, label]")
-        ends_u, ends_v, labels = (
-            list(map(itemgetter(x), edge_lists)) for x in range(3))
+        shared = list(range(len(masks)))
+        ends_u, ends_v = (_shared_indices(list(map(itemgetter(x), edge_lists)), shared)
+                          for x in range(2))
+        labels = list(map(itemgetter(2), edge_lists))
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"malformed graph document: {exc}") from exc
     return family, ground, masks, ends_u, ends_v, labels
+
+
+def _shared_indices(ends: list, shared: list[int]) -> list:
+    """ends with each entry replaced by the equal int of shared, if every
+    entry is a vertex index; ends as it is otherwise.  The range is checked
+    before any lookup, since shared[-1] would alias the last vertex."""
+    if are_vertex_indices(ends, len(shared)):
+        return list(map(shared.__getitem__, ends))
+    return ends
 
 
 def _graph_from_columns(
@@ -150,24 +182,23 @@ def _graph_from_columns(
 ) -> LabeledGraph:
     """The graph of a document's columns.
 
-    Vertices must be listed in canonical order.  A document that names a
-    family must hold exactly that family's graph: its ground, vertex count,
-    block sizes and edge count, and on every edge an adjacent pair with
-    the label the two blocks imply.  Any violation raises ParameterError.
+    Vertices must be listed in canonical order, and every endpoint must be
+    a vertex index.  A document that names a family must hold exactly that
+    family's graph: its ground, vertex count, block sizes and edge count,
+    and on every edge an adjacent pair with the label the two blocks
+    imply.  Any violation raises ParameterError.
     """
     if not all(map(lt, masks, islice(masks, 1, None))):
         if len(set(masks)) != len(masks):
             raise ParameterError("duplicate vertices")
         raise ParameterError("vertices were not in canonical order")
-    n = len(masks)
-    nbrs, labs = edge_rows(n, ends_u, ends_v, labels, dict(zip(range(n), range(n))))
+    nbrs, labs = edge_rows(len(masks), ends_u, ends_v, labels)
     if family is None:
         labeled = any(map(is_not, labels, repeat(None)))
     else:
-        mask_of = dict(zip(range(n), masks))
         _check_family(family, ground, masks,
-                      list(map(mask_of.__getitem__, ends_u)),
-                      list(map(mask_of.__getitem__, ends_v)), labels)
+                      list(map(masks.__getitem__, ends_u)),
+                      list(map(masks.__getitem__, ends_v)), labels)
         labeled = family.kind in (ODD, MIDDLE_LEVELS)
     return LabeledGraph(ground, tuple(masks), nbrs, labs,
                         family=family, labeled=labeled)

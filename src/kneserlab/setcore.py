@@ -18,6 +18,9 @@ from typing import Iterable, Iterator
 from .errors import ParameterError
 
 MAX_GROUND = 63
+# The most k-subsets k_masks lists: odd(12) and middle(12) take
+# C(23, 11) = 1,352,078 per level, odd(30) would take C(59, 29) ~ 5.9e16.
+MAX_SUBSETS = 1 << 22
 
 
 def check_ground(m: int) -> int:
@@ -233,11 +236,16 @@ def k_masks(m: int, k: int) -> list[int]:
 
     Colex order by bitmask is the canonical vertex order used everywhere;
     enumeration walks the masks with Gosper's hack, so the list is produced
-    already sorted.
+    already sorted.  More than MAX_SUBSETS subsets raise ParameterError
+    before any is listed.
     """
     check_ground(m)
     if not 0 <= k <= m:
         raise ParameterError(f"k={k} out of range 0..{m}")
+    count = binomial(m, k)
+    if count > MAX_SUBSETS:
+        raise ParameterError(
+            f"the {count} {k}-subsets of [{m}] exceed the limit of {MAX_SUBSETS}")
     if k == 0:
         return [0]
     out = []

@@ -1,6 +1,19 @@
+import weakref
+
 import pytest
 
+from kneserlab import graphs
 from kneserlab.graphs import Family, build
+
+
+@pytest.fixture
+def fresh_live(monkeypatch):
+    """An empty graphs._live table for the test, as in a fresh process: a
+    graph that a session fixture holds is constructed again, and so does
+    not carry its memo into the test."""
+    table = weakref.WeakValueDictionary()
+    monkeypatch.setattr(graphs, "_live", table)
+    return table
 
 
 @pytest.fixture(scope="session")

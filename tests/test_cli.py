@@ -3,11 +3,13 @@
 import hashlib
 import inspect
 import json
+import os
+import subprocess
 import sys
-import weakref
 
 import pytest
 
+import kneserlab
 from kneserlab import cli, graphs
 from kneserlab import decompose as dec
 from kneserlab.cli import main, run_suite
@@ -225,7 +227,7 @@ class TestVerify:
             lines = run_suite(name, 3).lines
             assert lines and all(isinstance(line, Report) for line in lines), name
 
-    def test_suites_hold_their_families(self, monkeypatch, capsys):
+    def test_suites_hold_their_families(self, fresh_live, monkeypatch, capsys):
         # each suite constructs a family at most once; with nothing held a
         # pass made 155 constructions of 24 families
         built = []
@@ -237,10 +239,10 @@ class TestVerify:
                     built.append(family) or construct(family))
         code, _, _ = run(["verify", "all", "--max-n", "64"], capsys)
         assert code == 0
-        assert 0 < len(built) <= 66
+        assert len(built) == 59
         assert not graphs._holds
 
-    def test_pass_cuts_each_class_once(self, monkeypatch, capsys):
+    def test_pass_cuts_each_class_once(self, fresh_live, monkeypatch, capsys):
         # the component-to-middle chains cut only their source class and
         # map each vertex through the block formulas (composing maps between
         # intermediate pieces made 130 block_component calls per pass); a
@@ -249,7 +251,6 @@ class TestVerify:
         # subgraphs without it, each piece costing one of both).  As in a
         # fresh process, no graph outlives its suite: a graph that a session
         # fixture holds would carry its memo from suite to suite.
-        monkeypatch.setattr(graphs, "_live", weakref.WeakValueDictionary())
         targets = [(dec, "block_component"), (dec, "delete_colors"),
                    (dec, "deleted_subgraph"), (graphs.LabeledGraph, "subgraph")]
         calls = dict.fromkeys((name for _, name in targets), 0)
@@ -448,6 +449,32 @@ class TestOrbits:
         code, out, _ = run(["orbits", n, "--necklaces"], capsys)
         assert code == 0
         assert sha256_prefix(out) == prefix
+
+
+class TestSizeGuard:
+    def test_family_too_large_to_list_exit_2(self):
+        # odd(30) and middle(30) have C(59, 29), about 5.9e16, vertices per
+        # level.  The commands run in a child whose address space is capped,
+        # so that without the guard they would fail on memory at once
+        # rather than list masks until the machine runs out
+        commands = [["orbits", "30"], ["build", "odd", "30"],
+                    ["decompose", "odd", "30", "--k", "2"],
+                    ["hamilton", "odd", "30"], ["build", "middle", "30"]]
+        code = "\n".join([
+            "import resource",
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))",
+            "from kneserlab.cli import main",
+            f"print([main(argv) for argv in {commands!r}])",
+        ])
+        src = os.path.dirname(os.path.dirname(kneserlab.__file__))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"{[2] * len(commands)}\n"
+        refusal = ("error: the 59132290782430712 29-subsets of [59] exceed"
+                   " the limit of 4194304")
+        assert done.stderr.count(refusal) == len(commands), done.stderr
 
 
 class TestExport:

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kneserlab import setcore
 from kneserlab.errors import ParameterError
 from kneserlab.setcore import (
+    MAX_SUBSETS,
     Block,
     Perm,
     apply_perm,
@@ -16,6 +18,7 @@ from kneserlab.setcore import (
     catalan_fourth_convolution,
     complement,
     k_blocks,
+    k_masks,
 )
 
 
@@ -117,6 +120,23 @@ class TestKBlocks:
             k_blocks(5, 6)
         with pytest.raises(ParameterError):
             k_blocks(5, -1)
+
+
+class TestSubsetLimit:
+    def test_limit_admits_odd12_and_refuses_odd30(self):
+        # odd(12) and middle(12) list C(23, 11) masks per level; odd(30)
+        # would list C(59, 29), about 5.9e16
+        assert binomial(23, 11) <= MAX_SUBSETS < binomial(59, 29)
+
+    def test_refused_before_any_mask_is_listed(self, monkeypatch):
+        # a lowered limit shows the refusal at a size that could be listed
+        monkeypatch.setattr(setcore, "MAX_SUBSETS", binomial(9, 4) - 1)
+        assert len(k_masks(9, 3)) == 84
+        with pytest.raises(ParameterError,
+                           match=r"^the 126 4-subsets of \[9\] exceed the limit of 125$"):
+            k_masks(9, 4)
+        with pytest.raises(ParameterError, match="exceed the limit"):
+            k_blocks(9, 5)
 
 
 class TestPerm:
