@@ -471,11 +471,10 @@ def run_suite(suite: str, max_n: Optional[int] = None) -> RunReport:
         raise ParameterError(f"--max-n must be at least 1, got {max_n}")
     names = list(_SUITES) if suite == "all" else [suite]
     report = RunReport(suite)
-    for name in names:
-        default, cap = _SUITE_DEPTH[name]
-        n = default if max_n is None else min(max_n, cap)
-        with holding_families():
-            _SUITES[name](report, n)
+    with holding_families():
+        for name in names:
+            default, cap = _SUITE_DEPTH[name]
+            _SUITES[name](report, default if max_n is None else min(max_n, cap))
     return report
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, repeat
-from operator import and_
-from typing import Iterable, Sequence, Union
 
 from .errors import ParameterError, UnlabeledGraphError
 from .graphs import (
@@ -23,28 +21,14 @@ from .graphs import (
     LabeledGraph,
     Report,
     build,
-    component_index_sets,
     degree_profile,
     degree_signature,
     gc_paused,
     signature_name,
 )
-from .setcore import Block, binomial
-
-ColorsLike = Union[Block, Iterable[int]]
+from .setcore import Block, ColorsLike, as_color_block, binomial
 
 ISOLATED = ("isolated",)
-
-
-def as_color_block(colors: ColorsLike, m: int) -> Block:
-    """Normalize a color collection to a Block over [m]."""
-    if isinstance(colors, Block):
-        if colors.m != m:
-            raise ParameterError(
-                f"color set over [{colors.m}] does not match ground [{m}]"
-            )
-        return colors
-    return Block.from_elements(colors, m)
 
 
 def canonical_colors(n: int, k: int) -> Block:
@@ -80,32 +64,6 @@ def shared_deletion(g: LabeledGraph, colors: ColorsLike) -> LabeledGraph:
     return g.memo[key]
 
 
-@gc_paused
-def deleted_subgraph(
-    g: LabeledGraph, vertex_indices: Sequence[int], colors: ColorsLike
-) -> LabeledGraph:
-    """delete_colors(g.subgraph(vertex_indices), colors) in one pass: each
-    kept row is cut to its kept neighbours whose label lies outside the
-    color set."""
-    if not g.labeled:
-        raise UnlabeledGraphError("color deletion needs a labeled graph")
-    drop = frozenset(as_color_block(colors, g.ground).elements())
-    chosen = sorted(vertex_indices)
-    keep = dict(zip(chosen, range(len(chosen))))
-    rows = list(map(g.neighbor_table.__getitem__, chosen))
-    labels = list(map(g.label_table.__getitem__, chosen))
-    kept_label = (frozenset(chain.from_iterable(labels)) - drop).__contains__
-    # per row, whether each edge has its other end kept and a kept label
-    selectors = list(map(list, map(
-        map, repeat(and_), map(map, repeat(keep.__contains__), rows),
-        map(map, repeat(kept_label), labels))))
-    nbrs = map(map, repeat(keep.__getitem__), map(compress, rows, selectors))
-    return LabeledGraph(g.ground, tuple(map(g.masks.__getitem__, chosen)),
-                        tuple(map(tuple, nbrs)),
-                        tuple(map(tuple, map(compress, labels, selectors))),
-                        family=None, labeled=True)
-
-
 def component_signature(g: LabeledGraph, vertex_indices: list[int]) -> tuple:
     """Census key of one component: isolated / regular / biregular / irregular.
 
@@ -137,7 +95,7 @@ def classify_components(g: LabeledGraph) -> ComponentCensus:
     than regular(0), so regularity statements range over components that
     actually carry edges.
     """
-    counts = Counter(component_signature(g, ixs) for ixs in component_index_sets(g))
+    counts = Counter(component_signature(g, ixs) for ixs in g.component_sets)
     return ComponentCensus(dict(sorted(counts.items())))
 
 
@@ -222,7 +180,7 @@ def block_component(n: int, colors: ColorsLike, t: ColorsLike) -> BlockComponent
         u = classes.get(tb.bits, [])
         w = classes.get((s - tb).bits, [])
         # T = S - T only for S empty: both sides are then the whole graph
-        sub = deleted_subgraph(g, u if tb == s - tb else u + w, s)
+        sub = g.subgraph(u if tb == s - tb else u + w, s)
         g.memo[key] = BlockComponent(
             graph=sub,
             signature=degree_profile(sub),
@@ -237,29 +195,19 @@ def remainder_graph(n: int, k: int) -> BlockComponent:
     T-empty piece of the canonical deleted set, the unique (n, n-k)-
     biregular component of O_n(k).
 
-    block_component cuts the piece once per built O_n, and it is checked
-    once too: the graph's memo keeps the checked piece for as long as that
-    O_n lives.  A piece that fails its check leaves the memo.
+    The piece is block_component's, cut once per built O_n and checked on
+    every call: the piece stores its signature and its graph caches its
+    components, so a repeated check reads both.
     """
     if not 0 < k < n:
         raise ParameterError(f"remainder graph needs 0 < k < n, got ({n}, {k})")
-    g = build(Family.odd(n))
-    key = ("remainder", k)
-    if key in g.memo:
-        return g.memo[key]
-    s = canonical_colors(n, k)
-    piece = block_component(n, s, Block.empty(2 * n - 1))
-    problem = None
+    piece = block_component(n, canonical_colors(n, k), ())
     if piece.signature != ("biregular", n, n - k):
-        problem = (f"remainder piece of O_{n}({k}) is"
-                   f" {signature_name(piece.signature)},"
-                   f" expected biregular({n},{n - k})")
-    elif not piece.graph.connected:
-        problem = f"remainder piece of O_{n}({k}) is not connected"
-    if problem:
-        del g.memo[("piece", s.bits, 0)]  # a failed check memoizes nothing
-        raise AssertionError(problem)
-    g.memo[key] = piece
+        raise AssertionError(f"remainder piece of O_{n}({k}) is"
+                             f" {signature_name(piece.signature)},"
+                             f" expected biregular({n},{n - k})")
+    if not piece.graph.connected:
+        raise AssertionError(f"remainder piece of O_{n}({k}) is not connected")
     return piece
 
 
@@ -276,7 +224,7 @@ def verify_disjointness(n: int, colors: ColorsLike) -> Report:
     classes = trace_classes(g, s)
     comp_of = [0] * g.n_vertices
     comp_sizes = []
-    for ci, ixs in enumerate(component_index_sets(shared_deletion(g, s))):
+    for ci, ixs in enumerate(shared_deletion(g, s).component_sets):
         comp_sizes.append(len(ixs))
         for x in ixs:
             comp_of[x] = ci

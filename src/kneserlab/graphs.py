@@ -25,7 +25,7 @@ from operator import and_, eq, itemgetter, lt, neg, or_, xor
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import NotAdjacentError, ParameterError, UnlabeledGraphError
-from .setcore import Block, binomial, check_ground, k_masks
+from .setcore import Block, ColorsLike, as_color_block, binomial, check_ground, k_masks
 
 
 def gc_paused(fn):
@@ -186,10 +186,30 @@ class LabeledGraph:
         return {}
 
     @cached_property
+    def component_sets(self) -> tuple[tuple[int, ...], ...]:
+        """Vertex indices of the connected components, each ascending,
+        ordered by smallest index (equivalently smallest vertex, since
+        vertex order is canonical).  Each component is reached a BFS level
+        at a time with set operations."""
+        table = self.neighbor_table
+        seen: set[int] = set()
+        comps = []
+        for start in range(len(self.masks)):
+            if start not in seen:
+                comp = {start}
+                level = [start]
+                while level:
+                    reached = set(chain.from_iterable(map(table.__getitem__, level)))
+                    reached -= comp
+                    comp |= reached
+                    level = reached
+                seen |= comp
+                comps.append(tuple(sorted(comp)))
+        return tuple(comps)
+
+    @property
     def connected(self) -> bool:
-        if self.n_vertices == 0:
-            return True
-        return len(_component_of(self, 0)) == self.n_vertices
+        return len(self.component_sets) <= 1
 
     @property
     def n_vertices(self) -> int:
@@ -253,21 +273,39 @@ class LabeledGraph:
                 f"vertices {self.vertices[i]} and {self.vertices[j]} are not adjacent"
             ) from None
 
-    def subgraph(self, vertex_indices: Sequence[int]) -> "LabeledGraph":
-        """Induced subgraph; vertices re-sorted into canonical order (which
-        is index order)."""
-        chosen = sorted(vertex_indices)
+    @gc_paused
+    def subgraph(self, vertex_indices: Sequence[int],
+                 colors: ColorsLike = ()) -> "LabeledGraph":
+        """The subgraph induced by the given vertex indices, minus every edge
+        whose label lies in the color set; vertices re-sorted into
+        canonical order (which is index order).
+
+        The indices must be distinct vertex indices, ints in 0..n-1.  A
+        nonempty color set needs a labeled graph.
+        """
+        chosen = list(vertex_indices)
+        n = len(self.masks)
+        if not are_vertex_indices(chosen, n) or len(set(chosen)) < len(chosen):
+            raise ParameterError(
+                f"subgraph needs distinct vertex indices in 0..{n - 1}")
+        drop = frozenset(as_color_block(colors, self.ground).elements())
+        if drop and not self.labeled:
+            raise UnlabeledGraphError("color deletion needs a labeled graph")
+        chosen.sort()
         keep = dict(zip(chosen, range(len(chosen))))
-        kept = keep.__contains__
-        # per kept row, its kept neighbours renumbered, and their labels
         rows = list(map(self.neighbor_table.__getitem__, chosen))
-        nbrs = map(map, repeat(keep.__getitem__), map(filter, repeat(kept), rows))
-        labels = map(compress, map(self.label_table.__getitem__, chosen),
-                     map(map, repeat(kept), rows))
-        masks = tuple(map(self.masks.__getitem__, chosen))
-        return LabeledGraph(self.ground, masks, tuple(map(tuple, nbrs)),
-                            tuple(map(tuple, labels)), family=None,
-                            labeled=self.labeled)
+        labels = list(map(self.label_table.__getitem__, chosen))
+        # per row, whether each edge has its other end kept and a kept label
+        selectors = list(map(list, map(map, repeat(keep.__contains__), rows)))
+        if drop:
+            kept_label = (frozenset(chain.from_iterable(labels)) - drop).__contains__
+            selectors = list(map(list, map(
+                map, repeat(and_), selectors, map(map, repeat(kept_label), labels))))
+        nbrs = map(map, repeat(keep.__getitem__), map(compress, rows, selectors))
+        return LabeledGraph(self.ground, tuple(map(self.masks.__getitem__, chosen)),
+                            tuple(map(tuple, nbrs)),
+                            tuple(map(tuple, map(compress, labels, selectors))),
+                            family=None, labeled=self.labeled)
 
     def __str__(self) -> str:
         fam = f" {self.family}" if self.family else ""
@@ -583,37 +621,9 @@ def expected_family_degree(family: Family) -> int:
     return binomial(sizes[1], sizes[0]) if len(sizes) == 2 else 0
 
 
-def _component_of(g: LabeledGraph, start: int) -> set[int]:
-    """Vertex indices of the component of start, reached a BFS level at a
-    time with set operations."""
-    table = g.neighbor_table
-    comp = {start}
-    level = [start]
-    while level:
-        reached = set(chain.from_iterable(map(table.__getitem__, level)))
-        reached -= comp
-        comp |= reached
-        level = reached
-    return comp
-
-
-def component_index_sets(g: LabeledGraph) -> list[list[int]]:
-    """Vertex-index sets of the connected components, ordered by smallest
-    contained vertex (equivalently smallest index, since vertex order is
-    canonical)."""
-    seen: set[int] = set()
-    comps = []
-    for s in range(g.n_vertices):
-        if s not in seen:
-            comp = _component_of(g, s)
-            seen |= comp
-            comps.append(sorted(comp))
-    return comps
-
-
 def components(g: LabeledGraph) -> list[LabeledGraph]:
     """Connected components as induced subgraphs, labels inherited."""
-    return [g.subgraph(ixs) for ixs in component_index_sets(g)]
+    return [g.subgraph(ixs) for ixs in g.component_sets]
 
 
 def bfs_distances(g: LabeledGraph, start: int) -> list[int]:

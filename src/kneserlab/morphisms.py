@@ -22,7 +22,6 @@ from .decompose import (
     block_component,
     canonical_colors,
     classify_components,
-    deleted_subgraph,
     regular_component_partitions,
     shared_deletion,
     trace_classes,
@@ -423,7 +422,7 @@ def middle_class_to_middle(n: int, colors, t) -> VertexMap:
         raise ParameterError("regular classes need |S| even and T a half of S")
     g = build(Family.middle_levels(n))
     members = trace_classes(g, s).get(tb.bits, [])
-    class_graph = deleted_subgraph(g, members, s)
+    class_graph = g.subgraph(members, s)
     up = 2 * n + 1
     s_up = Block.from_elements(s.elements() + (2 * n, 2 * n + 1), up)
     # a small block embeds with trace T + {2n}, on the U side of the class

@@ -150,6 +150,10 @@ def _document_columns(data: dict) -> tuple:
     except (KeyError, TypeError) as exc:
         raise ParameterError(f"malformed graph document: {exc}") from exc
     try:
+        # an object or a string would pass for a row of three below
+        for name, rows in (("vertices", vert_lists), ("edges", edge_lists)):
+            if type(rows) is not list or set(map(type, rows)) - {list}:
+                raise ValueError(f"{name} must be a list of arrays")
         family = None if family_kind is None else Family(family_kind, *params)
         masks = _vertex_masks(vert_lists, ground)
         if set(map(len, edge_lists)) - {3}:

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Union
 
 from .errors import ParameterError
 
@@ -151,6 +151,20 @@ _set_m = Block.__dict__["m"].__set__
 
 def complement(b: Block) -> Block:
     return b.complement()
+
+
+ColorsLike = Union[Block, Iterable[int]]
+
+
+def as_color_block(colors: ColorsLike, m: int) -> Block:
+    """Normalize a color collection to a Block over [m]."""
+    if isinstance(colors, Block):
+        if colors.m != m:
+            raise ParameterError(
+                f"color set over [{colors.m}] does not match ground [{m}]"
+            )
+        return colors
+    return Block.from_elements(colors, m)
 
 
 @dataclass(frozen=True)

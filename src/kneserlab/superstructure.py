@@ -28,7 +28,6 @@ from .graphs import (
     Report,
     bfs_distances,
     build,
-    component_index_sets,
     graph_from_edges,
 )
 from .morphisms import ISOMORPHISM, VertexMap, regular_component_to_middle
@@ -101,7 +100,7 @@ def _component_halves(n: int, s: Block, d: int, family_kind: str) -> list[int]:
     deleted = shared_deletion(build(fam), s)
     d_bit = 1 << (d - 1)
     halves = []
-    for comp in component_index_sets(deleted):
+    for comp in deleted.component_sets:
         trace = deleted.masks[comp[0]] & s.bits
         if trace.bit_count() != k // 2:
             continue
@@ -210,7 +209,7 @@ def bottom_level(n: int, v: Block) -> BottomLevel:
     expected = {("regular", target_m): mm_copies}
     if counts != expected:
         failures.append(f"census {census} != expected {mm_copies} regular({target_m})")
-    comp_sets = component_index_sets(sub)
+    comp_sets = sub.component_sets
     d = max(colors.elements())
     halves = []
     for comp in comp_sets:

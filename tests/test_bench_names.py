@@ -1,9 +1,12 @@
-"""The names perfbench/ traces must exist in the package.
+"""The names perfbench/ traces or imports must exist in the package.
 
-perfbench/layers.py wraps package functions by name; a rename or removal
-there would otherwise surface only when the benchmark runs.
+perfbench/layers.py wraps package functions by name, and the workloads
+import them; a rename or removal there would otherwise surface only when
+the benchmark runs.
 """
 
+import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -11,7 +14,8 @@ import pytest
 
 from kneserlab import cli, hamilton, morphisms
 
-LAYERS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+LAYERS_PATH = PERFBENCH / "layers.py"
 
 
 @pytest.fixture(scope="module")
@@ -36,3 +40,71 @@ def test_patched_methods_and_kernel_exist():
 
 def test_suite_names_match(layers):
     assert list(cli._SUITES) == layers.SUITES
+
+
+def _optional_imports(tree):
+    """The import statements inside a try that catches ImportError: a
+    module that may be missing, such as a compiled kernel."""
+    optional = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Try) and any(
+                isinstance(h.type, ast.Name) and h.type.id == "ImportError"
+                for h in node.handlers):
+            optional.update(id(n) for stmt in node.body for n in ast.walk(stmt))
+    return optional
+
+
+def _package_imports(path):
+    """(module, name) for every name a file imports from kneserlab, with
+    name None for a plain import of the module."""
+    tree = ast.parse(path.read_text())
+    optional = _optional_imports(tree)
+    for node in ast.walk(tree):
+        if id(node) in optional:
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                node.module.split(".")[0] == "kneserlab"):
+            for alias in node.names:
+                yield node.module, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "kneserlab":
+                    yield alias.name, None
+
+
+def _resolves(module_name, name):
+    """Whether module_name imports and has name, as an attribute or as a
+    submodule."""
+    try:
+        module = importlib.import_module(module_name)
+        if name is not None and not hasattr(module, name):
+            importlib.import_module(f"{module_name}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def test_imported_names_resolve():
+    imports = [(path.name, module, name)
+               for path in sorted(PERFBENCH.glob("*.py"))
+               for module, name in _package_imports(path)]
+    assert {("workloads.py", "kneserlab.decompose", name) for name in (
+        "as_color_block", "classify_components", "delete_colors",
+        "expected_census")} <= set(imports)
+    assert [entry for entry in imports if not _resolves(*entry[1:])] == []
+
+
+def test_import_check_sees_missing_names(tmp_path):
+    (tmp_path / "bench.py").write_text(
+        "from kneserlab.decompose import delete_colors, no_such_name\n"
+        "import kneserlab.no_such_module\n"
+        "try:\n"
+        "    from kneserlab import _no_such_kernel\n"
+        "except ImportError:\n"
+        "    pass\n")
+    imports = list(_package_imports(tmp_path / "bench.py"))
+    assert imports == [("kneserlab.decompose", "delete_colors"),
+                       ("kneserlab.decompose", "no_such_name"),
+                       ("kneserlab.no_such_module", None)]
+    assert [_resolves(*entry) for entry in imports] == [True, False, False]
+    assert _resolves("kneserlab", "hamilton")

@@ -228,8 +228,9 @@ class TestVerify:
             assert lines and all(isinstance(line, Report) for line in lines), name
 
     def test_suites_hold_their_families(self, fresh_live, monkeypatch, capsys):
-        # each suite constructs a family at most once; with nothing held a
-        # pass made 155 constructions of 24 families
+        # a pass constructs each family at most once: one hold spans every
+        # suite (with nothing held a pass made 155 constructions of 24
+        # families, and with one hold per suite 59)
         built = []
         for name in ("_build_kneser", "_build_bipartite_kneser"):
             construct = getattr(graphs, name)
@@ -239,20 +240,22 @@ class TestVerify:
                     built.append(family) or construct(family))
         code, _, _ = run(["verify", "all", "--max-n", "64"], capsys)
         assert code == 0
-        assert len(built) == 59
+        assert len(built) == 22
         assert not graphs._holds
 
     def test_pass_cuts_each_class_once(self, fresh_live, monkeypatch, capsys):
         # the component-to-middle chains cut only their source class and
         # map each vertex through the block formulas (composing maps between
         # intermediate pieces made 130 block_component calls per pass); a
-        # suite deletes colors from a family graph, or cuts a piece of it,
+        # pass deletes colors from a family graph, or cuts a piece of it,
         # once through the graph's memo (a pass made 99 deletions and 98
-        # subgraphs without it, each piece costing one of both).  As in a
-        # fresh process, no graph outlives its suite: a graph that a session
-        # fixture holds would carry its memo from suite to suite.
+        # subgraphs without it, each piece costing one of both, and 32
+        # deletions and 87 cuts with one hold per suite).  remainder_graph
+        # asks block_component again on every call, and gets the piece the
+        # memo keeps.  As in a fresh process, no graph outlives the pass: a
+        # graph that a session fixture holds would carry its memo into it.
         targets = [(dec, "block_component"), (dec, "delete_colors"),
-                   (dec, "deleted_subgraph"), (graphs.LabeledGraph, "subgraph")]
+                   (graphs.LabeledGraph, "subgraph")]
         calls = dict.fromkeys((name for _, name in targets), 0)
         modules = [module for module in list(sys.modules.values())
                    if getattr(module, "__name__", "").startswith("kneserlab")]
@@ -270,8 +273,8 @@ class TestVerify:
                         monkeypatch.setattr(module, key, counted)
         code, _, _ = run(["verify", "all", "--max-n", "64"], capsys)
         assert code == 0
-        assert calls == {"block_component": 56, "delete_colors": 32,
-                         "deleted_subgraph": 47, "subgraph": 40}
+        assert calls == {"block_component": 60, "delete_colors": 22,
+                         "subgraph": 72}
 
 
 class TestHamilton:
@@ -507,6 +510,19 @@ class TestExport:
         code, out, err = run(["export", str(src)], capsys)
         assert code == 2
         assert err.startswith("error: ")
+        assert out == ""
+
+    @pytest.mark.parametrize("edge", ['{"0": 0, "1": 1, "2": null}', '"abc"'],
+                             ids=["object", "string"])
+    def test_edge_not_an_array_exit_2(self, edge, tmp_path, capsys):
+        # an object edge has no item 0 for the column reads, and a string
+        # edge would be read as its characters
+        src = tmp_path / "g.json"
+        src.write_text('{"ground": 3, "vertices": [[1], [2]], "edges": [%s]}' % edge)
+        code, out, err = run(["export", str(src)], capsys)
+        assert code == 2
+        assert err.startswith(
+            "error: malformed graph document: edges must be a list of arrays")
         assert out == ""
 
     def test_deeply_nested_json_exit_2(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Color-deletion subgraphs, block components, censuses, remainders."""
 
+import dataclasses
 import weakref
 from itertools import combinations
 
@@ -15,7 +16,6 @@ from kneserlab.decompose import (
     classify_components,
     component_signature,
     delete_colors,
-    deleted_subgraph,
     expected_census,
     regular_component_partitions,
     remainder_graph,
@@ -26,8 +26,8 @@ from kneserlab.decompose import (
 from kneserlab.errors import ParameterError, UnlabeledGraphError
 from kneserlab.graphs import (
     Family,
+    LabeledGraph,
     build,
-    component_index_sets,
     degree_profile,
     girth,
     graph_from_edges,
@@ -101,6 +101,9 @@ class TestDeleteColors:
 
 
 class TestDeletedSubgraph:
+    """LabeledGraph.subgraph with a color set cuts the rows of the kept
+    vertices and the deleted colors in one pass."""
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_matches_two_step_cut_for_every_class(self, n):
         g = build(Family.odd(n))
@@ -110,19 +113,37 @@ class TestDeletedSubgraph:
             for i in range(k + 1):
                 for combo in combinations(s.elements(), i):
                     t = b(combo, 2 * n - 1)
-                    members = classes.get(t.bits, []) + classes.get((s - t).bits, [])
-                    assert deleted_subgraph(g, members, s) == delete_colors(
+                    members = classes.get(t.bits, [])
+                    if t != s - t:  # S empty: T = S - T, one class listed once
+                        members = members + classes.get((s - t).bits, [])
+                    assert g.subgraph(members, s) == delete_colors(
                         g.subgraph(members), s)
 
     def test_middle_class_matches_two_step_cut(self, middle4):
         s = b([5, 6, 7], 7)
         for members in trace_classes(middle4, s).values():
-            assert deleted_subgraph(middle4, members, s) == delete_colors(
+            assert middle4.subgraph(members, s) == delete_colors(
                 middle4.subgraph(members), s)
 
     def test_unlabeled_rejected(self):
         with pytest.raises(UnlabeledGraphError):
-            deleted_subgraph(build(Family.kneser(5, 2)), [0, 1], [1])
+            build(Family.kneser(5, 2)).subgraph([0, 1], [1])
+
+    def test_color_outside_ground_rejected(self, odd3):
+        with pytest.raises(ParameterError):
+            odd3.subgraph([0, 1], [6])
+        with pytest.raises(ParameterError):
+            odd3.subgraph([0, 1], b([1], 7))
+
+    @pytest.mark.parametrize("indices", [[0, 0, 5], [-1, 2], [0, 99], [0, True],
+                                         [0, 1.0], [0, "1"]])
+    def test_bad_vertex_indices_rejected(self, odd3, indices):
+        # a repeated index would make rows that are not symmetric, and a
+        # list lookup would read -1 as the last vertex
+        with pytest.raises(ParameterError, match="distinct vertex indices"):
+            odd3.subgraph(indices)
+        with pytest.raises(ParameterError, match="distinct vertex indices"):
+            odd3.subgraph(indices, [4])
 
 
 class TestGraphMemo:
@@ -136,11 +157,11 @@ class TestGraphMemo:
         assert shared_deletion(g, b([6, 7], 7)) is shared
         assert list(g.memo) == [("deleted", b([6, 7], 7).bits)]
 
-    def test_repeated_piece_in_a_hold_is_cut_once(self, monkeypatch):
+    def test_repeated_piece_in_a_hold_is_cut_once(self, fresh_live, monkeypatch):
         cuts = []
-        cut = dec.deleted_subgraph
-        monkeypatch.setattr(
-            dec, "deleted_subgraph", lambda *args: cuts.append(args) or cut(*args))
+        cut = LabeledGraph.subgraph
+        monkeypatch.setattr(LabeledGraph, "subgraph",
+                            lambda *args: cuts.append(args) or cut(*args))
         with holding_families():
             first = block_component(6, [8, 9, 10, 11], [8, 11])
             assert block_component(6, b([8, 9, 10, 11], 11), [11, 8]) is first
@@ -305,7 +326,7 @@ class TestComponentSignature:
 
     @staticmethod
     def _assert_agrees(g):
-        for comp in component_index_sets(g):
+        for comp in g.component_sets:
             want = (ISOLATED if len(comp) == 1
                     else degree_profile(g.subgraph(comp)))
             assert component_signature(g, comp) == want
@@ -363,6 +384,8 @@ class TestRemainder:
         assert census.counts[("biregular", 5, 2)] == 1
 
     def test_built_and_checked_once_per_odd_graph(self, monkeypatch):
+        # each call asks block_component for the piece, which odd(7)'s memo
+        # keeps, and checks it again
         calls = []
         cut = dec.block_component
         monkeypatch.setattr(
@@ -371,20 +394,30 @@ class TestRemainder:
         first = remainder_graph(7, 2)
         assert remainder_graph(7, 2) is first
         assert remainder_graph(7, 3).signature == ("biregular", 7, 4)
-        assert len(calls) == 2
+        assert len(calls) == 3
         ref = weakref.ref(first)
         del first, g
-        assert ref() is None  # the memo lives and dies with odd(7)
+        assert ref() is None  # the piece lives and dies with odd(7)
 
-    def test_checks_run_when_computed(self, monkeypatch):
+    def test_checks_run_when_computed(self, fresh_live, monkeypatch):
         g = build(Family.odd(7))
-        monkeypatch.setattr(dec, "degree_profile",
-                            lambda g: ("irregular",))
+        with monkeypatch.context() as patch:
+            patch.setattr(dec, "degree_profile", lambda g: ("irregular",))
+            with pytest.raises(AssertionError, match="expected biregular"):
+                remainder_graph(7, 2)
+        # the bad piece stays in odd(7)'s memo, and every call checks it
         with pytest.raises(AssertionError, match="expected biregular"):
             remainder_graph(7, 2)
-        # a failed check memoizes nothing: a clean call cuts and checks again
-        assert not [key for key in g.memo if key[0] in ("piece", "remainder")]
-        monkeypatch.undo()
+        (key,) = (key for key in g.memo if key[0] == "piece")
+        bad = g.memo[key]
+        edgeless = graph_from_edges(13, list(bad.graph.vertices[:2]), [])
+        g.memo[key] = dataclasses.replace(
+            bad, graph=edgeless, signature=("biregular", 7, 5))
+        with pytest.raises(AssertionError, match="is not connected"):
+            remainder_graph(7, 2)
+        # a piece depends only on odd(7): once the graph is gone, the piece
+        # is cut again and passes
+        del g, bad
         piece = remainder_graph(7, 2)
         assert piece.signature == ("biregular", 7, 5)
         assert piece.graph.n_vertices == binomial(12, 5)

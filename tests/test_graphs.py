@@ -17,6 +17,7 @@ from kneserlab.errors import (
 from kneserlab.graphs import (
     Family,
     PathSeq,
+    bfs_distances,
     build,
     components,
     degree_profile,
@@ -458,11 +459,15 @@ class TestComponents:
         assert firsts == sorted(firsts)
 
     def test_connected_is_cached(self, odd3):
+        # connected reads the cached partition, which has no search of its own
         from kneserlab.decompose import delete_colors
 
         assert odd3.connected
-        assert "connected" in vars(odd3)
-        assert not delete_colors(odd3, [4, 5]).connected
+        assert "component_sets" in vars(odd3)
+        assert odd3.component_sets == (tuple(range(10)),)
+        deleted = delete_colors(odd3, [4, 5])
+        assert not deleted.connected
+        assert deleted.component_sets is deleted.component_sets
         assert graph_from_edges(3, [], []).connected  # no vertices
 
 
@@ -481,6 +486,73 @@ class TestSubgraph:
                  if g.has_edge(i, j)] for i in order]
         assert (sub.neighbor_table, sub.label_table) == tables(rows)
         assert sub.labeled == g.labeled and sub.family is None
+
+
+CUT_GRAPHS = {
+    "odd3": Family.odd(3), "odd4": Family.odd(4), "odd5": Family.odd(5),
+    "middle2": Family.middle_levels(2), "middle3": Family.middle_levels(3),
+    "middle4": Family.middle_levels(4), "kneser": Family.kneser(5, 2),
+    "bikneser": Family.bipartite_kneser(5, 2),
+    "edgeless": Family.bipartite_kneser(4, 2),  # both sides are 2-blocks
+}
+
+
+@st.composite
+def cuts(draw, g):
+    """A vertex index list of g, in any order, and a color set of its
+    ground; each may be empty or full."""
+    n = g.n_vertices
+    chosen = draw(st.one_of(
+        st.just([]), st.permutations(range(n)),
+        st.lists(st.integers(0, n - 1), unique=True)))
+    colors = draw(st.one_of(
+        st.just(set()), st.just(set(range(1, g.ground + 1))),
+        st.sets(st.integers(1, g.ground))))
+    return chosen, colors
+
+
+class TestCutAndPartition:
+    """LabeledGraph.subgraph against a rebuild from the edge list, and
+    component_sets against a BFS of every component, on labeled and
+    unlabeled graphs."""
+
+    @pytest.mark.parametrize("name", list(CUT_GRAPHS))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_cut_matches_edge_filter(self, name, data):
+        g = build(CUT_GRAPHS[name])
+        chosen, colors = data.draw(cuts(g))
+        if colors and not g.labeled:
+            with pytest.raises(UnlabeledGraphError):
+                g.subgraph(chosen, colors)
+            colors = set()
+        order = sorted(chosen)
+        new = {i: x for x, i in enumerate(order)}
+        want = graph_from_edges(
+            g.ground, [g.vertices[i] for i in order],
+            [(new[i], new[j], lab) for i, j, lab in g.edges()
+             if i in new and j in new and lab not in colors],
+            labeled=g.labeled)
+        assert g.subgraph(chosen, colors) == want
+
+    @pytest.mark.parametrize("name", list(CUT_GRAPHS))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_components_partition_the_cut(self, name, data):
+        g = build(CUT_GRAPHS[name])
+        chosen, colors = data.draw(cuts(g))
+        sub = g.subgraph(chosen, colors if g.labeled else ())
+        comps = sub.component_sets
+        members = sorted(i for comp in comps for i in comp)
+        assert members == list(range(sub.n_vertices))
+        assert all(comp == tuple(sorted(comp)) for comp in comps)
+        firsts = [comp[0] for comp in comps]
+        assert firsts == sorted(set(firsts))
+        for comp in comps:
+            # reached from its first vertex, and nothing else is
+            dist = bfs_distances(sub, comp[0])
+            assert [i for i, d in enumerate(dist) if d >= 0] == list(comp)
+        assert sub.connected == (len(comps) <= 1)
 
 
 class TestNeighborTable:
@@ -663,7 +735,7 @@ class TestAgainstBruteForce:
         nbrs = {i: {j for (x, j) in want if x == i} for i in range(g.n_vertices)}
         assert degree_profile(g) == reference_signature(
             nbrs, list(range(g.n_vertices)))
-        for comp in graphs.component_index_sets(g):
+        for comp in g.component_sets:
             expected = (ISOLATED if len(comp) == 1
                         else reference_signature(nbrs, comp))
             assert component_signature(g, comp) == expected

@@ -358,7 +358,7 @@ def test_graph_memo_keys_cannot_collide():
     # writes at all
     assert _memo_faults(sorted(SRC.glob("*.py"))) == []
     assert sorted(tag for _, tag in _memo_writes(SRC / MEMO_MODULE)) == [
-        "deleted", "piece", "remainder"]
+        "deleted", "piece"]
 
 
 def test_detects_a_colliding_memo_write(tmp_path):

@@ -264,13 +264,7 @@ class TestMiddleComponentIso:
         emb = embed_middle_in_odd(3)
         image = {emb.apply(v) for v in emb.source.vertices}
         deleted = delete_colors(odd4, canonical_colors(4, 2))
-        from kneserlab.graphs import component_index_sets
-
-        comps = component_index_sets(deleted)
-        regular = [
-            c for c in comps
-            if len(c) == 20
-        ]
+        regular = [c for c in deleted.component_sets if len(c) == 20]
         assert len(regular) == 1
         assert image == {deleted.vertices[i] for i in regular[0]}
 

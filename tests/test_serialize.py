@@ -119,9 +119,16 @@ class TestJsonRoundTrip:
         ({"edges": [[0, 1.0, None]]}, "endpoints must be vertex indices"),
         ({"family": "odd", "params": [True], "ground": 1, "vertices": [[]],
           "edges": []}, "malformed"),
+        ({"edges": [{"0": 0, "1": 1, "2": None}]}, "malformed"),
+        ({"edges": ["abc"]}, "malformed"),
+        ({"vertices": [[1], {"2": 2}]}, "malformed"),
+        ({"vertices": [[1], "2"]}, "malformed"),
+        ({"edges": {"0": [0, 1, None]}}, "malformed"),
     ], ids=["duplicate-edge", "self-loop", "order", "duplicate-vertex",
             "float-element", "zero-element", "ground-0", "bool-ground",
-            "bool-element", "bool-endpoint", "float-endpoint", "bool-param"])
+            "bool-element", "bool-endpoint", "float-endpoint", "bool-param",
+            "object-edge", "string-edge", "object-vertex", "string-vertex",
+            "object-edges"])
     def test_structural_faults_rejected(self, fields, match):
         with pytest.raises(ParameterError, match=match):
             graph_from_json(self._doc(**fields))
@@ -180,9 +187,16 @@ def mutated_documents(draw):
     for _ in range(draw(st.integers(1, 3))):
         edges, vertices = data.get("edges"), data.get("vertices")
         kind = draw(st.sampled_from(
-            ["endpoint", "element", "label", "field", "drop", "swap"]))
+            ["endpoint", "element", "label", "field", "row", "drop", "swap"]))
         if kind == "field":
             data[draw(st.sampled_from(FIELDS))] = draw(values)
+        elif kind == "row":
+            # a whole edge or vertex becomes an object or a string
+            rows = draw(st.sampled_from([edges, vertices]))
+            if isinstance(rows, list) and rows:
+                at = draw(st.integers(0, len(rows) - 1))
+                keyed = dict(zip("012", rows[at])) if isinstance(rows[at], list) else {}
+                rows[at] = draw(st.sampled_from([keyed, "abc", ""]))
         elif kind == "element":
             if isinstance(vertices, list) and vertices:
                 elems = draw(st.sampled_from(vertices))
