@@ -226,9 +226,12 @@ class LabeledGraph:
         return self.neighbor_table[i]
 
     def _check_indices(self, *indices: int) -> None:
-        """Raise ParameterError unless every index is a vertex index 0..n-1;
-        a negative one would otherwise alias a vertex counted from the end."""
+        """Raise ParameterError unless every index is a vertex index, an int
+        (a bool is not) in 0..n-1; a negative one would otherwise alias a
+        vertex counted from the end."""
         for i in indices:
+            if type(i) is not int:
+                raise ParameterError(f"vertex index {i!r} is not an int")
             if not 0 <= i < len(self.masks):
                 raise ParameterError(
                     f"vertex index {i} outside 0..{len(self.masks) - 1}")
@@ -699,7 +702,7 @@ class PathSeq:
         if not idxs:
             raise ParameterError("empty vertex sequence")
         rows, labs = g.neighbor_table, g.label_table
-        if min(idxs) < 0 or max(idxs) >= len(rows):
+        if not are_vertex_indices(idxs, len(rows)):
             g._check_indices(*idxs)
         succ = idxs[1:] + idxs[:1] if closed and len(idxs) > 1 else idxs[1:]
         try:

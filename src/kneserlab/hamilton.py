@@ -23,7 +23,7 @@ from . import _hamcore_py as _kernel
 from ._hamcore_py import EXHAUSTED_BUDGET, FOUND, NONE  # search statuses
 from .decompose import canonical_colors, remainder_graph
 from .errors import DegenerateCaseError, ParameterError
-from .graphs import Family, LabeledGraph, PathSeq, build
+from .graphs import Family, LabeledGraph, PathSeq, are_vertex_indices, build
 from .morphisms import LiftResult, embed_indices, lift_circuit
 from .superstructure import two_color_path
 
@@ -106,13 +106,12 @@ def find_hamiltonian_cycle(
 
 def verify_cycle(g: LabeledGraph, sequence) -> bool:
     """True iff the index sequence is a closed simple cycle covering every
-    vertex of g exactly once, with every step an edge."""
+    vertex of g exactly once, with every step an edge.  An entry that is
+    not an int (a bool included) is no vertex index."""
     idxs = list(sequence.indices) if isinstance(sequence, PathSeq) else list(sequence)
     if len(idxs) != g.n_vertices or g.n_vertices == 0:
         return False
-    if len(set(idxs)) != len(idxs):
-        return False
-    if any(not 0 <= i < g.n_vertices for i in idxs):
+    if not are_vertex_indices(idxs, g.n_vertices) or len(set(idxs)) != len(idxs):
         return False
     if g.n_vertices == 1:
         return True

@@ -10,6 +10,12 @@ The JSON schema is the interchange format:
 
 Export is deterministic, so build -> export -> import -> export is
 byte-identical.
+
+Import reads a text in the exporter's layout, with the edge array as the
+last member of the document, a block of edge rows at a time, so the whole
+parsed edge list never exists.  Any other text, and any text whose blocks
+are not rows of in-range int endpoints, is parsed as one document; that
+reader gives every error message.  Both readers end in the same checks.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .setcore import Block, check_ground
 
 _CHUNK = 8  # bits per lookup when writing a vertex's elements
 _BLOCK_ROWS = 4096  # rows of the edge list written per text block
+_BLOCK_BYTES = 1 << 16  # bytes of edge text parsed per block on import
 
 
 def _head(g: LabeledGraph) -> dict:
@@ -133,13 +140,14 @@ def _json_texts(values: list) -> list[str]:
 
 
 def _document_columns(data: dict) -> tuple:
-    """The family, ground and vertex masks of an interchange document, and
-    its three edge columns: the u ends, the v ends and the labels.
+    """The family, ground and vertex masks of a parsed interchange
+    document, and its three edge columns: the u ends, the v ends and the
+    labels.
 
-    Each endpoint column is taken once, while the document is alive, and
-    a column of vertex indices is mapped through one shared list of index
-    ints, so the ints json parsed die with the document.  A column holding
-    any other entry stays as parsed, for edge_rows to report.
+    Each endpoint column is taken once, and a column of vertex indices is
+    mapped through one shared list of index ints, so the ints json parsed
+    die with the document.  A column holding any other entry stays as
+    parsed, for edge_rows to report.
     """
     try:
         ground = data["ground"]
@@ -154,6 +162,10 @@ def _document_columns(data: dict) -> tuple:
         for name, rows in (("vertices", vert_lists), ("edges", edge_lists)):
             if type(rows) is not list or set(map(type, rows)) - {list}:
                 raise ValueError(f"{name} must be a list of arrays")
+        if family_kind is not None and type(family_kind) is not str:
+            raise ValueError("family must be null or a string")
+        if type(params) is not list:
+            raise ValueError("params must be a list")
         family = None if family_kind is None else Family(family_kind, *params)
         masks = _vertex_masks(vert_lists, ground)
         if set(map(len, edge_lists)) - {3}:
@@ -270,15 +282,63 @@ def _check_family(
 @gc_paused
 def graph_from_json(text: str) -> LabeledGraph:
     """The graph of an interchange document's JSON text, checked as
-    _graph_from_columns describes.  The parsed document is freed as soon
-    as its columns are taken, before any row is built."""
+    _graph_from_columns describes.  Text in the exporter's layout is read
+    a block of edge rows at a time (_block_columns); any text that reader
+    cannot finish is parsed whole (_whole_columns), which gives every
+    error message.  No parsed document outlives its columns."""
+    return _graph_from_columns(*(_block_columns(text) or _whole_columns(text)))
+
+
+def _whole_columns(text: str) -> tuple:
+    """The columns of the document parsed whole."""
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ParameterError(f"invalid JSON: {exc}") from exc
-    columns = _document_columns(data)
-    del data
-    return _graph_from_columns(*columns)
+    return _document_columns(data)
+
+
+def _block_columns(text: str) -> Optional[tuple]:
+    """The columns _whole_columns gives, read without parsing the edge
+    array whole; None for a text this reader cannot finish.
+
+    The text must end in ', "edges": [...]}' and optional whitespace; the
+    quote after ", " is not escaped, so it opens the key.  The rest is
+    parsed with [] for the edge array: that this parses shows the array is
+    the last member of the top-level object, the value json.loads keeps.
+    The array text is cut after the "]" of a "], [" about every
+    _BLOCK_BYTES bytes and each cut is parsed as an array of its own.  A
+    cut inside a string leaves it unterminated and one inside a nested
+    array leaves its brackets unbalanced, so a bad cut fails to parse and
+    cannot misread a row.  Every block must hold [u, v, label] rows whose
+    endpoints are vertex indices; the shared index ints replace them.
+    """
+    key = text.rfind(', "edges": [')
+    start, stop = key + len(', "edges": '), text.rfind("}")
+    if key < 0 or stop <= start or text[stop - 1] != "]":
+        return None
+    ends_u, ends_v, labels = [], [], []
+    try:
+        family, ground, masks, *_ = _document_columns(
+            json.loads(f"{text[:start]}[]{text[stop:]}"))
+        shared = list(range(len(masks)))
+        at, end = start + 1, stop - 1  # inside the array's brackets
+        while at < end:
+            cut = text.find("], [", at + _BLOCK_BYTES, end)
+            cut = end if cut < 0 else cut + 1
+            rows = json.loads(f"[{text[at:cut]}]")
+            if set(map(type, rows)) - {list} or set(map(len, rows)) - {3}:
+                return None
+            for x, column in enumerate((ends_u, ends_v)):
+                ends = list(map(itemgetter(x), rows))
+                if not are_vertex_indices(ends, len(shared)):
+                    return None
+                column += map(shared.__getitem__, ends)
+            labels += map(itemgetter(2), rows)
+            at = cut + 2  # past ", " to the next row's "["
+    except (ValueError, RecursionError):  # ParameterError is a ValueError
+        return None
+    return family, ground, masks, ends_u, ends_v, labels
 
 
 def _node_name(v: Block) -> str:

@@ -625,6 +625,13 @@ class TestIndexRange:
             with pytest.raises(ParameterError):
                 PathSeq.from_indices(odd3, [j, bad], closed=closed)
 
+    @pytest.mark.parametrize("bad", [True, 1.0, "1"], ids=["bool", "float", "str"])
+    def test_non_int_indices_raise(self, bad):
+        g = build(Family.odd(2))  # the triangle: every pair is an edge
+        for closed in (False, True):
+            with pytest.raises(ParameterError, match="not an int"):
+                PathSeq.from_indices(g, [0, bad, 2], closed=closed)
+
 
 # labels of any hashable kind, and vertices over a ground of 4 in any order
 ODD_LABELS = st.one_of(

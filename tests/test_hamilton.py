@@ -210,6 +210,15 @@ class TestVerifyCycle:
     def test_rejects_non_edges(self, odd3):
         assert not verify_cycle(odd3, list(range(10)))
 
+    @pytest.mark.parametrize("cycle", [[True, 0, 2], [0, 1.0, 2], [0, "1", 2]],
+                             ids=["bool", "float", "str"])
+    def test_rejects_non_int_entries(self, cycle):
+        # [0, 1, 2] is a Hamiltonian cycle of the triangle odd(2); True
+        # must not be read as vertex 1, nor 1.0 or "1" raise TypeError
+        g = build(Family.odd(2))
+        assert verify_cycle(g, [0, 1, 2])
+        assert not verify_cycle(g, cycle)
+
 
 class TestPipeline:
     def test_base_non_hamiltonian_falls_back(self):
