@@ -220,26 +220,15 @@ class LabeledGraph:
         return sum(map(len, self.neighbor_table)) // 2
 
     def degree(self, i: int) -> int:
+        check_vertex_indices((i,), len(self.masks))
         return len(self.neighbor_table[i])
 
     def neighbors(self, i: int) -> tuple[int, ...]:
+        check_vertex_indices((i,), len(self.masks))
         return self.neighbor_table[i]
 
-    def _check_indices(self, *indices: int) -> None:
-        """Raise ParameterError unless every index is a vertex index, an int
-        (a bool is not) in 0..n-1; a negative one would otherwise alias a
-        vertex counted from the end."""
-        for i in indices:
-            if type(i) is not int:
-                raise ParameterError(f"vertex index {i!r} is not an int")
-            if not 0 <= i < len(self.masks):
-                raise ParameterError(
-                    f"vertex index {i} outside 0..{len(self.masks) - 1}")
-
     def has_edge(self, i: int, j: int) -> bool:
-        n = len(self.masks)
-        if not (0 <= i < n and 0 <= j < n):
-            self._check_indices(i, j)
+        check_vertex_indices((i, j), len(self.masks))
         return j in self.neighbor_table[i]
 
     def has_vertex(self, v: Block) -> bool:
@@ -268,7 +257,7 @@ class LabeledGraph:
             yield from zip(repeat(i), row[cut:], labels[cut:])
 
     def label_between(self, i: int, j: int) -> Optional[int]:
-        self._check_indices(i, j)
+        check_vertex_indices((i, j), len(self.masks))
         try:
             return self.label_table[i][self.neighbor_table[i].index(j)]
         except ValueError:
@@ -324,6 +313,31 @@ def are_vertex_indices(ends: Sequence, n: int) -> bool:
         not ends or min(ends) >= 0 and max(ends) < n)
 
 
+def check_vertex_indices(indices: Sequence, n: int) -> None:
+    """Raise ParameterError, naming the first offender, unless every entry
+    of indices is a vertex index (are_vertex_indices); a negative one would
+    otherwise alias a vertex counted from the end."""
+    if are_vertex_indices(indices, n):
+        return
+    for i in indices:
+        if type(i) is not int:
+            raise ParameterError(f"vertex index {i!r} is not an int")
+        if not 0 <= i < n:
+            raise ParameterError(f"vertex index {i} outside 0..{n - 1}")
+
+
+def check_edge_ends(n: int, ends_u: Sequence, ends_v: Sequence) -> None:
+    """Raise ParameterError, naming the first offending edge, unless every
+    entry of the parallel endpoint columns is a vertex index."""
+    if are_vertex_indices(ends_u, n) and are_vertex_indices(ends_v, n):
+        return
+    for i, j in zip(ends_u, ends_v):
+        if not are_vertex_indices((i, j), n):
+            raise ParameterError(
+                f"edge ({i!r}, {j!r}): endpoints must be vertex indices"
+                f" 0..{n - 1}")
+
+
 def edge_rows(
     n: int,
     ends_u: Sequence,
@@ -334,20 +348,13 @@ def edge_rows(
     """The neighbour table and the parallel label table of n vertices from
     parallel endpoint and label lists.
 
-    Every endpoint must be a vertex index, an int (a bool is not) in
-    0..n-1; remap, when given, renumbers the indices (vertex i becomes
-    remap[i]), and otherwise the rows hold the endpoint ints themselves.
-    Rows come out sorted by neighbour index.  An endpoint that is not a
-    vertex index, a self-loop or a duplicate edge raises ParameterError.
-    Edges listed as increasing (u, v) pairs with u < v, as the exporter
-    writes them, skip the sort.
+    Every endpoint must already be checked as a vertex index
+    (check_edge_ends); remap, when given, renumbers the indices (vertex i
+    becomes remap[i]), and otherwise the rows hold the endpoint ints
+    themselves.  Rows come out sorted by neighbour index.  A self-loop or
+    a duplicate edge raises ParameterError.  Edges listed as increasing
+    (u, v) pairs with u < v, as the exporter writes them, skip the sort.
     """
-    if not (are_vertex_indices(ends_u, n) and are_vertex_indices(ends_v, n)):
-        for i, j in zip(ends_u, ends_v):
-            if not (type(i) is int and 0 <= i < n and type(j) is int and 0 <= j < n):
-                raise ParameterError(
-                    f"edge ({i!r}, {j!r}): endpoints must be vertex indices"
-                    f" 0..{n - 1}")
     us, vs = ends_u, ends_v
     if remap is not None:
         us, vs = list(map(remap.__getitem__, us)), list(map(remap.__getitem__, vs))
@@ -412,6 +419,7 @@ def graph_from_edges(
     ends_u, ends_v, labels = (list(map(itemgetter(x), triples)) for x in range(3))
     if labeled is None:
         labeled = any(lab is not None for lab in labels)
+    check_edge_ends(len(masks), ends_u, ends_v)
     nbrs, labs = edge_rows(len(masks), ends_u, ends_v, labels, remap)
     return LabeledGraph(ground, masks, nbrs, labs, family=family, labeled=labeled)
 
@@ -631,6 +639,7 @@ def components(g: LabeledGraph) -> list[LabeledGraph]:
 
 def bfs_distances(g: LabeledGraph, start: int) -> list[int]:
     """BFS distance from start to every vertex; -1 marks unreachable."""
+    check_vertex_indices((start,), g.n_vertices)
     table = g.neighbor_table
     dist = [-1] * g.n_vertices
     dist[start] = 0
@@ -702,8 +711,7 @@ class PathSeq:
         if not idxs:
             raise ParameterError("empty vertex sequence")
         rows, labs = g.neighbor_table, g.label_table
-        if not are_vertex_indices(idxs, len(rows)):
-            g._check_indices(*idxs)
+        check_vertex_indices(idxs, len(rows))
         succ = idxs[1:] + idxs[:1] if closed and len(idxs) > 1 else idxs[1:]
         try:
             # each step's label sits where the successor sits in the row

@@ -4,12 +4,14 @@ The search kernel (kneserlab._hamcore_py) is an exhaustive backtracking
 search, so a negative answer is a proof of non-Hamiltonicity.
 
 The recursion pipeline walks the chain odd(n-1) <- middle(n-1) -> odd(n):
-find a Hamiltonian cycle downstairs, lift it through the double cover,
-embed the lift as a regular component of odd(n) minus two colors, and
-connect every embedded vertex into the remainder piece by a two-color
-path.  The pipeline reports feasibility data only; it never claims a
-Hamiltonian cycle of odd(n), because stitching the pieces into one simple
-cycle is exactly the unresolved step.
+find a Hamiltonian cycle downstairs, lift it through the double cover and
+embed the lift as a regular component of odd(n) minus the two canonical
+colors S.  Every embedded vertex x has exactly one neighbour outside that
+component, its connector p(x) = [2n-1] - (x | S), a vertex of the
+remainder piece; p is two-to-one onto the remainder vertices that miss S.
+The pipeline reports feasibility data only; it never claims a Hamiltonian
+cycle of odd(n), because stitching the pieces into one simple cycle is
+exactly the unresolved step.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from typing import Optional
 from . import _hamcore_py as _kernel
 from ._hamcore_py import EXHAUSTED_BUDGET, FOUND, NONE  # search statuses
 from .decompose import canonical_colors, remainder_graph
-from .errors import DegenerateCaseError, ParameterError
+from .errors import ParameterError
 from .graphs import Family, LabeledGraph, PathSeq, are_vertex_indices, build
 from .morphisms import LiftResult, embed_indices, lift_circuit
-from .superstructure import two_color_path
+from .superstructure import two_color_middle
 
 
 def kernel_name() -> str:
@@ -117,9 +119,8 @@ def verify_cycle(g: LabeledGraph, sequence) -> bool:
         return True
     if g.n_vertices == 2:
         return False  # a 2-cycle would reuse the single edge
-    return all(
-        g.has_edge(idxs[i], idxs[(i + 1) % len(idxs)]) for i in range(len(idxs))
-    )
+    rows = g.neighbor_table
+    return all(y in rows[x] for x, y in zip(idxs, idxs[1:] + idxs[:1]))
 
 
 @dataclass
@@ -226,8 +227,10 @@ def recursion_pipeline(
     When the base search proves its graph non-Hamiltonian (odd(3)), the
     pipeline falls back to a direct search of odd(n) and says so.  After
     the search the round works on vertex masks and indices: the embedding
-    is read from its mask formula and every walk is checked edge by edge
-    against its graph.
+    is read from its mask formula, and one pass over the embedded masks
+    reads each vertex's connector p(x) from two_color_middle.  A connector
+    counts only when it is a remainder vertex in x's row of odd(n)'s
+    neighbour table.
     """
     if n < 3:
         raise ParameterError("pipeline needs n >= 3")
@@ -289,23 +292,15 @@ def recursion_pipeline(
         )
     lap("remainder")
 
-    a, b = canonical_colors(n, 2).elements()
-    verts = odd_up.vertices
+    s_bits = canonical_colors(n, 2).bits
+    masks, rows, index = odd_up.masks, odd_up.neighbor_table, odd_up.index
     middles = []
-    complete = True
     for i in embedded:
-        try:
-            path = two_color_path(odd_up, verts[i], a, b)
-        except DegenerateCaseError:
-            complete = False
-            continue
-        mid = verts[path.indices[1]].bits
-        if mid not in rem_masks:
-            complete = False
-            continue
-        middles.append(mid)
+        mid = two_color_middle(masks[i], s_bits, odd_up.ground)
+        if mid in rem_masks and index[mid] in rows[i]:
+            middles.append(mid)
     report.connector_count = len(middles)
-    report.connectors_complete = complete and len(middles) == len(embedded)
+    report.connectors_complete = len(middles) == len(embedded)
     report.middle_vertex_collisions = len(middles) - len(set(middles))
     if report.middle_vertex_collisions:
         report.notes.append(

@@ -34,7 +34,9 @@ from .graphs import (
     LabeledGraph,
     PathSeq,
     Report,
+    are_vertex_indices,
     build,
+    check_vertex_indices,
     graph_from_edges,
 )
 from .setcore import Block, Perm, binomial
@@ -91,10 +93,6 @@ def _formula_map(
     return VertexMap(source, target, images, kind=kind, name=name)
 
 
-def _in_range(images: Sequence[int], n: int) -> bool:
-    return not images or (min(images) >= 0 and max(images) < n)
-
-
 def _row_mismatch(
     g: LabeledGraph, h: LabeledGraph, images: Sequence[int]
 ) -> Optional[int]:
@@ -118,7 +116,7 @@ def is_morphism(g: LabeledGraph, h: LabeledGraph, images: Sequence[int]) -> bool
         raise ParameterError(f"map not total: missing {g.vertices[len(images)]}")
     if len(images) > n:
         raise ParameterError(f"map has {len(images)} images for {n} vertices")
-    if not _in_range(images, h.n_vertices):
+    if not are_vertex_indices(images, h.n_vertices):
         return False
     img = images.__getitem__
     return all(
@@ -135,7 +133,7 @@ def is_isomorphism(g: LabeledGraph, h: LabeledGraph, images: Sequence[int]) -> b
     n = g.n_vertices
     if len(images) != n or h.n_vertices != n:
         return False
-    if len(set(images)) != n or not _in_range(images, n):
+    if not are_vertex_indices(images, n) or len(set(images)) != n:
         return False
     return _row_mismatch(g, h, images) is None
 
@@ -166,10 +164,11 @@ def verify_cover(m: VertexMap, expected_fiber: Optional[int] = None) -> Report:
     if len(images) != src.n_vertices:
         fault = "map not total" if len(images) < src.n_vertices else "map too long"
         return Report(name, False, failures=[fault])
+    if not are_vertex_indices(images, dst.n_vertices):
+        outside = next(j for j in images
+                       if not are_vertex_indices((j,), dst.n_vertices))
+        return Report(name, False, failures=[f"image {outside!r} outside target"])
     fibers = Counter(images)
-    outside = [j for j in fibers if not 0 <= j < dst.n_vertices]
-    if outside:
-        return Report(name, False, failures=[f"image {outside[0]} outside target"])
     failures = []
     sizes = set(fibers.values())
     if len(fibers) < dst.n_vertices:
@@ -382,8 +381,10 @@ def embed_indices(
     if (middle.family != Family.middle_levels(m)
             or odd_up.family != Family.odd(m + 1)):
         raise ParameterError("embed_indices needs middle(m) and odd(m+1)")
+    idxs = list(indices)
+    check_vertex_indices(idxs, middle.n_vertices)
     masks = middle.masks
-    return odd_up.mask_indices([_embed(masks[i], m) for i in indices])
+    return odd_up.mask_indices([_embed(masks[i], m) for i in idxs])
 
 
 def regular_component_to_middle(n: int, colors, t) -> VertexMap:
@@ -575,8 +576,12 @@ def find_isomorphism(
 
     pin maps source vertex indices to required target indices.  Returns a
     verified map or None; raises if the graph is too large or the node
-    budget runs out.
+    budget runs out.  A pin that is not a vertex index of its graph raises
+    ParameterError.
     """
+    if pin:
+        check_vertex_indices(list(pin), g.n_vertices)
+        check_vertex_indices(list(pin.values()), h.n_vertices)
     if g.n_vertices != h.n_vertices or g.n_edges != h.n_edges:
         return None
     n = g.n_vertices

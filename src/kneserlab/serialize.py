@@ -37,6 +37,7 @@ from .graphs import (
     Family,
     LabeledGraph,
     are_vertex_indices,
+    check_edge_ends,
     edge_rows,
     expected_family_degree,
     gc_paused,
@@ -144,10 +145,10 @@ def _document_columns(data: dict) -> tuple:
     document, and its three edge columns: the u ends, the v ends and the
     labels.
 
-    Each endpoint column is taken once, and a column of vertex indices is
-    mapped through one shared list of index ints, so the ints json parsed
-    die with the document.  A column holding any other entry stays as
-    parsed, for edge_rows to report.
+    The vertices must be listed in canonical order, and every endpoint
+    must be a vertex index (check_edge_ends).  The endpoint columns are
+    then mapped through one shared list of index ints, so the ints json
+    parsed die with the document.
     """
     try:
         ground = data["ground"]
@@ -170,22 +171,20 @@ def _document_columns(data: dict) -> tuple:
         masks = _vertex_masks(vert_lists, ground)
         if set(map(len, edge_lists)) - {3}:
             raise ValueError("an edge is not [u, v, label]")
-        shared = list(range(len(masks)))
-        ends_u, ends_v = (_shared_indices(list(map(itemgetter(x), edge_lists)), shared)
-                          for x in range(2))
-        labels = list(map(itemgetter(2), edge_lists))
+        ends_u, ends_v, labels = (list(map(itemgetter(x), edge_lists))
+                                  for x in range(3))
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"malformed graph document: {exc}") from exc
+    if not all(map(lt, masks, islice(masks, 1, None))):
+        if len(set(masks)) != len(masks):
+            raise ParameterError("duplicate vertices")
+        raise ParameterError("vertices were not in canonical order")
+    # checked before any lookup, since shared[-1] would alias the last vertex
+    check_edge_ends(len(masks), ends_u, ends_v)
+    shared = list(range(len(masks)))
+    ends_u = list(map(shared.__getitem__, ends_u))
+    ends_v = list(map(shared.__getitem__, ends_v))
     return family, ground, masks, ends_u, ends_v, labels
-
-
-def _shared_indices(ends: list, shared: list[int]) -> list:
-    """ends with each entry replaced by the equal int of shared, if every
-    entry is a vertex index; ends as it is otherwise.  The range is checked
-    before any lookup, since shared[-1] would alias the last vertex."""
-    if are_vertex_indices(ends, len(shared)):
-        return list(map(shared.__getitem__, ends))
-    return ends
 
 
 def _graph_from_columns(
@@ -196,18 +195,14 @@ def _graph_from_columns(
     ends_v: list,
     labels: list,
 ) -> LabeledGraph:
-    """The graph of a document's columns.
+    """The graph of a document's columns, as the readers check them:
+    vertices in canonical order, every endpoint a vertex index.
 
-    Vertices must be listed in canonical order, and every endpoint must be
-    a vertex index.  A document that names a family must hold exactly that
-    family's graph: its ground, vertex count, block sizes and edge count,
-    and on every edge an adjacent pair with the label the two blocks
-    imply.  Any violation raises ParameterError.
+    A document that names a family must hold exactly that family's graph:
+    its ground, vertex count, block sizes and edge count, and on every
+    edge an adjacent pair with the label the two blocks imply.  Any
+    violation raises ParameterError.
     """
-    if not all(map(lt, masks, islice(masks, 1, None))):
-        if len(set(masks)) != len(masks):
-            raise ParameterError("duplicate vertices")
-        raise ParameterError("vertices were not in canonical order")
     nbrs, labs = edge_rows(len(masks), ends_u, ends_v, labels)
     if family is None:
         labeled = any(map(is_not, labels, repeat(None)))
@@ -282,10 +277,11 @@ def _check_family(
 @gc_paused
 def graph_from_json(text: str) -> LabeledGraph:
     """The graph of an interchange document's JSON text, checked as
-    _graph_from_columns describes.  Text in the exporter's layout is read
-    a block of edge rows at a time (_block_columns); any text that reader
-    cannot finish is parsed whole (_whole_columns), which gives every
-    error message.  No parsed document outlives its columns."""
+    _document_columns and _graph_from_columns describe.  Text in the
+    exporter's layout is read a block of edge rows at a time
+    (_block_columns); any text that reader cannot finish is parsed whole
+    (_whole_columns), which gives every error message.  No parsed document
+    outlives its columns."""
     return _graph_from_columns(*(_block_columns(text) or _whole_columns(text)))
 
 

@@ -34,6 +34,15 @@ from .morphisms import ISOMORPHISM, VertexMap, regular_component_to_middle
 from .setcore import Block, binomial
 
 
+def two_color_middle(bits: int, colors: int, ground: int) -> int:
+    """The mask of the middle vertex of the two-color path from the vertex
+    with mask bits: the complement within [ground] of bits | colors, the
+    mask of the two colors.  For a vertex holding exactly one of the two
+    colors this is its one neighbour that meets neither; for any other
+    vertex it has the wrong size to be a vertex."""
+    return (bits | colors) ^ ((1 << ground) - 1)
+
+
 def two_color_path(
     g: LabeledGraph, v: Block, a: int, b: int
 ) -> PathSeq:
@@ -41,9 +50,9 @@ def two_color_path(
     transposition (a, b), with edge labels {a, b}.
 
     Requires exactly one of a, b to lie in v; otherwise the transposition
-    fixes v and no such path exists.  The middle vertex is the complement
-    of v plus the missing color, so it meets neither a nor b.  Both other
-    vertices are found from their masks in g's index.
+    fixes v and no such path exists.  The middle vertex is
+    two_color_middle's, so it meets neither a nor b.  Both other vertices
+    are found from their masks in g's index.
     """
     ground = g.ground
     if ground % 2 == 0:
@@ -52,15 +61,12 @@ def two_color_path(
         raise ParameterError(f"colors must be distinct elements of [{ground}]")
     bits = v.bits
     a_bit, b_bit = 1 << (a - 1), 1 << (b - 1)
-    a_in = bool(bits & a_bit)
-    if a_in == bool(bits & b_bit):
+    if bool(bits & a_bit) == bool(bits & b_bit):
         raise DegenerateCaseError(
             f"transposition ({a},{b}) fixes {v}; no two-color path"
         )
-    out_bit = b_bit if a_in else a_bit
-    # x: the complement of v plus the outside color; w: v with the two
-    # colors traded
-    x_bits = (bits | out_bit) ^ ((1 << ground) - 1)
+    # x: the middle vertex; w: v with the two colors traded
+    x_bits = two_color_middle(bits, a_bit | b_bit, ground)
     w_bits = bits ^ a_bit ^ b_bit
     iv = g.index_of(v)
     ix, iw = g.mask_indices((x_bits, w_bits))

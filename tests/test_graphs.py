@@ -619,6 +619,10 @@ class TestIndexRange:
                 odd3.has_edge(i, k)
             with pytest.raises(ParameterError):
                 odd3.label_between(i, k)
+        for read in (odd3.degree, odd3.neighbors,
+                     lambda i: bfs_distances(odd3, i)):
+            with pytest.raises(ParameterError, match="outside 0..9"):
+                read(bad)
         for closed in (False, True):
             with pytest.raises(ParameterError):
                 PathSeq.from_indices(odd3, [bad, j], closed=closed)
@@ -631,6 +635,13 @@ class TestIndexRange:
         for closed in (False, True):
             with pytest.raises(ParameterError, match="not an int"):
                 PathSeq.from_indices(g, [0, bad, 2], closed=closed)
+        for i, k in ((bad, 2), (0, bad)):
+            for read in (g.has_edge, g.label_between):
+                with pytest.raises(ParameterError, match="not an int"):
+                    read(i, k)
+        for read in (g.degree, g.neighbors, lambda i: bfs_distances(g, i)):
+            with pytest.raises(ParameterError, match="not an int"):
+                read(bad)
 
 
 # labels of any hashable kind, and vertices over a ground of 4 in any order

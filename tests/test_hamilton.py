@@ -3,12 +3,14 @@
 import hashlib
 import random
 import sys
+from collections import Counter
 
 import pytest
 
 from kneserlab import _hamcore_py
+from kneserlab.decompose import canonical_colors, trace_classes
 from kneserlab.errors import ParameterError
-from kneserlab.graphs import Family, build, graph_from_edges
+from kneserlab.graphs import Family, build, graph_from_edges, holding_families
 from kneserlab.hamilton import (
     EXHAUSTED_BUDGET,
     FOUND,
@@ -18,7 +20,9 @@ from kneserlab.hamilton import (
     recursion_pipeline,
     verify_cycle,
 )
-from kneserlab.setcore import Block
+from kneserlab.morphisms import embed_indices
+from kneserlab.setcore import Block, catalan
+from kneserlab.superstructure import two_color_middle, two_color_path
 
 b = Block.from_elements
 
@@ -299,6 +303,53 @@ class TestPipeline:
     def test_small_n_rejected(self):
         with pytest.raises(ParameterError):
             recursion_pipeline(2)
+
+
+def embedded_middle(n):
+    """odd(n), the canonical colors S and the odd(n) indices of the
+    embedded middle(n-1): the vertices whose connectors an odd-start round
+    into odd(n) reads, whatever its base cycle."""
+    middle, odd_up = build(Family.middle_levels(n - 1)), build(Family.odd(n))
+    return odd_up, canonical_colors(n, 2), embed_indices(
+        middle, odd_up, range(middle.n_vertices))
+
+
+class TestConnectorMap:
+    """The round reads the connector of an embedded vertex x from its mask:
+    p(x) = [2n-1] - (x | S), with S the two canonical colors."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_connector_is_the_two_color_path_middle(self, n):
+        odd_up, s, embedded = embedded_middle(n)
+        a, c = s.elements()
+        for i in embedded:
+            path = two_color_path(odd_up, odd_up.vertices[i], a, c)
+            assert (two_color_middle(odd_up.masks[i], s.bits, odd_up.ground)
+                    == odd_up.masks[path.indices[1]])
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_connectors_cover_the_empty_trace_side_twice(self, n):
+        odd_up, s, embedded = embedded_middle(n)
+        rows, index = odd_up.neighbor_table, odd_up.index
+        hits = Counter()
+        for i in embedded:
+            p = two_color_middle(odd_up.masks[i], s.bits, odd_up.ground)
+            assert index[p] in rows[i]
+            hits[p] += 1
+        classes = trace_classes(odd_up, s)
+        u_side, w_side = classes[0], classes[s.bits]
+        assert sorted(map(index.__getitem__, hits)) == u_side
+        assert set(hits.values()) == {2}
+        assert len(u_side) - len(w_side) == catalan(n - 1)
+
+    @pytest.mark.parametrize("start, seed", [("odd", 5), ("middle", 12)])
+    def test_round_makes_no_block_view(self, fresh_live, start, seed):
+        with holding_families():
+            rep = recursion_pipeline(
+                6, SearchBudget(max_nodes=20_000, seed=seed), start=start)
+            odd_up = build(Family.odd(6))
+        assert rep.base_search.status == FOUND and rep.connectors_complete
+        assert "vertices" not in vars(odd_up)
 
 
 def _search_facts(r):

@@ -708,3 +708,21 @@ class TestFindIsomorphism:
     def test_size_cap_enforced(self, odd4):
         with pytest.raises(ParameterError):
             find_isomorphism(odd4, odd4)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "2", -1, 99],
+                         ids=["bool", "float", "str", "minus-one", "large"])
+def test_non_vertex_image_or_pin_refused(odd3, bad):
+    # on the triangle odd(2), (0, 1, 2) is an automorphism: True must not
+    # be read as vertex 1, nor a float or string raise TypeError
+    tri = build(Family.odd(2))
+    images = (0, bad, 2)
+    assert not is_morphism(tri, tri, images)
+    assert not is_isomorphism(tri, tri, images)
+    rep = verify_cover(VertexMap(tri, tri, images, kind="covering"))
+    assert rep.failures == [f"image {bad!r} outside target"]
+    for pin in ({0: bad}, {bad: 0}):
+        with pytest.raises(ParameterError, match="^vertex index "):
+            find_isomorphism(odd3, odd3, pin=pin)
+    with pytest.raises(ParameterError, match="^vertex index "):
+        embed_indices(build(Family.middle_levels(2)), odd3, [bad])
