@@ -14,11 +14,14 @@ depth is not bounded by the interpreter's recursion limit.  It has:
     the start vertex);
   * forced-edge handling: a candidate whose only other usable connection
     is the tip must be taken; two such candidates kill the branch;
-  * a connectivity prune: every unvisited vertex must stay reachable from
-    the tip through unvisited vertices.
+  * a connectivity prune: at a node that has candidates and none of them
+    forced, every unvisited vertex must stay reachable from the tip
+    through unvisited vertices, or the node gets no children.
 
-A node costs O(deg) plus a local connectivity check, kept so by two
-invariants:
+A node costs O(deg).  The connectivity check is deferred: it runs as one
+batched check per dead end (plus a binary search when that check fails),
+not once per node, and node counts are those of a search that checks
+every node when it enters it.
 
   * Below the root, every unvisited vertex x that is not a neighbor of
     the tip keeps free_deg[x] + on_start[x] >= 2 usable connections
@@ -29,18 +32,40 @@ invariants:
     The non-neighbors are checked once, at the root, where a vertex's
     usable connections number its degree: `starved` is set when a vertex
     that is neither the start nor one of its neighbors has degree < 2.
-  * An anchor is a node whose connectivity check ran and passed; its
-    path index is held in its frame, and forced nodes, which skip the
-    check, hold in theirs the one they received.  At anchor index a,
-    G[U ∪ {path[a]}] was connected, U being the unvisited set then.  If
-    W is the unvisited set now and R = path[a:-1], that graph is
-    G[W ∪ R ∪ {tip}], so every component of G[W ∪ {tip}] holds the tip
-    or a W-neighbor of R, and G[W ∪ {tip}] is connected iff a
+  * The check at the node of path index v asks whether G[W_v ∪ {path[v]}]
+    is connected, W_v being the unvisited set at that node.  Lemma: if it
+    holds at v, it holds at every ancestor a, since W_a ∪ {path[a]} =
+    W_v ∪ path[a..v] and path[a..v] hangs off path[v].  So on any
+    root-to-leaf path the check fails at the shallowest failing node and
+    at every node below it.
+  * A node that would run the check is marked pending instead, and the
+    search descends into its first candidate unchecked.  `pending` holds
+    the path indices of the unchecked nodes, shallowest first; every
+    index up to `verified` is known to pass.  Every dead end resolves and
+    empties `pending`, and the search pops only after a dead end, so
+    `pending` is empty whenever it pops.
+  * Resolution: at a dead end (a node with no children), the deepest
+    pending node u gets one check; if it passes, by the lemma so does
+    every node above it.  If it fails, a binary search over `pending`
+    finds the shallowest failing node f.  Before EXHAUSTED_BUDGET, for
+    the node budget or the clock, everything pending is resolved the
+    same way.  FOUND needs no resolution: the check holds at a leaf that
+    covers every vertex, so by the lemma at every node above it.
+  * Rollback: f would have been a node with no children, so the search
+    pops back to f, which becomes the dead end, and takes out of `nodes`
+    the nodes below it.  Those are path[f + 1:], as the search has only
+    descended since it entered f.  A rollback lowers `nodes` and the
+    search goes on, so every count it returns counts the same nodes as a
+    search that checks every node when it enters it.
+  * The check at u reads path[u + 1:] as unvisited.  It is anchored at
+    a = `verified`: G[W_a ∪ {path[a]}] is G[W_u ∪ R ∪ {path[u]}] with
+    R = path[a:u], so every component of G[W_u ∪ {path[u]}] holds path[u]
+    or a W_u-neighbor of R, and G[W_u ∪ {path[u]}] is connected iff a
     multi-source search from those vertices joins them all.  The search
-    stops as soon as its fronts have merged into one, or one of them
-    runs out.  Nodes with no anchor (the root, or a forced chain below
-    it) fall back to a full search from the tip, so solve() stays exact
-    on any input, disconnected ones included.
+    stops as soon as its fronts have merged into one, or one of them runs
+    out.  With nothing verified yet it falls back to a full search from
+    path[u], so solve() stays exact on any input, disconnected ones
+    included.
 
 The search is exhaustive, so a NONE result is a proof that no Hamiltonian
 cycle exists.
@@ -49,7 +74,7 @@ cycle exists.
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from typing import Sequence
 
 KERNEL_NAME = "python"
 
@@ -60,54 +85,44 @@ EXHAUSTED_BUDGET = "exhausted-budget"  # node or time budget exceeded
 _CLOCK_STRIDE = 4096
 
 
-def solve(
-    neighbors: Sequence[Sequence[int]],
-    start: int,
-    rank: Sequence[int],
-    max_nodes: int,
-    max_seconds: float,
-) -> tuple[int, list[int], int]:
-    """Search for a Hamiltonian cycle through `start`.
+class _Connectivity:
+    """The connectivity check over a search's path and visited marks,
+    which it shares, with scratch reused from check to check."""
 
-    Returns (status, cycle_vertices, nodes_expanded); the cycle list is
-    empty unless status is FOUND, in which case it starts at `start` and
-    the closing edge back to it is implicit.  `neighbors` is only read.
-    """
-    nv = len(neighbors)
-    if nv == 0:
-        return NONE, [], 0
-    if nv == 1:
-        return FOUND, [start], 0
-    on_start = bytearray(nv)
-    for w in neighbors[start]:
-        on_start[w] = 1
+    def __init__(self, neighbors, path: list, visited: bytearray):
+        nv = len(neighbors)
+        self.neighbors = neighbors
+        self.path = path
+        self.visited = visited
+        self.queue = [0] * nv
+        self.stamp = [0] * nv  # stamp[x] == epoch: x reached by this check
+        self.front = [0] * nv  # front label of a reached vertex
+        self.epoch = 0
 
-    visited = bytearray(nv)
-    free_deg = [len(row) for row in neighbors]
-    path = [start]
-    visited[start] = 1
-    for w in neighbors[start]:
-        free_deg[w] -= 1
-    # at the root a vertex's usable connections number its degree
-    starved = any(
-        len(row) < 2
-        for x, row in enumerate(neighbors)
-        if x != start and not on_start[x]
-    )
+    def holds_at(self, u: int, anchor: int) -> bool:
+        """Whether the check holds at the node of path index u, given that
+        it holds at path index anchor < u (-1: at none); path[u + 1:] is
+        read as unvisited."""
+        visited = self.visited
+        below = self.path[u + 1:]
+        for x in below:
+            visited[x] = 0
+        self.epoch += 1
+        if anchor < 0:
+            ok = self._reaches_all(u)
+        else:
+            ok = self._fronts_join(u, anchor)
+        for x in below:
+            visited[x] = 1
+        return ok
 
-    nodes = 0
-    deadline = time.monotonic() + max_seconds
-    queue = [0] * nv  # reusable search scratch
-    stamp = [0] * nv  # stamp[x] == epoch: x reached by the current search
-    front = [0] * nv  # front label of a reached vertex
-    epoch = 0
-
-    def connected_from(tip: int) -> bool:
-        """All unvisited vertices reachable from tip through unvisited."""
-        nonlocal epoch
-        epoch += 1
+    def _reaches_all(self, u: int) -> bool:
+        """All unvisited vertices reachable from path[u] through
+        unvisited."""
+        neighbors, visited = self.neighbors, self.visited
+        queue, stamp, epoch = self.queue, self.stamp, self.epoch
         tail = 0
-        for w in neighbors[tip]:
+        for w in neighbors[self.path[u]]:
             if not visited[w] and stamp[w] != epoch:
                 stamp[w] = epoch
                 queue[tail] = w
@@ -120,26 +135,27 @@ def solve(
                     queue[tail] = y
                     tail += 1
             head += 1
-        return tail == nv - len(path)
+        return tail == len(neighbors) - u - 1
 
-    def connected_since(anchor: int) -> bool:
-        """All unvisited vertices reachable from the tip through unvisited,
-        given that this held at the anchor's node."""
-        nonlocal epoch
-        epoch += 1
-        # front 0 grows from the tip; every W-neighbor of path[anchor:-1]
+    def _fronts_join(self, u: int, anchor: int) -> bool:
+        """All unvisited vertices reachable from path[u] through
+        unvisited, given that this held at path index anchor."""
+        neighbors, visited, path = self.neighbors, self.visited, self.path
+        queue, stamp, front, epoch = (
+            self.queue, self.stamp, self.front, self.epoch)
+        # front 0 grows from path[u]; every W-neighbor of path[anchor:u]
         # not yet reached starts a front of its own
         parent = [0]
         pending = [0]  # queued, unexpanded vertices per front root
         tail = 0
-        for w in neighbors[path[-1]]:
+        for w in neighbors[path[u]]:
             if not visited[w] and stamp[w] != epoch:
                 stamp[w] = epoch
                 front[w] = 0
                 queue[tail] = w
                 tail += 1
         pending[0] = tail
-        for i in range(anchor, len(path) - 1):
+        for i in range(anchor, u):
             for w in neighbors[path[i]]:
                 if not visited[w] and stamp[w] != epoch:
                     stamp[w] = epoch
@@ -180,68 +196,140 @@ def solve(
                 return False
         return True
 
-    def children(tip: int, anchor: Optional[int]) -> tuple:
-        """The tip's candidates in search order, none if the node is dead,
-        and the anchor they inherit."""
-        if starved and len(path) == 1:
-            return (), anchor
-        # availability prune and candidate collection over the tip's
-        # neighbors; below the root no non-neighbor can be starved
-        cands = []
-        forced = None
-        n_forced = 0
-        for x in neighbors[tip]:
-            if visited[x]:
-                continue
-            avail = free_deg[x] + on_start[x]
-            if avail < 1:  # only usable edge is the tip itself
-                return (), anchor
-            cands.append(x)
-            if avail == 1:  # tip edge is one of exactly two usable
-                forced = x
-                n_forced += 1
-        if not cands or n_forced > 1:
-            return (), anchor
-        if forced is not None:
-            return (forced,), anchor
-        if not (
-            connected_from(tip) if anchor is None else connected_since(anchor)
-        ):
-            return (), anchor
-        cands.sort(key=lambda x: (free_deg[x], rank[x], x))
-        return cands, len(path) - 1
 
-    # one frame per path vertex: an iterator over its untried candidates
-    # and the anchor they inherit
-    frames = []
-    tip, anchor = start, None
-    while True:
-        nodes += 1
-        if nodes > max_nodes:
-            return EXHAUSTED_BUDGET, [], nodes
-        if nodes % _CLOCK_STRIDE == 0 and time.monotonic() > deadline:
-            return EXHAUSTED_BUDGET, [], nodes
-        if len(path) < nv:
-            cands, anchor = children(tip, anchor)
-        elif on_start[tip]:
-            return FOUND, path, nodes
+def _resolve(holds_at, pending: list, verified: int) -> tuple[int, int]:
+    """Check the pending path indices (shallowest first, all deeper than
+    verified) and empty the list.  Returns the index of the shallowest
+    failing one, or -1 if all pass, and the new verified index."""
+    deepest = pending[-1]
+    if holds_at(deepest, verified):
+        pending.clear()
+        return -1, deepest
+    lo, hi = 0, len(pending) - 1
+    while lo < hi:  # pending[hi] fails, and the failures are a suffix
+        mid = (lo + hi) // 2
+        if holds_at(pending[mid], verified):
+            verified = pending[mid]
+            lo = mid + 1
         else:
-            cands = ()
-        frames.append((iter(cands), anchor))
-        # backtrack past exhausted frames to the next untried candidate
+            hi = mid
+    fail = pending[lo]
+    pending.clear()
+    return fail, verified
+
+
+def solve(
+    neighbors: Sequence[Sequence[int]],
+    start: int,
+    rank: Sequence[int],
+    max_nodes: int,
+    max_seconds: float,
+) -> tuple[str, list[int], int]:
+    """Search for a Hamiltonian cycle through `start`.
+
+    Returns (status, cycle_vertices, nodes_expanded); the cycle list is
+    empty unless status is FOUND, in which case it starts at `start` and
+    the closing edge back to it is implicit.  `neighbors` is only read.
+    """
+    nv = len(neighbors)
+    if nv == 0:
+        return NONE, [], 0
+    if nv == 1:
+        return FOUND, [start], 0
+    on_start = bytearray(nv)
+    for w in neighbors[start]:
+        on_start[w] = 1
+    # at the root a vertex's usable connections number its degree
+    starved = any(
+        len(row) < 2
+        for x, row in enumerate(neighbors)
+        if x != start and not on_start[x]
+    )
+
+    visited = bytearray(nv)
+    free_deg = [len(row) for row in neighbors]
+    path = []
+    holds_at = _Connectivity(neighbors, path, visited).holds_at
+    # frames[i] iterates over path[i]'s untried candidates; the tip has no
+    # frame until it is expanded
+    frames = []
+    no_more = iter(())
+    pending = []  # path indices of unchecked nodes, shallowest first
+    verified = -1  # the check holds at every path index <= verified
+    nodes = 0
+    deadline = time.monotonic() + max_seconds
+    tip = start
+    while True:
+        visited[tip] = 1
+        path.append(tip)
+        for y in neighbors[tip]:
+            free_deg[y] -= 1
+        nodes += 1
+        out_of_budget = nodes > max_nodes or (
+            nodes % _CLOCK_STRIDE == 0 and time.monotonic() > deadline
+        )
+        if not out_of_budget:
+            depth = len(path)
+            if depth == nv:
+                if on_start[tip]:
+                    return FOUND, path, nodes
+            elif not (starved and depth == 1):
+                # availability prune and candidate collection over the
+                # tip's neighbors; below the root no non-neighbor can be
+                # starved
+                cands = []
+                forced = -1
+                for x in neighbors[tip]:
+                    if visited[x]:
+                        continue
+                    avail = free_deg[x] + on_start[x]
+                    if avail > 1:
+                        cands.append(x)
+                    elif avail == 0 or forced >= 0:
+                        break  # x is stranded, or a second one is forced
+                    else:  # tip edge is one of exactly two usable
+                        forced = x
+                else:
+                    if forced >= 0:
+                        frames.append(no_more)
+                        tip = forced
+                        continue
+                    if cands:
+                        pending.append(depth - 1)
+                        cands.sort(key=lambda x: (free_deg[x], rank[x], x))
+                        untried = iter(cands)
+                        frames.append(untried)
+                        tip = next(untried)
+                        continue
+        # the tip is a dead end, or the budget ran out: resolve what is
+        # pending first
+        fail = -1
+        if pending:
+            fail, verified = _resolve(holds_at, pending, verified)
+        if fail >= 0:
+            # the shallowest failing node gets no children: pop back to
+            # it, uncount the nodes below it, and make it the dead end
+            nodes -= len(path) - 1 - fail
+            while len(path) > fail + 1:
+                w = path.pop()
+                visited[w] = 0
+                for y in neighbors[w]:
+                    free_deg[y] += 1
+            del frames[fail:]
+        elif out_of_budget:
+            return EXHAUSTED_BUDGET, [], nodes
+        # backtrack past the dead end and exhausted frames to the next
+        # untried candidate
         while True:
-            untried, anchor = frames[-1]
-            tip = next(untried, -1)
-            if tip >= 0:
-                break
-            frames.pop()
             if not frames:
                 return NONE, [], nodes
             w = path.pop()
             visited[w] = 0
             for y in neighbors[w]:
                 free_deg[y] += 1
-        visited[tip] = 1
-        path.append(tip)
-        for y in neighbors[tip]:
-            free_deg[y] -= 1
+            if verified == len(path):
+                verified -= 1
+            tip = next(frames[-1], -1)
+            if tip >= 0:
+                break
+            frames.pop()

@@ -17,6 +17,7 @@ exactly the unresolved step.
 from __future__ import annotations
 
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -36,16 +37,29 @@ def kernel_name() -> str:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Limits for the backtracking search; all limits must be positive (an
-    infinite time limit is allowed, NaN is not)."""
+    """Limits for the backtracking search and the seed of its tie ranks:
+    max_nodes an int >= 1, max_seconds an int or a float > 0 that a float
+    can hold (an infinite time limit is allowed, NaN is not), seed an int.
+    A bool is none of these."""
 
     max_nodes: int = 10_000_000
     max_seconds: float = 60.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_nodes <= 0 or not self.max_seconds > 0:
-            raise ParameterError("budget limits must be positive")
+        if type(self.max_nodes) is not int:
+            raise ParameterError(f"max_nodes must be an int, got {self.max_nodes!r}")
+        if type(self.max_seconds) not in (int, float):
+            raise ParameterError(
+                f"max_seconds must be an int or a float, got {self.max_seconds!r}")
+        if type(self.seed) is not int:
+            raise ParameterError(f"seed must be an int, got {self.seed!r}")
+        if self.max_nodes < 1 or not self.max_seconds > 0:
+            raise ParameterError(
+                f"budget limits must be positive, got max_nodes={self.max_nodes},"
+                f" max_seconds={self.max_seconds}")
+        if type(self.max_seconds) is int and self.max_seconds > sys.float_info.max:
+            raise ParameterError("max_seconds is an int too large for a float")
 
 
 @dataclass

@@ -8,6 +8,7 @@ the benchmark runs.
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,18 @@ def test_patched_methods_and_kernel_exist():
     assert callable(hamilton._kernel.solve)
     assert callable(hamilton.kernel_name)
     assert all(callable(suite) for suite in cli._SUITES.values())
+
+
+def test_kernel_signature_and_result():
+    # layers.py wraps solve and adds result[2] to hamilton.kernel.nodes
+    solve = hamilton._kernel.solve
+    assert list(inspect.signature(solve).parameters) == [
+        "neighbors", "start", "rank", "max_nodes", "max_seconds"]
+    triangle = [(1, 2), (0, 2), (0, 1)]
+    for max_nodes in (1, 10):  # a budget result and a cycle
+        result = solve(triangle, 0, [0, 1, 2], max_nodes, 60.0)
+        assert type(result) is tuple and len(result) == 3
+        assert type(result[2]) is int and result[2] > 0
 
 
 def test_suite_names_match(layers):

@@ -42,6 +42,42 @@ class TestSearchBudget:
         budget = SearchBudget(max_seconds=float("inf"))
         assert find_hamiltonian_cycle(odd3, budget).status == NONE
 
+    @pytest.mark.parametrize("max_nodes, message", [
+        (float("nan"), "max_nodes must be an int"),
+        (True, "max_nodes must be an int"),
+        (2.5, "max_nodes must be an int"),
+        (5.0, "max_nodes must be an int"),
+        ("5", "max_nodes must be an int"),
+        (None, "max_nodes must be an int"),
+        (-3, "budget limits must be positive"),
+    ], ids=["nan", "bool", "fraction", "float", "str", "none", "negative"])
+    def test_node_limit_must_be_a_positive_int(self, max_nodes, message):
+        with pytest.raises(ParameterError, match=message):
+            SearchBudget(max_nodes=max_nodes)
+
+    @pytest.mark.parametrize("max_seconds, message", [
+        ("1", "max_seconds must be an int or a float"),
+        (True, "max_seconds must be an int or a float"),
+        (None, "max_seconds must be an int or a float"),
+        (float("-inf"), "budget limits must be positive"),
+        (-1, "budget limits must be positive"),
+        (10**400, "too large for a float"),
+    ], ids=["str", "bool", "none", "minus-inf", "negative", "huge-int"])
+    def test_time_limit_must_be_a_positive_number(self, max_seconds, message):
+        with pytest.raises(ParameterError, match=message):
+            SearchBudget(max_seconds=max_seconds)
+
+    @pytest.mark.parametrize("seed", [None, False, 1.0, "0"],
+                             ids=["none", "bool", "float", "str"])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(ParameterError, match="seed must be an int"):
+            SearchBudget(seed=seed)
+
+    def test_int_and_float_limits_accepted(self):
+        budget = SearchBudget(max_nodes=1, max_seconds=600, seed=-7)
+        assert (budget.max_nodes, budget.max_seconds, budget.seed) == (1, 600, -7)
+        assert SearchBudget(max_seconds=0.5).max_seconds == 0.5
+
 
 class TestFindCycle:
     def test_petersen_proved_non_hamiltonian(self, odd3):
@@ -494,6 +530,16 @@ def generalized_petersen(n: int, k: int):
     return nb
 
 
+def generalized_petersen_graph(n: int, k: int):
+    m = 2 * n
+    nb = generalized_petersen(n, k)
+    return graph_from_edges(
+        m,
+        [b([i], m) for i in range(1, m + 1)],
+        [(x, y, None) for x in range(m) for y in nb[x] if x < y],
+    )
+
+
 def cycle_digest(result) -> str:
     text = ",".join(map(str, result.cycle.indices))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -522,6 +568,16 @@ class TestExpansionOrder:
         )
         result = find_hamiltonian_cycle(g, SearchBudget(max_nodes=10**6))
         assert (result.status, result.nodes) == (NONE, nodes)
+
+    # the last node of each proof is the first one past the budget; the
+    # proof for n = 17 fails 294 connectivity checks
+    @pytest.mark.parametrize("n, nodes", [(11, 1532), (17, 12710)])
+    def test_generalized_petersen_budget_edge(self, n, nodes):
+        g = generalized_petersen_graph(n, 2)
+        cut = find_hamiltonian_cycle(g, SearchBudget(max_nodes=nodes - 1))
+        done = find_hamiltonian_cycle(g, SearchBudget(max_nodes=nodes))
+        assert (cut.status, cut.nodes) == (EXHAUSTED_BUDGET, nodes)
+        assert (done.status, done.nodes) == (NONE, nodes)
 
     # tie seed -> (status, nodes, cycle digest) at max_nodes=2000
     SEEDED = {
@@ -558,6 +614,16 @@ class TestExpansionOrder:
         assert got == self.SEEDED[family]
 
 
+# the check fails at path index 2, below the forced index 1
+FAILS_BELOW_FORCED = [
+    (1, 2, 3, 5, 6), (0, 5), (0, 3, 4), (0, 2), (2, 6), (0, 1), (0, 4)]
+# the check fails at path index 4, below the forced index 3, and the
+# search goes on to a cycle
+FAILS_BELOW_FORCED_THEN_FOUND = [
+    (2, 4, 5, 6, 7, 9), (3, 7, 9), (0, 3, 6, 8), (1, 2, 4, 7), (0, 3, 7),
+    (0, 7, 9), (0, 2, 8), (0, 1, 3, 4, 5, 9), (2, 6), (0, 1, 5, 7)]
+
+
 class TestSolveDirect:
     """solve() on inputs find_hamiltonian_cycle never passes it."""
 
@@ -581,10 +647,14 @@ class TestSolveDirect:
          (FOUND, [0, 1, 4, 2, 3], 5)),
         ([], 0, (NONE, [], 0)),
         ([()], 0, (FOUND, [0], 0)),
+        (FAILS_BELOW_FORCED, 0, (NONE, [], 9)),
+        (FAILS_BELOW_FORCED_THEN_FOUND, 0,
+         (FOUND, [0, 4, 7, 5, 9, 1, 3, 2, 8, 6], 17)),
     ], ids=[
         "two-triangles", "starved-pendant", "forced-root-hexagon",
         "forced-root-pendant", "single-edge", "ring", "degree-2-neighbor",
-        "no-vertices", "one-vertex",
+        "no-vertices", "one-vertex", "fails-below-forced",
+        "fails-below-forced-then-found",
     ])
     def test_pinned_results(self, neighbors, start, expected):
         rank = list(range(len(neighbors)))
@@ -600,6 +670,45 @@ class TestSolveDirect:
         assert _hamcore_py.solve(nb, 0, rank, 100, 60.0) == (
             EXHAUSTED_BUDGET, [], 101
         )
+
+    @pytest.mark.parametrize("neighbors, expected", [
+        ([(1, 2), (0, 2), (0, 1), (4, 5), (3, 5), (3, 4)], (NONE, [], 1)),
+        (FAILS_BELOW_FORCED, (NONE, [], 9)),
+        (FAILS_BELOW_FORCED_THEN_FOUND,
+         (FOUND, [0, 4, 7, 5, 9, 1, 3, 2, 8, 6], 17)),
+    ], ids=["two-triangles", "fails-below-forced",
+            "fails-below-forced-then-found"])
+    def test_budget_of_the_final_count(self, neighbors, expected):
+        # the search counts nodes below a failing check before it rolls
+        # them back; a budget equal to the final count does not cut it
+        rank = list(range(len(neighbors)))
+        assert _hamcore_py.solve(
+            neighbors, 0, rank, expected[2], 60.0) == expected
+
+    def test_random_graphs_digest(self):
+        # edges within the sides [0, half) and [half, nv) with probability
+        # p and across with q: a sparse cut fails the check deep down
+        rng = random.Random(22)
+        digest = hashlib.sha256()
+        for _ in range(2000):
+            nv = rng.randint(1, 13)
+            half = rng.randint(1, nv)
+            p = rng.choice((0.3, 0.5, 0.7))
+            q = rng.choice((0.05, 0.15, 0.5))
+            nb = [[] for _ in range(nv)]
+            for i in range(nv):
+                for j in range(i + 1, nv):
+                    if rng.random() < (q if i < half <= j else p):
+                        nb[i].append(j)
+                        nb[j].append(i)
+            rank = list(range(nv))
+            rng.shuffle(rank)
+            start = rng.randrange(nv)
+            for max_nodes in (1, 3, 20, 10**6):
+                status, cycle, nodes = _hamcore_py.solve(
+                    nb, start, rank, max_nodes, 60.0)
+                digest.update(repr((status, nodes, cycle)).encode())
+        assert digest.hexdigest()[:16] == "bfadbb9ab4a5157e"
 
     def test_ring_deeper_than_recursion_limit(self):
         n = 20_000
