@@ -230,9 +230,10 @@ def solve(
     Returns (status, cycle_vertices, nodes_expanded); the cycle list is
     empty unless status is FOUND, in which case it starts at `start` and
     the closing edge back to it is implicit.  `neighbors` is only read.
+    Two vertices have no cycle: it would reuse their one edge.
     """
     nv = len(neighbors)
-    if nv == 0:
+    if nv in (0, 2):
         return NONE, [], 0
     if nv == 1:
         return FOUND, [start], 0

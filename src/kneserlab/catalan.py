@@ -306,12 +306,10 @@ def _deletion_profile(g: LabeledGraph, removed: tuple[int, ...]) -> dict:
     }
 
 
-def coxeter_excision(n: int = 4) -> tuple[LabeledGraph, Report]:
+def coxeter_excision() -> tuple[LabeledGraph, Report]:
     """Delete the first independent orbit of odd(4) and return the
     resulting graph with its fingerprint report (28 vertices, 42 edges,
     cubic, girth 7)."""
-    if n != 4:
-        raise ParameterError("the cubic excision fingerprint is pinned at n=4")
     orb = orbits(4)
     g = orb.graph
     free = [oi for oi, c in enumerate(_orbit_clashes(orb)) if not c >> oi & 1]

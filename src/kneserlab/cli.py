@@ -335,7 +335,7 @@ def _suite_isomorphisms(report: RunReport, max_n: int):
         if k % 2:
             continue
         s = dec.canonical_colors(n, k)
-        for t, _rest in dec.regular_component_partitions(s):
+        for t in dec.regular_component_partitions(s):
             vmap = mor.regular_component_to_middle(n, s, t)
             report.add(
                 f"middle-iso-odd({n})-{k}-T{t}",
@@ -440,7 +440,7 @@ def _suite_coxeter(report: RunReport, max_n: int):
     rep3 = independent_orbit_excision(3)
     report.add("excision-odd(3)", "Catalan fourth convolution", rep3.ok,
                "pinned count 0: the graph itself is cubic")
-    _graph, rep4 = coxeter_excision(4)
+    _graph, rep4 = coxeter_excision()
     report.add("coxeter-fingerprint", "Coxeter graph excision (Godsil-Royle)",
                rep4.ok, "28 vertices, 42 edges, cubic, girth 7")
     rep4b = independent_orbit_excision(4)
@@ -512,7 +512,7 @@ def cmd_hamilton(args) -> int:
     if result.status == ham.FOUND:
         assert result.cycle is not None
         print(f"{fam}: Hamiltonian cycle found"
-              f" ({result.nodes} nodes, {result.elapsed:.2f}s, {result.kernel})")
+              f" ({result.nodes} nodes, {result.elapsed:.2f}s, {ham.kernel_name()})")
         if args.cycle_out:
             _write_output(
                 "\n".join(str(i) for i in result.cycle.indices) + "\n",
@@ -598,9 +598,10 @@ def make_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="base graph of the --pipeline round: odd(N-1)"
                             " (the default) or middle(N-1)")
-    p_ham.add_argument("--max-nodes", type=int, default=10_000_000)
-    p_ham.add_argument("--max-seconds", type=float, default=60.0)
-    p_ham.add_argument("--seed", type=int, default=0)
+    defaults = ham.SearchBudget()
+    p_ham.add_argument("--max-nodes", type=int, default=defaults.max_nodes)
+    p_ham.add_argument("--max-seconds", type=float, default=defaults.max_seconds)
+    p_ham.add_argument("--seed", type=int, default=defaults.seed)
     p_ham.add_argument("--cycle-out", default=None)
     p_ham.add_argument("--require-cycle", action="store_true",
                        help="exit 1 when the graph is proved non-Hamiltonian")

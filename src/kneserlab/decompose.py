@@ -149,13 +149,11 @@ def trace_classes(g: LabeledGraph, colors: ColorsLike) -> dict[int, list[int]]:
 
 @dataclass(frozen=True)
 class BlockComponent:
-    """One partition-class piece of a color-deleted odd graph."""
+    """One partition-class piece of a color-deleted odd graph and its
+    degree signature; trace_classes gives its two sides."""
 
     graph: LabeledGraph
     signature: tuple
-    # indices into odd(n) of the vertices with trace T and with trace S - T
-    u_indices: tuple[int, ...]
-    w_indices: tuple[int, ...]
 
 
 def block_component(n: int, colors: ColorsLike, t: ColorsLike) -> BlockComponent:
@@ -181,12 +179,7 @@ def block_component(n: int, colors: ColorsLike, t: ColorsLike) -> BlockComponent
         w = classes.get((s - tb).bits, [])
         # T = S - T only for S empty: both sides are then the whole graph
         sub = g.subgraph(u if tb == s - tb else u + w, s)
-        g.memo[key] = BlockComponent(
-            graph=sub,
-            signature=degree_profile(sub),
-            u_indices=tuple(u),
-            w_indices=tuple(w),
-        )
+        g.memo[key] = BlockComponent(sub, degree_profile(sub))
     return g.memo[key]
 
 
@@ -261,17 +254,16 @@ def verify_disjointness(n: int, colors: ColorsLike) -> Report:
     )
 
 
-def regular_component_partitions(s: Block) -> list[tuple[Block, Block]]:
-    """The {T, S-T} partitions indexing the regular components of O_n(S),
-    one pair per component: T is the half that holds min(S), so the
-    lexicographically smaller one, and the pairs come in the lexicographic
-    order of T.  S empty gives its one class (empty, empty)."""
+def regular_component_partitions(s: Block) -> list[Block]:
+    """The halves T of the {T, S-T} partitions indexing the regular
+    components of O_n(S), one per component: T is the half that holds
+    min(S), so the lexicographically smaller one, in lexicographic order.
+    S empty gives its one class, T empty."""
     k = s.card
     if k % 2:
         return []
     if not k:
-        return [(s, s)]
+        return [s]
     first, *rest = s.elements()
-    halves = (Block.from_elements((first, *c), s.m)
-              for c in combinations(rest, k // 2 - 1))
-    return [(t, s - t) for t in halves]
+    return [Block.from_elements((first, *c), s.m)
+            for c in combinations(rest, k // 2 - 1)]

@@ -64,13 +64,12 @@ class SearchBudget:
 
 @dataclass
 class SearchResult:
-    """Outcome of a Hamiltonian cycle search."""
+    """Outcome of a Hamiltonian cycle search by the kernel_name() kernel."""
 
     status: str
     cycle: Optional[PathSeq]
     nodes: int
     elapsed: float
-    kernel: str
     reason: str = ""
 
     @property
@@ -96,16 +95,12 @@ def find_hamiltonian_cycle(
     identical results run to run.
     """
     if g.n_vertices == 0:
-        return SearchResult(NONE, None, 0, 0.0, kernel_name(), "empty graph")
+        return SearchResult(NONE, None, 0, 0.0, "empty graph")
     if not g.connected:
-        return SearchResult(
-            NONE, None, 0, 0.0, kernel_name(), "disconnected input"
-        )
+        return SearchResult(NONE, None, 0, 0.0, "disconnected input")
     if g.n_vertices == 2:
-        return SearchResult(
-            NONE, None, 0, 0.0, kernel_name(),
-            "two vertices: a cycle would reuse the single edge",
-        )
+        return SearchResult(NONE, None, 0, 0.0,
+                            "two vertices: a cycle would reuse the single edge")
     rank = _tie_break_ranks(g.n_vertices, budget.seed)
     t0 = time.perf_counter()
     status, path, nodes = _kernel.solve(
@@ -117,7 +112,7 @@ def find_hamiltonian_cycle(
         cycle = PathSeq.from_indices(g, path, closed=True)
         if not verify_cycle(g, path):
             raise AssertionError("kernel returned an invalid cycle")
-    return SearchResult(status, cycle, nodes, elapsed, kernel_name())
+    return SearchResult(status, cycle, nodes, elapsed)
 
 
 def verify_cycle(g: LabeledGraph, sequence) -> bool:
@@ -145,7 +140,8 @@ class PipelineReport:
     the order run: search (building the base graph and searching it),
     fallback, lift, embed (building odd(n) and embedding), remainder and
     connectors.  The stages follow one another, so their sum is the time
-    of the round after its arguments are checked.
+    of the round after its arguments are checked.  The two flags are read
+    from the counts: with nothing embedded, connectors are not complete.
     """
 
     n: int
@@ -156,13 +152,19 @@ class PipelineReport:
     embedded_vertex_count: int = 0
     lifted_is_hamiltonian_middle: bool = False
     remainder_size: int = 0
-    remainder_odd: bool = False
     connector_count: int = 0
-    connectors_complete: bool = False
     middle_vertex_collisions: int = 0
     fallback_search: Optional[SearchResult] = None
     notes: list[str] = field(default_factory=list)
     stage_s: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def remainder_odd(self) -> bool:
+        return self.remainder_size % 2 == 1
+
+    @property
+    def connectors_complete(self) -> bool:
+        return 0 < self.embedded_vertex_count == self.connector_count
 
     def summary_lines(self) -> list[str]:
         base_name = (
@@ -172,7 +174,7 @@ class PipelineReport:
         lines.append(
             f"  base {base_name} search: {self.base_search.status}"
             f" ({self.base_search.nodes} nodes,"
-            f" {self.base_search.elapsed:.2f}s, {self.base_search.kernel})"
+            f" {self.base_search.elapsed:.2f}s, {kernel_name()})"
         )
         if self.embedded_vertex_count:
             lines.append(
@@ -189,10 +191,9 @@ class PipelineReport:
                 f" middle-vertex collisions: {self.middle_vertex_collisions})"
             )
         if self.lift is not None:
-            kind = (
-                "single circuit" if self.lift.kind == "single"
-                else "two antipodal circuits"
-            )
+            kind = ("single circuit" if self.lift.kind == "single"
+                    else "two antipodal circuits" if self.lift.antipodal
+                    else "two circuits")
             lens = ", ".join(str(c.length) for c in self.lift.circuits)
             lines.append(f"  lift: {kind} of length {lens}")
             if self.start == "odd":
@@ -298,7 +299,6 @@ def recursion_pipeline(
 
     rem_masks = remainder_graph(n, 2).graph.index
     report.remainder_size = len(rem_masks)
-    report.remainder_odd = len(rem_masks) % 2 == 1
     if report.remainder_odd:
         report.notes.append(
             "remainder size is odd; the antipode-splicing scheme cannot pair"
@@ -314,7 +314,6 @@ def recursion_pipeline(
         if mid in rem_masks and index[mid] in rows[i]:
             middles.append(mid)
     report.connector_count = len(middles)
-    report.connectors_complete = len(middles) == len(embedded)
     report.middle_vertex_collisions = len(middles) - len(set(middles))
     if report.middle_vertex_collisions:
         report.notes.append(

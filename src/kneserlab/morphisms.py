@@ -468,7 +468,7 @@ def middle_component_census(n: int, k: int, family_kind: str = ODD) -> Report:
     if regular_ix != expected:
         failures.append(f"count {regular_ix} != {expected}")
     if family_kind == ODD:
-        for t, _rest in regular_component_partitions(s):
+        for t in regular_component_partitions(s):
             vmap = regular_component_to_middle(n, s, t)
             if not vmap.verify():
                 failures.append(f"component T={t} not isomorphic to middle({mm})")
@@ -489,12 +489,15 @@ def middle_component_census(n: int, k: int, family_kind: str = ODD) -> Report:
 @dataclass(frozen=True)
 class LiftResult:
     """Outcome of lifting a closed walk through the double cover: one
-    circuit of twice the length (odd base length) or an antipodal pair
-    (even base length)."""
+    circuit of twice the length (odd base length) or a pair exchanged by
+    complementation (even base length), antipodal when they are disjoint."""
 
-    kind: str  # "single" | "pair"
     circuits: tuple[PathSeq, ...]
     antipodal: bool
+
+    @property
+    def kind(self) -> str:
+        return "single" if len(self.circuits) == 1 else "pair"
 
 
 def lift_circuit(c: PathSeq) -> LiftResult:
@@ -534,11 +537,11 @@ def lift_circuit(c: PathSeq) -> LiftResult:
     lifted.pop()
     first = PathSeq.from_indices(bg, bg.mask_indices(lifted), closed=True)
     if passes == 2:
-        return LiftResult("single", (first,), antipodal=False)
+        return LiftResult((first,), antipodal=False)
     partner_masks = [x ^ full for x in lifted]
     partner = PathSeq.from_indices(bg, bg.mask_indices(partner_masks), closed=True)
     antipodal = set(partner_masks).isdisjoint(lifted)
-    return LiftResult("pair", (first, partner), antipodal=antipodal)
+    return LiftResult((first, partner), antipodal=antipodal)
 
 
 def generic_double_cover(g: LabeledGraph) -> tuple[LabeledGraph, VertexMap]:

@@ -81,15 +81,18 @@ class SuperGraph:
 
     graph's vertices are the halves minus the distinguished color, packed
     onto ground [k-1], so the expected target family instance has
-    literally the same vertex set; iso is the identity map on masks,
-    verified, and criteria_agree records that the transposition rule and
-    the disjointness/containment rule produced the same edges.
+    literally the same vertex set; iso is the identity map on masks onto
+    it, verified, and criteria_agree records that the transposition rule
+    and the disjointness/containment rule produced the same edges.
     """
 
     graph: LabeledGraph
-    target: Family
     iso: VertexMap
     criteria_agree: bool
+
+    @property
+    def target(self) -> Family:
+        return self.iso.target.family
 
 
 def _component_halves(n: int, s: Block, d: int, family_kind: str) -> list[int]:
@@ -157,7 +160,7 @@ def _build_super(s: Block, d: int, family_kind: str, halves: list[int]) -> Super
         name=f"superstructure -> {target}",
     )
     iso.verify()
-    return SuperGraph(graph, target, iso, agree)
+    return SuperGraph(graph, iso, agree)
 
 
 def _meta_graph(n: int, k: int, family_kind: str) -> SuperGraph:

@@ -142,7 +142,7 @@ def test_criterion_04_explicit_isomorphisms():
                         if not biregular_internal_iso(n, k, t1, t2).verify():
                             failures.append(("internal", n, k, str(t1), str(t2)))
             if k % 2 == 0:
-                for t, _ in regular_component_partitions(s):
+                for t in regular_component_partitions(s):
                     maps_checked += 1
                     if not regular_component_to_middle(n, s, t).verify():
                         failures.append(("middle", n, k, str(t)))
@@ -229,7 +229,7 @@ def test_criterion_09_orbits_and_necklaces():
 def test_criterion_10_coxeter_excision():
     with criterion(10, "independent-orbit excision reaches the Coxeter graph", 10.0):
         assert catalan_fourth_convolution(4) == 1
-        graph, rep = coxeter_excision(4)
+        graph, rep = coxeter_excision()
         assert rep.ok, rep.failures
         assert (graph.n_vertices, graph.n_edges) == (28, 42)
         assert degree_profile(graph) == ("regular", 3)

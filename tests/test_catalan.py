@@ -222,7 +222,7 @@ class TestExcision:
         assert rep.details["cubic_outcomes"] == 1  # the graph itself
 
     def test_at_four_coxeter_fingerprint(self):
-        graph, rep = coxeter_excision(4)
+        graph, rep = coxeter_excision()
         assert rep.ok, rep.failures
         assert graph.n_vertices == 28
         assert graph.n_edges == 42
@@ -295,7 +295,7 @@ class TestExcision:
         assert rep.details == details
 
     def test_pinned_coxeter_report(self):
-        _graph, rep = coxeter_excision(4)
+        _graph, rep = coxeter_excision()
         assert (rep.name, rep.ok, rep.failures) == ("cubic excision odd(4)", True, [])
         assert rep.details == {"vertices": 28, "edges": 42,
                                "signature": ("regular", 3), "girth": 7}
@@ -303,7 +303,7 @@ class TestExcision:
 
 class TestCoxeterTransitivitySpotCheck:
     def test_automorphisms_carry_sampled_pairs(self):
-        graph, rep = coxeter_excision(4)
+        graph, rep = coxeter_excision()
         assert rep.ok
         from kneserlab.morphisms import find_isomorphism
 

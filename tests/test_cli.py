@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ from kneserlab import cli, graphs
 from kneserlab import decompose as dec
 from kneserlab.cli import main, run_suite
 from kneserlab.graphs import Report
+from kneserlab.hamilton import SearchBudget
 from kneserlab.serialize import graph_from_json
 
 
@@ -422,6 +424,56 @@ class TestHamilton:
                               " family search, not on --pipeline\n")
         assert out == ""
         assert not (tmp_path / "cycle.txt").exists()
+
+    PINNED = {
+        "odd-3": (["odd", "3"], [
+            "odd(3): non-Hamiltonian (exhaustive search); 82 nodes, T"]),
+        "odd-4-seed-1": (["odd", "4", "--seed", "1"], [
+            "odd(4): Hamiltonian cycle found (58 nodes, T, python)"]),
+        "pipeline-5": (["--pipeline", "5"], [
+            "recursion pipeline into odd(5), starting from odd(4)",
+            "  base odd(4) search: found (39 nodes, T, python)",
+            "  embedded vertices in odd(5): 70",
+            "  remainder size: 56 (even)",
+            "  two-color connectors: 70 (complete: True,"
+            " middle-vertex collisions: 35)",
+            "  lift: single circuit of length 70",
+            "  lifted cycle Hamiltonian in middle(4): True",
+            "  stage times: search T, lift T, embed T, remainder T,"
+            " connectors T",
+            "  note: connector middle vertices collide in the remainder;"
+            " any tour built from them would repeat vertices"
+            " (simplicity violation)",
+            "  note: embedded component and remainder partition the vertex set"]),
+        "pipeline-5-middle": (["--pipeline", "5", "--pipeline-start", "middle"], [
+            "recursion pipeline into odd(5), starting from middle(4)",
+            "  base middle(4) search: found (237 nodes, T, python)",
+            "  embedded vertices in odd(5): 70",
+            "  remainder size: 56 (even)",
+            "  two-color connectors: 70 (complete: True,"
+            " middle-vertex collisions: 35)",
+            "  lift: two antipodal circuits of length 70, 70",
+            "  stage times: search T, embed T, lift T, remainder T,"
+            " connectors T",
+            "  note: connector middle vertices collide in the remainder;"
+            " any tour built from them would repeat vertices"
+            " (simplicity violation)",
+            "  note: embedded component and remainder partition the vertex set"]),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_pinned_text(self, case, capsys):
+        # elapsed seconds and stage milliseconds vary run to run: masked as T
+        argv, lines = self.PINNED[case]
+        code, out, _ = run(["hamilton", *argv], capsys)
+        assert code == 0
+        assert re.sub(r"\d+\.\d+ ?m?s\b", "T", out) == "\n".join(lines) + "\n"
+
+    def test_budget_defaults_are_search_budget_defaults(self):
+        args = cli.make_parser().parse_args(["hamilton", "odd", "3"])
+        budget = SearchBudget()
+        assert (args.max_nodes, args.max_seconds, args.seed) == (
+            budget.max_nodes, budget.max_seconds, budget.seed)
 
     @pytest.mark.parametrize("graph", [["kneser", "2", "1"], ["middle", "1"]])
     def test_two_vertices_non_hamiltonian(self, graph, capsys):

@@ -168,7 +168,6 @@ class TestGraphMemo:
             other = block_component(6, [8, 9, 10, 11], [9, 10])
         assert len(cuts) == 2
         assert other.graph == first.graph
-        assert other.u_indices == first.w_indices
 
     def test_memo_entries_freed_with_their_graph(self):
         g = build(Family.odd(7))
@@ -195,7 +194,9 @@ class TestBlockComponent:
         piece = block_component(3, [3, 4, 5], [])
         assert piece.graph.n_vertices == 1
         assert piece.graph.vertices[0] == b([1, 2], 5)
-        assert piece.w_indices == ()
+        # no vertex of odd(3) holds all of S, so the piece has one side
+        classes = trace_classes(build(Family.odd(3)), [3, 4, 5])
+        assert b([3, 4, 5], 5).bits not in classes
 
     def test_t_outside_s_rejected(self):
         with pytest.raises(ParameterError):
@@ -223,10 +224,10 @@ class TestBlockComponent:
         members = [i for i, v in enumerate(g.vertices) if v & s in (tb, s - tb)]
         piece = block_component(n, s, tb)
         assert piece.graph == delete_colors(g, s).subgraph(members)
-        u_side = tuple(map(g.vertices.__getitem__, piece.u_indices))
-        w_side = tuple(map(g.vertices.__getitem__, piece.w_indices))
-        assert u_side == tuple(v for v in g.vertices if v & s == tb)
-        assert w_side == tuple(v for v in g.vertices if v & s == s - tb)
+        classes = trace_classes(g, s)
+        for side in (tb, s - tb):
+            assert classes.get(side.bits, []) == [
+                i for i, v in enumerate(g.vertices) if v & s == side]
 
     def test_class_union_covers_vertex_set(self, odd4):
         # every vertex lies in exactly one partition-class piece
@@ -438,14 +439,12 @@ class TestDisjointness:
         s = b([6, 7], 7)
         one, two = block_component(4, s, b([6], 7)), block_component(4, s, b([7], 7))
         g = build(Family.odd(4))
-
-        def side(indices):
-            return tuple(map(g.vertices.__getitem__, indices))
-
-        assert one.u_indices and one.w_indices
-        assert side(one.u_indices) == side(two.w_indices)
-        assert side(one.w_indices) == side(two.u_indices)
-        assert all(v & s == b([6], 7) for v in side(one.u_indices))
+        classes = trace_classes(g, s)
+        u, w = classes[b([6], 7).bits], classes[b([7], 7).bits]
+        assert u and w
+        assert all(g.vertices[i] & s == b([6], 7) for i in u)
+        assert one.graph.masks == two.graph.masks == tuple(
+            g.masks[i] for i in sorted(u + w))
 
     def test_four_color_classes_separate(self):
         rep = verify_disjointness(5, [6, 7, 8, 9])
@@ -469,8 +468,8 @@ class TestDisjointness:
 
 
 def _partitions_by_dedup(n, s):
-    """Every half-size T of S, one pair per unordered {T, S-T}, each pair
-    sorted lexicographically on its element tuples."""
+    """Every half-size T of S, one per unordered {T, S-T}: of each pair
+    the lexicographically smaller on its element tuple."""
     if s.card % 2:
         return []
     seen, out = set(), []
@@ -480,7 +479,7 @@ def _partitions_by_dedup(n, s):
         if key in seen:
             continue
         seen.add(key)
-        out.append(tuple(sorted((t, s - t), key=Block.elements)))
+        out.append(min((t, s - t), key=Block.elements))
     return out
 
 
@@ -493,14 +492,10 @@ class TestRegularComponentPartitions:
             assert regular_component_partitions(s) == _partitions_by_dedup(n, s)
 
     def test_edge_cases(self):
-        assert regular_component_partitions(Block.empty(5)) == [
-            (Block.empty(5), Block.empty(5))]
+        assert regular_component_partitions(Block.empty(5)) == [Block.empty(5)]
         assert regular_component_partitions(b([1, 4, 5], 5)) == []
         assert regular_component_partitions(b([2, 3, 4, 5], 5)) == [
-            (b([2, 3], 5), b([4, 5], 5)),
-            (b([2, 4], 5), b([3, 5], 5)),
-            (b([2, 5], 5), b([3, 4], 5)),
-        ]
+            b([2, 3], 5), b([2, 4], 5), b([2, 5], 5)]
 
 
 class TestMiddleComponentCensus:

@@ -15,12 +15,15 @@ from kneserlab.hamilton import (
     EXHAUSTED_BUDGET,
     FOUND,
     NONE,
+    PipelineReport,
     SearchBudget,
+    SearchResult,
     find_hamiltonian_cycle,
+    kernel_name,
     recursion_pipeline,
     verify_cycle,
 )
-from kneserlab.morphisms import embed_indices
+from kneserlab.morphisms import LiftResult, embed_indices
 from kneserlab.setcore import Block, catalan
 from kneserlab.superstructure import two_color_middle, two_color_path
 
@@ -297,6 +300,23 @@ class TestPipeline:
         assert [c.length for c in rep.lift.circuits] == [20, 20]
         assert rep.lift.antipodal
 
+    @pytest.mark.parametrize("antipodal, kind", [
+        (True, "two antipodal circuits"), (False, "two circuits")])
+    def test_summary_names_a_pair_antipodal_only_when_measured(
+            self, antipodal, kind):
+        rep = recursion_pipeline(4, SearchBudget(max_seconds=60), start="middle")
+        rep.lift = LiftResult(rep.lift.circuits, antipodal=antipodal)
+        assert f"  lift: {kind} of length 20, 20" in rep.summary_lines()
+
+    def test_counts_give_parity_and_completeness(self):
+        rep = PipelineReport(4, "odd", SearchResult(NONE, None, 0, 0.0))
+        assert not rep.remainder_odd and not rep.connectors_complete
+        rep.remainder_size, rep.connector_count = 15, 19
+        rep.embedded_vertex_count = 20
+        assert rep.remainder_odd and not rep.connectors_complete
+        rep.connector_count = 20
+        assert rep.connectors_complete
+
     def test_bad_start_rejected(self):
         with pytest.raises(ParameterError):
             recursion_pipeline(4, start="sideways")
@@ -391,7 +411,7 @@ class TestConnectorMap:
 def _search_facts(r):
     if r is None:
         return None
-    return (r.status, r.nodes, r.kernel, r.reason,
+    return (r.status, r.nodes, kernel_name(), r.reason,
             None if r.cycle is None else _path_facts(r.cycle))
 
 
@@ -638,7 +658,8 @@ class TestSolveDirect:
         ([(1, 5), (0, 2), (1, 3), (2, 4), (3, 5), (4, 0), (7,), (6,)], 7,
          (NONE, [], 2)),
         ([(1, 2, 3), (0,), (0, 3), (0, 2)], 0, (NONE, [], 2)),
-        ([(1,), (0,)], 0, (FOUND, [0, 1], 2)),
+        # a 2-cycle would reuse the one edge, as verify_cycle says
+        ([(1,), (0,)], 0, (NONE, [], 0)),
         # a ring: one check at the root, then a forced chain to the end
         ([((i - 1) % 7, (i + 1) % 7) for i in range(7)], 6,
          (FOUND, [6, 0, 1, 2, 3, 4, 5], 7)),
@@ -708,7 +729,8 @@ class TestSolveDirect:
                 status, cycle, nodes = _hamcore_py.solve(
                     nb, start, rank, max_nodes, 60.0)
                 digest.update(repr((status, nodes, cycle)).encode())
-        assert digest.hexdigest()[:16] == "bfadbb9ab4a5157e"
+        # the two-vertex graphs answer NONE in 0 nodes, without a search
+        assert digest.hexdigest()[:16] == "2734fccebbefa2b1"
 
     def test_ring_deeper_than_recursion_limit(self):
         n = 20_000
