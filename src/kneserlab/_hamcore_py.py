@@ -18,17 +18,29 @@ depth is not bounded by the interpreter's recursion limit.  It has:
     forced, every unvisited vertex must stay reachable from the tip
     through unvisited vertices, or the node gets no children.
 
-A node costs O(deg).  The connectivity check is deferred: it runs as one
-batched check per dead end (plus a binary search when that check fails),
-not once per node, and node counts are those of a search that checks
-every node when it enters it.
+A node costs O(deg): one pass over the tip's unvisited neighbors takes
+the tip's edge out of each one's count of usable connections and, until
+the node is found dead, classifies it as a candidate, forced or stranded.
+A pop walks the row again and puts back the counts of the unvisited
+neighbors.  The count of a vertex on the path is left stale: nothing
+reads it while the vertex is on the path, and as the path is a stack the
+same neighbors are skipped when a vertex is pushed and when it is popped,
+so the count is right again once the vertex leaves the path.  The budgets
+are read only at the node counts where one can run out: past max_nodes,
+and the clock every _CLOCK_STRIDE nodes.
+
+The connectivity check is deferred: it runs as one batched check per dead
+end (plus a binary search when that check fails), not once per node, and
+node counts are those of a search that checks every node when it enters
+it.
 
   * Below the root, every unvisited vertex x that is not a neighbor of
-    the tip keeps free_deg[x] + on_start[x] >= 2 usable connections
-    (free_deg[x] counts its unvisited neighbors).  The last path vertex
-    that took one of them was the tip at its own node and scanned x: it
-    killed the branch if x had none left, or took x next, as a forced
-    candidate, if x had one.  So a node scans only the tip's neighbors.
+    the tip keeps free_deg[x] >= 2 usable connections (free_deg[x]
+    counts its unvisited neighbors, and the start vertex if adjacent).
+    The last path vertex that took one of them was the tip at its own
+    node and scanned x: it killed the branch if x had none left, or took
+    x next, as a forced candidate, if x had one.  So a node scans only
+    the tip's neighbors.
     The non-neighbors are checked once, at the root, where a vertex's
     usable connections number its degree: `starved` is set when a vertex
     that is neither the start nor one of its neighbors has degree < 2.
@@ -56,7 +68,9 @@ every node when it enters it.
     the nodes below it.  Those are path[f + 1:], as the search has only
     descended since it entered f.  A rollback lowers `nodes` and the
     search goes on, so every count it returns counts the same nodes as a
-    search that checks every node when it enters it.
+    search that checks every node when it enters it; the next budget
+    read is taken from the lowered count, so the clock is read at the
+    same counts too.
   * The check at u reads path[u + 1:] as unvisited.  It is anchored at
     a = `verified`: G[W_a ∪ {path[a]}] is G[W_u ∪ R ∪ {path[u]}] with
     R = path[a:u], so every component of G[W_u ∪ {path[u]}] holds path[u]
@@ -218,6 +232,13 @@ def _resolve(holds_at, pending: list, verified: int) -> tuple[int, int]:
     return fail, verified
 
 
+def _next_read(nodes: int, max_nodes: int) -> int:
+    """The first node count after `nodes` at which a budget is read: the
+    node budget past max_nodes, the clock at every _CLOCK_STRIDE nodes."""
+    return min(max(nodes, max_nodes) + 1,
+               (nodes // _CLOCK_STRIDE + 1) * _CLOCK_STRIDE)
+
+
 def solve(
     neighbors: Sequence[Sequence[int]],
     start: int,
@@ -237,18 +258,27 @@ def solve(
         return NONE, [], 0
     if nv == 1:
         return FOUND, [start], 0
+    # free_deg[x] counts x's unvisited neighbors, plus one if x is
+    # adjacent to the start; an on-path vertex's count is stale until it
+    # is popped
+    free_deg = list(map(len, neighbors))
     on_start = bytearray(nv)
     for w in neighbors[start]:
         on_start[w] = 1
+        free_deg[w] += 1
     # at the root a vertex's usable connections number its degree
-    starved = any(
+    starved = min(map(len, neighbors)) < 2 and any(
         len(row) < 2
         for x, row in enumerate(neighbors)
         if x != start and not on_start[x]
     )
 
+    # candidates by fewest unvisited neighbors, then rank, then index; the
+    # tables are bound as defaults so that solve's own reads stay local
+    def key(x, free_deg=free_deg, on_start=on_start, rank=rank):
+        return free_deg[x] - on_start[x], rank[x], x
+
     visited = bytearray(nv)
-    free_deg = [len(row) for row in neighbors]
     path = []
     holds_at = _Connectivity(neighbors, path, visited).holds_at
     # frames[i] iterates over path[i]'s untried candidates; the tip has no
@@ -258,50 +288,55 @@ def solve(
     pending = []  # path indices of unchecked nodes, shallowest first
     verified = -1  # the check holds at every path index <= verified
     nodes = 0
+    next_read = _next_read(0, max_nodes)
+    out_of_budget = False
     deadline = time.monotonic() + max_seconds
     tip = start
+    # the tip gets no children: a neighbor is stranded or a second one
+    # forced, a budget ran out, or, at the root, a vertex is starved
+    dead = starved
     while True:
         visited[tip] = 1
         path.append(tip)
-        for y in neighbors[tip]:
-            free_deg[y] -= 1
         nodes += 1
-        out_of_budget = nodes > max_nodes or (
-            nodes % _CLOCK_STRIDE == 0 and time.monotonic() > deadline
-        )
-        if not out_of_budget:
-            depth = len(path)
-            if depth == nv:
-                if on_start[tip]:
-                    return FOUND, path, nodes
-            elif not (starved and depth == 1):
-                # availability prune and candidate collection over the
-                # tip's neighbors; below the root no non-neighbor can be
-                # starved
-                cands = []
-                forced = -1
-                for x in neighbors[tip]:
-                    if visited[x]:
-                        continue
-                    avail = free_deg[x] + on_start[x]
-                    if avail > 1:
-                        cands.append(x)
-                    elif avail == 0 or forced >= 0:
-                        break  # x is stranded, or a second one is forced
-                    else:  # tip edge is one of exactly two usable
-                        forced = x
-                else:
-                    if forced >= 0:
-                        frames.append(no_more)
-                        tip = forced
-                        continue
-                    if cands:
-                        pending.append(depth - 1)
-                        cands.sort(key=lambda x: (free_deg[x], rank[x], x))
-                        untried = iter(cands)
-                        frames.append(untried)
-                        tip = next(untried)
-                        continue
+        # one pass over the tip's unvisited neighbors takes the tip's
+        # edge out of their counts and, until the node is dead, runs the
+        # availability prune and collects candidates; below the root no
+        # non-neighbor can be starved
+        cands = []
+        forced = -1
+        for x in neighbors[tip]:
+            if visited[x]:
+                continue
+            avail = free_deg[x] - 1
+            free_deg[x] = avail
+            if dead:
+                continue
+            if avail > 1:
+                cands.append(x)
+            elif avail == 0 or forced >= 0:
+                dead = True  # x is stranded, or a second one is forced
+            else:  # tip edge is one of exactly two usable
+                forced = x
+        if nodes >= next_read:
+            out_of_budget = nodes > max_nodes or time.monotonic() > deadline
+            next_read = _next_read(nodes, max_nodes)
+            dead = dead or out_of_budget
+        if not dead:
+            if forced >= 0:
+                frames.append(no_more)
+                tip = forced
+                continue
+            if cands:
+                pending.append(len(path) - 1)
+                if len(cands) > 1:
+                    cands.sort(key=key)
+                untried = iter(cands)
+                frames.append(untried)
+                tip = next(untried)
+                continue
+            if len(path) == nv and on_start[tip]:
+                return FOUND, path, nodes
         # the tip is a dead end, or the budget ran out: resolve what is
         # pending first
         fail = -1
@@ -311,23 +346,28 @@ def solve(
             # the shallowest failing node gets no children: pop back to
             # it, uncount the nodes below it, and make it the dead end
             nodes -= len(path) - 1 - fail
+            next_read = _next_read(nodes, max_nodes)
+            out_of_budget = False
             while len(path) > fail + 1:
                 w = path.pop()
                 visited[w] = 0
                 for y in neighbors[w]:
-                    free_deg[y] += 1
+                    if not visited[y]:
+                        free_deg[y] += 1
             del frames[fail:]
         elif out_of_budget:
             return EXHAUSTED_BUDGET, [], nodes
         # backtrack past the dead end and exhausted frames to the next
         # untried candidate
+        dead = False
         while True:
             if not frames:
                 return NONE, [], nodes
             w = path.pop()
             visited[w] = 0
             for y in neighbors[w]:
-                free_deg[y] += 1
+                if not visited[y]:
+                    free_deg[y] += 1
             if verified == len(path):
                 verified -= 1
             tip = next(frames[-1], -1)

@@ -78,8 +78,17 @@ class SearchResult:
 
 
 def _tie_break_ranks(n: int, seed: int) -> list[int]:
+    """The order random.Random(seed).shuffle gives list(range(n)): its
+    Fisher-Yates loop and rejection sampling, run here on getrandbits
+    without a method call per element."""
     rank = list(range(n))
-    random.Random(seed).shuffle(rank)
+    getrandbits = random.Random(seed).getrandbits
+    for i in range(n - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        rank[i], rank[j] = rank[j], rank[i]
     return rank
 
 
@@ -101,8 +110,8 @@ def find_hamiltonian_cycle(
     if g.n_vertices == 2:
         return SearchResult(NONE, None, 0, 0.0,
                             "two vertices: a cycle would reuse the single edge")
-    rank = _tie_break_ranks(g.n_vertices, budget.seed)
     t0 = time.perf_counter()
+    rank = _tie_break_ranks(g.n_vertices, budget.seed)
     status, path, nodes = _kernel.solve(
         g.neighbor_table, 0, rank, budget.max_nodes, budget.max_seconds
     )

@@ -3,11 +3,13 @@
 import hashlib
 import random
 import sys
+import time
+import types
 from collections import Counter
 
 import pytest
 
-from kneserlab import _hamcore_py
+from kneserlab import _hamcore_py, hamilton
 from kneserlab.decompose import canonical_colors, trace_classes
 from kneserlab.errors import ParameterError
 from kneserlab.graphs import Family, build, graph_from_edges, holding_families
@@ -146,6 +148,37 @@ class TestFindCycle:
         runs = [find_hamiltonian_cycle(odd3) for _ in range(3)]
         assert all(r.status == NONE for r in runs)
         assert len({r.nodes for r in runs}) == 1
+
+    def test_elapsed_counts_the_tie_ranks(self, odd3, monkeypatch):
+        ranks = hamilton._tie_break_ranks
+
+        def slow_ranks(n, seed):
+            time.sleep(0.05)
+            return ranks(n, seed)
+
+        monkeypatch.setattr(hamilton, "_tie_break_ranks", slow_ranks)
+        assert find_hamiltonian_cycle(odd3).elapsed >= 0.05
+
+
+class TestTieBreakRanks:
+    """The ranks are exactly random.Random(seed).shuffle's permutation, so
+    that a change to shuffle shows here and not in the node-count pins."""
+
+    def shuffled(self, n, seed):
+        rank = list(range(n))
+        random.Random(seed).shuffle(rank)
+        return rank
+
+    def test_small_orders(self):
+        for n in range(301):
+            for seed in range(5):
+                assert hamilton._tie_break_ranks(n, seed) == self.shuffled(n, seed)
+
+    # the orders of middle(6) and odd(7)
+    @pytest.mark.parametrize("n", [924, 1716])
+    def test_graph_orders(self, n):
+        for seed in range(8):
+            assert hamilton._tie_break_ranks(n, seed) == self.shuffled(n, seed)
 
 
 def held_karp_hamiltonian(g) -> bool:
@@ -633,6 +666,19 @@ class TestExpansionOrder:
             got.append((result.status, result.nodes, digest))
         assert got == self.SEEDED[family]
 
+    def test_deep_searches_digest(self):
+        # deep paths with many rollbacks: the counts of on-path vertices
+        # go stale and must be right again once they are popped
+        digest = hashlib.sha256()
+        for family in (Family.odd(5), Family.middle_levels(5), Family.odd(6)):
+            g = build(family)
+            for seed in range(8):
+                r = find_hamiltonian_cycle(
+                    g, SearchBudget(max_nodes=20_000, seed=seed))
+                cycle = list(r.cycle.indices) if r.cycle else None
+                digest.update(repr((r.status, r.nodes, cycle)).encode())
+        assert digest.hexdigest()[:16] == "c2bb5b955ff5380b"
+
 
 # the check fails at path index 2, below the forced index 1
 FAILS_BELOW_FORCED = [
@@ -691,6 +737,26 @@ class TestSolveDirect:
         assert _hamcore_py.solve(nb, 0, rank, 100, 60.0) == (
             EXHAUSTED_BUDGET, [], 101
         )
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_clock_read_points(self, k, odd5, monkeypatch):
+        # the first read sets the deadline; budget reads 1..k-1 find time
+        # left and read k finds it gone
+        reads = 0
+
+        def monotonic():
+            nonlocal reads
+            reads += 1
+            return 0.0 if reads <= k else 1e9
+
+        gp = (generalized_petersen(17, 2), list(range(34)))
+        heavy = (odd5.neighbor_table, hamilton._tie_break_ranks(odd5.n_vertices, 0))
+        for nb, rank in (gp, heavy):
+            reads = 0
+            monkeypatch.setattr(
+                _hamcore_py, "time", types.SimpleNamespace(monotonic=monotonic))
+            status, _, nodes = _hamcore_py.solve(nb, 0, rank, 10**6, 1.0)
+            assert (status, nodes) == (EXHAUSTED_BUDGET, 4096 * k)
 
     @pytest.mark.parametrize("neighbors, expected", [
         ([(1, 2), (0, 2), (0, 1), (4, 5), (3, 5), (3, 4)], (NONE, [], 1)),
