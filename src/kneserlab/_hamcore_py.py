@@ -75,11 +75,18 @@ it.
     a = `verified`: G[W_a ∪ {path[a]}] is G[W_u ∪ R ∪ {path[u]}] with
     R = path[a:u], so every component of G[W_u ∪ {path[u]}] holds path[u]
     or a W_u-neighbor of R, and G[W_u ∪ {path[u]}] is connected iff a
-    multi-source search from those vertices joins them all.  The search
-    stops as soon as its fronts have merged into one, or one of them runs
-    out.  With nothing verified yet it falls back to a full search from
-    path[u], so solve() stays exact on any input, disconnected ones
-    included.
+    search from path[u] reaches all those neighbors.  The search runs on
+    int bit masks, bit y of masks[x] being set iff y is a neighbor of x:
+    each level ORs the masks of the frontier's vertices and keeps what is
+    in W_u and not yet reached.  It passes as soon as every W_u-neighbor
+    of R is reached, and fails when the frontier runs out first.  With
+    nothing verified yet it must reach all of W_u, so solve() stays exact
+    on any input, disconnected ones included.
+  * W_u is the complement of pm[u + 1], pm[i] being the mask of path[:i].
+    `verified` falls on a pop or a rollback to below every path index it
+    changes, so path[:a + 1] is as it was when pm[:a + 2] was made: a
+    check keeps those prefix masks and extends them over path[a + 1:u + 1]
+    only.
 
 The search is exhaustive, so a NONE result is a proof that no Hamiltonian
 cycle exists.
@@ -99,116 +106,46 @@ EXHAUSTED_BUDGET = "exhausted-budget"  # node or time budget exceeded
 _CLOCK_STRIDE = 4096
 
 
-class _Connectivity:
-    """The connectivity check over a search's path and visited marks,
-    which it shares, with scratch reused from check to check."""
+def _connectivity_check(masks: Sequence[int], path: list):
+    """The connectivity check over a search's path, which it shares, as a
+    breadth-first search on int bit masks (bit y of masks[x] is set iff
+    y is a neighbor of x).  pm[i] is the mask of path[:i], kept from check
+    to check."""
+    full = (1 << len(masks)) - 1
+    pm = [0]
 
-    def __init__(self, neighbors, path: list, visited: bytearray):
-        nv = len(neighbors)
-        self.neighbors = neighbors
-        self.path = path
-        self.visited = visited
-        self.queue = [0] * nv
-        self.stamp = [0] * nv  # stamp[x] == epoch: x reached by this check
-        self.front = [0] * nv  # front label of a reached vertex
-        self.epoch = 0
-
-    def holds_at(self, u: int, anchor: int) -> bool:
+    def holds_at(u: int, anchor: int) -> bool:
         """Whether the check holds at the node of path index u, given that
         it holds at path index anchor < u (-1: at none); path[u + 1:] is
         read as unvisited."""
-        visited = self.visited
-        below = self.path[u + 1:]
-        for x in below:
-            visited[x] = 0
-        self.epoch += 1
+        # path[:anchor + 1] is as it was when pm[:anchor + 2] was made
+        del pm[anchor + 2:]
+        reached = pm[-1]
+        for x in path[len(pm) - 1:u + 1]:
+            reached |= 1 << x
+            pm.append(reached)
+        unreached = full ^ reached  # W_u
         if anchor < 0:
-            ok = self._reaches_all(u)
+            seeds = unreached
         else:
-            ok = self._fronts_join(u, anchor)
-        for x in below:
-            visited[x] = 1
-        return ok
-
-    def _reaches_all(self, u: int) -> bool:
-        """All unvisited vertices reachable from path[u] through
-        unvisited."""
-        neighbors, visited = self.neighbors, self.visited
-        queue, stamp, epoch = self.queue, self.stamp, self.epoch
-        tail = 0
-        for w in neighbors[self.path[u]]:
-            if not visited[w] and stamp[w] != epoch:
-                stamp[w] = epoch
-                queue[tail] = w
-                tail += 1
-        head = 0
-        while head < tail:
-            for y in neighbors[queue[head]]:
-                if not visited[y] and stamp[y] != epoch:
-                    stamp[y] = epoch
-                    queue[tail] = y
-                    tail += 1
-            head += 1
-        return tail == len(neighbors) - u - 1
-
-    def _fronts_join(self, u: int, anchor: int) -> bool:
-        """All unvisited vertices reachable from path[u] through
-        unvisited, given that this held at path index anchor."""
-        neighbors, visited, path = self.neighbors, self.visited, self.path
-        queue, stamp, front, epoch = (
-            self.queue, self.stamp, self.front, self.epoch)
-        # front 0 grows from path[u]; every W-neighbor of path[anchor:u]
-        # not yet reached starts a front of its own
-        parent = [0]
-        pending = [0]  # queued, unexpanded vertices per front root
-        tail = 0
-        for w in neighbors[path[u]]:
-            if not visited[w] and stamp[w] != epoch:
-                stamp[w] = epoch
-                front[w] = 0
-                queue[tail] = w
-                tail += 1
-        pending[0] = tail
-        for i in range(anchor, u):
-            for w in neighbors[path[i]]:
-                if not visited[w] and stamp[w] != epoch:
-                    stamp[w] = epoch
-                    front[w] = len(parent)
-                    parent.append(len(parent))
-                    pending.append(1)
-                    queue[tail] = w
-                    tail += 1
-        groups = len(parent)
-        head = 0
-        while groups > 1:
-            x = queue[head]
-            head += 1
-            fx = front[x]
-            while parent[fx] != fx:
-                fx = parent[fx]
-            for y in neighbors[x]:
-                if visited[y]:
-                    continue
-                if stamp[y] != epoch:
-                    stamp[y] = epoch
-                    front[y] = fx
-                    pending[fx] += 1
-                    queue[tail] = y
-                    tail += 1
-                    continue
-                fy = front[y]
-                while parent[fy] != fy:
-                    fy = parent[fy]
-                if fy != fx:  # two fronts meet: one group fewer
-                    parent[fy] = fx
-                    pending[fx] += pending[fy]
-                    groups -= 1
-                    if groups == 1:
-                        return True
-            pending[fx] -= 1
-            if not pending[fx]:  # this group's component is closed off
+            seeds = 0
+            for x in path[anchor:u]:
+                seeds |= masks[x]
+        frontier = masks[path[u]] & unreached
+        while True:
+            unreached ^= frontier
+            if not seeds & unreached:
+                return True
+            if not frontier:
                 return False
-        return True
+            step = 0
+            while frontier:
+                x = frontier.bit_length() - 1
+                step |= masks[x]
+                frontier ^= 1 << x
+            frontier = step & unreached
+
+    return holds_at
 
 
 def _resolve(holds_at, pending: list, verified: int) -> tuple[int, int]:
@@ -245,13 +182,16 @@ def solve(
     rank: Sequence[int],
     max_nodes: int,
     max_seconds: float,
+    masks: Sequence[int] | None = None,
 ) -> tuple[str, list[int], int]:
     """Search for a Hamiltonian cycle through `start`.
 
     Returns (status, cycle_vertices, nodes_expanded); the cycle list is
     empty unless status is FOUND, in which case it starts at `start` and
     the closing edge back to it is implicit.  `neighbors` is only read.
-    Two vertices have no cycle: it would reuse their one edge.
+    Bit y of masks[x] is set iff y is in neighbors[x]; the masks are
+    derived from `neighbors` when not given.  Two vertices have no cycle:
+    it would reuse their one edge.
     """
     nv = len(neighbors)
     if nv in (0, 2):
@@ -280,7 +220,9 @@ def solve(
 
     visited = bytearray(nv)
     path = []
-    holds_at = _Connectivity(neighbors, path, visited).holds_at
+    if masks is None:
+        masks = [sum(map((1).__lshift__, row)) for row in neighbors]
+    holds_at = _connectivity_check(masks, path)
     # frames[i] iterates over path[i]'s untried candidates; the tip has no
     # frame until it is expanded
     frames = []

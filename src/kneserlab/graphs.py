@@ -158,8 +158,8 @@ class LabeledGraph:
     neighbour indices of vertex i, ascending, as the search kernel and the
     map checks read them; label_table[i] holds the label (or None) of each
     of those edges, in the same order.  Every edge is stored in both
-    endpoint rows with the same label.  The Block view `vertices` and the
-    mask `index` are made on first read.
+    endpoint rows with the same label.  The Block view `vertices`, the
+    mask `index` and `neighbor_masks` are made on first read.
     """
 
     ground: int
@@ -179,6 +179,12 @@ class LabeledGraph:
         """{vertex mask: index}.  Every vertex lies over the graph's ground,
         so its mask alone names it."""
         return dict(zip(self.masks, range(len(self.masks))))
+
+    @cached_property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Bit y of neighbor_masks[i] is set iff y is in neighbor_table[i],
+        as the search kernel's connectivity check reads them."""
+        return tuple(sum(map((1).__lshift__, row)) for row in self.neighbor_table)
 
     @cached_property
     def memo(self) -> dict:

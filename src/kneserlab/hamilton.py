@@ -113,7 +113,8 @@ def find_hamiltonian_cycle(
     t0 = time.perf_counter()
     rank = _tie_break_ranks(g.n_vertices, budget.seed)
     status, path, nodes = _kernel.solve(
-        g.neighbor_table, 0, rank, budget.max_nodes, budget.max_seconds
+        g.neighbor_table, 0, rank, budget.max_nodes, budget.max_seconds,
+        masks=g.neighbor_masks,
     )
     elapsed = time.perf_counter() - t0
     cycle = None
@@ -127,7 +128,9 @@ def find_hamiltonian_cycle(
 def verify_cycle(g: LabeledGraph, sequence) -> bool:
     """True iff the index sequence is a closed simple cycle covering every
     vertex of g exactly once, with every step an edge.  An entry that is
-    not an int (a bool included) is no vertex index."""
+    not an int (a bool included) is no vertex index.  The edges are read
+    from neighbor_table, not from the neighbor_masks that the search's
+    connectivity check reads."""
     idxs = list(sequence.indices) if isinstance(sequence, PathSeq) else list(sequence)
     if len(idxs) != g.n_vertices or g.n_vertices == 0:
         return False

@@ -43,12 +43,14 @@ def test_kernel_signature_and_result():
     # layers.py wraps solve and adds result[2] to hamilton.kernel.nodes
     solve = hamilton._kernel.solve
     assert list(inspect.signature(solve).parameters) == [
-        "neighbors", "start", "rank", "max_nodes", "max_seconds"]
+        "neighbors", "start", "rank", "max_nodes", "max_seconds", "masks"]
     triangle = [(1, 2), (0, 2), (0, 1)]
     for max_nodes in (1, 10):  # a budget result and a cycle
         result = solve(triangle, 0, [0, 1, 2], max_nodes, 60.0)
         assert type(result) is tuple and len(result) == 3
         assert type(result[2]) is int and result[2] > 0
+        assert solve(triangle, 0, [0, 1, 2], max_nodes, 60.0,
+                     [0b110, 0b101, 0b011]) == result
 
 
 def test_suite_names_match(layers):

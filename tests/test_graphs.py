@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kneserlab import graphs
+from kneserlab import graphs, hamilton
 from kneserlab.decompose import ISOLATED, component_signature
 from kneserlab.errors import (
     NotAdjacentError,
@@ -29,6 +29,7 @@ from kneserlab.graphs import (
     verify_distance_formula,
 )
 from kneserlab.morphisms import perm_automorphism
+from kneserlab.serialize import graph_from_json, graph_to_json
 from kneserlab.setcore import Block, Perm, binomial
 
 b = Block.from_elements
@@ -560,6 +561,44 @@ class TestNeighborTable:
         table = odd4.neighbor_table
         assert table == tuple(odd4.neighbors(i) for i in range(35))
         assert odd4.neighbor_table is table
+
+
+def masks_graphs():
+    """Built families, a color cut and a JSON round trip."""
+    fams = ([Family.odd(n) for n in range(1, 7)]
+            + [Family.middle_levels(n) for n in range(1, 6)]
+            + [Family.kneser(7, 3), Family.bipartite_kneser(5, 2)])
+    out = [build(f) for f in fams]
+    odd5 = build(Family.odd(5))
+    out.append(odd5.subgraph(range(0, odd5.n_vertices, 2), {1}))
+    out.append(graph_from_json(graph_to_json(odd5)))
+    return out
+
+
+class TestNeighborMasks:
+    def test_bits_are_the_neighbor_rows(self):
+        for g in masks_graphs():
+            masks = g.neighbor_masks
+            assert len(masks) == g.n_vertices
+            for i, row in enumerate(g.neighbor_table):
+                assert [y for y in range(g.n_vertices) if masks[i] >> y & 1] == list(row)
+            assert g.neighbor_masks is masks
+
+    def test_searches_share_one_table(self, monkeypatch):
+        g = graph_from_json(graph_to_json(build(Family.odd(4))))
+        assert "neighbor_masks" not in vars(g)
+        passed = []
+        solve = hamilton._kernel.solve
+
+        def recording(*args, **kwargs):
+            passed.append(kwargs["masks"])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(hamilton._kernel, "solve", recording)
+        for seed in range(8):
+            hamilton.find_hamiltonian_cycle(g, hamilton.SearchBudget(seed=seed))
+        assert len(passed) == 8
+        assert all(masks is g.neighbor_masks for masks in passed)
 
 
 class TestGirth:

@@ -593,6 +593,84 @@ def generalized_petersen_graph(n: int, k: int):
     )
 
 
+def random_two_sided(rng: random.Random, nv: int) -> list[list[int]]:
+    """Neighbor lists of a random graph on nv vertices, with edges within
+    the sides [0, half) and [half, nv) with probability p and across with
+    q: a sparse cut fails the connectivity check deep down, and a graph
+    may be disconnected."""
+    half = rng.randint(1, nv)
+    p = rng.choice((0.3, 0.5, 0.7))
+    q = rng.choice((0.05, 0.15, 0.5))
+    nb = [[] for _ in range(nv)]
+    for i in range(nv):
+        for j in range(i + 1, nv):
+            if rng.random() < (q if i < half <= j else p):
+                nb[i].append(j)
+                nb[j].append(i)
+    return nb
+
+
+def reference_holds(nb, path: list, u: int) -> bool:
+    """Whether G[W_u ∪ {path[u]}] is connected, W_u being the vertices off
+    path[:u + 1], by a breadth-first search over Python sets."""
+    keep = set(range(len(nb))).difference(path[:u])
+    seen = level = {path[u]}
+    while level:
+        level = {y for x in level for y in nb[x] if y in keep} - seen
+        seen = seen | level
+    return seen == keep
+
+
+def bit_rows(nb) -> list[int]:
+    return [sum(1 << y for y in row) for row in nb]
+
+
+class TestMaskConnectivity:
+    """The search's connectivity check against a set-based reference, on
+    random graphs of 1 to 14 vertices, disconnected ones included."""
+
+    def test_agrees_with_reference(self):
+        rng = random.Random(25)
+        for _ in range(300):
+            nb = random_two_sided(rng, rng.randint(1, 14))
+            path = [rng.randrange(len(nb))]
+            while rng.random() < 0.9:
+                free = [y for y in nb[path[-1]] if y not in path]
+                if not free:
+                    break
+                path.append(rng.choice(free))
+            holds_at = _hamcore_py._connectivity_check(bit_rows(nb), path)
+            ref = [reference_holds(nb, path, u) for u in range(len(path))]
+            for u in range(len(path)):
+                assert holds_at(u, -1) == ref[u]
+                for a in range(u):
+                    if ref[a]:  # an anchor is a path index where it holds
+                        assert holds_at(u, a) == ref[u]
+
+    def test_path_cut_and_regrown_below_verified(self):
+        # as in the search: a cut lowers verified below every index it
+        # changes, so the prefix masks kept up to verified stay valid
+        rng = random.Random(26)
+        for _ in range(200):
+            nb = random_two_sided(rng, rng.randint(2, 14))
+            path = [rng.randrange(len(nb))]
+            holds_at = _hamcore_py._connectivity_check(bit_rows(nb), path)
+            verified = -1
+            for _ in range(40):
+                free = [y for y in nb[path[-1]] if y not in path]
+                if free and rng.random() < 0.6:
+                    path.append(rng.choice(free))
+                elif len(path) > 1:
+                    del path[rng.randint(1, len(path) - 1):]
+                    verified = min(verified, len(path) - 1)
+                if verified < len(path) - 1:
+                    u = rng.randint(verified + 1, len(path) - 1)
+                    ok = holds_at(u, verified)
+                    assert ok == reference_holds(nb, path, u)
+                    if ok:
+                        verified = u
+
+
 def cycle_digest(result) -> str:
     text = ",".join(map(str, result.cycle.indices))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -773,21 +851,11 @@ class TestSolveDirect:
             neighbors, 0, rank, expected[2], 60.0) == expected
 
     def test_random_graphs_digest(self):
-        # edges within the sides [0, half) and [half, nv) with probability
-        # p and across with q: a sparse cut fails the check deep down
         rng = random.Random(22)
         digest = hashlib.sha256()
         for _ in range(2000):
-            nv = rng.randint(1, 13)
-            half = rng.randint(1, nv)
-            p = rng.choice((0.3, 0.5, 0.7))
-            q = rng.choice((0.05, 0.15, 0.5))
-            nb = [[] for _ in range(nv)]
-            for i in range(nv):
-                for j in range(i + 1, nv):
-                    if rng.random() < (q if i < half <= j else p):
-                        nb[i].append(j)
-                        nb[j].append(i)
+            nb = random_two_sided(rng, rng.randint(1, 13))
+            nv = len(nb)
             rank = list(range(nv))
             rng.shuffle(rank)
             start = rng.randrange(nv)
