@@ -18,10 +18,7 @@ from .graphs import (
     PathSeq,
     Report,
     build,
-    components,
     degree_profile,
-    distance,
-    edge_label,
     girth,
     verify_distance_formula,
 )
@@ -37,10 +34,8 @@ from .setcore import (
     MAX_GROUND,
     Block,
     Perm,
-    apply_perm,
     binomial,
     catalan_fourth_convolution,
-    complement,
     k_blocks,
 )
 
@@ -60,15 +55,10 @@ __all__ = [
     "SearchBudget",
     "SearchResult",
     "UnlabeledGraphError",
-    "apply_perm",
     "binomial",
     "build",
     "catalan_fourth_convolution",
-    "complement",
-    "components",
     "degree_profile",
-    "distance",
-    "edge_label",
     "find_hamiltonian_cycle",
     "girth",
     "k_blocks",

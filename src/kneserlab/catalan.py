@@ -188,14 +188,6 @@ def necklaces(n: int, masks: Iterable[int]) -> list[str]:
     return list(map(min, *(map(itemgetter(w), words) for w in _windows(m))))
 
 
-def necklace_of(v: Block, n: int) -> str:
-    """The canonical necklace of one vertex of odd(n); see necklaces."""
-    m = 2 * n - 1
-    if v.m != m or v.card != n - 1:
-        raise ParameterError(f"{v} is not a vertex of odd({n})")
-    return necklaces(n, [v.bits])[0]
-
-
 @lru_cache(maxsize=None)
 def _windows(m: int) -> tuple[slice, ...]:
     """The m length-m windows of a doubled length-m string."""

@@ -1,5 +1,5 @@
 """Graph families (Kneser, bipartite Kneser, odd, middle levels) and
-basic structural queries: degrees, components, distances, girth.
+basic structural queries: degrees, BFS distances, girth.
 
 Graphs are immutable after construction.  A graph stores its vertices
 as int bitmasks in colexicographic (bitmask) order, and every index-based
@@ -236,9 +236,6 @@ class LabeledGraph:
     def has_edge(self, i: int, j: int) -> bool:
         check_vertex_indices((i, j), len(self.masks))
         return j in self.neighbor_table[i]
-
-    def has_vertex(self, v: Block) -> bool:
-        return v.m == self.ground and v.bits in self.index
 
     def index_of(self, v: Block) -> int:
         if v.m == self.ground:
@@ -580,15 +577,6 @@ def _build_bipartite_kneser(family: Family) -> LabeledGraph:
                         family=family, labeled=label_edges)
 
 
-def edge_label(g: LabeledGraph, u: Block, v: Block) -> int:
-    """The color of edge (u, v) in a labeled graph."""
-    if not g.labeled:
-        raise UnlabeledGraphError("graph carries no edge labels")
-    lab = g.label_between(g.index_of(u), g.index_of(v))
-    assert lab is not None
-    return lab
-
-
 def degree_signature(
     table: Sequence[Sequence[int]], members: Sequence[int]
 ) -> tuple:
@@ -638,11 +626,6 @@ def expected_family_degree(family: Family) -> int:
     return binomial(sizes[1], sizes[0]) if len(sizes) == 2 else 0
 
 
-def components(g: LabeledGraph) -> list[LabeledGraph]:
-    """Connected components as induced subgraphs, labels inherited."""
-    return [g.subgraph(ixs) for ixs in g.component_sets]
-
-
 def bfs_distances(g: LabeledGraph, start: int) -> list[int]:
     """BFS distance from start to every vertex; -1 marks unreachable."""
     check_vertex_indices((start,), g.n_vertices)
@@ -657,13 +640,6 @@ def bfs_distances(g: LabeledGraph, start: int) -> list[int]:
                 dist[y] = dist[x] + 1
                 queue.append(y)
     return dist
-
-
-def distance(g: LabeledGraph, u: Block, v: Block) -> Optional[int]:
-    """Shortest-path distance between two vertices; None if unreachable."""
-    iu, iv = g.index_of(u), g.index_of(v)
-    d = bfs_distances(g, iu)[iv]
-    return None if d < 0 else d
 
 
 def girth(g: LabeledGraph) -> Optional[int]:
@@ -727,12 +703,6 @@ class PathSeq:
                 g.label_between(x, y)  # raises at the first step off an edge
             raise
         return cls(g, idxs, closed, labels)
-
-    @classmethod
-    def from_blocks(
-        cls, g: LabeledGraph, blocks: Sequence[Block], closed: bool
-    ) -> "PathSeq":
-        return cls.from_indices(g, [g.index_of(b) for b in blocks], closed)
 
     def blocks(self) -> tuple[Block, ...]:
         return tuple(self.graph.vertices[i] for i in self.indices)

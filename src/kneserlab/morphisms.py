@@ -63,9 +63,6 @@ class VertexMap:
     name: str = ""
     verified: Optional[bool] = field(default=None, compare=False)
 
-    def apply(self, v: Block) -> Block:
-        return self.target.vertices[self.images[self.source.index_of(v)]]
-
     def verify(self) -> bool:
         """Check the property claimed by kind; records and returns it."""
         if self.kind == COVERING:
@@ -344,22 +341,10 @@ def biregular_cross_iso(n: int, k: int, t1, n2: int, p2: int, t2) -> VertexMap:
     )
 
 
-def middle_component_iso(m: int) -> VertexMap:
-    """Isomorphism from the regular component of odd(m+1) minus its two
-    canonical colors {2m, 2m+1} (the class of T = {2m}) onto middle(m):
-    regular_component_to_middle with nothing to swap or cross.
-
-    Vertices containing 2m drop it; vertices containing 2m+1 drop it and
-    complement within [2m-1].
-    """
-    if m < 1:
-        raise ParameterError("need m >= 1")
-    return regular_component_to_middle(m + 1, canonical_colors(m + 1, 2), [2 * m])
-
-
 def embed_middle_in_odd(m: int) -> VertexMap:
-    """Injective morphism middle(m) -> odd(m+1), inverse to
-    middle_component_iso on its image: the map of embed_indices."""
+    """Injective morphism middle(m) -> odd(m+1), inverse on its image to
+    regular_component_to_middle(m + 1, canonical_colors(m + 1, 2), [2m]):
+    the map of embed_indices."""
     if m < 1:
         raise ParameterError("need m >= 1")
     src = build(Family.middle_levels(m))

@@ -74,10 +74,6 @@ class Block:
         return cls(bits, m)
 
     @classmethod
-    def full(cls, m: int) -> "Block":
-        return cls((1 << m) - 1, m)
-
-    @classmethod
     def empty(cls, m: int) -> "Block":
         return cls(0, m)
 
@@ -149,10 +145,6 @@ _set_bits = Block.__dict__["bits"].__set__
 _set_m = Block.__dict__["m"].__set__
 
 
-def complement(b: Block) -> Block:
-    return b.complement()
-
-
 ColorsLike = Union[Block, Iterable[int]]
 
 
@@ -184,25 +176,6 @@ class Perm:
         return len(self.images)
 
     @classmethod
-    def identity(cls, m: int) -> "Perm":
-        return cls(tuple(range(1, m + 1)))
-
-    @classmethod
-    def transposition(cls, m: int, a: int, b: int) -> "Perm":
-        imgs = list(range(1, m + 1))
-        imgs[a - 1], imgs[b - 1] = b, a
-        return cls(tuple(imgs))
-
-    @classmethod
-    def cycle(cls, m: int, elements: Iterable[int]) -> "Perm":
-        """The cycle (e1, e2, ..., ek) mapping each listed element to the next."""
-        elems = list(elements)
-        imgs = list(range(1, m + 1))
-        for i, e in enumerate(elems):
-            imgs[e - 1] = elems[(i + 1) % len(elems)]
-        return cls(tuple(imgs))
-
-    @classmethod
     def from_transpositions(cls, m: int, pairs: Iterable[tuple[int, int]]) -> "Perm":
         """Product of disjoint transpositions (a1,b1)(a2,b2)..."""
         imgs = list(range(1, m + 1))
@@ -213,11 +186,6 @@ class Perm:
     def __call__(self, x: int) -> int:
         return self.images[x - 1]
 
-    def apply(self, b: Block) -> Block:
-        if b.m != self.m:
-            raise ParameterError("permutation and block grounds differ")
-        return Block(self.apply_mask(b.bits), b.m)
-
     def apply_mask(self, v: int) -> int:
         """The image of the block with mask v, as a mask."""
         bits = 0
@@ -226,23 +194,6 @@ class Perm:
             bits |= 1 << (self.images[low.bit_length() - 1] - 1)
             v ^= low
         return bits
-
-    def compose(self, other: "Perm") -> "Perm":
-        """self after other: (self.compose(other))(x) == self(other(x))."""
-        if self.m != other.m:
-            raise ParameterError("permutation grounds differ")
-        return Perm(tuple(self.images[y - 1] for y in other.images))
-
-    def inverse(self) -> "Perm":
-        inv = [0] * self.m
-        for x, y in enumerate(self.images, start=1):
-            inv[y - 1] = x
-        return Perm(tuple(inv))
-
-
-def apply_perm(p: Perm, b: Block) -> Block:
-    """Pointwise image { p(x) : x in b }."""
-    return p.apply(b)
 
 
 def k_masks(m: int, k: int) -> list[int]:

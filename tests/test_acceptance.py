@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from kneserlab.catalan import (
     coxeter_excision,
     independent_orbit_excision,
-    necklace_of,
+    necklaces,
     orbits,
     remainder_size_form,
     verify_difference_identity,
@@ -218,9 +218,8 @@ def test_criterion_09_orbits_and_necklaces():
             assert len(orb.orbits) == count == catalan(n - 1)
             forms = set()
             for orbit in orb.orbits:
-                orbit_forms = {
-                    necklace_of(orb.graph.vertices[i], n) for i in orbit
-                }
+                orbit_forms = set(
+                    necklaces(n, [orb.graph.masks[i] for i in orbit]))
                 assert len(orbit_forms) == 1
                 forms |= orbit_forms
             assert len(forms) == count

@@ -257,6 +257,12 @@ class TestVerifyCycle:
 
     def test_rejects_repeat(self, odd3):
         assert not verify_cycle(odd3, [0, 1, 2, 3, 4, 5, 6, 7, 8, 8])
+        # one entry per vertex and every step an edge: only the repeats
+        # tell this closed walk from a Hamiltonian cycle
+        walk = [0, 5] * 5
+        assert len(walk) == odd3.n_vertices
+        assert all(odd3.has_edge(x, y) for x, y in zip(walk, walk[1:] + walk[:1]))
+        assert not verify_cycle(odd3, walk)
 
     def test_rejects_partial_cover(self, odd3):
         assert not verify_cycle(odd3, list(range(9)))
@@ -385,7 +391,8 @@ class TestPipeline:
         lift = lift_circuit(result.cycle)
         assert lift.kind == "single"
         cm = cover_map(7, 3)
-        projected = [cm.apply(x) for x in lift.circuits[0].blocks()]
+        projected = [cm.target.vertices[cm.images[cm.source.index_of(x)]]
+                     for x in lift.circuits[0].blocks()]
         base = list(result.cycle.blocks())
         assert projected == base + base
 
@@ -709,6 +716,15 @@ class TestExpansionOrder:
         done = find_hamiltonian_cycle(g, SearchBudget(max_nodes=nodes))
         assert (cut.status, cut.nodes) == (EXHAUSTED_BUDGET, nodes)
         assert (done.status, done.nodes) == (NONE, nodes)
+
+    # the kernel reads the clock every _CLOCK_STRIDE nodes; a budget on a
+    # multiple of the stride still stops at the first node past it
+    @pytest.mark.parametrize("max_nodes", [4096, 8192])
+    def test_budget_at_a_clock_stride(self, max_nodes):
+        assert max_nodes % _hamcore_py._CLOCK_STRIDE == 0
+        result = find_hamiltonian_cycle(build(Family.odd(6)),
+                                        SearchBudget(max_nodes=max_nodes))
+        assert (result.status, result.nodes) == (EXHAUSTED_BUDGET, max_nodes + 1)
 
     # tie seed -> (status, nodes, cycle digest) at max_nodes=2000
     SEEDED = {

@@ -10,7 +10,11 @@ The package's modules import each other in one order: the module graph
 has no cycle, and no module imports inside a function.
 
 Every public module-level function and class is read somewhere in src/
-or perfbench/, or is listed with the reason it stays.
+or perfbench/, or is listed with the reason it stays; so is every public
+method, property and classmethod of a public class, read as an
+attribute.  The package's __init__.py only re-exports, so its imports
+and __all__ are no reader; perfbench/layers.py's trace list is, because
+the benchmark patches those functions by name.
 
 A failing Hypothesis test under the repository's pytest settings prints
 its falsifying example and lets the run go on.
@@ -225,13 +229,12 @@ def test_failing_hypothesis_test_reports_its_example(tmp_path):
 UNREAD_PUBLIC = {
     "serialize.graph_to_dict":
         "the plain reference that graph_to_json's output is tested against",
-    "catalan.necklace_of":
-        "the one-vertex necklace the tests use to check the necklace claim",
     "morphisms.perm_automorphism":
         "the permutation automorphism the tests use to check symmetry claims",
-    "morphisms.middle_component_iso":
-        "the two-color component map the tests check against middle(m)",
 }
+
+# public class members nothing in src/ or perfbench/ reads, and why each stays
+UNREAD_MEMBERS: dict[str, str] = {}
 
 
 def _public_definitions(src: Path) -> set[str]:
@@ -245,17 +248,43 @@ def _public_definitions(src: Path) -> set[str]:
     }
 
 
+def _public_members(src: Path) -> set[str]:
+    """"module.Class.name" of every public method, property and classmethod
+    of a public module-level class; dunders are private here too."""
+    return {
+        f"{path.stem}.{node.name}.{item.name}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+    }
+
+
+def _reader_paths(*dirs: Path) -> list[Path]:
+    """The modules of the given directories that count as readers: a
+    package's __init__.py only re-exports, so it reads nothing."""
+    return [path for d in dirs for path in sorted(d.glob("*.py"))
+            if path.name != "__init__.py"]
+
+
+def _attributes_read_by(paths) -> set[str]:
+    """Every attribute name the modules load, `x.name`."""
+    return {node.attr for path in paths
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)}
+
+
 def _names_read_by(paths) -> set[str]:
-    """Every name the modules load, as a name, an attribute, an imported
-    name or an __all__ entry."""
-    read = set()
+    """Every name the modules load, as a name, an attribute or an
+    imported name."""
+    read = _attributes_read_by(paths)
     for path in paths:
         tree = ast.parse(path.read_text())
         read |= _read(tree)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
+            if isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
     return read
 
@@ -266,32 +295,68 @@ def _unread_public(src: Path, readers, traced=()) -> list[str]:
                   if name.partition(".")[2] not in read)
 
 
-def test_every_public_helper_has_a_reader():
+def _unread_members(src: Path, readers) -> list[str]:
+    read = _attributes_read_by(readers)
+    return sorted(name for name in _public_members(src)
+                  if name.rpartition(".")[2] not in read)
+
+
+@pytest.fixture(scope="module")
+def bench_readers():
+    """The package and perfbench modules that read the package, and the
+    names perfbench/layers.py traces: the benchmark patches those by name."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_layers", ROOT / "perfbench" / "layers.py")
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
     traced = [attr for _module, attr, _measure in layers.FUNCTIONS]
-    readers = [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    return _reader_paths(SRC, ROOT / "perfbench"), traced
+
+
+def test_every_public_helper_has_a_reader(bench_readers):
+    readers, traced = bench_readers
     assert _unread_public(SRC, readers, traced) == sorted(UNREAD_PUBLIC)
 
 
+def test_every_public_member_has_a_reader(bench_readers):
+    readers, _traced = bench_readers
+    assert _unread_members(SRC, readers) == sorted(UNREAD_MEMBERS)
+
+
 def test_detects_an_unread_public_helper(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "from .a import exported, Unread\n"
+        "__all__ = ['exported', 'Unread']\n"
+    )
     (tmp_path / "a.py").write_text(
-        "__all__ = ['listed']\n"
-        "def listed(): pass\n"
+        "def exported(): pass\n"
         "def used(): pass\n"
         "def traced(): pass\n"
         "def _private(): pass\n"
         "def unread(): pass\n"
         "class Unread: pass\n"
+        "class Used:\n"
+        "    def __len__(self): return 0\n"
+        "    def _own(self): pass\n"
+        "    def called(self): pass\n"
+        "    @property\n"
+        "    def size(self): return 0\n"
+        "    @classmethod\n"
+        "    def make(cls): return cls()\n"
+        "    def unread(self): pass\n"
     )
     (tmp_path / "b.py").write_text(
         "from . import a\n"
         "a.used()\n"
+        "a.Used.make().called()\n"
+        "size = 0\n"
     )
-    readers = sorted(tmp_path.glob("*.py"))
-    assert _unread_public(tmp_path, readers, ["traced"]) == ["a.Unread", "a.unread"]
+    readers = _reader_paths(tmp_path)
+    assert [path.name for path in readers] == ["a.py", "b.py"]
+    assert _unread_public(tmp_path, readers, ["traced"]) == [
+        "a.Unread", "a.exported", "a.unread"]
+    assert _unread_members(tmp_path, readers) == [
+        "a.Used.size", "a.Used.unread"]
 
 
 # -------------------------------------------------------------- graph memo

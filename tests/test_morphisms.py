@@ -23,7 +23,6 @@ from kneserlab.morphisms import (
     kappa_preserves_labels,
     lift_circuit,
     middle_class_to_middle,
-    middle_component_iso,
     perm_automorphism,
     regular_component_to_middle,
     verify_cover,
@@ -35,6 +34,11 @@ b = Block.from_elements
 
 def identity_map(g):
     return VertexMap(g, g, tuple(range(g.n_vertices)), kind="isomorphism")
+
+
+def image(vmap, v):
+    """The image under vmap of the source vertex v."""
+    return vmap.target.vertices[vmap.images[vmap.source.index_of(v)]]
 
 
 def fibers(vmap):
@@ -110,8 +114,8 @@ class TestCoverMap:
 
     def test_formula(self):
         cm = cover_map(5, 2)
-        assert cm.apply(b([1, 2], 5)) == b([1, 2], 5)
-        assert cm.apply(b([1, 2, 3], 5)) == b([4, 5], 5)
+        assert image(cm, b([1, 2], 5)) == b([1, 2], 5)
+        assert image(cm, b([1, 2, 3], 5)) == b([4, 5], 5)
 
     def test_fibers_are_complement_pairs(self):
         cm = cover_map(7, 3)
@@ -134,13 +138,13 @@ class TestCoverMap:
 
 class TestKappa:
     def test_small_example(self):
-        assert kappa(2).apply(b([1], 3)) == b([2, 3], 3)
+        assert image(kappa(2), b([1], 3)) == b([2, 3], 3)
 
     def test_involution(self, middle4):
         km = kappa(4)
         assert km.verify()
         twice = compose(km, km)
-        assert all(twice.apply(v) == v for v in middle4.vertices)
+        assert all(image(twice, v) == v for v in middle4.vertices)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_label_preserving(self, n):
@@ -150,26 +154,26 @@ class TestKappa:
     def test_specific_edge_relabeling(self, middle3):
         km = kappa(3)
         u, v = b([1, 2], 5), b([1, 2, 3], 5)
-        assert km.apply(u) == b([3, 4, 5], 5)
-        assert km.apply(v) == b([4, 5], 5)
+        assert image(km, u) == b([3, 4, 5], 5)
+        assert image(km, v) == b([4, 5], 5)
 
 
 class TestPermAutomorphism:
     def test_transposition_fixes_expected(self, odd3):
-        pa = perm_automorphism(odd3, Perm.transposition(5, 1, 2))
+        pa = perm_automorphism(odd3, Perm((2, 1, 3, 4, 5)))
         assert pa.verify()
         for fixed in [b([3, 4], 5), b([3, 5], 5), b([4, 5], 5)]:
-            assert pa.apply(fixed) == fixed
+            assert image(pa, fixed) == fixed
 
     def test_full_cycle_fixes_nothing(self, middle3):
-        pa = perm_automorphism(middle3, Perm.cycle(5, range(1, 6)))
+        pa = perm_automorphism(middle3, Perm((2, 3, 4, 5, 1)))
         assert pa.verify()
-        assert all(pa.apply(v) != v for v in middle3.vertices)
+        assert all(image(pa, v) != v for v in middle3.vertices)
 
     def test_identity(self, odd3):
-        pa = perm_automorphism(odd3, Perm.identity(5))
+        pa = perm_automorphism(odd3, Perm((1, 2, 3, 4, 5)))
         assert pa.verify()
-        assert all(pa.apply(v) == v for v in odd3.vertices)
+        assert all(image(pa, v) == v for v in odd3.vertices)
 
 
 class TestColorSwap:
@@ -180,7 +184,7 @@ class TestColorSwap:
     def test_same_set_is_identity(self, odd3):
         cs = color_swap_iso(3, [4, 5], [4, 5])
         assert cs.verify()
-        assert all(cs.apply(v) == v for v in cs.source.vertices)
+        assert all(image(cs, v) == v for v in cs.source.vertices)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ParameterError):
@@ -197,7 +201,7 @@ class TestComponentIsos:
     def test_internal_identity(self):
         vmap = biregular_internal_iso(5, 4, [6], [6])
         assert vmap.verify()
-        assert all(vmap.apply(v) == v for v in vmap.source.vertices)
+        assert all(image(vmap, v) == v for v in vmap.source.vertices)
 
     def test_internal_complement_pair_rejected(self):
         with pytest.raises(ParameterError):
@@ -210,7 +214,7 @@ class TestComponentIsos:
     def test_cross_same_parameters_identity(self):
         vmap = biregular_cross_iso(4, 2, [6], 4, 2, [6])
         assert vmap.verify()
-        assert all(vmap.apply(v) == v for v in vmap.source.vertices)
+        assert all(image(vmap, v) == v for v in vmap.source.vertices)
 
     def test_cross_signature_mismatch_rejected(self):
         with pytest.raises(ParameterError):
@@ -220,24 +224,24 @@ class TestComponentIsos:
 class TestMiddleComponentIso:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_verified(self, m):
-        vmap = middle_component_iso(m)
+        vmap = regular_component_to_middle(m + 1, canonical_colors(m + 1, 2), [2 * m])
         assert vmap.verify()
         assert vmap.target.n_vertices == vmap.source.n_vertices
 
     def test_explicit_images(self):
-        vmap = middle_component_iso(2)
-        assert vmap.apply(b([1, 4], 5)) == b([1], 3)
-        assert vmap.apply(b([2, 4], 5)) == b([2], 3)
-        assert vmap.apply(b([3, 4], 5)) == b([3], 3)
+        vmap = regular_component_to_middle(3, canonical_colors(3, 2), [4])
+        assert image(vmap, b([1, 4], 5)) == b([1], 3)
+        assert image(vmap, b([2, 4], 5)) == b([2], 3)
+        assert image(vmap, b([3, 4], 5)) == b([3], 3)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_embed_is_inverse(self, m):
         emb = embed_middle_in_odd(m)
         assert emb.verify()  # injective morphism
         assert len(set(emb.images)) == len(emb.images)
-        iso = middle_component_iso(m)
+        iso = regular_component_to_middle(m + 1, canonical_colors(m + 1, 2), [2 * m])
         for w in emb.source.vertices:
-            assert iso.apply(emb.apply(w)) == w
+            assert image(iso, image(emb, w)) == w
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_embed_indices_match_the_map(self, m):
@@ -246,7 +250,7 @@ class TestMiddleComponentIso:
         order = list(range(src.n_vertices))[::-1]
         got = embed_indices(src, dst, order)
         assert [dst.vertices[j] for j in got] == [
-            emb.apply(src.vertices[i]) for i in order
+            image(emb, src.vertices[i]) for i in order
         ]
 
     def test_embed_indices_needs_middle_and_next_odd(self, odd3, odd4, middle3):
@@ -257,16 +261,16 @@ class TestMiddleComponentIso:
 
     def test_embed_examples(self):
         emb = embed_middle_in_odd(2)
-        assert emb.apply(b([1], 3)) == b([1, 4], 5)
-        assert emb.apply(b([1, 2], 3)) == b([3, 5], 5)
+        assert image(emb, b([1], 3)) == b([1, 4], 5)
+        assert image(emb, b([1, 2], 3)) == b([3, 5], 5)
 
     def test_embed_image_is_regular_component(self, odd4):
         emb = embed_middle_in_odd(3)
-        image = {emb.apply(v) for v in emb.source.vertices}
+        covered = {image(emb, v) for v in emb.source.vertices}
         deleted = delete_colors(odd4, canonical_colors(4, 2))
         regular = [c for c in deleted.component_sets if len(c) == 20]
         assert len(regular) == 1
-        assert image == {deleted.vertices[i] for i in regular[0]}
+        assert covered == {deleted.vertices[i] for i in regular[0]}
 
     def test_chain_to_middle_noncanonical_colors(self):
         vmap = regular_component_to_middle(4, b([1, 2], 7), b([1], 7))
@@ -399,13 +403,13 @@ class TestLiftCircuit:
         cm = cover_map(5, 2)
         base = list(c6.blocks())
         for circuit in lift.circuits:
-            assert [cm.apply(x) for x in circuit.blocks()] == base
+            assert [image(cm, x) for x in circuit.blocks()] == base
 
     def test_projection_reproduces_base(self, odd3, middle3):
         cm = cover_map(5, 2)
         c5 = brute_force_cycle(odd3, 5)
         lifted = lift_circuit(c5).circuits[0]
-        projected = [cm.apply(x) for x in lifted.blocks()]
+        projected = [image(cm, x) for x in lifted.blocks()]
         base = list(c5.blocks())
         assert projected == base + base
 
@@ -417,7 +421,9 @@ class TestLiftCircuit:
         assert lifted.blocks()[0] == lo
 
     def test_open_walk_rejected(self, odd3):
-        p = PathSeq.from_blocks(odd3, [b([1, 2], 5), b([3, 4], 5)], closed=False)
+        p = PathSeq.from_indices(
+            odd3, odd3.mask_indices([b([1, 2], 5).bits, b([3, 4], 5).bits]),
+            closed=False)
         with pytest.raises(ParameterError):
             lift_circuit(p)
 
@@ -444,7 +450,7 @@ class TestLiftCircuit:
             assert (lift.kind == "single") == expect_single
             for circuit in lift.circuits:
                 assert circuit.closed
-                projected = [cm.apply(x) for x in circuit.blocks()]
+                projected = [image(cm, x) for x in circuit.blocks()]
                 assert projected == (base + base if expect_single else base)
         assert walks_found >= 5
 
@@ -551,10 +557,10 @@ class TestCheckMutants:
     the covering check with the failure text it gives for that fault."""
 
     @pytest.mark.parametrize("build_map", [
-        lambda: middle_component_iso(2),
+        lambda: regular_component_to_middle(3, canonical_colors(3, 2), [4]),
         lambda: kappa(3),
         lambda: regular_component_to_middle(4, [6, 7], [6]),
-        lambda: perm_automorphism(build(Family.odd(3)), Perm.cycle(5, range(1, 6))),
+        lambda: perm_automorphism(build(Family.odd(3)), Perm((2, 3, 4, 5, 1))),
     ], ids=["middle-component", "kappa", "regular-chain", "rotation"])
     def test_two_swapped_images(self, build_map):
         # on graphs where no two vertices share their neighbours
@@ -656,6 +662,23 @@ class TestCheckMutants:
         rep = verify_cover(with_images(cm, cm.images[:-1] + (outside,)))
         assert rep.failures == [f"image {outside} outside target"]
 
+    def test_cover_onto_a_disconnected_target(self, odd4):
+        # odd(4) minus two colors falls apart into 15 and 20 vertices
+        target = delete_colors(odd4, [6, 7])
+        small, large = sorted(target.component_sets, key=len)
+        assert (len(small), len(large)) == (15, 20)
+        # the inclusion of one component matches every neighbour row, and
+        # only the target vertices it misses show it is no covering
+        inclusion = VertexMap(target.subgraph(small), target, small, kind="covering")
+        rep = verify_cover(inclusion)
+        assert rep.failures == ["fiber size not constant"]
+        assert not inclusion.verify()
+        # nothing maps onto any target vertex: fiber 0 is no covering either
+        empty = graph_from_edges(target.ground, [], [])
+        rep = verify_cover(VertexMap(empty, target, (), kind="covering"))
+        assert rep.failures == ["fiber size not constant"]
+        assert rep.details["fiber"] == 0
+
     def test_longer_map_rejected(self, odd3):
         with pytest.raises(ParameterError):
             is_morphism(odd3, odd3, list(range(odd3.n_vertices)) + [0])
@@ -677,9 +700,7 @@ class TestGenericDoubleCover:
             [(0, 1, None), (1, 2, None), (2, 3, None), (3, 0, None)],
         )
         cover, vmap = generic_double_cover(square)
-        from kneserlab.graphs import components
-
-        assert [c.n_vertices for c in components(cover)] == [4, 4]
+        assert list(map(len, cover.component_sets)) == [4, 4]
         assert verify_cover(vmap, expected_fiber=2).ok
 
     def test_odd3_cover_is_middle3(self, odd3, middle3):
@@ -693,7 +714,7 @@ class TestFindIsomorphism:
     def test_finds_automorphism_with_pin(self, odd3):
         iso = find_isomorphism(odd3, odd3, pin={0: 5})
         assert iso is not None and iso.verified
-        assert iso.apply(odd3.vertices[0]) == odd3.vertices[5]
+        assert image(iso, odd3.vertices[0]) == odd3.vertices[5]
 
     def test_distinguishes_non_isomorphic(self):
         hexagon = build(Family.middle_levels(2))

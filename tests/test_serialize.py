@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from kneserlab import serialize
 from kneserlab.decompose import delete_colors
 from kneserlab.errors import ParameterError
-from kneserlab.graphs import Family, LabeledGraph, build, components, graph_from_edges
+from kneserlab.graphs import Family, LabeledGraph, build, graph_from_edges
 from kneserlab.setcore import Block
 from kneserlab.serialize import (
     graph_from_json,
@@ -144,10 +144,8 @@ class TestJsonRoundTrip:
         assert [v.elements() for v in g.vertices] == [(1,), (2,)]
 
     def test_family_less_graph_round_trips(self, odd3):
-        from kneserlab.decompose import delete_colors
-        from kneserlab.graphs import components
-
-        piece = components(delete_colors(odd3, [4, 5]))[0]
+        deleted = delete_colors(odd3, [4, 5])
+        piece = deleted.subgraph(deleted.component_sets[0])
         assert piece.family is None
         text = graph_to_json(piece)
         back = graph_from_json(text)
@@ -158,7 +156,8 @@ class TestJsonRoundTrip:
 def base_documents():
     """Small interchange documents, one per family and one family-less."""
     odd3 = build(Family.odd(3))
-    piece = components(delete_colors(odd3, [4, 5]))[0]
+    deleted = delete_colors(odd3, [4, 5])
+    piece = deleted.subgraph(deleted.component_sets[0])
     graphs = [odd3, build(Family.middle_levels(3)), build(Family.kneser(5, 2)),
               build(Family.bipartite_kneser(5, 2)), piece]
     return [json.loads(graph_to_json(g)) for g in graphs]
@@ -442,10 +441,8 @@ class TestPinnedExport:
         assert (len(csv), sha16(csv)) == (530, "c0e39536fd1ba266")
 
     def test_text_is_the_dict_document(self, odd3):
-        from kneserlab.decompose import delete_colors
-        from kneserlab.graphs import components, graph_from_edges
-
-        pieces = components(delete_colors(odd3, [4, 5]))
+        deleted = delete_colors(odd3, [4, 5])
+        pieces = [deleted.subgraph(ixs) for ixs in deleted.component_sets]
         unusual_labels = graph_from_edges(
             4, [Block(3, 4), Block(0, 4), Block(8, 4)],
             [(2, 0, "x"), (1, 2, True), (0, 1, 2.5)],

@@ -9,7 +9,7 @@ from kneserlab.decompose import block_component, canonical_colors
 from kneserlab.errors import DegenerateCaseError, ParameterError
 from kneserlab.graphs import MIDDLE_LEVELS, ODD, Family, build, girth
 from kneserlab.morphisms import find_isomorphism
-from kneserlab.setcore import Block, apply_perm, Perm, binomial
+from kneserlab.setcore import Block, binomial
 from kneserlab import superstructure
 from kneserlab.superstructure import (
     bottom_level,
@@ -36,7 +36,7 @@ class TestTwoColorPath:
         v = b([1, 2], 5)
         path = two_color_path(odd3, v, 1, 3)
         w = path.blocks()[-1]
-        assert w == apply_perm(Perm.transposition(5, 1, 3), v)
+        assert w == b([2, 3], 5)  # v with the colors 1 and 3 swapped
         middles = all_two_step_paths(odd3, v, w)
         assert path.blocks()[1] in middles
         assert sorted(path.labels) == [1, 3]
