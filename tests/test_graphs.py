@@ -574,7 +574,9 @@ class TestNeighborMasks:
                 assert [y for y in range(g.n_vertices) if masks[i] >> y & 1] == list(row)
             assert g.neighbor_masks is masks
 
-    def test_searches_share_one_table(self, monkeypatch):
+    def test_searches_share_one_table(self, fresh_live, monkeypatch):
+        # the import returns the live odd(4) while one is held, and another
+        # test may have made its masks; an empty live table makes it afresh
         g = graph_from_json(graph_to_json(build(Family.odd(4))))
         assert "neighbor_masks" not in vars(g)
         passed = []

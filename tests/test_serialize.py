@@ -278,6 +278,11 @@ def unusual_label_text(labels):
         "edges": [[u, v, lab] for (u, v), lab in zip(edges, labels)]}) + "\n"
 
 
+def without_family(text):
+    """The export text with "family": null, "params": [] in its head."""
+    return '{"family": null, "params": []' + text[text.index(', "ground": '):]
+
+
 # cuts at every row, every few rows, and the default block size
 BLOCK_SIZES = [1, 40, serialize._BLOCK_BYTES]
 
@@ -296,11 +301,21 @@ class TestBlockReader:
 
     @pytest.mark.parametrize("size", BLOCK_SIZES)
     def test_exports_read_in_blocks(self, size):
+        # a family's own export is read by _family_export; the same text
+        # with no family reaches this reader through graph_from_json
         for g in family_instances(200):
             text = graph_to_json(g)
             with mock.patch.object(serialize, "_BLOCK_BYTES", size):
                 assert serialize._block_columns(text) is not None
             assert self._same(text, size) == g
+            bare = without_family(text)
+            assert serialize._family_export(bare) is None
+            with mock.patch.object(serialize, "_BLOCK_BYTES", size):
+                assert serialize._block_columns(bare) is not None
+            back = self._same(bare, size)
+            assert back.family is None
+            assert (back.masks, back.neighbor_table, back.label_table) == (
+                g.masks, g.neighbor_table, g.label_table)
 
     @given(mutated_documents())
     @settings(max_examples=200, deadline=None)
@@ -353,26 +368,106 @@ class TestBlockReader:
         assert self._same(first, size) == build(Family.odd(3))
 
 
+class TestExportReader:
+    """graph_from_json returns build(family) for the exact export of the
+    family a document names, without parsing past the head; any other text
+    gives the outcome of the text parsed whole."""
+
+    @staticmethod
+    def _same(text):
+        got = outcome(graph_from_json, text)
+        assert got == outcome(whole_document_graph, text)
+        return got
+
+    def test_exports_come_back_as_the_family(self):
+        for g in family_instances(200):
+            back = self._same(graph_to_json(g))
+            assert back == build(g.family)
+            assert back is g  # held by the list, so build returns it
+
+    def test_text_after_the_closing_brace(self):
+        text = graph_to_json(build(Family.odd(4))) + "x"
+        assert serialize._family_export(text) is None
+        assert self._same(text).startswith("ParameterError: invalid JSON: ")
+
+    def test_changed_ground_digit(self):
+        # the offsets stay aligned, so only the head compare declines it
+        text = graph_to_json(build(Family.odd(3)))
+        changed = text.replace('"ground": 5', '"ground": 6', 1)
+        assert len(changed) == len(text) and changed != text
+        assert serialize._family_export(changed) is None
+        assert self._same(changed) == (
+            "ParameterError: odd(3) lives on ground [5], not [6]")
+
+    def test_changed_label_in_the_last_block(self):
+        g = build(Family.middle_levels(7))  # 3432 rows, edges in four blocks
+        text = graph_to_json(g)
+        u, v, lab = list(g.edges())[-1]
+        assert u >= 3 * serialize._MATCH_ROWS
+        assert serialize._family_export(text) is g
+        tail = f"[{u}, {v}, {lab}]]}}\n"
+        assert text.endswith(tail)
+        changed = text[:-len(tail)] + f"[{u}, {v}, {lab % 13 + 1}]]}}\n"
+        assert serialize._family_export(changed) is None
+        assert self._same(changed) == (
+            "ParameterError: an edge label is not the one middle(7) implies")
+
+    @pytest.mark.parametrize("fam", [
+        Family.odd(12),
+        Family.bipartite_kneser(24, 12),  # 2,704,156 vertices, no edges
+    ], ids=str)
+    def test_short_text_builds_nothing(self, fam, monkeypatch):
+        built = []
+
+        def recording(family):
+            built.append(family)
+            raise ParameterError("not built here")
+
+        monkeypatch.setattr(serialize, "build", recording)
+        text = json.dumps({
+            "family": fam.kind, "params": list(fam.params), "ground": fam.ground,
+            "vertices": [[e] for e in range(1, fam.ground + 1)], "edges": [],
+        }, separators=(", ", ": ")) + "\n"
+        assert len(text) < 300
+        assert self._same(text) == (
+            f"ParameterError: {fam} has {fam.n_vertices} vertices, not {fam.ground}")
+        assert built == []
+
+    def test_family_too_large_to_build(self):
+        # 10,400,600 vertices of degree 0: text this long passes the length
+        # guard, build refuses the family, and the other readers say why
+        fam = Family.bipartite_kneser(26, 13)
+        text = (f'{{"family": "bikneser", "params": [26, 13], "ground": 26,'
+                f' "vertices": [], "edges": []}}{" " * fam.n_vertices}\n')
+        assert self._same(text) == (
+            f"ParameterError: {fam} has {fam.n_vertices} vertices, not 0")
+
+
 class TestImportMemory:
     def test_peak_stays_near_the_parsed_document(self):
-        # the edge array is parsed a block of rows at a time, each block's
+        # a family's own export is compared with the rebuilt family; the
+        # same text with no family is read by the block reader.  There the
+        # edge array is parsed a block of rows at a time, each block's
         # endpoints mapped to shared index ints, and the neighbour rows
         # become tuples before the label rows are made; parsing the whole
         # document first read 1.25 on odd(8) and 1.24 on odd(9), and with
         # no shared ints either 1.44 and 1.55
         for n in (8, 9):
-            text = graph_to_json(build(Family.odd(n)))
-            tracemalloc.start()
-            try:
-                json.loads(text)
-                document_peak = tracemalloc.get_traced_memory()[1]
-                tracemalloc.reset_peak()
-                g = graph_from_json(text)
-                import_peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert g.n_vertices == Family.odd(n).n_vertices
-            assert import_peak < 0.9 * document_peak, n
+            export = graph_to_json(build(Family.odd(n)))
+            for fam, text in ((Family.odd(n), export), (None, without_family(export))):
+                tracemalloc.start()
+                try:
+                    json.loads(text)
+                    document_peak = tracemalloc.get_traced_memory()[1]
+                    tracemalloc.reset_peak()
+                    g = graph_from_json(text)
+                    import_peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert g.n_vertices == Family.odd(n).n_vertices
+                assert g.family == fam
+                assert import_peak < 0.9 * document_peak, (n, fam)
+                del g
 
 
 class TestExportMemory:
