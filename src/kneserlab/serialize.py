@@ -12,9 +12,11 @@ Export is deterministic, so build -> export -> import -> export is
 byte-identical.
 
 Import tries three readers in order.  A text that is exactly the export
-of the family its head names is compared with that export, generated
-from build(family) a block of rows at a time, and the reader returns the
-built graph: nothing past the head is parsed.  Any other text in the
+of the family its head names, up to trailing whitespace, is compared with
+that export and the reader returns build(family): nothing past the head is
+parsed.  Its vertex list is compared with text made from the family's
+masks before anything is built, and its edge list with the edge text of
+the built family, a block of rows at a time.  Any other text in the
 exporter's layout, with the edge array as the last member of the
 document, is read a block of edge rows at a time, so the whole parsed
 edge list never exists.  Any other text, and any text whose blocks are
@@ -32,7 +34,7 @@ from itertools import chain, islice, repeat
 from operator import (
     add, and_, getitem, is_, is_not, itemgetter, lt, or_, rshift, sub, xor,
 )
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import ParameterError
 from .graphs import (
@@ -48,16 +50,17 @@ from .graphs import (
     expected_family_degree,
     gc_paused,
 )
-from .setcore import Block, check_ground
+from .setcore import Block, binomial, check_ground, k_masks
 
 _CHUNK = 8  # bits per lookup when writing a vertex's elements
 _BLOCK_ROWS = 4096  # rows of the edge list written per text block
-# rows of the edge list generated per compared block on import: at 4096 the
-# first block of odd(8) holds most of its edges, and the import's traced
-# peak reads 0.93 of the parsed document's, against 0.67 at 1024
+# vertices or edge rows generated per compared block on import: at 4096 the
+# first edge block of odd(8) holds most of its edges, and the import's
+# traced peak reads 0.93 of the parsed document's, against 0.67 at 1024
 _MATCH_ROWS = 1024
 _HEAD_BYTES = 256  # more than the head of any family on a ground up to 63
 _BLOCK_BYTES = 1 << 16  # bytes of edge text parsed per block on import
+_JSON_SPACE = " \t\n\r"  # the whitespace json.loads skips
 
 
 def _head(family: Optional[Family], ground: int) -> dict:
@@ -86,17 +89,11 @@ def graph_to_json(g: LabeledGraph) -> str:
     """json.dumps(graph_to_dict(g)) with ", " and ": " separators, plus a
     newline; the vertex and edge lists are written from masks and rows,
     and every piece is joined once."""
-    return "".join([_head_text(g.family, g.ground), *_body_pieces(g, _BLOCK_ROWS)])
-
-
-def _body_pieces(g: LabeledGraph, rows: int) -> Iterator[str]:
-    """The document's text after the head, in pieces: the vertex list, then
-    the edge list a block of the given number of rows at a time."""
-    yield ', "vertices": '
-    yield _vertices_text(g)
-    yield ', "edges": '
-    yield from _edge_blocks(g, rows)
-    yield "}\n"
+    return "".join([
+        _head_text(g.family, g.ground),
+        ', "vertices": ', *_vertex_blocks(g.masks, g.ground, _BLOCK_ROWS),
+        ', "edges": ', *_edge_blocks(g, _BLOCK_ROWS), "}\n",
+    ])
 
 
 @lru_cache(maxsize=None)
@@ -110,17 +107,29 @@ def _chunk_texts(m: int) -> tuple[list[str], ...]:
     )
 
 
-def _vertices_text(g: LabeledGraph) -> str:
-    masks = g.masks
+def _vertex_blocks(masks: list[int], ground: int, rows: int) -> Iterator[str]:
+    """The text of the vertex list of the given masks over [ground] in
+    pieces, one per block of the given number of vertices."""
     if not masks:
-        return "[]"
+        yield "[]"
+        return
+    yield "[["
+    for start in range(0, len(masks), rows):
+        if start:
+            yield "], ["
+        yield "], [".join(_element_texts(masks[start:start + rows], ground))
+    yield "]]"
+
+
+def _element_texts(masks: list[int], ground: int) -> Iterator[str]:
+    """For each mask, the text "e, f, g" of its elements."""
     texts: list[str] = [""] * len(masks)
     low = (1 << _CHUNK) - 1
-    for c, table in enumerate(_chunk_texts(g.ground)):
+    for c, table in enumerate(_chunk_texts(ground)):
         part = map(table.__getitem__,
                    map(and_, map(rshift, masks, repeat(c * _CHUNK)), repeat(low)))
         texts = list(map(add, texts, part))
-    return "[[" + "], [".join(map(str.rstrip, texts, repeat(", "))) + "]]"
+    return map(str.rstrip, texts, repeat(", "))
 
 
 def _edge_blocks(g: LabeledGraph, rows: int) -> Iterator[str]:
@@ -321,13 +330,15 @@ def _family_export(text: str) -> Optional[LabeledGraph]:
 
     Only the head before ', "vertices": ' is parsed, and only when it lies
     in the first _HEAD_BYTES bytes.  A head that names no family or is not
-    that family's own, or a text shorter than the family's vertex count
-    plus its edge count (each vertex takes two bytes or more, each edge
-    more), is declined before anything is built.  The rest of the text is
-    compared with the export's pieces as they are generated, _MATCH_ROWS
-    rows of edges at a time, and must end where the export ends.  Such a
-    text is one the other readers accept, and they read an equal graph
-    from it.
+    that family's own is declined, and so is a text shorter than the
+    family's export can be (_least_export_bytes).  The vertex list is then
+    compared with the text of the family's masks, made without its
+    neighbour rows; only when it matches is the family built, and its edge
+    list compared as it is generated.  Both lists are compared _MATCH_ROWS
+    vertices or rows at a time, and after the closing brace the text may
+    hold JSON whitespace only, as json.dumps(graph_to_dict(g)) leaves no
+    newline.  Such a text is one the other readers accept, and they read
+    an equal graph from it.
     """
     at = text.find(', "vertices": ', 0, _HEAD_BYTES)
     if at < 0:
@@ -337,20 +348,41 @@ def _family_export(text: str) -> Optional[LabeledGraph]:
         family = Family(head["family"], *head["params"])
     except (KeyError, TypeError, ValueError, RecursionError):
         return None  # ParameterError is a ValueError
-    n_vertices = family.n_vertices
-    n_edges = n_vertices * expected_family_degree(family) // 2
-    if (n_vertices + n_edges > len(text)
+    if (len(text) < _least_export_bytes(family)
             or text[:at] != _head_text(family, family.ground)):
         return None
     try:
-        g = build(family)
+        masks = sorted(chain.from_iterable(
+            k_masks(family.ground, size) for size in family.block_sizes))
     except ParameterError:  # too many subsets: the other readers say why
         return None
-    for piece in _body_pieces(g, _MATCH_ROWS):
+    at = _matched(text, at, chain(
+        [', "vertices": '], _vertex_blocks(masks, family.ground, _MATCH_ROWS),
+        [', "edges": ']))
+    if at < 0:
+        return None
+    g = build(family)
+    at = _matched(text, at, chain(_edge_blocks(g, _MATCH_ROWS), ["}"]))
+    return g if at > 0 and not text[at:].strip(_JSON_SPACE) else None
+
+
+def _least_export_bytes(family: Family) -> int:
+    """A lower bound on the length of the family's export: a vertex of s
+    elements takes "[e, ..., e], " (3s + 2 bytes or more), an edge
+    "[u, v, l], " (11 or more), and the last of each two bytes less."""
+    n_edges = family.n_vertices * expected_family_degree(family) // 2
+    return sum(binomial(family.ground, size) * (3 * size + 2)
+               for size in family.block_sizes) + 11 * n_edges - 4
+
+
+def _matched(text: str, at: int, pieces: Iterable[str]) -> int:
+    """The offset past the pieces when text holds them in turn from at;
+    -1 at the first piece it does not hold."""
+    for piece in pieces:
         if not text.startswith(piece, at):
-            return None
+            return -1
         at += len(piece)
-    return g if at == len(text) else None
+    return at
 
 
 def _whole_columns(text: str) -> tuple:

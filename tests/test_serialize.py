@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kneserlab import serialize
+from kneserlab import serialize, setcore
 from kneserlab.decompose import delete_colors
 from kneserlab.errors import ParameterError
 from kneserlab.graphs import Family, LabeledGraph, build, graph_from_edges
@@ -368,6 +368,22 @@ class TestBlockReader:
         assert self._same(first, size) == build(Family.odd(3))
 
 
+def forbid(monkeypatch, *names):
+    """Patch each named serialize function to record its call and refuse;
+    the list of calls is returned."""
+    calls = []
+
+    def refusing(name):
+        def refuse(*args):
+            calls.append(name)
+            raise ParameterError(f"{name} is not called here")
+        return refuse
+
+    for name in names:
+        monkeypatch.setattr(serialize, name, refusing(name))
+    return calls
+
+
 class TestExportReader:
     """graph_from_json returns build(family) for the exact export of the
     family a document names, without parsing past the head; any other text
@@ -385,8 +401,18 @@ class TestExportReader:
             assert back == build(g.family)
             assert back is g  # held by the list, so build returns it
 
-    def test_text_after_the_closing_brace(self):
-        text = graph_to_json(build(Family.odd(4))) + "x"
+    def test_trailing_whitespace(self):
+        g = build(Family.middle_levels(3))
+        text = graph_to_json(g)
+        assert text[:-1] == json.dumps(serialize.graph_to_dict(g))
+        for changed in (text[:-1], text + " \t\r\n"):
+            assert serialize._family_export(changed) is g
+            assert self._same(changed) is g
+
+    @pytest.mark.parametrize("tail", ["x", "\f", "\u3000"], ids=repr)
+    def test_text_after_the_closing_brace(self, tail):
+        # a form feed and an ideographic space are str whitespace, not JSON's
+        text = graph_to_json(build(Family.odd(4))) + tail
         assert serialize._family_export(text) is None
         assert self._same(text).startswith("ParameterError: invalid JSON: ")
 
@@ -398,6 +424,24 @@ class TestExportReader:
         assert serialize._family_export(changed) is None
         assert self._same(changed) == (
             "ParameterError: odd(3) lives on ground [5], not [6]")
+
+    @pytest.mark.parametrize("fam, vertex, changed, message", [
+        # in the first compared block of vertices
+        (Family.odd(5), "[[1, 2, 3, 4], ", "[[1, 2, 3, 5], ", "duplicate vertices"),
+        # in the second of odd(7)'s 1716 vertices
+        (Family.odd(7), ", [8, 9, 10, 11, 12, 13]]", ", [8, 9, 10, 11, 12, 14]]",
+         "malformed graph document: element 14 outside ground [13]"),
+    ], ids=["first", "last"])
+    def test_changed_vertex_builds_nothing(self, fam, vertex, changed, message,
+                                           monkeypatch):
+        # the vertex list is compared before the family is built
+        text = graph_to_json(build(fam))
+        assert text.count(vertex) == 1
+        changed = text.replace(vertex, changed)
+        calls = forbid(monkeypatch, "build")
+        assert serialize._family_export(changed) is None
+        assert self._same(changed) == f"ParameterError: {message}"
+        assert calls == []
 
     def test_changed_label_in_the_last_block(self):
         g = build(Family.middle_levels(7))  # 3432 rows, edges in four blocks
@@ -417,13 +461,7 @@ class TestExportReader:
         Family.bipartite_kneser(24, 12),  # 2,704,156 vertices, no edges
     ], ids=str)
     def test_short_text_builds_nothing(self, fam, monkeypatch):
-        built = []
-
-        def recording(family):
-            built.append(family)
-            raise ParameterError("not built here")
-
-        monkeypatch.setattr(serialize, "build", recording)
+        calls = forbid(monkeypatch, "k_masks", "build")
         text = json.dumps({
             "family": fam.kind, "params": list(fam.params), "ground": fam.ground,
             "vertices": [[e] for e in range(1, fam.ground + 1)], "edges": [],
@@ -431,16 +469,27 @@ class TestExportReader:
         assert len(text) < 300
         assert self._same(text) == (
             f"ParameterError: {fam} has {fam.n_vertices} vertices, not {fam.ground}")
-        assert built == []
+        assert calls == []
 
-    def test_family_too_large_to_build(self):
-        # 10,400,600 vertices of degree 0: text this long passes the length
-        # guard, build refuses the family, and the other readers say why
-        fam = Family.bipartite_kneser(26, 13)
-        text = (f'{{"family": "bikneser", "params": [26, 13], "ground": 26,'
-                f' "vertices": [], "edges": []}}{" " * fam.n_vertices}\n')
-        assert self._same(text) == (
-            f"ParameterError: {fam} has {fam.n_vertices} vertices, not 0")
+    def test_padded_head_builds_nothing(self, monkeypatch):
+        # 220 vertices of degree 84: padding the exact head to one byte per
+        # vertex and per edge is far short of the least export
+        fam = Family.kneser(12, 3)
+        n_edges = fam.n_vertices * 84 // 2
+        head = serialize._head_text(fam, fam.ground)
+        text = f'{head}, "vertices": {" " * (fam.n_vertices + n_edges)}'
+        assert serialize._least_export_bytes(fam) > len(text)
+        calls = forbid(monkeypatch, "k_masks", "build")
+        assert self._same(text).startswith("ParameterError: invalid JSON: ")
+        assert calls == []
+
+    def test_family_over_the_subset_limit(self, monkeypatch):
+        # k_masks refuses the family, and the block reader reads the text
+        g = build(Family.odd(4))  # 35 vertices
+        text = graph_to_json(g)
+        monkeypatch.setattr(setcore, "MAX_SUBSETS", 10)
+        assert serialize._family_export(text) is None
+        assert self._same(text) == g
 
 
 class TestImportMemory:
