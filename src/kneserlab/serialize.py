@@ -34,7 +34,7 @@ from itertools import chain, islice, repeat
 from operator import (
     add, and_, getitem, is_, is_not, itemgetter, lt, or_, rshift, sub, xor,
 )
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ParameterError
 from .graphs import (
@@ -107,7 +107,7 @@ def _chunk_texts(m: int) -> tuple[list[str], ...]:
     )
 
 
-def _vertex_blocks(masks: list[int], ground: int, rows: int) -> Iterator[str]:
+def _vertex_blocks(masks: Sequence[int], ground: int, rows: int) -> Iterator[str]:
     """The text of the vertex list of the given masks over [ground] in
     pieces, one per block of the given number of vertices."""
     if not masks:
@@ -121,7 +121,7 @@ def _vertex_blocks(masks: list[int], ground: int, rows: int) -> Iterator[str]:
     yield "]]"
 
 
-def _element_texts(masks: list[int], ground: int) -> Iterator[str]:
+def _element_texts(masks: Sequence[int], ground: int) -> Iterator[str]:
     """For each mask, the text "e, f, g" of its elements."""
     texts: list[str] = [""] * len(masks)
     low = (1 << _CHUNK) - 1
@@ -361,6 +361,7 @@ def _family_export(text: str) -> Optional[LabeledGraph]:
         [', "edges": ']))
     if at < 0:
         return None
+    del masks  # build makes its own, and the import peaks in its rows
     g = build(family)
     at = _matched(text, at, chain(_edge_blocks(g, _MATCH_ROWS), ["}"]))
     return g if at > 0 and not text[at:].strip(_JSON_SPACE) else None
