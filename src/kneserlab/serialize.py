@@ -325,8 +325,9 @@ def graph_from_json(text: str) -> LabeledGraph:
 
 
 def _family_export(text: str) -> Optional[LabeledGraph]:
-    """build(family) when text is exactly graph_to_json of that graph for
-    the family its head names; None for any other text.
+    """build(family) when text is graph_to_json of that graph for the
+    family its head names, up to whitespace after the closing brace; None
+    for any other text.
 
     Only the head before ', "vertices": ' is parsed, and only when it lies
     in the first _HEAD_BYTES bytes.  A head that names no family or is not
@@ -335,10 +336,10 @@ def _family_export(text: str) -> Optional[LabeledGraph]:
     compared with the text of the family's masks, made without its
     neighbour rows; only when it matches is the family built, and its edge
     list compared as it is generated.  Both lists are compared _MATCH_ROWS
-    vertices or rows at a time, and after the closing brace the text may
-    hold JSON whitespace only, as json.dumps(graph_to_dict(g)) leaves no
-    newline.  Such a text is one the other readers accept, and they read
-    an equal graph from it.
+    vertices or rows at a time.  After the closing brace the text may hold
+    JSON whitespace only, or none, as json.dumps(graph_to_dict(g)) leaves.
+    Such a text is one the other readers accept, and they read an equal
+    graph from it.
     """
     at = text.find(', "vertices": ', 0, _HEAD_BYTES)
     if at < 0:
