@@ -11,18 +11,14 @@ The JSON schema is the interchange format:
 Export is deterministic, so build -> export -> import -> export is
 byte-identical.
 
-Import tries three readers in order.  A text that is exactly the export
-of the family its head names, up to trailing whitespace, is compared with
-that export and the reader returns build(family): nothing past the head is
-parsed.  Its vertex list is compared with text made from the family's
-masks before anything is built, and its edge list with the edge text of
-the built family, a block of rows at a time.  Any other text in the
-exporter's layout, with the edge array as the last member of the
-document, is read a block of edge rows at a time, so the whole parsed
-edge list never exists.  Any other text, and any text whose blocks are
-not rows of in-range int endpoints, is parsed as one document; that
-reader gives every error message.  The last two readers end in the same
-checks.
+Import has two readers.  A text that is exactly the export of the family
+its head names, up to trailing whitespace, is compared with that export
+and the reader returns build(family): nothing past the head is parsed.
+Its vertex list is compared with text made from the family's masks
+before anything is built, and its edge list with the edge text of the
+built family, a block of rows at a time.  Any other text is parsed as
+one document and checked, and that reader gives every error message; the
+parsed document is dropped before the graph's rows are made.
 """
 
 from __future__ import annotations
@@ -43,7 +39,6 @@ from .graphs import (
     ODD,
     Family,
     LabeledGraph,
-    are_vertex_indices,
     build,
     check_edge_ends,
     edge_rows,
@@ -59,7 +54,6 @@ _BLOCK_ROWS = 4096  # rows of the edge list written per text block
 # traced peak reads 0.93 of the parsed document's, against 0.67 at 1024
 _MATCH_ROWS = 1024
 _HEAD_BYTES = 256  # more than the head of any family on a ground up to 63
-_BLOCK_BYTES = 1 << 16  # bytes of edge text parsed per block on import
 _JSON_SPACE = " \t\n\r"  # the whitespace json.loads skips
 
 
@@ -224,22 +218,22 @@ def _document_columns(data: dict) -> tuple:
     return family, ground, masks, ends_u, ends_v, labels
 
 
-def _graph_from_columns(
-    family: Optional[Family],
-    ground: int,
-    masks: list[int],
-    ends_u: list,
-    ends_v: list,
-    labels: list,
-) -> LabeledGraph:
-    """The graph of a document's columns, as the readers check them:
-    vertices in canonical order, every endpoint a vertex index.
+def _parsed_graph(text: str) -> LabeledGraph:
+    """The graph of the text parsed as one document: vertices in canonical
+    order, every endpoint a vertex index (_document_columns).
 
     A document that names a family must hold exactly that family's graph:
     its ground, vertex count, block sizes and edge count, and on every
     edge an adjacent pair with the label the two blocks imply.  Any
-    violation raises ParameterError.
+    violation raises ParameterError.  The parsed document is dropped
+    before the neighbour rows are made, so the two never coexist.
     """
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParameterError(f"invalid JSON: {exc}") from exc
+    family, ground, masks, ends_u, ends_v, labels = _document_columns(data)
+    del data
     nbrs, labs = edge_rows(len(masks), ends_u, ends_v, labels)
     if family is None:
         labeled = any(map(is_not, labels, repeat(None)))
@@ -313,15 +307,11 @@ def _check_family(
 
 @gc_paused
 def graph_from_json(text: str) -> LabeledGraph:
-    """The graph of an interchange document's JSON text, checked as
-    _document_columns and _graph_from_columns describe.  The exact export
-    of a family is the graph build gives for it (_family_export); other
-    text in the exporter's layout is read a block of edge rows at a time
-    (_block_columns); any text that reader cannot finish is parsed whole
-    (_whole_columns), which gives every error message.  No parsed document
-    outlives its columns."""
-    return _family_export(text) or _graph_from_columns(
-        *(_block_columns(text) or _whole_columns(text)))
+    """The graph of an interchange document's JSON text.  The exact export
+    of a family is the graph build gives for it (_family_export); any
+    other text is parsed whole and checked (_parsed_graph), which gives
+    every error message."""
+    return _family_export(text) or _parsed_graph(text)
 
 
 def _family_export(text: str) -> Optional[LabeledGraph]:
@@ -338,8 +328,8 @@ def _family_export(text: str) -> Optional[LabeledGraph]:
     list compared as it is generated.  Both lists are compared _MATCH_ROWS
     vertices or rows at a time.  After the closing brace the text may hold
     JSON whitespace only, or none, as json.dumps(graph_to_dict(g)) leaves.
-    Such a text is one the other readers accept, and they read an equal
-    graph from it.
+    Such a text is one _parsed_graph accepts, and it reads an equal graph
+    from it.
     """
     at = text.find(', "vertices": ', 0, _HEAD_BYTES)
     if at < 0:
@@ -355,7 +345,7 @@ def _family_export(text: str) -> Optional[LabeledGraph]:
     try:
         masks = sorted(chain.from_iterable(
             k_masks(family.ground, size) for size in family.block_sizes))
-    except ParameterError:  # too many subsets: the other readers say why
+    except ParameterError:  # too many subsets: _parsed_graph says why
         return None
     at = _matched(text, at, chain(
         [', "vertices": '], _vertex_blocks(masks, family.ground, _MATCH_ROWS),
@@ -385,58 +375,6 @@ def _matched(text: str, at: int, pieces: Iterable[str]) -> int:
             return -1
         at += len(piece)
     return at
-
-
-def _whole_columns(text: str) -> tuple:
-    """The columns of the document parsed whole."""
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise ParameterError(f"invalid JSON: {exc}") from exc
-    return _document_columns(data)
-
-
-def _block_columns(text: str) -> Optional[tuple]:
-    """The columns _whole_columns gives, read without parsing the edge
-    array whole; None for a text this reader cannot finish.
-
-    The text must end in ', "edges": [...]}' and optional whitespace; the
-    quote after ", " is not escaped, so it opens the key.  The rest is
-    parsed with [] for the edge array: that this parses shows the array is
-    the last member of the top-level object, the value json.loads keeps.
-    The array text is cut after the "]" of a "], [" about every
-    _BLOCK_BYTES bytes and each cut is parsed as an array of its own.  A
-    cut inside a string leaves it unterminated and one inside a nested
-    array leaves its brackets unbalanced, so a bad cut fails to parse and
-    cannot misread a row.  Every block must hold [u, v, label] rows whose
-    endpoints are vertex indices; the shared index ints replace them.
-    """
-    key = text.rfind(', "edges": [')
-    start, stop = key + len(', "edges": '), text.rfind("}")
-    if key < 0 or stop <= start or text[stop - 1] != "]":
-        return None
-    ends_u, ends_v, labels = [], [], []
-    try:
-        family, ground, masks, *_ = _document_columns(
-            json.loads(f"{text[:start]}[]{text[stop:]}"))
-        shared = list(range(len(masks)))
-        at, end = start + 1, stop - 1  # inside the array's brackets
-        while at < end:
-            cut = text.find("], [", at + _BLOCK_BYTES, end)
-            cut = end if cut < 0 else cut + 1
-            rows = json.loads(f"[{text[at:cut]}]")
-            if set(map(type, rows)) - {list} or set(map(len, rows)) - {3}:
-                return None
-            for x, column in enumerate((ends_u, ends_v)):
-                ends = list(map(itemgetter(x), rows))
-                if not are_vertex_indices(ends, len(shared)):
-                    return None
-                column += map(shared.__getitem__, ends)
-            labels += map(itemgetter(2), rows)
-            at = cut + 2  # past ", " to the next row's "["
-    except (ValueError, RecursionError):  # ParameterError is a ValueError
-        return None
-    return family, ground, masks, ends_u, ends_v, labels
 
 
 def _node_name(v: Block) -> str:

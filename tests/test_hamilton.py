@@ -678,6 +678,54 @@ class TestMaskConnectivity:
                         verified = u
 
 
+# the plain searches of the benchmark's hamilton workload: family and node
+# budget, each run on tie seeds 0..7
+WORKLOAD_SEARCHES = [
+    (Family.odd(3), 1_000), (Family.odd(4), 1_000),
+    (Family.middle_levels(4), 600), (Family.odd(5), 1_000),
+    (Family.middle_levels(5), 1_500), (Family.odd(6), 1_500),
+    (Family.middle_levels(6), 150), (Family.odd(7), 30),
+]
+
+
+class TestConnectivityWork:
+    """The work of the deferred connectivity check, pinned.  A mutant that
+    only slows the search, such as lowering `verified` too far on a pop or
+    not advancing it after a passing check, keeps every status, node count
+    and check count, and moves only the mask reads."""
+
+    def test_checks_and_mask_reads_per_workload_pass(self, monkeypatch):
+        counts = Counter()
+        real = _hamcore_py._connectivity_check
+
+        class CountedMasks:
+            def __init__(self, masks):
+                self.masks = masks
+
+            def __len__(self):
+                return len(self.masks)
+
+            def __getitem__(self, x):
+                counts["mask reads"] += 1
+                return self.masks[x]
+
+        def counting_check(masks, path):
+            holds_at = real(CountedMasks(masks), path)
+
+            def counted(u, anchor):
+                counts["checks"] += 1
+                return holds_at(u, anchor)
+            return counted
+
+        monkeypatch.setattr(_hamcore_py, "_connectivity_check", counting_check)
+        for fam, budget in WORKLOAD_SEARCHES:
+            g = build(fam)
+            for tie in range(8):
+                find_hamiltonian_cycle(
+                    g, SearchBudget(max_nodes=budget, max_seconds=600.0, seed=tie))
+        assert counts == {"checks": 3_867, "mask reads": 123_306}
+
+
 def cycle_digest(result) -> str:
     text = ",".join(map(str, result.cycle.indices))
     return hashlib.sha256(text.encode()).hexdigest()[:16]

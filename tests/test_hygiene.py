@@ -10,11 +10,14 @@ The package's modules import each other in one order: the module graph
 has no cycle, and no module imports inside a function.
 
 Every public module-level function and class is read somewhere in src/
-or perfbench/, or is listed with the reason it stays; so is every public
-method, property and classmethod of a public class, read as an
-attribute.  The package's __init__.py only re-exports, so its imports
-and __all__ are no reader; perfbench/layers.py's trace list is, because
-the benchmark patches those functions by name.
+or perfbench/ through its own module (imported by name from it, read as
+an attribute of a name bound to it, or loaded bare inside it), or is
+listed with the reason it stays.  So is every public method, property
+and classmethod of a public class, read as an attribute of anything,
+since a receiver's type is not known statically.  The package's
+__init__.py only re-exports, so its imports and __all__ are no reader;
+perfbench/layers.py's trace list is, because the benchmark patches those
+functions by module and name.
 
 A failing Hypothesis test under the repository's pytest settings prints
 its falsifying example and lets the run go on.
@@ -276,26 +279,54 @@ def _attributes_read_by(paths) -> set[str]:
             if isinstance(node, ast.Attribute)}
 
 
-def _names_read_by(paths) -> set[str]:
-    """Every name the modules load, as a name, an attribute or an
-    imported name."""
-    read = _attributes_read_by(paths)
+def _package_module(node: ast.ImportFrom) -> Optional[str]:
+    """The package module a from-import names, "" for the package itself,
+    None for a module outside the package."""
+    if node.level:
+        return node.module or ""
+    head, _, module = (node.module or "").partition(".")
+    return module if head == "kneserlab" else None
+
+
+def _definitions_read_by(paths) -> set[str]:
+    """"module.name" of every module-level name the modules read through
+    its own module: imported by name from it, read as an attribute of a
+    name bound to it, or loaded bare inside it."""
+    stems = {path.stem for path in paths}
+    read = set()
     for path in paths:
         tree = ast.parse(path.read_text())
-        read |= _read(tree)
+        read |= {f"{path.stem}.{name}" for name in _read(tree)}
+        bound = {}  # local name -> the package module it was imported as
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = _package_module(node)
+            for alias in node.names if module is not None else ():
+                if module:
+                    read.add(f"{module}.{alias.name}")
+                elif alias.name in stems:
+                    bound[alias.asname or alias.name] = alias.name
+        read |= {f"{bound[node.value.id]}.{node.attr}"
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id in bound}
     return read
 
 
 def _unread_public(src: Path, readers, traced=()) -> list[str]:
-    read = _names_read_by(readers) | set(traced)
-    return sorted(name for name in _public_definitions(src)
-                  if name.partition(".")[2] not in read)
+    """The public module-level functions and classes that no reader reads
+    through their own module, and that the benchmark does not trace by
+    "module.name".  A method call of the same name, `x.name()`, is no
+    read: the module function is matched by module as well as by name."""
+    read = _definitions_read_by(readers) | set(traced)
+    return sorted(name for name in _public_definitions(src) if name not in read)
 
 
 def _unread_members(src: Path, readers) -> list[str]:
+    """The public class members that no reader loads as an attribute.
+    Members are matched by name only: a receiver's type is not known
+    statically, so `x.size` counts as a read of every member named size."""
     read = _attributes_read_by(readers)
     return sorted(name for name in _public_members(src)
                   if name.rpartition(".")[2] not in read)
@@ -309,7 +340,8 @@ def bench_readers():
         "perfbench_layers", ROOT / "perfbench" / "layers.py")
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
-    traced = [attr for _module, attr, _measure in layers.FUNCTIONS]
+    traced = [f"{module.__name__.rpartition('.')[2]}.{attr}"
+              for module, attr, _measure in layers.FUNCTIONS]
     return _reader_paths(SRC, ROOT / "perfbench"), traced
 
 
@@ -334,6 +366,10 @@ def test_detects_an_unread_public_helper(tmp_path):
         "def traced(): pass\n"
         "def _private(): pass\n"
         "def unread(): pass\n"
+        "def complement(): pass\n"
+        "def imported(): pass\n"
+        "def local(): pass\n"
+        "local()\n"
         "class Unread: pass\n"
         "class Used:\n"
         "    def __len__(self): return 0\n"
@@ -347,14 +383,17 @@ def test_detects_an_unread_public_helper(tmp_path):
     )
     (tmp_path / "b.py").write_text(
         "from . import a\n"
+        "from .a import imported\n"
         "a.used()\n"
         "a.Used.make().called()\n"
+        "a.Used.make().complement()\n"
         "size = 0\n"
     )
     readers = _reader_paths(tmp_path)
     assert [path.name for path in readers] == ["a.py", "b.py"]
-    assert _unread_public(tmp_path, readers, ["traced"]) == [
-        "a.Unread", "a.exported", "a.unread"]
+    # complement is read only as a method of the same name
+    assert _unread_public(tmp_path, readers, ["a.traced"]) == [
+        "a.Unread", "a.complement", "a.exported", "a.unread"]
     assert _unread_members(tmp_path, readers) == [
         "a.Used.size", "a.Used.unread"]
 
