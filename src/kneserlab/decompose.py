@@ -162,9 +162,9 @@ def block_component(n: int, colors: ColorsLike, t: ColorsLike) -> BlockComponent
 
     For |T| = i and |S| = k this is biregular of degrees (n-i, n-k+i);
     for k = n and T empty it degenerates to a single isolated vertex.
-    The piece is cut once per built O_n: the graph's memo keeps it for as
-    long as that O_n lives, so inside a holding_families block a second
-    call returns the same object.
+    The piece is cut from shared_deletion(O_n, S), once per built O_n:
+    the graph's memo keeps it for as long as that O_n lives, so inside a
+    holding_families block a second call returns the same object.
     """
     m = 2 * n - 1
     s = as_color_block(colors, m)
@@ -178,7 +178,7 @@ def block_component(n: int, colors: ColorsLike, t: ColorsLike) -> BlockComponent
         u = classes.get(tb.bits, [])
         w = classes.get((s - tb).bits, [])
         # T = S - T only for S empty: both sides are then the whole graph
-        sub = g.subgraph(u if tb == s - tb else u + w, s)
+        sub = shared_deletion(g, s).subgraph(u if tb == s - tb else u + w)
         g.memo[key] = BlockComponent(sub, degree_profile(sub))
     return g.memo[key]
 

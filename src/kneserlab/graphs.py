@@ -24,8 +24,8 @@ from itertools import chain, combinations, compress, islice, repeat
 from operator import and_, eq, itemgetter, lt, neg, or_, xor
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import NotAdjacentError, ParameterError, UnlabeledGraphError
-from .setcore import Block, ColorsLike, as_color_block, binomial, check_ground, k_masks
+from .errors import NotAdjacentError, ParameterError
+from .setcore import Block, binomial, check_ground, k_masks
 
 
 def gc_paused(fn):
@@ -172,7 +172,7 @@ class LabeledGraph:
     @cached_property
     def vertices(self) -> tuple[Block, ...]:
         """The vertices as Blocks over [ground], in index order."""
-        return tuple(Block._trusted(self.masks, self.ground))
+        return tuple(map(Block, self.masks, repeat(self.ground)))
 
     @cached_property
     def index(self) -> dict[int, int]:
@@ -225,10 +225,6 @@ class LabeledGraph:
     def n_edges(self) -> int:
         return sum(map(len, self.neighbor_table)) // 2
 
-    def degree(self, i: int) -> int:
-        check_vertex_indices((i,), len(self.masks))
-        return len(self.neighbor_table[i])
-
     def neighbors(self, i: int) -> tuple[int, ...]:
         check_vertex_indices((i,), len(self.masks))
         return self.neighbor_table[i]
@@ -269,33 +265,23 @@ class LabeledGraph:
             ) from None
 
     @gc_paused
-    def subgraph(self, vertex_indices: Sequence[int],
-                 colors: ColorsLike = ()) -> "LabeledGraph":
-        """The subgraph induced by the given vertex indices, minus every edge
-        whose label lies in the color set; vertices re-sorted into
-        canonical order (which is index order).
+    def subgraph(self, vertex_indices: Sequence[int]) -> "LabeledGraph":
+        """The subgraph induced by the given vertex indices; vertices
+        re-sorted into canonical order (which is index order).
 
-        The indices must be distinct vertex indices, ints in 0..n-1.  A
-        nonempty color set needs a labeled graph.
+        The indices must be distinct vertex indices, ints in 0..n-1.
         """
         chosen = list(vertex_indices)
         n = len(self.masks)
         if not are_vertex_indices(chosen, n) or len(set(chosen)) < len(chosen):
             raise ParameterError(
                 f"subgraph needs distinct vertex indices in 0..{n - 1}")
-        drop = frozenset(as_color_block(colors, self.ground).elements())
-        if drop and not self.labeled:
-            raise UnlabeledGraphError("color deletion needs a labeled graph")
         chosen.sort()
         keep = dict(zip(chosen, range(len(chosen))))
         rows = list(map(self.neighbor_table.__getitem__, chosen))
-        labels = list(map(self.label_table.__getitem__, chosen))
-        # per row, whether each edge has its other end kept and a kept label
+        labels = map(self.label_table.__getitem__, chosen)
+        # per row, whether each edge has its other end kept
         selectors = list(map(list, map(map, repeat(keep.__contains__), rows)))
-        if drop:
-            kept_label = (frozenset(chain.from_iterable(labels)) - drop).__contains__
-            selectors = list(map(list, map(
-                map, repeat(and_), selectors, map(map, repeat(kept_label), labels))))
         nbrs = map(map, repeat(keep.__getitem__), map(compress, rows, selectors))
         return LabeledGraph(self.ground, tuple(map(self.masks.__getitem__, chosen)),
                             tuple(map(tuple, nbrs)),

@@ -46,6 +46,9 @@ ISOMORPHISM = "isomorphism"
 COVERING = "covering"
 AUTOMORPHISM = "automorphism"
 
+# The most backtracking nodes find_isomorphism visits before it gives up.
+ISO_SEARCH_NODES = 2_000_000
+
 
 @dataclass
 class VertexMap:
@@ -408,7 +411,7 @@ def middle_class_to_middle(n: int, colors, t) -> VertexMap:
         raise ParameterError("regular classes need |S| even and T a half of S")
     g = build(Family.middle_levels(n))
     members = trace_classes(g, s).get(tb.bits, [])
-    class_graph = g.subgraph(members, s)
+    class_graph = shared_deletion(g, s).subgraph(members)
     up = 2 * n + 1
     s_up = Block.from_elements(s.elements() + (2 * n, 2 * n + 1), up)
     # a small block embeds with trace T + {2n}, on the U side of the class
@@ -557,15 +560,14 @@ def find_isomorphism(
     h: LabeledGraph,
     pin: Optional[dict[int, int]] = None,
     max_vertices: int = 24,
-    max_nodes: int = 2_000_000,
 ) -> Optional[VertexMap]:
     """Backtracking isomorphism search for small graphs; a fallback oracle
     for cross-checking explicit constructions, not a general solver.
 
     pin maps source vertex indices to required target indices.  Returns a
-    verified map or None; raises if the graph is too large or the node
-    budget runs out.  A pin that is not a vertex index of its graph raises
-    ParameterError.
+    verified map or None; raises if the graph is too large or the search
+    visits more than ISO_SEARCH_NODES nodes.  A pin that is not a vertex
+    index of its graph raises ParameterError.
     """
     if pin:
         check_vertex_indices(list(pin), g.n_vertices)
@@ -575,14 +577,15 @@ def find_isomorphism(
     n = g.n_vertices
     if n > max_vertices:
         raise ParameterError(f"{n} vertices exceeds the search cap {max_vertices}")
-    gdeg = [g.degree(i) for i in range(n)]
-    hdeg = [h.degree(i) for i in range(n)]
+    gdeg = list(map(len, g.neighbor_table))
+    hdeg = list(map(len, h.neighbor_table))
     if sorted(gdeg) != sorted(hdeg):
         return None
 
-    # visit source vertices in BFS order from the pinned seeds so every new
-    # vertex is constrained by an already-assigned neighbor
-    order: list[int] = list(pin) if pin else [0]
+    # visit source vertices in BFS order from the pinned seeds (vertex 0
+    # when nothing is pinned and there is a vertex) so every new vertex is
+    # constrained by an already-assigned neighbor
+    order: list[int] = list(pin) if pin else [0] if n else []
     seen = set(order)
     head = 0
     while head < len(order):
@@ -605,7 +608,7 @@ def find_isomorphism(
         if pos == n:
             return True
         nodes += 1
-        if nodes > max_nodes:
+        if nodes > ISO_SEARCH_NODES:
             raise ParameterError("isomorphism search budget exhausted")
         i = order[pos]
         anchored = next((x for x in g.neighbors(i) if assign[x] >= 0), None)

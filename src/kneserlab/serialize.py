@@ -381,11 +381,12 @@ def _node_name(v: Block) -> str:
     return "-".join(str(e) for e in v.elements()) if v.bits else "0"
 
 
-def graph_to_dot(g: LabeledGraph, name: Optional[str] = None) -> str:
-    """DOT text; node names join the block elements with hyphens (the empty
-    block is named 0) and labeled edges carry a label attribute."""
-    title = name or (str(g.family).replace("(", "_").replace(")", "").replace(",", "_")
-                     if g.family else "graph")
+def graph_to_dot(g: LabeledGraph) -> str:
+    """DOT text titled after the family (odd_3, kneser_5_2; graph when
+    there is none); node names join the block elements with hyphens (the
+    empty block is named 0) and labeled edges carry a label attribute."""
+    title = (str(g.family).replace("(", "_").replace(")", "").replace(",", "_")
+             if g.family else "graph")
     lines = [f'graph "{title}" {{']
     for v in g.vertices:
         lines.append(f'  "{_node_name(v)}";')

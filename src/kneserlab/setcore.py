@@ -9,10 +9,8 @@ point is used anywhere.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from typing import Iterable, Iterator, Union
 
 from .errors import ParameterError
@@ -47,19 +45,6 @@ class Block:
             raise ParameterError(
                 f"bitmask {self.bits:#x} does not fit ground [{self.m}]"
             )
-
-    @classmethod
-    def _trusted(cls, masks: Iterable[int], m: int) -> list["Block"]:
-        """Blocks over [m] from masks that fit it by construction.
-
-        Skips the per-block __post_init__ check; the caller vouches for m
-        and for every mask.
-        """
-        masks = list(masks)
-        blocks = list(map(object.__new__, repeat(cls, len(masks))))
-        deque(map(_set_bits, blocks, masks), 0)
-        deque(map(_set_m, blocks, repeat(m)), 0)
-        return blocks
 
     @classmethod
     def from_elements(cls, elements: Iterable[int], m: int) -> "Block":
@@ -138,11 +123,6 @@ class Block:
 
     def __repr__(self) -> str:
         return f"Block({str(self)}, m={self.m})"
-
-
-# Slot setters of Block, bypassing the frozen __setattr__ (see _trusted).
-_set_bits = Block.__dict__["bits"].__set__
-_set_m = Block.__dict__["m"].__set__
 
 
 ColorsLike = Union[Block, Iterable[int]]
@@ -227,7 +207,7 @@ def k_masks(m: int, k: int) -> list[int]:
 
 def k_blocks(m: int, k: int) -> list[Block]:
     """All k-subsets of [m] in colexicographic order of bitmask value."""
-    return Block._trusted(k_masks(m, k), m)
+    return [Block(x, m) for x in k_masks(m, k)]
 
 
 def binomial(n: int, k: int) -> int:

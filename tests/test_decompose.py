@@ -33,7 +33,7 @@ from kneserlab.graphs import (
     graph_from_edges,
     holding_families,
 )
-from kneserlab.morphisms import middle_component_census
+from kneserlab.morphisms import middle_class_to_middle, middle_component_census
 from kneserlab.setcore import Block, binomial
 
 b = Block.from_elements
@@ -101,8 +101,8 @@ class TestDeleteColors:
 
 
 class TestDeletedSubgraph:
-    """LabeledGraph.subgraph with a color set cuts the rows of the kept
-    vertices and the deleted colors in one pass."""
+    """A class piece is cut from the color-deleted graph: deleting then
+    cutting gives what cutting then deleting gives."""
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_matches_two_step_cut_for_every_class(self, n):
@@ -116,24 +116,23 @@ class TestDeletedSubgraph:
                     members = classes.get(t.bits, [])
                     if t != s - t:  # S empty: T = S - T, one class listed once
                         members = members + classes.get((s - t).bits, [])
-                    assert g.subgraph(members, s) == delete_colors(
+                    assert block_component(n, s, t).graph == delete_colors(
                         g.subgraph(members), s)
 
     def test_middle_class_matches_two_step_cut(self, middle4):
-        s = b([5, 6, 7], 7)
-        for members in trace_classes(middle4, s).values():
-            assert middle4.subgraph(members, s) == delete_colors(
-                middle4.subgraph(members), s)
-
-    def test_unlabeled_rejected(self):
-        with pytest.raises(UnlabeledGraphError):
-            build(Family.kneser(5, 2)).subgraph([0, 1], [1])
+        for k in (2, 4):
+            s = canonical_colors(4, k)
+            classes = trace_classes(middle4, s)
+            for combo in combinations(s.elements(), k // 2):
+                t = b(combo, 7)
+                assert middle_class_to_middle(4, s, t).source == delete_colors(
+                    middle4.subgraph(classes[t.bits]), s)
 
     def test_color_outside_ground_rejected(self, odd3):
         with pytest.raises(ParameterError):
-            odd3.subgraph([0, 1], [6])
+            delete_colors(odd3, [6])
         with pytest.raises(ParameterError):
-            odd3.subgraph([0, 1], b([1], 7))
+            delete_colors(odd3, b([1], 7))
 
     @pytest.mark.parametrize("indices", [[0, 0, 5], [-1, 2], [0, 99], [0, True],
                                          [0, 1.0], [0, "1"]])
@@ -142,8 +141,6 @@ class TestDeletedSubgraph:
         # list lookup would read -1 as the last vertex
         with pytest.raises(ParameterError, match="distinct vertex indices"):
             odd3.subgraph(indices)
-        with pytest.raises(ParameterError, match="distinct vertex indices"):
-            odd3.subgraph(indices, [4])
 
 
 class TestGraphMemo:

@@ -8,12 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kneserlab import graphs, hamilton
-from kneserlab.decompose import ISOLATED, component_signature
-from kneserlab.errors import (
-    NotAdjacentError,
-    ParameterError,
-    UnlabeledGraphError,
-)
+from kneserlab.decompose import ISOLATED, component_signature, delete_colors
+from kneserlab.errors import NotAdjacentError, ParameterError
 from kneserlab.graphs import (
     Family,
     PathSeq,
@@ -441,8 +437,6 @@ class TestComponents:
         assert not g.connected
 
     def test_two_component_example(self, odd3):
-        from kneserlab.decompose import delete_colors
-
         comps = delete_colors(odd3, [4, 5]).component_sets
         assert sorted(map(len, comps)) == [4, 6]
         # ordered by smallest contained vertex
@@ -451,8 +445,6 @@ class TestComponents:
 
     def test_connected_is_cached(self, odd3):
         # connected reads the cached partition, which has no search of its own
-        from kneserlab.decompose import delete_colors
-
         assert odd3.connected
         assert "component_sets" in vars(odd3)
         assert odd3.component_sets == (tuple(range(10)),)
@@ -502,6 +494,14 @@ def cuts(draw, g):
     return chosen, colors
 
 
+def color_cut(g, chosen, colors):
+    """The subgraph of g on the chosen vertex indices, minus the edges
+    whose label lies in colors when g is labeled."""
+    if g.labeled:
+        g = delete_colors(g, colors)
+    return g.subgraph(chosen)
+
+
 class TestCutAndPartition:
     """LabeledGraph.subgraph against a rebuild from the edge list, and
     component_sets against a BFS of every component, on labeled and
@@ -513,10 +513,6 @@ class TestCutAndPartition:
     def test_cut_matches_edge_filter(self, name, data):
         g = build(CUT_GRAPHS[name])
         chosen, colors = data.draw(cuts(g))
-        if colors and not g.labeled:
-            with pytest.raises(UnlabeledGraphError):
-                g.subgraph(chosen, colors)
-            colors = set()
         order = sorted(chosen)
         new = {i: x for x, i in enumerate(order)}
         want = graph_from_edges(
@@ -524,7 +520,7 @@ class TestCutAndPartition:
             [(new[i], new[j], lab) for i, j, lab in g.edges()
              if i in new and j in new and lab not in colors],
             labeled=g.labeled)
-        assert g.subgraph(chosen, colors) == want
+        assert color_cut(g, chosen, colors) == want
 
     @pytest.mark.parametrize("name", list(CUT_GRAPHS))
     @given(data=st.data())
@@ -532,7 +528,7 @@ class TestCutAndPartition:
     def test_components_partition_the_cut(self, name, data):
         g = build(CUT_GRAPHS[name])
         chosen, colors = data.draw(cuts(g))
-        sub = g.subgraph(chosen, colors if g.labeled else ())
+        sub = color_cut(g, chosen, colors)
         comps = sub.component_sets
         members = sorted(i for comp in comps for i in comp)
         assert members == list(range(sub.n_vertices))
@@ -560,7 +556,7 @@ def masks_graphs():
             + [Family.kneser(7, 3), Family.bipartite_kneser(5, 2)])
     out = [build(f) for f in fams]
     odd5 = build(Family.odd(5))
-    out.append(odd5.subgraph(range(0, odd5.n_vertices, 2), {1}))
+    out.append(delete_colors(odd5, {1}).subgraph(range(0, odd5.n_vertices, 2)))
     out.append(graph_from_json(graph_to_json(odd5)))
     return out
 
@@ -655,8 +651,7 @@ class TestIndexRange:
                 odd3.has_edge(i, k)
             with pytest.raises(ParameterError):
                 odd3.label_between(i, k)
-        for read in (odd3.degree, odd3.neighbors,
-                     lambda i: bfs_distances(odd3, i)):
+        for read in (odd3.neighbors, lambda i: bfs_distances(odd3, i)):
             with pytest.raises(ParameterError, match="outside 0..9"):
                 read(bad)
         for closed in (False, True):
@@ -675,7 +670,7 @@ class TestIndexRange:
             for read in (g.has_edge, g.label_between):
                 with pytest.raises(ParameterError, match="not an int"):
                     read(i, k)
-        for read in (g.degree, g.neighbors, lambda i: bfs_distances(g, i)):
+        for read in (g.neighbors, lambda i: bfs_distances(g, i)):
             with pytest.raises(ParameterError, match="not an int"):
                 read(bad)
 

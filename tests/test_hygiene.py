@@ -19,6 +19,11 @@ __init__.py only re-exports, so its imports and __all__ are no reader;
 perfbench/layers.py's trace list is, because the benchmark patches those
 functions by module and name.
 
+Every defaulted parameter of a public function or public method in src/
+is passed, by keyword or by position, by some call in src/ or
+perfbench/, matched by name as members are, or is listed with the
+reason it stays: a default that no caller changes is a constant.
+
 A failing Hypothesis test under the repository's pytest settings prints
 its falsifying example and lets the run go on.
 
@@ -29,10 +34,12 @@ cannot collide on one key.
 
 import ast
 import importlib.util
+import math
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import pytest
 
@@ -396,6 +403,128 @@ def test_detects_an_unread_public_helper(tmp_path):
         "a.Unread", "a.complement", "a.exported", "a.unread"]
     assert _unread_members(tmp_path, readers) == [
         "a.Used.size", "a.Used.unread"]
+
+
+# ------------------------------------------------------ defaulted parameters
+
+# defaulted parameters that no call in src/ or perfbench/ passes, and why
+# each stays
+UNSET_DEFAULTS = {
+    "graphs.graph_from_edges.family":
+        "tests build family-tagged graphs by hand",
+    "graphs.graph_from_edges.labeled":
+        "tests build labeled graphs by hand",
+    "morphisms.find_isomorphism.pin":
+        "the Coxeter transitivity spot check pins the image of vertex 0",
+    "morphisms.find_isomorphism.max_vertices":
+        "the Coxeter transitivity spot check searches past the default cap",
+}
+
+FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _public_functions(src: Path) -> Iterator[tuple[str, ast.FunctionDef, int]]:
+    """(qualified name, definition, shift) of every public module-level
+    function and every public method of a public class.  A call's first
+    positional argument fills parameter `shift`: 1 for a method's self or
+    cls, 0 for a function or a staticmethod."""
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, FUNCTION_DEFS):
+                yield f"{path.stem}.{node.name}", node, 0
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, FUNCTION_DEFS)
+                            and not item.name.startswith("_")):
+                        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                     for d in item.decorator_list)
+                        yield (f"{path.stem}.{node.name}.{item.name}", item,
+                               int(not static))
+
+
+def _defaulted_parameters(src: Path) -> list[tuple[str, str, str, Optional[int]]]:
+    """(qualified name, function name, parameter, position) of every
+    defaulted parameter of the public functions and methods; position is
+    the parameter's place among a call's positional arguments, None for a
+    keyword-only one."""
+    out = []
+    for qualname, func, shift in _public_functions(src):
+        args = func.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        out += [(f"{qualname}.{arg.arg}", func.name, arg.arg, pos - shift)
+                for pos, arg in enumerate(positional) if pos >= first]
+        out += [(f"{qualname}.{arg.arg}", func.name, arg.arg, None)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None]
+    return out
+
+
+def _arguments_passed(paths) -> tuple[dict[str, set], dict[str, float]]:
+    """What the calls in the modules pass, by called name (`f(...)` and
+    `x.f(...)` alike): the keywords, with None for a `**mapping`, and the
+    most positional arguments of one call, infinite past a `*sequence`."""
+    keywords: defaultdict[str, set] = defaultdict(set)
+    widest: defaultdict[str, float] = defaultdict(int)
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            keywords[name] |= {kw.arg for kw in node.keywords}
+            widest[name] = max(widest[name], math.inf if starred else len(node.args))
+    return keywords, widest
+
+
+def _unset_defaults(src: Path, readers) -> list[str]:
+    """The defaulted parameters that no call in the readers passes, by
+    keyword or by position.  Functions are matched by name only, as
+    members are: `x.f(...)` counts as a call of every function and method
+    named f."""
+    keywords, widest = _arguments_passed(readers)
+    return sorted(
+        qualname for qualname, func, param, pos in _defaulted_parameters(src)
+        if not (param in keywords[func] or None in keywords[func]
+                or pos is not None and pos < widest[func]))
+
+
+def test_every_defaulted_parameter_has_a_setter(bench_readers):
+    readers, _traced = bench_readers
+    assert _unset_defaults(SRC, readers) == sorted(UNSET_DEFAULTS)
+
+
+def test_detects_an_unset_default(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(x, y=1, z=2, *, w=3, v=4): pass\n"
+        "def spread(x=1): pass\n"
+        "def mapped(x=1): pass\n"
+        "def _private(x=1): pass\n"
+        "class C:\n"
+        "    def m(self, a=1, b=2): pass\n"
+        "    @staticmethod\n"
+        "    def s(a=1, b=2): pass\n"
+        "    @classmethod\n"
+        "    def c(cls, a=1): pass\n"
+        "    def _own(self, a=1): pass\n"
+        "class _Hidden:\n"
+        "    def m(self, a=1): pass\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from . import a\n"
+        "a.f(0, 5, w=1)\n"
+        "a.C().m(9)\n"
+        "a.C.s(1)\n"
+        "a.C.c(a=2)\n"
+        "a.spread(*[1])\n"
+        "a.mapped(**{})\n"
+    )
+    readers = _reader_paths(tmp_path)
+    # m's b is unset: the receiver fills self, so 9 is a
+    assert _unset_defaults(tmp_path, readers) == [
+        "a.C.m.b", "a.C.s.b", "a.f.v", "a.f.z"]
 
 
 # -------------------------------------------------------------- graph memo

@@ -730,6 +730,12 @@ class TestFindIsomorphism:
         with pytest.raises(ParameterError):
             find_isomorphism(odd4, odd4)
 
+    def test_empty_graphs_map_onto_each_other(self):
+        empty = graph_from_edges(3, [], [])
+        iso = find_isomorphism(empty, empty)
+        assert iso is not None and iso.verified and iso.images == ()
+        assert is_isomorphism(empty, empty, ())
+
 
 @pytest.mark.parametrize("bad", [True, 1.0, "2", -1, 99],
                          ids=["bool", "float", "str", "minus-one", "large"])

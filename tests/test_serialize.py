@@ -494,20 +494,16 @@ class TestExportMemory:
 class TestNoBlockMade:
     def test_build_delete_export_import(self, monkeypatch):
         # the construct path reads masks and row tables only: no Block is
-        # made, neither checked nor trusted
+        # made; the vertices view, read afterwards, checks each Block it
+        # makes
         made = []
-        trusted, checked = Block._trusted.__func__, Block.__post_init__
+        checked = Block.__post_init__
         s = Block.from_elements([2, 5], 9)
 
-        def count_trusted(cls, masks, m):
-            made.append("trusted")
-            return trusted(cls, masks, m)
-
         def count_checked(self):
-            made.append("checked")
+            made.append(self)
             checked(self)
 
-        monkeypatch.setattr(Block, "_trusted", classmethod(count_trusted))
         monkeypatch.setattr(Block, "__post_init__", count_checked)
         g = build(Family.middle_levels(5))
         d = delete_colors(g, s)
@@ -515,7 +511,7 @@ class TestNoBlockMade:
         assert graph_to_json(back) == graph_to_json(g)
         assert made == []
         assert "vertices" not in vars(d) and "vertices" not in vars(back)
-        assert len(d.vertices) == 252 and made == ["trusted"]
+        assert len(d.vertices) == 252 and made == list(d.vertices)
 
 
 def sha16(text):

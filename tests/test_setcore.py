@@ -73,13 +73,6 @@ class TestBlock:
         assert repr(b) == "Block({2,6}, m=7)"
         assert Block(0, 7).elements() == () and Block((1 << 63) - 1, 63).elements()[-1] == 63
 
-    def test_trusted_blocks_equal_checked_ones(self):
-        masks = [0, 1, 6, 40, 127]
-        trusted = Block._trusted(masks, 7)
-        assert trusted == [Block(x, 7) for x in masks]
-        assert [hash(t) for t in trusted] == [hash(Block(x, 7)) for x in masks]
-        assert k_blocks(7, 3)[0] == Block(7, 7)
-
     def test_complement_examples(self):
         assert Block.from_elements([1, 2], 5).complement().elements() == (3, 4, 5)
         assert Block.empty(3).complement().elements() == (1, 2, 3)
