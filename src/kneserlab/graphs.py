@@ -21,11 +21,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, reduce, wraps
 from itertools import chain, combinations, compress, islice, repeat
-from operator import and_, eq, itemgetter, lt, neg, or_, xor
+from operator import eq, itemgetter, lt, or_, xor
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import NotAdjacentError, ParameterError
-from .setcore import Block, binomial, check_ground, k_masks
+from .setcore import MAX_GROUND, Block, binomial, check_ground, k_masks
 
 
 def gc_paused(fn):
@@ -458,23 +458,26 @@ def build(family: Family) -> LabeledGraph:
     return g
 
 
+# the bit of each ground element: _BIT[e] == 1 << (e - 1), one shared int
+# each (a dict reads faster through map than a tuple or list)
+_BIT = {e: 1 << (e - 1) for e in range(1, MAX_GROUND + 1)}
+
+
 def _subset_columns(
-    sources: list[int], w: int, size: int, descending: bool
+    sources: list[int], elements: list[tuple[int, ...]], size: int, descending: bool
 ) -> Iterator[list[int]]:
     """Columns of subsets picked out of each source mask.
 
-    Every source has w set bits.  For each size-subset P of the bit
+    elements[x] lists the w elements of sources[x], highest first, as
+    itertools.combinations yields them.  For each size-subset P of the
     positions 0..w-1 (counted from the low end), in colex order or its
-    reverse, yield the list whose x-th mask holds the bits of sources[x]
-    at positions P.  Within one source the yielded masks therefore ascend
-    (or descend).  Each column costs a few C-level passes over the sources.
+    reverse, yield the list whose x-th mask holds the elements of
+    sources[x] at positions P.  Within one source the yielded masks
+    therefore ascend (or descend).  One column of _BIT entries is made per
+    position, and a pattern of several positions ORs those columns.
     """
-    low = []  # low[p][x]: the p-th lowest set bit of sources[x]
-    rest = sources
-    for _ in range(w):
-        bit = list(map(and_, rest, map(neg, rest)))
-        low.append(bit)
-        rest = list(map(xor, rest, bit))
+    w = len(elements[0])
+    low = [list(map(_BIT.__getitem__, col)) for col in zip(*elements)][::-1]
     patterns = sorted(
         combinations(range(w), size),
         key=lambda ps: sum(1 << p for p in ps),
@@ -492,31 +495,17 @@ def _subset_columns(
 def _rows(
     bases: list[int],
     sources: list[int],
-    w: int,
+    elements: list[tuple[int, ...]],
     size: int,
     descending: bool,
     index: dict[int, int],
-    labeled: bool,
-) -> tuple[list[tuple[int, ...]], list[tuple[Optional[int], ...]]]:
-    """Neighbour rows and parallel label rows of vertices whose neighbours
-    are bases[x] ^ D for the size-subsets D of sources[x], listed so that
-    the neighbours ascend.
-
-    When labeled, every D is a single element and labels its edge (the
-    element outside u | v of an odd graph, the element of u ^ v of a
-    middle levels graph); otherwise every label is None.
-    """
-    nbr_columns, label_columns = [], []
-    for picked in _subset_columns(sources, w, size, descending):
-        nbr_columns.append(list(map(index.__getitem__, map(xor, bases, picked))))
-        if labeled:
-            label_columns.append(list(map(int.bit_length, picked)))
-    if not nbr_columns:
-        return [()] * len(bases), [()] * len(bases)
-    nbrs = list(zip(*nbr_columns))
-    if labeled:
-        return nbrs, list(zip(*label_columns))
-    return nbrs, [(None,) * len(nbr_columns)] * len(bases)
+) -> list[tuple[int, ...]]:
+    """Neighbour rows of vertices whose neighbours are bases[x] ^ D for the
+    size-subsets D of sources[x], listed so that the neighbours ascend;
+    elements[x] lists the elements of sources[x], highest first."""
+    columns = _subset_columns(sources, elements, size, descending)
+    return list(zip(*[list(map(index.__getitem__, map(xor, bases, picked)))
+                      for picked in columns]))
 
 
 def _build_kneser(family: Family) -> LabeledGraph:
@@ -527,11 +516,17 @@ def _build_kneser(family: Family) -> LabeledGraph:
     if k == 0 or 2 * k > m:  # no disjoint pairs (odd(1): no self-loop)
         nbrs = labels = [()] * len(masks)
     else:
-        # the neighbours of u are u's complement minus (m - 2k) of its bits;
-        # the larger the removed part, the smaller the neighbour
+        # the neighbours of u are u's complement minus (m - 2k) of its
+        # elements; the larger the removed part, the smaller the neighbour.
+        # combinations lists the complements in vertex order (reverse
+        # colex), each highest element first: for an odd graph that is the
+        # label row, the removed element of each neighbour in turn
+        comp_elements = list(combinations(range(m, 0, -1), m - k))
         index = dict(zip(masks, range(len(masks))))
         comps = list(map(xor, masks, repeat((1 << m) - 1)))
-        nbrs, labels = _rows(comps, comps, m - k, m - 2 * k, True, index, label_edges)
+        nbrs = _rows(comps, comps, comp_elements, m - 2 * k, True, index)
+        labels = (comp_elements if label_edges
+                  else [(None,) * len(nbrs[0])] * len(masks))
     return LabeledGraph(m, tuple(masks), tuple(nbrs), tuple(labels),
                         family=family, labeled=label_edges)
 
@@ -544,21 +539,27 @@ def _build_bipartite_kneser(family: Family) -> LabeledGraph:
         masks = k_masks(m, sizes[0])
         nbrs = labels = [()] * len(masks)
     else:
-        lo, hi = sizes
+        lo, hi = sizes  # lo + hi = m: the highs are the lows' complements
         lows, highs = k_masks(m, lo), k_masks(m, hi)
         both = lows + highs
         order = sorted(range(len(both)), key=both.__getitem__)
         masks = list(map(both.__getitem__, order))
         index = dict(zip(masks, range(len(masks))))
-        comps = list(map(xor, lows, repeat((1 << m) - 1)))
-        # a low block gains hi - lo bits of its complement, a high block
-        # loses hi - lo of its own
-        low_nbrs, low_labels = _rows(
-            lows, comps, m - lo, hi - lo, False, index, label_edges)
-        high_nbrs, high_labels = _rows(
-            highs, highs, hi, hi - lo, True, index, label_edges)
+        # the high blocks in reverse colex order, highest element first:
+        # the lows' complements in the lows' order
+        comp_elements = list(combinations(range(m, 0, -1), hi))
+        # a low block gains hi - lo elements of its complement, a high
+        # block loses hi - lo of its own
+        low_nbrs = _rows(lows, highs[::-1], comp_elements, hi - lo, False, index)
+        high_nbrs = _rows(highs, highs, comp_elements[::-1], hi - lo, True, index)
         nbrs = list(map((low_nbrs + high_nbrs).__getitem__, order))
-        labels = list(map((low_labels + high_labels).__getitem__, order))
+        if label_edges:
+            # a low block gains its complement's elements lowest first, a
+            # high block loses its own highest first
+            sides = [elems[::-1] for elems in comp_elements] + comp_elements[::-1]
+            labels = list(map(sides.__getitem__, order))
+        else:
+            labels = [(None,) * len(nbrs[0])] * len(masks)
     return LabeledGraph(m, tuple(masks), tuple(nbrs), tuple(labels),
                         family=family, labeled=label_edges)
 

@@ -47,7 +47,7 @@ from .graphs import (
 )
 from .setcore import Block, binomial, check_ground, k_masks
 
-_CHUNK = 8  # bits per lookup when writing a vertex's elements
+_CHUNK = 10  # bits per lookup when writing a vertex's elements
 _BLOCK_ROWS = 4096  # rows of the edge list written per text block
 # vertices or edge rows generated per compared block on import: at 4096 the
 # first edge block of odd(8) holds most of its edges, and the import's
@@ -93,10 +93,11 @@ def graph_to_json(g: LabeledGraph) -> str:
 @lru_cache(maxsize=None)
 def _chunk_texts(m: int) -> tuple[list[str], ...]:
     """For each _CHUNK-bit slice of a mask over [m], the text "e, f, " of
-    the elements that every value of the slice holds."""
+    the elements that every value of the slice holds; the last slice holds
+    only the values below 2 ** (m - base)."""
     return tuple(
         ["".join(f"{base + p + 1}, " for p in range(_CHUNK) if x >> p & 1)
-         for x in range(1 << _CHUNK)]
+         for x in range(1 << min(_CHUNK, m - base))]
         for base in range(0, m, _CHUNK)
     )
 
@@ -130,7 +131,7 @@ def _edge_blocks(g: LabeledGraph, rows: int) -> Iterator[str]:
     """The text of the edge list in pieces, one per block of rows made as
     it is asked for, so that no list of pieces per edge is made for the
     whole graph."""
-    names = list(map(str, range(g.n_vertices)))
+    names = [f"{i}, " for i in range(g.n_vertices)]
     blocks = filter(None, (_edge_block(g, names, start, start + rows)
                            for start in range(0, g.n_vertices, rows)))
     last = next(blocks, None)
@@ -146,29 +147,29 @@ def _edge_blocks(g: LabeledGraph, rows: int) -> Iterator[str]:
 
 def _edge_block(g: LabeledGraph, names: list[str], start: int, stop: int) -> str:
     """The edges of rows start, ..., stop - 1 that go up to a higher index,
-    each as "u, v, label], [", in (u, v) order."""
+    each as "u, v, label], [", in (u, v) order; names[i] is "i, "."""
     rows, label_rows = g.neighbor_table[start:stop], g.label_table[start:stop]
     # rows ascend, so the neighbours above vertex i are the tail of its row
     cuts = list(map(bisect_right, rows, range(start, stop)))
     tails = list(map(slice, cuts, repeat(None)))
     above = list(chain.from_iterable(map(getitem, rows, tails)))
-    # each edge is the six pieces  u ", " v ", " label "], ["
-    pieces = [", "] * (6 * len(above))
-    pieces[0::6] = chain.from_iterable(
+    # each edge is the three pieces  "u, "  "v, "  "label], ["
+    pieces: list[str] = [""] * (3 * len(above))
+    pieces[0::3] = chain.from_iterable(
         map(repeat, names[start:stop], map(sub, map(len, rows), cuts)))
-    pieces[2::6] = map(names.__getitem__, above)
-    pieces[4::6] = _json_texts(list(chain.from_iterable(
+    pieces[1::3] = map(names.__getitem__, above)
+    pieces[2::3] = _label_texts(list(chain.from_iterable(
         map(getitem, label_rows, tails))))
-    pieces[5::6] = repeat("], [", len(above))
     return "".join(pieces)
 
 
-def _json_texts(values: list) -> list[str]:
-    """json.dumps of each value; ints and None go through a table."""
+def _label_texts(values: list) -> list[str]:
+    """json.dumps of each value followed by "], ["; ints and None go
+    through a table."""
     if set(map(type, values)) <= {int, type(None)}:
-        table = {v: json.dumps(v) for v in set(values)}
+        table = {v: f"{json.dumps(v)}], [" for v in set(values)}
         return list(map(table.__getitem__, values))
-    return list(map(json.dumps, values))
+    return [f"{json.dumps(v)}], [" for v in values]
 
 
 def _document_columns(data: dict) -> tuple:
@@ -387,14 +388,13 @@ def graph_to_dot(g: LabeledGraph) -> str:
     empty block is named 0) and labeled edges carry a label attribute."""
     title = (str(g.family).replace("(", "_").replace(")", "").replace(",", "_")
              if g.family else "graph")
+    names = list(map(_node_name, g.vertices))
     lines = [f'graph "{title}" {{']
-    for v in g.vertices:
-        lines.append(f'  "{_node_name(v)}";')
+    for name in names:
+        lines.append(f'  "{name}";')
     for u, v, lab in g.edges():
         attr = f" [label={lab}]" if lab is not None else ""
-        lines.append(
-            f'  "{_node_name(g.vertices[u])}" -- "{_node_name(g.vertices[v])}"{attr};'
-        )
+        lines.append(f'  "{names[u]}" -- "{names[v]}"{attr};')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

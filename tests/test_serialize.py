@@ -1,7 +1,9 @@
 """JSON, DOT and CSV serialization; round-trip fidelity."""
 
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import re
 import tracemalloc
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kneserlab import serialize, setcore
+from kneserlab import cli, serialize, setcore
 from kneserlab.decompose import delete_colors
 from kneserlab.errors import ParameterError
 from kneserlab.graphs import Family, build, graph_from_edges
@@ -441,6 +443,61 @@ class TestExportReader:
         assert self._same(text) == g
 
 
+FUZZ_EXPORTS = [graph_to_json(build(fam)) for fam in (
+    Family.odd(3), Family.odd(4), Family.odd(5), Family.middle_levels(2),
+    Family.middle_levels(3), Family.middle_levels(4), Family.kneser(6, 2),
+    Family.bipartite_kneser(5, 2))]
+EDGES_OPEN, EDGES_CLOSE = '"edges": [[', "]]}\n"
+# mostly the characters an export is made of, so that edits often keep it
+# close to valid JSON
+FUZZ_CHARS = st.one_of(st.sampled_from('0123456789[], "{}:-.e\n'),
+                       st.characters(blacklist_categories=("Cs",)))
+
+
+@st.composite
+def edited_exports(draw):
+    """A family's export with one character deleted, inserted or replaced,
+    two edge rows swapped, its tail cut off, or junk appended."""
+    text = draw(st.sampled_from(FUZZ_EXPORTS))
+    edit = draw(st.sampled_from(
+        ["delete", "insert", "replace", "swap", "truncate", "append"]))
+    at = draw(st.integers(0, len(text) - 1))
+    if edit == "delete":
+        return text[:at] + text[at + 1:]
+    if edit == "insert":
+        return text[:at] + draw(FUZZ_CHARS) + text[at:]
+    if edit == "replace":
+        return text[:at] + draw(FUZZ_CHARS) + text[at + 1:]
+    if edit == "truncate":
+        return text[:at]
+    if edit == "append":
+        return text + draw(st.text(FUZZ_CHARS, min_size=1, max_size=8))
+    head, rows = text.split(EDGES_OPEN)
+    rows = rows.removesuffix(EDGES_CLOSE).split("], [")
+    i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+    rows[i], rows[j] = rows[j], rows[i]
+    return head + EDGES_OPEN + "], [".join(rows) + EDGES_CLOSE
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("json-fuzz") / "graph.json"
+
+
+class TestExportTextFuzz:
+    @given(text=edited_exports())
+    @settings(max_examples=100, deadline=None)
+    def test_edited_export(self, fuzz_path, text):
+        # the export reader gives the whole-document reader's outcome, and
+        # the command line refuses what both refuse without raising
+        TestExportReader._same(text)
+        fuzz_path.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["export", str(fuzz_path), "--format", "json"])
+        assert code in (0, 2)
+
+
 def import_peak_share(text):
     """The traced peak of graph_from_json(text) over that of json.loads of
     the same text, and the graph it returns."""
@@ -478,8 +535,10 @@ class TestImportMemory:
 
 class TestExportMemory:
     def test_peak_stays_near_the_text(self):
-        # the edge text is written in blocks of rows and every piece is
-        # joined once; one list of six pieces per edge read 5.17
+        # the edge text is written in blocks of rows, three pieces per
+        # edge, and every piece is joined once: this reads 2.10, six
+        # pieces per edge read 2.34, and one list of six pieces per edge
+        # for the whole graph 5.17
         g = build(Family.odd(9))
         tracemalloc.start()
         try:
@@ -488,7 +547,7 @@ class TestExportMemory:
         finally:
             tracemalloc.stop()
         assert len(text) == 2753647
-        assert peak < 4 * len(text)
+        assert peak < 2.3 * len(text)
 
 
 class TestNoBlockMade:
@@ -527,10 +586,26 @@ class TestPinnedExport:
         (Family.middle_levels(5), 12880, "df9b58959f45fbe0"),
         (Family.kneser(7, 3), 1542, "b75d7d4dccf4809c"),
         (Family.bipartite_kneser(7, 2), 3864, "066149988745df1a"),
+        # several edge and compare blocks
+        (Family.odd(8), 605091, "7f0e2ecd692154c9"),
+        (Family.middle_levels(7), 280857, "cc13bb3f7748dbaa"),
+        # neighbours that differ in several elements, picked by complement
+        (Family.kneser(10, 3), 35385, "18ca1ec2fdf7c3e7"),
+        (Family.bipartite_kneser(9, 3), 30723, "3b3ecf4d79f3e161"),
     ], ids=str)
     def test_json(self, fam, length, digest):
         text = graph_to_json(build(fam))
         assert (len(text), sha16(text)) == (length, digest)
+
+    def test_vertex_text_across_slice_boundaries(self):
+        # elements on each side of every 10-bit slice of a mask over [63]
+        sides = [e for edge in range(10, 63, 10) for e in (edge, edge + 1)]
+        lists = [[e] for e in (1, *sides, 63)] + [sides, list(range(1, 64))]
+        g = graph_from_edges(63, [Block.from_elements(x, 63) for x in lists], [])
+        lists.sort(key=lambda x: sum(1 << (e - 1) for e in x))
+        assert graph_to_json(g) == (
+            '{"family": null, "params": [], "ground": 63, "vertices": '
+            + json.dumps(lists) + ', "edges": []}\n')
 
     def test_dot_and_edge_csv(self, odd4):
         dot, csv = graph_to_dot(odd4), graph_to_edge_csv(odd4)
@@ -635,6 +710,18 @@ class TestDot:
         g = build(Family.kneser(4, 1))
         text = graph_to_dot(g)
         assert "label=" not in text
+
+    def test_each_vertex_named_once(self, odd4, monkeypatch):
+        named = []
+        node_name = serialize._node_name
+
+        def counted(v):
+            named.append(v)
+            return node_name(v)
+
+        monkeypatch.setattr(serialize, "_node_name", counted)
+        graph_to_dot(odd4)
+        assert named == list(odd4.vertices)
 
     def test_empty_block_named_zero(self):
         g = build(Family.middle_levels(1))
