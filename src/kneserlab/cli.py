@@ -309,7 +309,7 @@ def _suite_isomorphisms(report: RunReport, max_n: int):
             by_signature.setdefault((n - i, n - k + i), []).append((n, k, subs[0]))
             if len(subs) < 2 or subs[0] == s - subs[1]:
                 continue
-            vmap = mor.biregular_internal_iso(n, k, subs[0], subs[1])
+            vmap = mor.biregular_cross_iso(n, k, subs[0], n, k, subs[1])
             report.add(
                 f"internal-iso-odd({n})-{k}-size{i}",
                 "component isomorphism (same parameters)",

@@ -162,9 +162,11 @@ def block_component(n: int, colors: ColorsLike, t: ColorsLike) -> BlockComponent
 
     For |T| = i and |S| = k this is biregular of degrees (n-i, n-k+i);
     for k = n and T empty it degenerates to a single isolated vertex.
-    The piece is cut from shared_deletion(O_n, S), once per built O_n:
-    the graph's memo keeps it for as long as that O_n lives, so inside a
-    holding_families block a second call returns the same object.
+    The piece is cut from shared_deletion(O_n, S), once per class and
+    built O_n, whichever half T or S - T names it: the graph's memo keeps
+    it under the smaller half's mask for as long as that O_n lives, so
+    inside a holding_families block a second call for either half
+    returns the same object.
     """
     m = 2 * n - 1
     s = as_color_block(colors, m)
@@ -172,7 +174,7 @@ def block_component(n: int, colors: ColorsLike, t: ColorsLike) -> BlockComponent
     if not tb <= s:
         raise ParameterError(f"T={tb} is not a subset of S={s}")
     g = build(Family.odd(n))
-    key = ("piece", s.bits, tb.bits)
+    key = ("piece", s.bits, min(tb.bits, (s - tb).bits))
     if key not in g.memo:
         classes = trace_classes(g, s)
         u = classes.get(tb.bits, [])

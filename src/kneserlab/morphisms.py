@@ -2,12 +2,13 @@
 
 Every map built here comes from a closed formula (complementation, color
 swaps, block moves between deleted-color components, the double-cover
-projection) and is stored as an index array; verification is a separate
-code path that checks the claimed property against the neighbour rows of
-both graphs.  The middle-levels census checks every regular component
-of a color deletion through these maps.  A small backtracking
-isomorphism search exists solely as a cross-validation oracle for graphs
-of a couple dozen vertices.
+projection) and is stored as an index array.  One block move serves every
+pair of same-signature components, within one color deletion or across
+two.  Verification is a separate code path that checks the claimed
+property against the neighbour rows of both graphs.  The middle-levels
+census checks every regular component of a color deletion through these
+maps.  A small backtracking isomorphism search exists solely as a
+cross-validation oracle for graphs of a couple dozen vertices.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .graphs import (
     build,
     check_vertex_indices,
     graph_from_edges,
+    holding_families,
 )
 from .setcore import Block, Perm, binomial
 
@@ -253,31 +255,9 @@ def color_swap_iso(n: int, colors_from, colors_to) -> VertexMap:
     )
 
 
-def biregular_internal_iso(n: int, k: int, t1, t2) -> VertexMap:
-    """Isomorphism between two same-size block components of the odd graph
-    minus the canonical k colors: the ground permutation fixes everything
-    outside the deleted set and trades T1 for T2 inside it."""
-    m = 2 * n - 1
-    s = canonical_colors(n, k)
-    tb1 = as_color_block(t1, m)
-    tb2 = as_color_block(t2, m)
-    if not (tb1 <= s and tb2 <= s):
-        raise ParameterError("T1, T2 must lie inside the canonical color set")
-    if tb1.card != tb2.card:
-        raise ParameterError("|T1| != |T2|")
-    if tb1 == s - tb2 and tb1 != tb2:
-        raise ParameterError("T1 = S - T2 names the same component")
-    g = build(Family.odd(n))  # held, so both components are cut from one build
-    return _formula_map(
-        block_component(n, s, tb1).graph, block_component(n, s, tb2).graph,
-        swap_perm(tb1, tb2).apply_mask,
-        ISOMORPHISM, f"internal {tb1}->{tb2} in odd({n}) minus {k}",
-    )
-
-
 def _cross(bits: int, s1_bits: int, gain_bits: int) -> int:
-    """Vertex formula of the cross-parameter block move: keep the elements
-    outside S1 and gain T2 (U side) or S2 - T2 (W side)."""
+    """Vertex formula of the block move: keep the elements outside S1 and
+    gain T2 (U side) or S2 - T2 (W side)."""
     return (bits & ~s1_bits) | gain_bits
 
 
@@ -317,13 +297,19 @@ def _regular_chain(n: int, s: Block, t: Block) -> Callable[[int], int]:
 
 
 def biregular_cross_iso(n: int, k: int, t1, n2: int, p2: int, t2) -> VertexMap:
-    """Isomorphism between same-signature block components across different
-    (ground, deleted-count) parameters, both with canonical color sets.
+    """Isomorphism between same-signature block components, both with
+    canonical color sets, across (ground, deleted-count) parameters or
+    within one.
 
     Vertices move by swapping the T-part: the U side drops T1 and gains
     T2, the W side drops S1-T1 and gains S2-T2; everything outside the
     deleted sets is common to both grounds and stays put.  For S1 empty
-    every vertex is on the U side.
+    every vertex is on the U side.  With equal parameters this is the
+    ground permutation pairing T1-T2 with T2-T1: it fixes everything
+    outside S and sends trace T1 to T2 and S-T1 to S-T2.  For T2 = S-T1
+    the source is the target and the map swaps its two sides.  The odd
+    graphs are held for the call, so that odd(n) is built once when
+    n2 = n.
     """
     s1 = canonical_colors(n, k)
     s2 = canonical_colors(n2, p2)
@@ -337,11 +323,12 @@ def biregular_cross_iso(n: int, k: int, t1, n2: int, p2: int, t2) -> VertexMap:
             f"signature mismatch: ({n - i},{n - k + i}) vs ({n2 - j},{n2 - p2 + j})"
         )
     gains = ((s2 - tb2).bits, tb2.bits)  # W side, U side
-    return _formula_map(
-        block_component(n, s1, tb1).graph, block_component(n2, s2, tb2).graph,
-        lambda x: _cross(x, s1.bits, gains[(x & s1.bits) == tb1.bits]),
-        ISOMORPHISM, f"cross ({n},{k},{tb1})->({n2},{p2},{tb2})",
-    )
+    with holding_families():
+        return _formula_map(
+            block_component(n, s1, tb1).graph, block_component(n2, s2, tb2).graph,
+            lambda x: _cross(x, s1.bits, gains[(x & s1.bits) == tb1.bits]),
+            ISOMORPHISM, f"cross ({n},{k},{tb1})->({n2},{p2},{tb2})",
+        )
 
 
 def embed_middle_in_odd(m: int) -> VertexMap:

@@ -41,7 +41,6 @@ from kneserlab.hamilton import (
 )
 from kneserlab.morphisms import (
     biregular_cross_iso,
-    biregular_internal_iso,
     color_swap_iso,
     cover_map,
     middle_component_census,
@@ -139,7 +138,7 @@ def test_criterion_04_explicit_isomorphisms():
                         if t1 == t2 or t1 == s - t2:
                             continue
                         maps_checked += 1
-                        if not biregular_internal_iso(n, k, t1, t2).verify():
+                        if not biregular_cross_iso(n, k, t1, n, k, t2).verify():
                             failures.append(("internal", n, k, str(t1), str(t2)))
             if k % 2 == 0:
                 for t in regular_component_partitions(s):

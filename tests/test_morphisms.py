@@ -1,16 +1,30 @@
 """Explicit maps: verification, covers, swaps, component isos, lifting."""
 
 import hashlib
+from itertools import combinations
 
 import pytest
 
-from kneserlab.decompose import canonical_colors, delete_colors
+from kneserlab import graphs
+from kneserlab.decompose import (
+    canonical_colors,
+    delete_colors,
+    regular_component_partitions,
+)
 from kneserlab.errors import DegenerateCaseError, ParameterError
-from kneserlab.graphs import Family, PathSeq, build, girth, graph_from_edges
+from kneserlab.graphs import (
+    Family,
+    PathSeq,
+    build,
+    girth,
+    graph_from_edges,
+    holding_families,
+)
 from kneserlab.morphisms import (
+    ISOMORPHISM,
     VertexMap,
+    _formula_map,
     biregular_cross_iso,
-    biregular_internal_iso,
     color_swap_iso,
     cover_map,
     embed_indices,
@@ -25,6 +39,7 @@ from kneserlab.morphisms import (
     middle_class_to_middle,
     perm_automorphism,
     regular_component_to_middle,
+    swap_perm,
     verify_cover,
 )
 from kneserlab.setcore import Block, Perm
@@ -193,19 +208,59 @@ class TestColorSwap:
 
 class TestComponentIsos:
     def test_internal_same_size(self):
-        vmap = biregular_internal_iso(5, 4, [6], [7])
+        vmap = biregular_cross_iso(5, 4, [6], 5, 4, [7])
         assert vmap.verify()
-        vmap = biregular_internal_iso(5, 4, [6, 7], [6, 8])
+        vmap = biregular_cross_iso(5, 4, [6, 7], 5, 4, [6, 8])
         assert vmap.verify()
 
     def test_internal_identity(self):
-        vmap = biregular_internal_iso(5, 4, [6], [6])
+        vmap = biregular_cross_iso(5, 4, [6], 5, 4, [6])
         assert vmap.verify()
         assert all(image(vmap, v) == v for v in vmap.source.vertices)
 
-    def test_internal_complement_pair_rejected(self):
-        with pytest.raises(ParameterError):
-            biregular_internal_iso(5, 4, [6, 7], [8, 9])  # T1 = S - T2
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_internal_is_the_transposition_product(self, n):
+        # within one deletion the block move is the ground permutation
+        # pairing T1-T2 with T2-T1, complementary halves included
+        with holding_families():
+            for k in range(1, n + 1):
+                s = canonical_colors(n, k)
+                for i in range(k + 1):
+                    halves = [Block.from_elements(c, 2 * n - 1)
+                              for c in combinations(s.elements(), i)]
+                    for t1 in halves:
+                        for t2 in halves:
+                            vmap = biregular_cross_iso(n, k, t1, n, k, t2)
+                            oracle = _formula_map(
+                                vmap.source, vmap.target,
+                                swap_perm(t1, t2).apply_mask, ISOMORPHISM, "")
+                            assert vmap.images == oracle.images, (k, t1, t2)
+
+    def test_internal_complement_pair_swaps_sides(self):
+        # T2 = S - T1 names T1's own class: the map swaps its two sides
+        with holding_families():
+            for n in range(3, 7):
+                for k in range(2, n + 1, 2):
+                    s = canonical_colors(n, k)
+                    for t in regular_component_partitions(s):
+                        vmap = biregular_cross_iso(n, k, t, n, k, s - t)
+                        assert vmap.source is vmap.target
+                        traces = [x & s.bits for x in vmap.source.masks]
+                        assert set(traces) == {t.bits, (s - t).bits}
+                        assert [traces[j] for j in vmap.images] == [
+                            x ^ s.bits for x in traces]
+                        assert vmap.verify()
+
+    def test_internal_builds_the_odd_graph_once(self, fresh_live, monkeypatch):
+        # the map holds odd(5) while it cuts both pieces from it
+        built = []
+        construct = graphs._build_kneser
+        monkeypatch.setattr(graphs, "_build_kneser",
+                            lambda family: built.append(family) or construct(family))
+        assert not graphs._holds
+        assert biregular_cross_iso(5, 4, [6], 5, 4, [7]).verify()
+        assert built == [Family.odd(5)]
+        assert not graphs._holds
 
     def test_cross_parameter(self):
         assert biregular_cross_iso(4, 2, [], 5, 4, [6]).verify()

@@ -498,6 +498,63 @@ class TestExportTextFuzz:
         assert code in (0, 2)
 
 
+# any JSON value, kept small
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                         st.text(max_size=3))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=4)
+SMALL_INTS = st.integers(-2, 9)
+
+
+# plausible values under each key: mostly well typed, often out of range
+PLAUSIBLE = {
+    "family": st.sampled_from(
+        [None, "odd", "middle", "kneser", "bikneser", "petersen"]),
+    "params": st.lists(SMALL_INTS, max_size=3),
+    "ground": SMALL_INTS,
+    "vertices": st.one_of(
+        st.sets(st.integers(0, 63), max_size=6).map(
+            lambda masks: [Block(x, 6).elements() for x in sorted(masks)]),
+        st.lists(st.lists(SMALL_INTS, max_size=3), max_size=6)),
+    "edges": st.lists(st.one_of(
+        st.tuples(SMALL_INTS, SMALL_INTS, st.one_of(SMALL_INTS, JSON_SCALARS)).map(list),
+        st.lists(st.one_of(SMALL_INTS, JSON_SCALARS), max_size=4)), max_size=6),
+}
+
+
+@st.composite
+def random_documents(draw):
+    """The JSON text of a document not made from an export: a plausible
+    family, params list, ground, vertex list and edge list under the five
+    keys, with up to two keys dropped or given a random value; or a random
+    value for the whole document."""
+    if draw(st.integers(0, 9)) == 0:
+        return json.dumps(draw(JSON_VALUES))
+    data = {key: draw(PLAUSIBLE[key]) for key in FIELDS}
+    for key in draw(st.lists(st.sampled_from(FIELDS), max_size=2, unique=True)):
+        if draw(st.booleans()):
+            del data[key]
+        else:
+            data[key] = draw(JSON_VALUES)
+    return json.dumps(data)
+
+
+class TestRandomJsonFuzz:
+    @given(text=random_documents())
+    @settings(max_examples=100, deadline=None)
+    def test_refused_with_parameter_error_or_read(self, fuzz_path, text):
+        with contextlib.suppress(ParameterError):
+            graph_from_json(text)
+        fuzz_path.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["export", str(fuzz_path), "--format", "json"])
+        assert code in (0, 2)
+
+
 def import_peak_share(text):
     """The traced peak of graph_from_json(text) over that of json.loads of
     the same text, and the graph it returns."""
