@@ -11,9 +11,7 @@ excision must remove is pinned by a Catalan convolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
-from operator import itemgetter
 from typing import Iterable
 
 from .decompose import (
@@ -176,22 +174,28 @@ def necklaces(n: int, masks: Iterable[int]) -> list[str]:
     the string is rotated to its lexicographic minimum, the least length-m
     window of the string written twice.
 
+    Every rotation of a string has the same least window, so the m
+    windows of a string are cut and compared only once per call: their
+    minimum is recorded under each of them, and every later mask of the
+    same rotation class reads its form from that record.
+
     Two vertices share a canonical necklace exactly when they share a
     rotation orbit.  The caller vouches that every mask is a vertex.
     """
+    if n < 1:
+        raise ParameterError("need n >= 1")
     m = 2 * n - 1
     full = (1 << m) - 1
     fmt = f"0{m}b"
-    # the absence string, ground position 1 first, written twice
-    words = [format(x ^ full, fmt)[::-1] * 2 for x in masks]
-    # one column of windows per rotation; min picks each word's least
-    return list(map(min, *(map(itemgetter(w), words) for w in _windows(m))))
-
-
-@lru_cache(maxsize=None)
-def _windows(m: int) -> tuple[slice, ...]:
-    """The m length-m windows of a doubled length-m string."""
-    return tuple(map(slice, range(m), range(m, 2 * m)))
+    # the absence string, ground position 1 first
+    words = [format(x ^ full, fmt)[::-1] for x in masks]
+    form_of: dict[str, str] = {}
+    for word in words:
+        if word not in form_of:
+            twice = word * 2
+            windows = [twice[i:i + m] for i in range(m)]
+            form_of.update(dict.fromkeys(windows, min(windows)))
+    return list(map(form_of.__getitem__, words))
 
 
 def independent_orbit_excision(n: int) -> Report:

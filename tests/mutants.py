@@ -13,8 +13,9 @@ it is expected to survive.  The checkout itself is never edited.
     python tests/mutants.py 1 4      # the first and the fourth
 
 The exit status is 1 when a mutant is not killed (an equivalent one: does
-not survive) and 0 otherwise.  tests/test_mutants.py checks only that
-every old text still occurs exactly once.
+not survive) and 0 otherwise.  tests/test_mutants.py checks that every
+old text still occurs exactly once, and that every test subset still
+names files, classes, tests and -k words that exist.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ class Mutant(NamedTuple):
 
 MORPHISMS = "src/kneserlab/morphisms.py"
 KERNEL = "src/kneserlab/_hamcore_py.py"
+CATALAN = "src/kneserlab/catalan.py"
+CLI = "src/kneserlab/cli.py"
 
 MUTANTS = [
     Mutant(
@@ -137,6 +140,33 @@ MUTANTS = [
         ("tests/test_morphisms.py", "-k", "cover"),
     ),
     Mutant(
+        CATALAN,
+        "windows = [twice[i:i + m] for i in range(m)]",
+        "windows = [twice[i:i + m] for i in range(m - 1)]",
+        "necklaces cuts m - 1 windows: the least window of the first"
+        " word met of a class may be the one left out; in canonical"
+        " order on odd(2..8) it never is, so only reordered or partial"
+        " lists tell",
+        ("tests/test_catalan.py::TestNecklacesOncePerClass",),
+    ),
+    Mutant(
+        CATALAN,
+        "form_of.update(dict.fromkeys(windows, min(windows)))",
+        "form_of.update(dict.fromkeys(windows, max(windows)))",
+        "necklaces takes the greatest window: still one form per class,"
+        " but not the least rotation",
+        ("tests/test_catalan.py::TestNecklaces",),
+    ),
+    Mutant(
+        CLI,
+        "            if form in seen:\n                ok_neck = False\n"
+        "                break\n",
+        "",
+        "the orbits suite does not check that forms differ: two orbits"
+        " with one form pass the necklace bijection",
+        ("tests/test_cli.py::TestOrbitsSuite",),
+    ),
+    Mutant(
         KERNEL,
         "if len(path) == nv and on_start[tip]:",
         "if len(path) == nv:",
@@ -144,6 +174,17 @@ MUTANTS = [
         " connections, and with every other vertex visited these are the"
         " tip and the start, so a full path always closes",
         ("tests/test_hamilton.py",),
+        equivalent=True,
+    ),
+    Mutant(
+        CATALAN,
+        "form_of.update(dict.fromkeys(windows, min(windows)))",
+        "form_of[word] = min(windows)",
+        "equivalent: the least window is recorded only under the word"
+        " itself, so every other member of its class cuts the same m"
+        " windows again and finds the same minimum; only slower",
+        ("tests/test_catalan.py::TestNecklaces",
+         "tests/test_catalan.py::TestNecklacesOncePerClass"),
         equivalent=True,
     ),
 ]

@@ -202,11 +202,55 @@ class TestNecklaces:
     def test_batch_of_none(self):
         assert necklaces(4, []) == []
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_refuses_n_below_one(self, n):
+        with pytest.raises(ParameterError):
+            necklaces(n, [0])
+
     @pytest.mark.parametrize("n", sorted(PINNED))
     def test_pinned_on_every_vertex(self, n):
         g = build(Family.odd(n))
         text = "\n".join(necklaces(n, g.masks))
         assert sha256_prefix(text) == PINNED[n][1]
+
+
+def oracle_of_masks(n, masks):
+    return [necklace_oracle(Block(x, 2 * n - 1), n) for x in masks]
+
+
+class TestNecklacesOncePerClass:
+    """Forms match the oracle on lists that are not whole rotation
+    classes, or that hold a class out of order or twice."""
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_one_member_of_each_orbit(self, n):
+        orb = orbits(n)
+        masks = [orb.masks[orbit[-1]] for orbit in orb.orbits]
+        assert necklaces(n, masks) == oracle_of_masks(n, masks)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_each_orbit_minus_one_member(self, n):
+        orb = orbits(n)
+        masks = [orb.masks[i] for orbit in orb.orbits for i in orbit[1:]]
+        assert necklaces(n, masks) == oracle_of_masks(n, masks)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_orbits_interleaved(self, n):
+        orb = orbits(n)
+        masks = [orb.masks[i] for column in zip(*orb.orbits) for i in column]
+        assert len(masks) == len(orb.masks)
+        assert necklaces(n, masks) == oracle_of_masks(n, masks)
+
+    def test_repeated_masks(self):
+        orb = orbits(5)
+        some = [orb.masks[orbit[0]] for orbit in orb.orbits[:4]]
+        masks = some + some[::-1] + [some[1]] * 3
+        assert necklaces(5, masks) == oracle_of_masks(5, masks)
+
+    @pytest.mark.parametrize("n", [2, 5, 7])
+    def test_reversed_order(self, n):
+        masks = orbits(n).masks[::-1]
+        assert necklaces(n, masks) == oracle_of_masks(n, masks)
 
 
 def is_independent(g, vertices):

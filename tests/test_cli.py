@@ -515,6 +515,45 @@ class TestOrbits:
         assert sha256_prefix(out) == prefix
 
 
+class TestOrbitsSuite:
+    """The necklace-bijection row fails when the forms do not separate the
+    orbits one to one."""
+
+    def suite_with(self, monkeypatch, fake):
+        monkeypatch.setattr(cli, "necklaces", fake)
+        report = run_suite("orbits", 5)
+        rows = {line.name: line.status for line in report.lines}
+        assert report.exit_status == 1
+        return rows
+
+    def test_two_classes_merged_fail(self, monkeypatch):
+        real = cli.necklaces
+
+        def merged(n, masks):
+            forms = real(n, masks)
+            first, second = sorted(set(forms))[:2]
+            return [first if form == second else form for form in forms]
+
+        rows = self.suite_with(monkeypatch, merged)
+        for n in (3, 4, 5):
+            assert rows[f"orbit-count-odd({n})"] == "pass"
+            assert rows[f"necklace-bijection-odd({n})"] == "FAIL"
+
+    def test_one_orbit_split_fails(self, monkeypatch):
+        real = cli.necklaces
+
+        def split(n, masks):
+            forms = real(n, masks)
+            # vertex 0 gets another rotation of its orbit's form
+            forms[0] = forms[0][1:] + forms[0][:1]
+            return forms
+
+        rows = self.suite_with(monkeypatch, split)
+        for n in (3, 4, 5):
+            assert rows[f"orbit-count-odd({n})"] == "pass"
+            assert rows[f"necklace-bijection-odd({n})"] == "FAIL"
+
+
 class TestSizeGuard:
     def test_family_too_large_to_list_exit_2(self):
         # odd(30) and middle(30) have C(59, 29), about 5.9e16, vertices per
