@@ -196,21 +196,26 @@ class LabeledGraph:
         """Vertex indices of the connected components, each ascending,
         ordered by smallest index (equivalently smallest vertex, since
         vertex order is canonical).  Each component is reached a BFS level
-        at a time with set operations."""
+        at a time with set operations.  A neighbour of level d lies in level
+        d - 1, d or d + 1, so only three levels are held as sets, and the
+        vertices already listed are marked in a bytearray."""
         table = self.neighbor_table
-        seen: set[int] = set()
+        listed = bytearray(len(table))
         comps = []
-        for start in range(len(self.masks)):
-            if start not in seen:
-                comp = {start}
-                level = [start]
-                while level:
-                    reached = set(chain.from_iterable(map(table.__getitem__, level)))
-                    reached -= comp
-                    comp |= reached
-                    level = reached
-                seen |= comp
-                comps.append(tuple(sorted(comp)))
+        start = listed.find(0)
+        while start >= 0:
+            comp, before, level = [start], set(), {start}
+            while level:
+                reached = set(chain.from_iterable(map(table.__getitem__, level)))
+                reached -= level
+                reached -= before
+                comp += reached
+                before, level = level, reached
+            comp.sort()
+            for i in comp:
+                listed[i] = 1
+            comps.append(tuple(comp))
+            start = listed.find(0, start + 1)
         return tuple(comps)
 
     @property

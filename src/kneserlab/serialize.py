@@ -9,7 +9,11 @@ The JSON schema is the interchange format:
      "edges": [[uIndex, vIndex, label-or-null], ...]}  # sorted by (u, v)
 
 Export is deterministic, so build -> export -> import -> export is
-byte-identical.
+byte-identical.  The second export is the imported text itself when the
+family compare below accepted it with exactly one newline after the
+closing brace: such a text is graph_to_json of the graph it gives, so
+that graph's memo keeps it and graph_to_json returns it while the graph
+lives.
 
 Import has two readers.  A text that is exactly the export of the family
 its head names, up to trailing whitespace, is compared with that export
@@ -82,7 +86,12 @@ def graph_to_dict(g: LabeledGraph) -> dict:
 def graph_to_json(g: LabeledGraph) -> str:
     """json.dumps(graph_to_dict(g)) with ", " and ": " separators, plus a
     newline; the vertex and edge lists are written from masks and rows,
-    and every piece is joined once."""
+    and every piece is joined once.  A graph that graph_from_json gave for
+    exactly this text keeps the text in its memo (_family_export), and
+    it is returned as it is: the same object, not a copy."""
+    text = g.memo.get(("json",))
+    if text is not None:
+        return text
     return "".join([
         _head_text(g.family, g.ground),
         ', "vertices": ', *_vertex_blocks(g.masks, g.ground, _BLOCK_ROWS),
@@ -330,7 +339,9 @@ def _family_export(text: str) -> Optional[LabeledGraph]:
     vertices or rows at a time.  After the closing brace the text may hold
     JSON whitespace only, or none, as json.dumps(graph_to_dict(g)) leaves.
     Such a text is one _parsed_graph accepts, and it reads an equal graph
-    from it.
+    from it.  When exactly "\n" follows the brace, the text is
+    graph_to_json(g) byte for byte (only the block size differs, and it
+    moves no byte), so g.memo keeps it as g's export.
     """
     at = text.find(', "vertices": ', 0, _HEAD_BYTES)
     if at < 0:
@@ -356,7 +367,11 @@ def _family_export(text: str) -> Optional[LabeledGraph]:
     del masks  # build makes its own, and the import peaks in its rows
     g = build(family)
     at = _matched(text, at, chain(_edge_blocks(g, _MATCH_ROWS), ["}"]))
-    return g if at > 0 and not text[at:].strip(_JSON_SPACE) else None
+    if at < 0 or text[at:].strip(_JSON_SPACE):
+        return None
+    if text[at:] == "\n":
+        g.memo[("json",)] = text
+    return g
 
 
 def _least_export_bytes(family: Family) -> int:

@@ -46,6 +46,9 @@ MORPHISMS = "src/kneserlab/morphisms.py"
 KERNEL = "src/kneserlab/_hamcore_py.py"
 CATALAN = "src/kneserlab/catalan.py"
 CLI = "src/kneserlab/cli.py"
+SERIALIZE = "src/kneserlab/serialize.py"
+SUPER = "src/kneserlab/superstructure.py"
+GRAPHS = "src/kneserlab/graphs.py"
 
 MUTANTS = [
     Mutant(
@@ -167,6 +170,66 @@ MUTANTS = [
         ("tests/test_cli.py::TestOrbitsSuite",),
     ),
     Mutant(
+        SERIALIZE,
+        'if text[at:] == "\\n":',
+        "if True:",
+        "an accepted text kept whatever follows its closing brace: the"
+        " re-export of a text ending in no newline or in two is that"
+        " text, not the canonical export",
+        ("tests/test_serialize.py::TestImportKeepsItsText",),
+    ),
+    Mutant(
+        SERIALIZE,
+        "    g = build(family)\n    at = _matched(",
+        "    g = build(family)\n    g.memo[(\"json\",)] = text\n    at = _matched(",
+        "the text kept before its edge list is compared: a declined text"
+        " becomes the export of the family graph a caller holds",
+        ("tests/test_serialize.py::TestImportKeepsItsText",),
+    ),
+    Mutant(
+        CATALAN,
+        "            j = index[w]\n            seen[j] = 1\n",
+        "            j = index[w]\n",
+        "orbits does not mark the vertices its walk reaches: each is the"
+        " start of an orbit again, and the count is not Catalan's",
+        ("tests/test_catalan.py::TestOrbits",),
+    ),
+    Mutant(
+        CATALAN,
+        "        out.append(tuple(sorted(orbit)))",
+        "        out.append(tuple(orbit))",
+        "an orbit listed in walk order, not ascending: the same sets,"
+        " but not the pinned orbit lists",
+        ("tests/test_catalan.py::TestOrbits",),
+    ),
+    Mutant(
+        SUPER,
+        "        if family_kind == ODD:\n"
+        "            moved |= {x ^ s.bits for x in moved}\n",
+        "",
+        "the transposition rule without the odd graph's other half: an"
+        " image that drops d names its class by the complement, so no"
+        " odd-family pair is found moved and the criteria disagree",
+        ("tests/test_superstructure.py::TestMetaGraphs",),
+    ),
+    Mutant(
+        SUPER,
+        "if bool(hi & bit) != bool(hi & d_bit)}",
+        "if bool(hi & bit) == bool(hi & d_bit)}",
+        "transpositions (a, d) taken only where they fix the half: every"
+        " image has two elements more or fewer, no pair is found moved,"
+        " and the criteria disagree",
+        ("tests/test_superstructure.py::TestMetaGraphs",),
+    ),
+    Mutant(
+        GRAPHS,
+        "            for i in comp:\n                listed[i] = 1\n",
+        "",
+        "component_sets does not mark the vertices it has listed: every"
+        " vertex starts a component of its own again",
+        ("tests/test_graphs.py::TestComponents",),
+    ),
+    Mutant(
         KERNEL,
         "if len(path) == nv and on_start[tip]:",
         "if len(path) == nv:",
@@ -185,6 +248,25 @@ MUTANTS = [
         " windows again and finds the same minimum; only slower",
         ("tests/test_catalan.py::TestNecklaces",
          "tests/test_catalan.py::TestNecklacesOncePerClass"),
+        equivalent=True,
+    ),
+    Mutant(
+        CATALAN,
+        "while (w := ((w << 1) | (w >> (m - 1))) & full) != x:",
+        "while (w := ((w >> 1) | (w << (m - 1))) & full) != x:",
+        "equivalent: the walk rotates the other way, which reaches the"
+        " same orbit, and each orbit is sorted before it is kept",
+        ("tests/test_catalan.py::TestOrbits",),
+        equivalent=True,
+    ),
+    Mutant(
+        SUPER,
+        "if bool(hi & bit) != bool(hi & d_bit)}",
+        "}",
+        "equivalent: the images the test drops have two elements more or"
+        " fewer than a half, and so do their complements, while every"
+        " half has k/2 elements; no pair's outcome changes",
+        ("tests/test_superstructure.py::TestMetaGraphs",),
         equivalent=True,
     ),
 ]

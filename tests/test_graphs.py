@@ -1,5 +1,6 @@
 """Family construction, labels, degrees, distances, components, girth."""
 
+import sys
 import tracemalloc
 import weakref
 from collections import deque
@@ -468,6 +469,21 @@ class TestComponents:
         assert not deleted.connected
         assert deleted.component_sets is deleted.component_sets
         assert graph_from_edges(3, [], []).connected  # no vertices
+
+    def test_peak_holds_levels_not_the_graph(self):
+        # odd(8) minus two colors: two components of 3432 and 3003.  Three
+        # BFS levels as sets and a bytearray of listed vertices read 0.43 of
+        # one set of every vertex; a set of the vertices seen and one of the
+        # component read 1.06
+        g = delete_colors(build(Family.odd(8)), [3, 11])
+        tracemalloc.start()
+        try:
+            comps = g.component_sets
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(map(len, comps)) == [3432, 3003]
+        assert peak < 0.6 * sys.getsizeof(set(range(g.n_vertices)))
 
 
 class TestSubgraph:

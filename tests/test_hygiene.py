@@ -27,9 +27,9 @@ reason it stays: a default that no caller changes is a constant.
 A failing Hypothesis test under the repository's pytest settings prints
 its falsifying example and lets the run go on.
 
-Only decompose writes into a graph's memo, and each of its writers keys
-its entries by a tuple headed by a string tag of its own, so two writers
-cannot collide on one key.
+Only decompose and serialize write into a graph's memo, each under the
+tags pinned for it, and each writer keys its entries by a tuple headed
+by a string tag of its own, so two writers cannot collide on one key.
 """
 
 import ast
@@ -529,7 +529,8 @@ def test_detects_an_unset_default(tmp_path):
 
 # -------------------------------------------------------------- graph memo
 
-MEMO_MODULE = "decompose.py"
+# the modules that may write a graph's memo, each with its writers' tags
+MEMO_MODULES = {"decompose.py": ["deleted", "piece"], "serialize.py": ["json"]}
 
 
 def _memo_writes(path: Path) -> list[tuple[str, Optional[str]]]:
@@ -571,12 +572,12 @@ def _memo_writes(path: Path) -> list[tuple[str, Optional[str]]]:
 
 
 def _memo_faults(paths) -> list[str]:
-    """Every memo store outside MEMO_MODULE, every key without a string
-    tag, and every tag that two writers share."""
+    """Every memo store outside MEMO_MODULES, every key without a string
+    tag, and every tag that two writers share, in one module or two."""
     faults, writer_of = [], {}
     for path in paths:
         for writer, tag in _memo_writes(path):
-            if path.name != MEMO_MODULE:
+            if path.name not in MEMO_MODULES:
                 faults.append(f"{writer} writes a graph memo")
             if tag is None:
                 faults.append(f"{writer} writes a key with no string tag")
@@ -588,14 +589,14 @@ def _memo_faults(paths) -> list[str]:
 def test_graph_memo_keys_cannot_collide():
     # a graph's memo is one dict shared by every module: each key tuple
     # starts with a tag that only one function writes, and only decompose
-    # writes at all
+    # and serialize write at all, each under its own tags
     assert _memo_faults(sorted(SRC.glob("*.py"))) == []
-    assert sorted(tag for _, tag in _memo_writes(SRC / MEMO_MODULE)) == [
-        "deleted", "piece"]
+    for module, tags in MEMO_MODULES.items():
+        assert sorted(tag for _, tag in _memo_writes(SRC / module)) == tags
 
 
 def test_detects_a_colliding_memo_write(tmp_path):
-    (tmp_path / MEMO_MODULE).write_text(
+    (tmp_path / "decompose.py").write_text(
         "def one(g):\n"
         "    key = ('piece', 1)\n"
         "    g.memo[key] = 1\n"
@@ -607,8 +608,18 @@ def test_detects_a_colliding_memo_write(tmp_path):
         "def three(g):\n"
         "    g.memo[('other',)] = 4\n"
     )
+    (tmp_path / "serialize.py").write_text(
+        "def four(g):\n"
+        "    g.memo[('json',)] = 5\n"
+        "def five(g):\n"
+        "    key = ('piece', 6)\n"
+        "    g.memo[key] = 6\n"
+        "    g.memo['json'] = 7\n"
+    )
     assert _memo_faults(sorted(tmp_path.glob("*.py"))) == [
         "decompose.two reuses the tag 'piece' of decompose.one",
         "decompose.two writes a key with no string tag",
         "other.three writes a graph memo",
+        "serialize.five reuses the tag 'piece' of decompose.one",
+        "serialize.five writes a key with no string tag",
     ]

@@ -443,11 +443,84 @@ class TestExportReader:
         assert self._same(text) == g
 
 
+def dict_export(g):
+    """The export of g written through graph_to_dict and json.dumps, not
+    through graph_to_json."""
+    return json.dumps(graph_to_dict(g), separators=(", ", ": ")) + "\n"
+
+
+EDGES_OPEN, EDGES_CLOSE = '"edges": [[', "]]}\n"
+
+
+def swap_edge_rows(text, i, j):
+    """The text with its edge rows i and j swapped."""
+    head, rows = text.split(EDGES_OPEN)
+    rows = rows.removesuffix(EDGES_CLOSE).split("], [")
+    rows[i], rows[j] = rows[j], rows[i]
+    return head + EDGES_OPEN + "], [".join(rows) + EDGES_CLOSE
+
+
+KEPT_TEXT_FAMILIES = [
+    Family.odd(5), Family.middle_levels(4), Family.kneser(7, 3),
+    Family.bipartite_kneser(5, 2),
+    Family.kneser(5, 3),  # no two 3-subsets of [5] are disjoint: no edges
+]
+
+
+class TestImportKeepsItsText:
+    """A text that the family compare accepts with exactly one newline
+    after the closing brace is the export of the graph it gives, so
+    graph_to_json returns that text while the graph lives."""
+
+    @pytest.mark.parametrize("fam", KEPT_TEXT_FAMILIES, ids=str)
+    def test_reexport_is_the_imported_text(self, fam, fresh_live):
+        text = graph_to_json(build(fam))
+        assert graph_to_json(graph_from_json(text)) is text
+
+    @pytest.mark.parametrize("fam", KEPT_TEXT_FAMILIES, ids=str)
+    def test_kept_text_is_a_fresh_export(self, fam, fresh_live):
+        text = dict_export(build(fam))
+        g = graph_from_json(text)
+        assert g.memo[("json",)] is text
+        fresh_live.clear()  # build constructs the family again
+        fresh = build(fam)
+        assert fresh is not g and ("json",) not in fresh.memo
+        assert graph_to_json(fresh) == text
+
+    @pytest.mark.parametrize("tail", ["", "\n\n"], ids=repr)
+    def test_other_tail_reexports_the_canonical_text(self, tail, fresh_live):
+        text = graph_to_json(build(Family.middle_levels(4)))
+        changed = text[:-1] + tail
+        g = graph_from_json(changed)
+        assert g.family == Family.middle_levels(4)
+        assert ("json",) not in g.memo
+        assert graph_to_json(g) == text != changed
+
+    def test_swapped_edge_rows_store_nothing(self, fresh_live):
+        g = build(Family.odd(5))  # held, so the compare builds this graph
+        text = graph_to_json(g)
+        changed = swap_edge_rows(text, 3, 4)
+        assert changed != text
+        assert serialize._family_export(changed) is None
+        back = graph_from_json(changed)
+        assert back is not g and back == g
+        assert ("json",) not in g.memo and ("json",) not in back.memo
+        assert graph_to_json(back) == graph_to_json(g) == text
+
+    def test_import_into_a_held_graph(self, fresh_live):
+        fam = Family.odd(5)
+        g = build(fam)
+        text = dict_export(g)
+        assert graph_from_json(text) is g  # build returns the held graph
+        assert g.memo[("json",)] is text
+        fresh_live.clear()
+        assert graph_to_json(g) == graph_to_json(build(fam))
+
+
 FUZZ_EXPORTS = [graph_to_json(build(fam)) for fam in (
     Family.odd(3), Family.odd(4), Family.odd(5), Family.middle_levels(2),
     Family.middle_levels(3), Family.middle_levels(4), Family.kneser(6, 2),
     Family.bipartite_kneser(5, 2))]
-EDGES_OPEN, EDGES_CLOSE = '"edges": [[', "]]}\n"
 # mostly the characters an export is made of, so that edits often keep it
 # close to valid JSON
 FUZZ_CHARS = st.one_of(st.sampled_from('0123456789[], "{}:-.e\n'),
@@ -472,11 +545,8 @@ def edited_exports(draw):
         return text[:at]
     if edit == "append":
         return text + draw(st.text(FUZZ_CHARS, min_size=1, max_size=8))
-    head, rows = text.split(EDGES_OPEN)
-    rows = rows.removesuffix(EDGES_CLOSE).split("], [")
-    i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
-    rows[i], rows[j] = rows[j], rows[i]
-    return head + EDGES_OPEN + "], [".join(rows) + EDGES_CLOSE
+    last = text.split(EDGES_OPEN)[1].count("], [")
+    return swap_edge_rows(text, draw(st.integers(0, last)), draw(st.integers(0, last)))
 
 
 @pytest.fixture(scope="module")
@@ -677,8 +747,7 @@ class TestPinnedExport:
             [(2, 0, "x"), (1, 2, True), (0, 1, 2.5)],
         )
         for g in family_instances(200) + pieces + [unusual_labels]:
-            want = json.dumps(graph_to_dict(g), separators=(", ", ": ")) + "\n"
-            assert graph_to_json(g) == want
+            assert graph_to_json(g) == dict_export(g)
 
 
 class TestFamilyClaim:
