@@ -297,6 +297,9 @@ def _suite_decompose(report: RunReport, max_n: int):
 
 def _suite_isomorphisms(report: RunReport, max_n: int):
     params = [(n, k) for n, k in CENSUS_PARAMS if n <= max_n]
+    if not params:
+        report.skip("color-swap-odd(3)-2", "color-set invariance",
+                    "needs max-n >= 3")
     by_signature: dict[tuple, list] = {}
     for n, k in params:
         s = dec.canonical_colors(n, k)
@@ -404,6 +407,9 @@ def _suite_identities(report: RunReport, max_n: int):
 
 
 def _suite_distance(report: RunReport, max_n: int):
+    if max_n < 3:
+        report.skip("distance-odd(3)", "Biggs 1979 (distance rule)",
+                    "needs max-n >= 3")
     for n in range(3, max_n + 1):
         rep = verify_distance_formula(n)
         report.add(
@@ -413,6 +419,9 @@ def _suite_distance(report: RunReport, max_n: int):
 
 
 def _suite_orbits(report: RunReport, max_n: int):
+    if max_n < 3:
+        report.skip("orbit-count-odd(3)", "rotation orbit count = catalan(n-1)",
+                    "needs max-n >= 3")
     for n in range(3, max_n + 1):
         orb = rotation_orbits(n)
         ok = len(orb.orbits) == catalan(n - 1)

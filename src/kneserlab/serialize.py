@@ -9,18 +9,15 @@ The JSON schema is the interchange format:
      "edges": [[uIndex, vIndex, label-or-null], ...]}  # sorted by (u, v)
 
 Export is deterministic, so build -> export -> import -> export is
-byte-identical.  The second export is the imported text itself when the
-family compare below accepted it with exactly one newline after the
-closing brace: such a text is graph_to_json of the graph it gives, so
-that graph's memo keeps it and graph_to_json returns it while the graph
-lives.
+byte-identical.  The layout of the export is written once, as the pieces
+of _json_pieces: graph_to_json joins them, and the import matches a text
+against them.
 
-Import has two readers.  A text that is exactly the export of the family
-its head names, up to trailing whitespace, is compared with that export
-and the reader returns build(family): nothing past the head is parsed.
-Its vertex list is compared with text made from the family's masks
-before anything is built, and its edge list with the edge text of the
-built family, a block of rows at a time.  Any other text is parsed as
+Import accepts exactly graph_to_json's bytes and parses everything else
+whole.  A text that is graph_to_json(build(family)) for the family its
+head names is matched against that graph's pieces as they are generated,
+and the reader returns the built graph, whose memo keeps the text as its
+export; nothing past the head is parsed.  Any other text is parsed as
 one document and checked, and that reader gives every error message; the
 parsed document is dropped before the graph's rows are made.
 """
@@ -49,7 +46,7 @@ from .graphs import (
     expected_family_degree,
     gc_paused,
 )
-from .setcore import Block, binomial, check_ground, k_masks
+from .setcore import Block, binomial, check_ground
 
 _CHUNK = 10  # bits per lookup when writing a vertex's elements
 _BLOCK_ROWS = 4096  # rows of the edge list written per text block
@@ -58,7 +55,6 @@ _BLOCK_ROWS = 4096  # rows of the edge list written per text block
 # traced peak reads 0.93 of the parsed document's, against 0.67 at 1024
 _MATCH_ROWS = 1024
 _HEAD_BYTES = 256  # more than the head of any family on a ground up to 63
-_JSON_SPACE = " \t\n\r"  # the whitespace json.loads skips
 
 
 def _head(family: Optional[Family], ground: int) -> dict:
@@ -92,11 +88,18 @@ def graph_to_json(g: LabeledGraph) -> str:
     text = g.memo.get(("json",))
     if text is not None:
         return text
-    return "".join([
-        _head_text(g.family, g.ground),
-        ', "vertices": ', *_vertex_blocks(g.masks, g.ground, _BLOCK_ROWS),
-        ', "edges": ', *_edge_blocks(g, _BLOCK_ROWS), "}\n",
-    ])
+    return "".join(_json_pieces(g, _BLOCK_ROWS))
+
+
+def _json_pieces(g: LabeledGraph, rows: int) -> Iterator[str]:
+    """The export of g in pieces, its vertex and edge lists in blocks of
+    the given number of vertices or rows; the block size moves no byte."""
+    yield _head_text(g.family, g.ground)
+    yield ', "vertices": '
+    yield from _vertex_blocks(g.masks, g.ground, rows)
+    yield ', "edges": '
+    yield from _edge_blocks(g, rows)
+    yield "}\n"
 
 
 @lru_cache(maxsize=None)
@@ -326,22 +329,16 @@ def graph_from_json(text: str) -> LabeledGraph:
 
 def _family_export(text: str) -> Optional[LabeledGraph]:
     """build(family) when text is graph_to_json of that graph for the
-    family its head names, up to whitespace after the closing brace; None
-    for any other text.
+    family its head names; None for any other text.
 
     Only the head before ', "vertices": ' is parsed, and only when it lies
     in the first _HEAD_BYTES bytes.  A head that names no family or is not
     that family's own is declined, and so is a text shorter than the
-    family's export can be (_least_export_bytes).  The vertex list is then
-    compared with the text of the family's masks, made without its
-    neighbour rows; only when it matches is the family built, and its edge
-    list compared as it is generated.  Both lists are compared _MATCH_ROWS
-    vertices or rows at a time.  After the closing brace the text may hold
-    JSON whitespace only, or none, as json.dumps(graph_to_dict(g)) leaves.
-    Such a text is one _parsed_graph accepts, and it reads an equal graph
-    from it.  When exactly "\n" follows the brace, the text is
-    graph_to_json(g) byte for byte (only the block size differs, and it
-    moves no byte), so g.memo keeps it as g's export.
+    family's export can be (_least_export_bytes), before anything is
+    built.  The family is then built and the whole text matched against
+    its _json_pieces, _MATCH_ROWS vertices or rows at a time.  A text that
+    matches to its last byte is graph_to_json(g), so g.memo keeps it as
+    g's export.
     """
     at = text.find(', "vertices": ', 0, _HEAD_BYTES)
     if at < 0:
@@ -355,22 +352,12 @@ def _family_export(text: str) -> Optional[LabeledGraph]:
             or text[:at] != _head_text(family, family.ground)):
         return None
     try:
-        masks = sorted(chain.from_iterable(
-            k_masks(family.ground, size) for size in family.block_sizes))
+        g = build(family)
     except ParameterError:  # too many subsets: _parsed_graph says why
         return None
-    at = _matched(text, at, chain(
-        [', "vertices": '], _vertex_blocks(masks, family.ground, _MATCH_ROWS),
-        [', "edges": ']))
-    if at < 0:
+    if _matched(text, 0, _json_pieces(g, _MATCH_ROWS)) != len(text):
         return None
-    del masks  # build makes its own, and the import peaks in its rows
-    g = build(family)
-    at = _matched(text, at, chain(_edge_blocks(g, _MATCH_ROWS), ["}"]))
-    if at < 0 or text[at:].strip(_JSON_SPACE):
-        return None
-    if text[at:] == "\n":
-        g.memo[("json",)] = text
+    g.memo[("json",)] = text
     return g
 
 

@@ -171,19 +171,19 @@ MUTANTS = [
     ),
     Mutant(
         SERIALIZE,
-        'if text[at:] == "\\n":',
-        "if True:",
-        "an accepted text kept whatever follows its closing brace: the"
-        " re-export of a text ending in no newline or in two is that"
-        " text, not the canonical export",
+        "_json_pieces(g, _MATCH_ROWS)) != len(text):",
+        "_json_pieces(g, _MATCH_ROWS)) < 0:",
+        "a text that holds the export and more is accepted and kept: the"
+        " re-export of a text ending in two newlines is that text, not"
+        " the canonical export",
         ("tests/test_serialize.py::TestImportKeepsItsText",),
     ),
     Mutant(
         SERIALIZE,
-        "    g = build(family)\n    at = _matched(",
-        "    g = build(family)\n    g.memo[(\"json\",)] = text\n    at = _matched(",
-        "the text kept before its edge list is compared: a declined text"
-        " becomes the export of the family graph a caller holds",
+        "        return None\n    if _matched(",
+        "        return None\n    g.memo[(\"json\",)] = text\n    if _matched(",
+        "the text kept before it is matched: a declined text becomes the"
+        " export of the family graph a caller holds",
         ("tests/test_serialize.py::TestImportKeepsItsText",),
     ),
     Mutant(
@@ -268,6 +268,22 @@ MUTANTS = [
         " half has k/2 elements; no pair's outcome changes",
         ("tests/test_superstructure.py::TestMetaGraphs",),
         equivalent=True,
+    ),
+    Mutant(
+        SERIALIZE,
+        "\n            or text[:at] != _head_text(family, family.ground)):",
+        "):",
+        "the head compare dropped: a head that names a family but is not"
+        " its own builds the family before the text is declined",
+        ("tests/test_serialize.py::TestExportReader",),
+    ),
+    Mutant(
+        SERIALIZE,
+        "if (len(text) < _least_export_bytes(family)\n            or ",
+        "if (",
+        "the length guard dropped: a short text that names a large"
+        " family builds it before the text is declined",
+        ("tests/test_serialize.py::TestExportReader",),
     ),
 ]
 

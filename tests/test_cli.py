@@ -152,6 +152,15 @@ class TestVerify:
         assert code == 0, out
         assert "0 failed" in out
 
+    @pytest.mark.parametrize("max_n", ["1", "2"])
+    @pytest.mark.parametrize("suite", ["isomorphisms", "distance", "orbits"])
+    def test_shallow_suite_skips(self, suite, max_n, capsys):
+        # a suite whose checks all start at n = 3 says so, not an empty pass
+        code, out, _ = run(["verify", suite, "--max-n", max_n], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == f"suite {suite}: 0 passed, 0 failed, 1 skipped"
+        assert re.search(r"  skip  .*  needs max-n >= 3$", out, re.M), out
+
     def test_report_lines_carry_references(self, capsys):
         _, out, _ = run(["verify", "covers", "--max-n", "3"], capsys)
         assert "Simpson 1991" in out

@@ -336,9 +336,9 @@ def forbid(monkeypatch, *names):
 
 
 class TestExportReader:
-    """graph_from_json returns build(family) for the exact export of the
-    family a document names, without parsing past the head; any other text
-    gives the outcome of the text parsed whole."""
+    """graph_from_json returns build(family) for graph_to_json's bytes of
+    the family a document names, without parsing past the head; any other
+    text gives the outcome of the text parsed whole."""
 
     @staticmethod
     def _same(text):
@@ -353,12 +353,17 @@ class TestExportReader:
             assert back is g  # held by the list, so build returns it
 
     def test_trailing_whitespace(self):
+        # only graph_to_json's tail is matched: json.dumps's text, which
+        # ends at the brace, and one with more whitespace are parsed whole
         g = build(Family.middle_levels(3))
         text = graph_to_json(g)
         assert text[:-1] == json.dumps(serialize.graph_to_dict(g))
         for changed in (text[:-1], text + " \t\r\n"):
-            assert serialize._family_export(changed) is g
-            assert self._same(changed) is g
+            assert serialize._family_export(changed) is None
+            back = self._same(changed)
+            assert back == g and back is not g
+            assert ("json",) not in back.memo
+            assert graph_to_json(back) == text
 
     @pytest.mark.parametrize("tail", ["x", "\f", "\u3000"], ids=repr)
     def test_text_after_the_closing_brace(self, tail):
@@ -367,14 +372,17 @@ class TestExportReader:
         assert serialize._family_export(text) is None
         assert self._same(text).startswith("ParameterError: invalid JSON: ")
 
-    def test_changed_ground_digit(self):
-        # the offsets stay aligned, so only the head compare declines it
+    def test_changed_ground_digit(self, monkeypatch):
+        # the offsets stay aligned, so only the head compare declines it,
+        # before the family is built
         text = graph_to_json(build(Family.odd(3)))
         changed = text.replace('"ground": 5', '"ground": 6', 1)
         assert len(changed) == len(text) and changed != text
+        calls = forbid(monkeypatch, "build")
         assert serialize._family_export(changed) is None
         assert self._same(changed) == (
             "ParameterError: odd(3) lives on ground [5], not [6]")
+        assert calls == []
 
     @pytest.mark.parametrize("fam, vertex, changed, message", [
         # in the first compared block of vertices
@@ -383,16 +391,22 @@ class TestExportReader:
         (Family.odd(7), ", [8, 9, 10, 11, 12, 13]]", ", [8, 9, 10, 11, 12, 14]]",
          "malformed graph document: element 14 outside ground [13]"),
     ], ids=["first", "last"])
-    def test_changed_vertex_builds_nothing(self, fam, vertex, changed, message,
-                                           monkeypatch):
-        # the vertex list is compared before the family is built
+    def test_changed_vertex_builds_once(self, fam, vertex, changed, message,
+                                        monkeypatch):
+        # the whole text is matched against the built family's export
         text = graph_to_json(build(fam))
         assert text.count(vertex) == 1
         changed = text.replace(vertex, changed)
-        calls = forbid(monkeypatch, "build")
+        built = []
+
+        def counted(family):
+            built.append(family)
+            return build(family)
+
+        monkeypatch.setattr(serialize, "build", counted)
         assert serialize._family_export(changed) is None
+        assert built == [fam]
         assert self._same(changed) == f"ParameterError: {message}"
-        assert calls == []
 
     def test_changed_label_in_the_last_block(self):
         g = build(Family.middle_levels(7))  # 3432 rows, edges in four blocks
@@ -412,7 +426,7 @@ class TestExportReader:
         Family.bipartite_kneser(24, 12),  # 2,704,156 vertices, no edges
     ], ids=str)
     def test_short_text_builds_nothing(self, fam, monkeypatch):
-        calls = forbid(monkeypatch, "k_masks", "build")
+        calls = forbid(monkeypatch, "build")
         text = json.dumps({
             "family": fam.kind, "params": list(fam.params), "ground": fam.ground,
             "vertices": [[e] for e in range(1, fam.ground + 1)], "edges": [],
@@ -430,17 +444,22 @@ class TestExportReader:
         head = serialize._head_text(fam, fam.ground)
         text = f'{head}, "vertices": {" " * (fam.n_vertices + n_edges)}'
         assert serialize._least_export_bytes(fam) > len(text)
-        calls = forbid(monkeypatch, "k_masks", "build")
+        calls = forbid(monkeypatch, "build")
         assert self._same(text).startswith("ParameterError: invalid JSON: ")
         assert calls == []
 
-    def test_family_over_the_subset_limit(self, monkeypatch):
-        # k_masks refuses the family, and the text is parsed whole
+    def test_family_over_the_subset_limit(self, fresh_live, monkeypatch):
+        # build returns a held family without listing its subsets, so its
+        # export is accepted; a family it must construct is refused by the
+        # limit, and the text is parsed whole
         g = build(Family.odd(4))  # 35 vertices
         text = graph_to_json(g)
         monkeypatch.setattr(setcore, "MAX_SUBSETS", 10)
+        assert serialize._family_export(text) is g
+        fresh_live.clear()
         assert serialize._family_export(text) is None
-        assert self._same(text) == g
+        back = self._same(text)
+        assert back == g and back is not g
 
 
 def dict_export(g):
@@ -468,9 +487,9 @@ KEPT_TEXT_FAMILIES = [
 
 
 class TestImportKeepsItsText:
-    """A text that the family compare accepts with exactly one newline
-    after the closing brace is the export of the graph it gives, so
-    graph_to_json returns that text while the graph lives."""
+    """A text that the export reader accepts is graph_to_json's bytes of
+    the graph it gives, so graph_to_json returns that text while the graph
+    lives."""
 
     @pytest.mark.parametrize("fam", KEPT_TEXT_FAMILIES, ids=str)
     def test_reexport_is_the_imported_text(self, fam, fresh_live):
@@ -556,11 +575,17 @@ def fuzz_path(tmp_path_factory):
 
 class TestExportTextFuzz:
     @given(text=edited_exports())
+    @example(text=FUZZ_EXPORTS[0])
     @settings(max_examples=100, deadline=None)
     def test_edited_export(self, fuzz_path, text):
-        # the export reader gives the whole-document reader's outcome, and
-        # the command line refuses what both refuse without raising
+        # the export reader gives the whole-document reader's outcome; it
+        # accepts exactly the exports, and keeps an accepted text as the
+        # graph's export; the command line refuses what both refuse
+        # without raising
         TestExportReader._same(text)
+        g = serialize._family_export(text)
+        assert (g is not None) == (text in FUZZ_EXPORTS)
+        assert g is None or graph_to_json(g) is text
         fuzz_path.write_text(text, encoding="utf-8")
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
