@@ -9,6 +9,8 @@ embed the lift as a regular component of odd(n) minus the two canonical
 colors S.  Every embedded vertex x has exactly one neighbour outside that
 component, its connector p(x) = [2n-1] - (x | S), a vertex of the
 remainder piece; p is two-to-one onto the remainder vertices that miss S.
+These are facts of odd(n) alone, so odd(n)'s memo keeps them as its
+splice frame for as long as odd(n) lives.
 The pipeline reports feasibility data only; it never claims a Hamiltonian
 cycle of odd(n), because stitching the pieces into one simple cycle is
 exactly the unresolved step.
@@ -150,10 +152,12 @@ class PipelineReport:
 
     stage_s holds the wall time in seconds of each stage the round ran, in
     the order run: search (building the base graph and searching it),
-    fallback, lift, embed (building odd(n) and embedding), remainder and
-    connectors.  The stages follow one another, so their sum is the time
-    of the round after its arguments are checked.  The two flags are read
-    from the counts: with nothing embedded, connectors are not complete.
+    fallback, lift, embed (building odd(n), reading its splice frame, or
+    computing it on the first round into odd(n), and embedding),
+    remainder and connectors (reading the frame's counts).  The stages
+    follow one another, so their sum is the time of the round after its
+    arguments are checked.  The two flags are read from the counts: with
+    nothing embedded, connectors are not complete.
     """
 
     n: int
@@ -227,6 +231,48 @@ class PipelineReport:
         return lines
 
 
+@dataclass(frozen=True)
+class SpliceFrame:
+    """What every round into odd(n) reads of the copy M of middle(n-1) in
+    odd(n) and of the remainder R: images[i] is the odd(n) index of
+    middle(n-1) vertex i, and the counts are those the report carries."""
+
+    images: tuple[int, ...]
+    embedded_vertex_count: int
+    remainder_size: int
+    connector_count: int
+    middle_vertex_collisions: int
+
+    @classmethod
+    def of(cls, middle: LabeledGraph, odd_up: LabeledGraph) -> "SpliceFrame":
+        """The frame of odd_up = odd(n), computed afresh.  The embedding is
+        read from its mask formula, and one pass over the embedded masks
+        reads each vertex's connector p(x) from two_color_middle.  A
+        connector counts only when it is a remainder vertex in x's row of
+        odd_up's neighbour table."""
+        n = (odd_up.ground + 1) // 2
+        images = tuple(embed_indices(middle, odd_up, range(middle.n_vertices)))
+        rem_masks = remainder_graph(n, 2).graph.index
+        s_bits = canonical_colors(n, 2).bits
+        masks, rows, index = odd_up.masks, odd_up.neighbor_table, odd_up.index
+        middles = []
+        for i in images:
+            mid = two_color_middle(masks[i], s_bits, odd_up.ground)
+            if mid in rem_masks and index[mid] in rows[i]:
+                middles.append(mid)
+        return cls(images, len(set(images)), len(rem_masks),
+                   len(middles), len(middles) - len(set(middles)))
+
+
+def _splice_frame(middle: LabeledGraph, odd_up: LabeledGraph) -> SpliceFrame:
+    """SpliceFrame.of(middle, odd_up), made once per odd_up: its memo keeps
+    the frame for as long as odd_up lives."""
+    key = ("frame",)
+    if key not in odd_up.memo:
+        odd_up.memo[key] = SpliceFrame.of(middle, odd_up)
+    return odd_up.memo[key]
+
+
 def _stage_clock(stage_s: dict[str, float]):
     """lap(stage): record under stage the time since the previous lap (or
     since the clock was made)."""
@@ -252,22 +298,23 @@ def recursion_pipeline(
     it searches middle(n-1) directly, embeds that cycle, and then lifts
     the embedded circuit onward through the cover of odd(n) by middle(n).
     When the base search proves its graph non-Hamiltonian (odd(3)), the
-    pipeline falls back to a direct search of odd(n) and says so.  After
-    the search the round works on vertex masks and indices: the embedding
-    is read from its mask formula, and one pass over the embedded masks
-    reads each vertex's connector p(x) from two_color_middle.  A connector
-    counts only when it is a remainder vertex in x's row of odd(n)'s
-    neighbour table.
+    pipeline falls back to a direct search of odd(n) and says so.
+    middle(n-1) is built only as the base of a middle-start round or after
+    a base search finds a cycle.  The embedding, the remainder and the
+    connectors do not depend on the cycle: they are read from odd(n)'s
+    splice frame, which the first round into odd(n) computes and odd(n)'s
+    memo keeps.  The search, the lift, every cycle check and the embedded
+    cycle of a middle-start round are made anew each round.
     """
     if n < 3:
         raise ParameterError("pipeline needs n >= 3")
     if start not in ("odd", "middle"):
         raise ParameterError("start must be 'odd' or 'middle'")
     odd_family = Family.odd(n)  # checks the ground before anything is built
+    middle_family = Family.middle_levels(n - 1)
     stage_s: dict[str, float] = {}
     lap = _stage_clock(stage_s)
-    middle = build(Family.middle_levels(n - 1))
-    base = build(Family.odd(n - 1)) if start == "odd" else middle
+    base = build(Family.odd(n - 1) if start == "odd" else middle_family)
     result = find_hamiltonian_cycle(base, budget)
     report = PipelineReport(n=n, start=start, base_search=result, stage_s=stage_s)
     lap("search")
@@ -286,6 +333,7 @@ def recursion_pipeline(
         return report
 
     assert result.cycle is not None
+    middle = build(middle_family)
     if start == "odd":
         lift = lift_circuit(result.cycle)
         report.lift = lift
@@ -296,21 +344,20 @@ def recursion_pipeline(
         )
         lap("lift")
         odd_up = build(odd_family)
-        embedded = embed_indices(middle, odd_up, range(middle.n_vertices))
+        frame = _splice_frame(middle, odd_up)
         lap("embed")
     else:
         odd_up = build(odd_family)
-        embedded = embed_indices(middle, odd_up, result.cycle.indices)
+        frame = _splice_frame(middle, odd_up)
+        embedded = map(frame.images.__getitem__, result.cycle.indices)
         embedded_cycle = PathSeq.from_indices(odd_up, embedded, closed=True)
         report.embedded_lengths = (embedded_cycle.length,)
         lap("embed")
         report.lift = lift_circuit(embedded_cycle)
         lap("lift")
-    embedded = sorted(set(embedded))  # odd(n) indices, in mask order
-    report.embedded_vertex_count = len(embedded)
+    report.embedded_vertex_count = frame.embedded_vertex_count
 
-    rem_masks = remainder_graph(n, 2).graph.index
-    report.remainder_size = len(rem_masks)
+    report.remainder_size = frame.remainder_size
     if report.remainder_odd:
         report.notes.append(
             "remainder size is odd; the antipode-splicing scheme cannot pair"
@@ -318,22 +365,14 @@ def recursion_pipeline(
         )
     lap("remainder")
 
-    s_bits = canonical_colors(n, 2).bits
-    masks, rows, index = odd_up.masks, odd_up.neighbor_table, odd_up.index
-    middles = []
-    for i in embedded:
-        mid = two_color_middle(masks[i], s_bits, odd_up.ground)
-        if mid in rem_masks and index[mid] in rows[i]:
-            middles.append(mid)
-    report.connector_count = len(middles)
-    report.middle_vertex_collisions = len(middles) - len(set(middles))
+    report.connector_count = frame.connector_count
+    report.middle_vertex_collisions = frame.middle_vertex_collisions
     if report.middle_vertex_collisions:
         report.notes.append(
             "connector middle vertices collide in the remainder; any tour"
             " built from them would repeat vertices (simplicity violation)"
         )
-    coverage = len(embedded) + len(rem_masks)
-    if coverage == odd_up.n_vertices:
+    if frame.embedded_vertex_count + frame.remainder_size == odd_up.n_vertices:
         report.notes.append(
             "embedded component and remainder partition the vertex set"
         )

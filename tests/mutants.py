@@ -13,9 +13,11 @@ it is expected to survive.  The checkout itself is never edited.
     python tests/mutants.py 1 4      # the first and the fourth
 
 The exit status is 1 when a mutant is not killed (an equivalent one: does
-not survive) and 0 otherwise.  tests/test_mutants.py checks that every
-old text still occurs exactly once, and that every test subset still
-names files, classes, tests and -k words that exist.
+not survive), 2 when an argument is not a mutant number in 1..N (N the
+length of the list; nothing is run then), and 0 otherwise.
+tests/test_mutants.py checks that every old text still occurs exactly
+once, and that every test subset still names files, classes, tests and
+-k words that exist.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ CLI = "src/kneserlab/cli.py"
 SERIALIZE = "src/kneserlab/serialize.py"
 SUPER = "src/kneserlab/superstructure.py"
 GRAPHS = "src/kneserlab/graphs.py"
+HAMILTON = "src/kneserlab/hamilton.py"
 
 MUTANTS = [
     Mutant(
@@ -127,7 +130,7 @@ MUTANTS = [
         ("tests/test_hamilton.py", "-k", "budget_at_a_clock_stride"),
     ),
     Mutant(
-        "src/kneserlab/hamilton.py",
+        HAMILTON,
         "if not are_vertex_indices(idxs, g.n_vertices) or len(set(idxs)) != len(idxs):",
         "if not are_vertex_indices(idxs, g.n_vertices):",
         "verify_cycle without its distinctness test: a closed walk that"
@@ -285,6 +288,27 @@ MUTANTS = [
         " family builds it before the text is declined",
         ("tests/test_serialize.py::TestExportReader",),
     ),
+    Mutant(
+        HAMILTON,
+        "if mid in rem_masks and index[mid] in rows[i]:",
+        "if mid in rem_masks:",
+        "the connector test without its edge test: a connector that is a"
+        " remainder vertex counts even when it is not x's neighbour",
+        ("tests/test_hamilton.py::TestSpliceFrame",),
+    ),
+    Mutant(
+        HAMILTON,
+        "    if key not in odd_up.memo:\n"
+        "        odd_up.memo[key] = SpliceFrame.of(middle, odd_up)\n"
+        "    return odd_up.memo[key]\n",
+        "    if key not in globals():\n"
+        "        globals()[key] = SpliceFrame.of(middle, odd_up)\n"
+        "    return globals()[key]\n",
+        "the frame kept in one process-wide table under a key without n:"
+        " every round after the first reads the first round's frame,"
+        " whatever odd(n) it runs into",
+        ("tests/test_hamilton.py::TestSpliceFrame",),
+    ),
 ]
 
 
@@ -320,7 +344,13 @@ def run(mutant: Mutant) -> tuple[str, float, str]:
 
 
 def main(argv: list[str]) -> int:
-    chosen = [int(a) for a in argv] or range(1, len(MUTANTS) + 1)
+    valid = range(1, len(MUTANTS) + 1)
+    bad = [a for a in argv if not (a.isdecimal() and int(a) in valid)]
+    if bad:
+        print(f"mutants.py: no mutant {bad[0]!r}; the mutants are"
+              f" 1..{len(MUTANTS)}", file=sys.stderr)
+        return 2
+    chosen = [int(a) for a in argv] or valid
     faults = 0
     for number in chosen:
         mutant = MUTANTS[number - 1]

@@ -5,14 +5,22 @@ import random
 import sys
 import time
 import types
+import weakref
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from kneserlab import _hamcore_py, hamilton
+from kneserlab import _hamcore_py, graphs, hamilton
 from kneserlab.decompose import canonical_colors, trace_classes
 from kneserlab.errors import ParameterError
-from kneserlab.graphs import Family, build, graph_from_edges, holding_families
+from kneserlab.graphs import (
+    Family,
+    LabeledGraph,
+    build,
+    graph_from_edges,
+    holding_families,
+)
 from kneserlab.hamilton import (
     EXHAUSTED_BUDGET,
     FOUND,
@@ -20,13 +28,14 @@ from kneserlab.hamilton import (
     PipelineReport,
     SearchBudget,
     SearchResult,
+    SpliceFrame,
     find_hamiltonian_cycle,
     kernel_name,
     recursion_pipeline,
     verify_cycle,
 )
 from kneserlab.morphisms import LiftResult, embed_indices
-from kneserlab.setcore import Block, catalan
+from kneserlab.setcore import Block, binomial, catalan
 from kneserlab.superstructure import two_color_middle, two_color_path
 
 b = Block.from_elements
@@ -525,6 +534,103 @@ class TestPipelinePins:
             for seed in range(8)
         ]
         assert got == self.DIGESTS[n, start]
+
+
+class TestSpliceFrame:
+    """odd(n)'s memo keeps the frame that the first round into odd(n)
+    computes: the images of middle(n-1), the embedded count, the remainder
+    size and the connector counts.  Every later round into that odd(n)
+    reads it; a round whose base search finds no cycle builds no
+    middle(n-1) and computes no frame."""
+
+    KEY = ("frame",)
+    # a tie seed whose base search finds a cycle within 20,000 nodes; odd(3)
+    # has no Hamiltonian cycle, and neither odd(6) nor middle(6) gave one
+    # within 100,000 nodes on tie seeds 0..39
+    FOUND_SEED = {(4, "middle"): 0, (5, "odd"): 0, (5, "middle"): 0,
+                  (6, "odd"): 1, (6, "middle"): 7}
+
+    @staticmethod
+    def count_frames(monkeypatch) -> list:
+        """Record the odd(n) of every frame computed from here on."""
+        made = []
+        of = SpliceFrame.of.__func__
+        monkeypatch.setattr(SpliceFrame, "of", classmethod(
+            lambda cls, middle, odd_up: made.append(odd_up) or of(cls, middle, odd_up)))
+        return made
+
+    def test_second_round_reads_the_same_frame(self, fresh_live, monkeypatch):
+        made = self.count_frames(monkeypatch)
+        rounds = [("odd", 0), ("odd", 1), ("middle", 2), ("odd", 3)]
+        with holding_families():
+            frames = []
+            for start, seed in rounds:
+                rep = recursion_pipeline(
+                    5, SearchBudget(max_nodes=20_000, seed=seed), start=start)
+                assert report_digest(rep) == TestPipelinePins.DIGESTS[5, start][seed]
+                frames.append(build(Family.odd(5)).memo[self.KEY])
+        assert len(made) == 1 and made[0].family == Family.odd(5)
+        assert all(frame is frames[0] for frame in frames)
+
+    @pytest.mark.parametrize("n, budget, status", [
+        (4, SearchBudget(max_seconds=60), NONE),
+        (6, SearchBudget(max_nodes=10), EXHAUSTED_BUDGET)])
+    def test_failed_base_round_builds_no_middle(
+            self, fresh_live, monkeypatch, n, budget, status):
+        made = self.count_frames(monkeypatch)
+        with holding_families():
+            rep = recursion_pipeline(n, budget)
+            assert rep.base_search.status == status
+            assert Family.odd(n - 1) in graphs._live
+            assert Family.middle_levels(n - 1) not in graphs._live
+            if status == NONE:  # the fallback searched odd(n)
+                assert self.KEY not in build(Family.odd(n)).memo
+        assert made == []
+
+    @pytest.mark.parametrize("start", ["odd", "middle"])
+    def test_frame_equals_a_fresh_computation(self, fresh_live, monkeypatch, start):
+        held = {}
+        with holding_families():
+            for n in (4, 5, 6, 7):
+                seed = self.FOUND_SEED.get((n, start))
+                if seed is not None:
+                    rep = recursion_pipeline(
+                        n, SearchBudget(max_nodes=20_000, seed=seed), start=start)
+                    assert rep.base_search.status == FOUND
+                else:  # no round from this start reaches odd(n): read it
+                    hamilton._splice_frame(build(Family.middle_levels(n - 1)),
+                                           build(Family.odd(n)))
+                held[n] = build(Family.odd(n)).memo[self.KEY]
+        for n, frame in held.items():
+            monkeypatch.setattr(graphs, "_live", weakref.WeakValueDictionary())
+            middle, odd_up = build(Family.middle_levels(n - 1)), build(Family.odd(n))
+            assert frame == SpliceFrame.of(middle, odd_up), n
+            assert frame.images == tuple(
+                embed_indices(middle, odd_up, range(middle.n_vertices)))
+            embedded = middle.n_vertices
+            assert frame.embedded_vertex_count == frame.connector_count == embedded
+            assert frame.middle_vertex_collisions * 2 == embedded
+            assert frame.remainder_size == binomial(2 * n - 2, n - 2)
+
+    def test_connector_counts_only_an_edge(self, fresh_live):
+        # delete the edge from the first embedded vertex x to its connector
+        # p(x): p(x) is still a remainder vertex, but no longer x's neighbour
+        middle, odd_up = build(Family.middle_levels(3)), build(Family.odd(4))
+        frame = SpliceFrame.of(middle, odd_up)
+        x = frame.images[0]
+        s = canonical_colors(4, 2)
+        p = odd_up.index[two_color_middle(odd_up.masks[x], s.bits, odd_up.ground)]
+        rows = list(map(list, odd_up.neighbor_table))
+        labels = list(map(list, odd_up.label_table))
+        for u, v in ((x, p), (p, x)):
+            at = rows[u].index(v)
+            del rows[u][at], labels[u][at]
+        cut = LabeledGraph(odd_up.ground, odd_up.masks, tuple(map(tuple, rows)),
+                           tuple(map(tuple, labels)), family=odd_up.family,
+                           labeled=True)
+        assert SpliceFrame.of(middle, cut) == replace(
+            frame, connector_count=frame.connector_count - 1,
+            middle_vertex_collisions=frame.middle_vertex_collisions - 1)
 
 
 class TestStageTimes:

@@ -27,9 +27,10 @@ reason it stays: a default that no caller changes is a constant.
 A failing Hypothesis test under the repository's pytest settings prints
 its falsifying example and lets the run go on.
 
-Only decompose and serialize write into a graph's memo, each under the
-tags pinned for it, and each writer keys its entries by a tuple headed
-by a string tag of its own, so two writers cannot collide on one key.
+Only decompose, hamilton and serialize write into a graph's memo, each
+under the tags pinned for it, and each writer keys its entries by a tuple
+headed by a string tag of its own, so two writers cannot collide on one
+key.
 """
 
 import ast
@@ -530,7 +531,8 @@ def test_detects_an_unset_default(tmp_path):
 # -------------------------------------------------------------- graph memo
 
 # the modules that may write a graph's memo, each with its writers' tags
-MEMO_MODULES = {"decompose.py": ["deleted", "piece"], "serialize.py": ["json"]}
+MEMO_MODULES = {"decompose.py": ["deleted", "piece"], "hamilton.py": ["frame"],
+                "serialize.py": ["json"]}
 
 
 def _memo_writes(path: Path) -> list[tuple[str, Optional[str]]]:
@@ -588,8 +590,8 @@ def _memo_faults(paths) -> list[str]:
 
 def test_graph_memo_keys_cannot_collide():
     # a graph's memo is one dict shared by every module: each key tuple
-    # starts with a tag that only one function writes, and only decompose
-    # and serialize write at all, each under its own tags
+    # starts with a tag that only one function writes, and only decompose,
+    # hamilton and serialize write at all, each under its own tags
     assert _memo_faults(sorted(SRC.glob("*.py"))) == []
     for module, tags in MEMO_MODULES.items():
         assert sorted(tag for _, tag in _memo_writes(SRC / module)) == tags

@@ -1,11 +1,14 @@
 """The mutant list of tests/mutants.py still applies to the checkout."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from mutants import MUTANTS, ROOT
+import mutants
+from mutants import MUTANTS, ROOT, main
 
 
 @pytest.mark.parametrize("number", range(1, len(MUTANTS) + 1))
@@ -73,3 +76,22 @@ def test_subset_resolves(number):
 def test_stale_subset_fails(args):
     with pytest.raises(AssertionError):
         resolve(args)
+
+
+@pytest.mark.parametrize("argv", [
+    ["0"], ["-1"], [str(len(MUTANTS) + 1)], ["x"], ["1", "1.5"], ["\u00b2"]])
+def test_bad_number_exits_2(argv, monkeypatch, capsys):
+    # a number outside 1..N names no mutant (0 and -1 would index the list
+    # from its end); the run stops before any mutant is applied
+    monkeypatch.setattr(mutants, "run", lambda mutant: pytest.fail("a mutant ran"))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"mutants.py: no mutant {argv[-1]!r}; the mutants are 1..{len(MUTANTS)}\n")
+
+
+def test_bad_number_prints_no_traceback():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "mutants.py"), str(len(MUTANTS) + 1)],
+        capture_output=True, text=True, check=False)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "Traceback" not in done.stderr
