@@ -5,12 +5,15 @@ search, so a negative answer is a proof of non-Hamiltonicity.
 
 The recursion pipeline walks the chain odd(n-1) <- middle(n-1) -> odd(n):
 find a Hamiltonian cycle downstairs, lift it through the double cover and
-embed the lift as a regular component of odd(n) minus the two canonical
-colors S.  Every embedded vertex x has exactly one neighbour outside that
-component, its connector p(x) = [2n-1] - (x | S), a vertex of the
-remainder piece; p is two-to-one onto the remainder vertices that miss S.
-These are facts of odd(n) alone, so odd(n)'s memo keeps them as its
-splice frame for as long as odd(n) lives.
+embed the lift through embed_middle_in_odd(n-1), whose image is the
+regular component of odd(n) minus the two canonical colors S: the
+vertices whose trace on S is one color.  The remainder piece is the
+vertices whose trace is empty or all of S.  Every embedded vertex x has
+exactly one neighbour outside its component, its connector
+p(x) = [2n-1] - (x | S), a remainder vertex; p is two-to-one onto the
+remainder vertices that miss S.  These are facts of odd(n) alone, read
+from its masks without cutting either piece, so odd(n)'s memo keeps them
+as its splice frame for as long as odd(n) lives.
 The pipeline reports feasibility data only; it never claims a Hamiltonian
 cycle of odd(n), because stitching the pieces into one simple cycle is
 exactly the unresolved step.
@@ -26,10 +29,10 @@ from typing import Optional
 
 from . import _hamcore_py as _kernel
 from ._hamcore_py import EXHAUSTED_BUDGET, FOUND, NONE  # search statuses
-from .decompose import canonical_colors, remainder_graph
+from .decompose import canonical_colors
 from .errors import ParameterError
 from .graphs import Family, LabeledGraph, PathSeq, are_vertex_indices, build
-from .morphisms import LiftResult, embed_indices, lift_circuit
+from .morphisms import LiftResult, embed_middle_in_odd, lift_circuit
 from .superstructure import two_color_middle
 
 
@@ -153,11 +156,11 @@ class PipelineReport:
     stage_s holds the wall time in seconds of each stage the round ran, in
     the order run: search (building the base graph and searching it),
     fallback, lift, embed (building odd(n), reading its splice frame, or
-    computing it on the first round into odd(n), and embedding),
-    remainder and connectors (reading the frame's counts).  The stages
-    follow one another, so their sum is the time of the round after its
-    arguments are checked.  The two flags are read from the counts: with
-    nothing embedded, connectors are not complete.
+    computing it on the first round into odd(n), embedding, and reading
+    the frame's counts and notes into the report).  The stages follow one
+    another, so their sum is the time of the round after its arguments
+    are checked.  The two flags are read from the counts: with nothing
+    embedded, connectors are not complete.
     """
 
     n: int
@@ -235,7 +238,8 @@ class PipelineReport:
 class SpliceFrame:
     """What every round into odd(n) reads of the copy M of middle(n-1) in
     odd(n) and of the remainder R: images[i] is the odd(n) index of
-    middle(n-1) vertex i, and the counts are those the report carries."""
+    middle(n-1) vertex i under embed_middle_in_odd(n-1), and the counts
+    are those the report carries."""
 
     images: tuple[int, ...]
     embedded_vertex_count: int
@@ -244,32 +248,34 @@ class SpliceFrame:
     middle_vertex_collisions: int
 
     @classmethod
-    def of(cls, middle: LabeledGraph, odd_up: LabeledGraph) -> "SpliceFrame":
-        """The frame of odd_up = odd(n), computed afresh.  The embedding is
-        read from its mask formula, and one pass over the embedded masks
-        reads each vertex's connector p(x) from two_color_middle.  A
-        connector counts only when it is a remainder vertex in x's row of
-        odd_up's neighbour table."""
+    def of(cls, odd_up: LabeledGraph) -> "SpliceFrame":
+        """The frame of odd_up = odd(n), computed afresh from its masks.  R
+        is the vertices whose trace on the canonical colors S is empty or
+        S, as block_component(n, S, ()) cuts them.  One pass over the
+        embedded masks reads each vertex's connector p(x) from
+        two_color_middle.  A connector counts only when it is a vertex of
+        R in x's row of odd_up's neighbour table."""
         n = (odd_up.ground + 1) // 2
-        images = tuple(embed_indices(middle, odd_up, range(middle.n_vertices)))
-        rem_masks = remainder_graph(n, 2).graph.index
+        images = embed_middle_in_odd(n - 1).images
         s_bits = canonical_colors(n, 2).bits
         masks, rows, index = odd_up.masks, odd_up.neighbor_table, odd_up.index
+        in_rem = [x & s_bits in (0, s_bits) for x in masks]
         middles = []
         for i in images:
             mid = two_color_middle(masks[i], s_bits, odd_up.ground)
-            if mid in rem_masks and index[mid] in rows[i]:
+            j = index.get(mid)
+            if j is not None and in_rem[j] and j in rows[i]:
                 middles.append(mid)
-        return cls(images, len(set(images)), len(rem_masks),
+        return cls(images, len(set(images)), sum(in_rem),
                    len(middles), len(middles) - len(set(middles)))
 
 
-def _splice_frame(middle: LabeledGraph, odd_up: LabeledGraph) -> SpliceFrame:
-    """SpliceFrame.of(middle, odd_up), made once per odd_up: its memo keeps
-    the frame for as long as odd_up lives."""
+def _splice_frame(odd_up: LabeledGraph) -> SpliceFrame:
+    """SpliceFrame.of(odd_up), made once per odd_up: its memo keeps the
+    frame for as long as odd_up lives."""
     key = ("frame",)
     if key not in odd_up.memo:
-        odd_up.memo[key] = SpliceFrame.of(middle, odd_up)
+        odd_up.memo[key] = SpliceFrame.of(odd_up)
     return odd_up.memo[key]
 
 
@@ -298,23 +304,23 @@ def recursion_pipeline(
     it searches middle(n-1) directly, embeds that cycle, and then lifts
     the embedded circuit onward through the cover of odd(n) by middle(n).
     When the base search proves its graph non-Hamiltonian (odd(3)), the
-    pipeline falls back to a direct search of odd(n) and says so.
-    middle(n-1) is built only as the base of a middle-start round or after
-    a base search finds a cycle.  The embedding, the remainder and the
-    connectors do not depend on the cycle: they are read from odd(n)'s
-    splice frame, which the first round into odd(n) computes and odd(n)'s
-    memo keeps.  The search, the lift, every cycle check and the embedded
-    cycle of a middle-start round are made anew each round.
+    pipeline falls back to a direct search of odd(n) and says so.  An
+    odd-start round builds middle(n-1) to check the lift.  The embedding,
+    the remainder and the connectors do not depend on the cycle: they are
+    read from odd(n)'s splice frame, which the first round into odd(n)
+    computes and odd(n)'s memo keeps.  The search, the lift, every cycle
+    check and the embedded cycle of a middle-start round are made anew
+    each round.
     """
     if n < 3:
         raise ParameterError("pipeline needs n >= 3")
     if start not in ("odd", "middle"):
         raise ParameterError("start must be 'odd' or 'middle'")
     odd_family = Family.odd(n)  # checks the ground before anything is built
-    middle_family = Family.middle_levels(n - 1)
     stage_s: dict[str, float] = {}
     lap = _stage_clock(stage_s)
-    base = build(Family.odd(n - 1) if start == "odd" else middle_family)
+    base = build(Family.odd(n - 1) if start == "odd"
+                 else Family.middle_levels(n - 1))
     result = find_hamiltonian_cycle(base, budget)
     report = PipelineReport(n=n, start=start, base_search=result, stage_s=stage_s)
     lap("search")
@@ -333,40 +339,30 @@ def recursion_pipeline(
         return report
 
     assert result.cycle is not None
-    middle = build(middle_family)
     if start == "odd":
         lift = lift_circuit(result.cycle)
         report.lift = lift
         report.embedded_lengths = tuple(c.length for c in lift.circuits)
         report.lifted_is_hamiltonian_middle = (
             lift.kind == "single"
-            and verify_cycle(middle, lift.circuits[0])
+            and verify_cycle(build(Family.middle_levels(n - 1)), lift.circuits[0])
         )
         lap("lift")
-        odd_up = build(odd_family)
-        frame = _splice_frame(middle, odd_up)
-        lap("embed")
-    else:
-        odd_up = build(odd_family)
-        frame = _splice_frame(middle, odd_up)
+    odd_up = build(odd_family)
+    frame = _splice_frame(odd_up)
+    if start == "middle":
         embedded = map(frame.images.__getitem__, result.cycle.indices)
         embedded_cycle = PathSeq.from_indices(odd_up, embedded, closed=True)
         report.embedded_lengths = (embedded_cycle.length,)
-        lap("embed")
-        report.lift = lift_circuit(embedded_cycle)
-        lap("lift")
     report.embedded_vertex_count = frame.embedded_vertex_count
-
     report.remainder_size = frame.remainder_size
+    report.connector_count = frame.connector_count
+    report.middle_vertex_collisions = frame.middle_vertex_collisions
     if report.remainder_odd:
         report.notes.append(
             "remainder size is odd; the antipode-splicing scheme cannot pair"
             " its vertices"
         )
-    lap("remainder")
-
-    report.connector_count = frame.connector_count
-    report.middle_vertex_collisions = frame.middle_vertex_collisions
     if report.middle_vertex_collisions:
         report.notes.append(
             "connector middle vertices collide in the remainder; any tour"
@@ -376,5 +372,8 @@ def recursion_pipeline(
         report.notes.append(
             "embedded component and remainder partition the vertex set"
         )
-    lap("connectors")
+    lap("embed")
+    if start == "middle":
+        report.lift = lift_circuit(embedded_cycle)
+        lap("lift")
     return report

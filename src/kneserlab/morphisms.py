@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, repeat
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .decompose import (
     as_color_block,
@@ -334,32 +334,15 @@ def biregular_cross_iso(n: int, k: int, t1, n2: int, p2: int, t2) -> VertexMap:
 def embed_middle_in_odd(m: int) -> VertexMap:
     """Injective morphism middle(m) -> odd(m+1), inverse on its image to
     regular_component_to_middle(m + 1, canonical_colors(m + 1, 2), [2m]):
-    the map of embed_indices."""
+    small blocks gain element 2m, large blocks are complemented within
+    [2m-1] and gain 2m+1."""
     if m < 1:
         raise ParameterError("need m >= 1")
-    src = build(Family.middle_levels(m))
-    dst = build(Family.odd(m + 1))
-    images = tuple(embed_indices(src, dst, range(src.n_vertices)))
-    return VertexMap(
-        src, dst, images, kind=MORPHISM,
-        name=f"embed middle({m}) -> odd({m + 1})",
+    return _formula_map(
+        build(Family.middle_levels(m)), build(Family.odd(m + 1)),
+        lambda x: _embed(x, m),
+        MORPHISM, f"embed middle({m}) -> odd({m + 1})",
     )
-
-
-def embed_indices(
-    middle: LabeledGraph, odd_up: LabeledGraph, indices: Iterable[int]
-) -> list[int]:
-    """Indices in odd_up = odd(m+1) of the images of the vertices of
-    middle = middle(m) at the given indices: small blocks gain element 2m,
-    large blocks are complemented within [2m-1] and gain 2m+1."""
-    m = (middle.ground + 1) // 2
-    if (middle.family != Family.middle_levels(m)
-            or odd_up.family != Family.odd(m + 1)):
-        raise ParameterError("embed_indices needs middle(m) and odd(m+1)")
-    idxs = list(indices)
-    check_vertex_indices(idxs, middle.n_vertices)
-    masks = middle.masks
-    return odd_up.mask_indices([_embed(masks[i], m) for i in idxs])
 
 
 def regular_component_to_middle(n: int, colors, t) -> VertexMap:

@@ -290,8 +290,8 @@ MUTANTS = [
     ),
     Mutant(
         HAMILTON,
-        "if mid in rem_masks and index[mid] in rows[i]:",
-        "if mid in rem_masks:",
+        "if j is not None and in_rem[j] and j in rows[i]:",
+        "if j is not None and in_rem[j]:",
         "the connector test without its edge test: a connector that is a"
         " remainder vertex counts even when it is not x's neighbour",
         ("tests/test_hamilton.py::TestSpliceFrame",),
@@ -299,14 +299,32 @@ MUTANTS = [
     Mutant(
         HAMILTON,
         "    if key not in odd_up.memo:\n"
-        "        odd_up.memo[key] = SpliceFrame.of(middle, odd_up)\n"
+        "        odd_up.memo[key] = SpliceFrame.of(odd_up)\n"
         "    return odd_up.memo[key]\n",
         "    if key not in globals():\n"
-        "        globals()[key] = SpliceFrame.of(middle, odd_up)\n"
+        "        globals()[key] = SpliceFrame.of(odd_up)\n"
         "    return globals()[key]\n",
         "the frame kept in one process-wide table under a key without n:"
         " every round after the first reads the first round's frame,"
         " whatever odd(n) it runs into",
+        ("tests/test_hamilton.py::TestSpliceFrame",),
+    ),
+    Mutant(
+        HAMILTON,
+        "in_rem = [x & s_bits in (0, s_bits) for x in masks]",
+        "in_rem = [x & s_bits == 0 for x in masks]",
+        "the remainder counted on its trace-empty side alone: every"
+        " connector still counts, but the remainder size drops by the"
+        " vertices holding both colors of S",
+        ("tests/test_hamilton.py::TestSpliceFrame",),
+    ),
+    Mutant(
+        MORPHISMS,
+        "        return bits | (1 << (2 * m - 1))\n",
+        "        return bits | (1 << (2 * m))\n",
+        "the embedding's small block gains 2m+1 in place of 2m: a small"
+        " block and its complement's image meet, so the copy of"
+        " middle(m) in odd(m+1) folds onto half its vertices",
         ("tests/test_hamilton.py::TestSpliceFrame",),
     ),
 ]

@@ -11,8 +11,8 @@ from dataclasses import replace
 
 import pytest
 
-from kneserlab import _hamcore_py, graphs, hamilton
-from kneserlab.decompose import canonical_colors, trace_classes
+from kneserlab import _hamcore_py, decompose, graphs, hamilton
+from kneserlab.decompose import canonical_colors, remainder_graph, trace_classes
 from kneserlab.errors import ParameterError
 from kneserlab.graphs import (
     Family,
@@ -34,7 +34,7 @@ from kneserlab.hamilton import (
     recursion_pipeline,
     verify_cycle,
 )
-from kneserlab.morphisms import LiftResult, embed_indices
+from kneserlab.morphisms import LiftResult, embed_middle_in_odd
 from kneserlab.setcore import Block, binomial, catalan
 from kneserlab.superstructure import two_color_middle, two_color_path
 
@@ -414,9 +414,8 @@ def embedded_middle(n):
     """odd(n), the canonical colors S and the odd(n) indices of the
     embedded middle(n-1): the vertices whose connectors an odd-start round
     into odd(n) reads, whatever its base cycle."""
-    middle, odd_up = build(Family.middle_levels(n - 1)), build(Family.odd(n))
-    return odd_up, canonical_colors(n, 2), embed_indices(
-        middle, odd_up, range(middle.n_vertices))
+    odd_up = build(Family.odd(n))
+    return odd_up, canonical_colors(n, 2), embed_middle_in_odd(n - 1).images
 
 
 class TestConnectorMap:
@@ -556,7 +555,7 @@ class TestSpliceFrame:
         made = []
         of = SpliceFrame.of.__func__
         monkeypatch.setattr(SpliceFrame, "of", classmethod(
-            lambda cls, middle, odd_up: made.append(odd_up) or of(cls, middle, odd_up)))
+            lambda cls, odd_up: made.append(odd_up) or of(cls, odd_up)))
         return made
 
     def test_second_round_reads_the_same_frame(self, fresh_live, monkeypatch):
@@ -598,25 +597,58 @@ class TestSpliceFrame:
                         n, SearchBudget(max_nodes=20_000, seed=seed), start=start)
                     assert rep.base_search.status == FOUND
                 else:  # no round from this start reaches odd(n): read it
-                    hamilton._splice_frame(build(Family.middle_levels(n - 1)),
-                                           build(Family.odd(n)))
+                    hamilton._splice_frame(build(Family.odd(n)))
                 held[n] = build(Family.odd(n)).memo[self.KEY]
         for n, frame in held.items():
             monkeypatch.setattr(graphs, "_live", weakref.WeakValueDictionary())
-            middle, odd_up = build(Family.middle_levels(n - 1)), build(Family.odd(n))
-            assert frame == SpliceFrame.of(middle, odd_up), n
-            assert frame.images == tuple(
-                embed_indices(middle, odd_up, range(middle.n_vertices)))
-            embedded = middle.n_vertices
+            odd_up = build(Family.odd(n))
+            assert frame == SpliceFrame.of(odd_up), n
+            assert frame.images == embed_middle_in_odd(n - 1).images
+            embedded = binomial(2 * n - 2, n - 1)  # the order of middle(n-1)
             assert frame.embedded_vertex_count == frame.connector_count == embedded
             assert frame.middle_vertex_collisions * 2 == embedded
             assert frame.remainder_size == binomial(2 * n - 2, n - 2)
 
+    def test_round_cuts_no_piece(self, monkeypatch):
+        # the frame reads odd(n)'s masks: no round deletes a color or cuts
+        # a block piece, and odd(n)'s memo keeps the frame alone
+        calls = Counter()
+        for name in ("delete_colors", "block_component"):
+            def counted(*args, _name=name, _real=getattr(decompose, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(decompose, name, counted)
+        for (n, start), seed in self.FOUND_SEED.items():
+            if n < 5:
+                continue
+            monkeypatch.setattr(graphs, "_live", weakref.WeakValueDictionary())
+            with holding_families():
+                rep = recursion_pipeline(
+                    n, SearchBudget(max_nodes=20_000, seed=seed), start=start)
+                assert rep.base_search.status == FOUND
+                assert list(build(Family.odd(n)).memo) == [self.KEY], (n, start)
+        assert calls == Counter()
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_frame_reads_the_definitions(self, n):
+        # M is the vertices holding exactly one color of S, and R the
+        # remainder piece, of the Catalan-linked order C(2n-2, n-2)
+        with holding_families():
+            odd_up = build(Family.odd(n))
+            frame = SpliceFrame.of(odd_up)
+            s_bits = canonical_colors(n, 2).bits
+            assert sorted(frame.images) == [
+                i for i, x in enumerate(odd_up.masks)
+                if (x & s_bits).bit_count() == 1]
+            assert (frame.remainder_size
+                    == remainder_graph(n, 2).graph.n_vertices
+                    == binomial(2 * n - 2, n - 2))
+
     def test_connector_counts_only_an_edge(self, fresh_live):
         # delete the edge from the first embedded vertex x to its connector
         # p(x): p(x) is still a remainder vertex, but no longer x's neighbour
-        middle, odd_up = build(Family.middle_levels(3)), build(Family.odd(4))
-        frame = SpliceFrame.of(middle, odd_up)
+        odd_up = build(Family.odd(4))
+        frame = SpliceFrame.of(odd_up)
         x = frame.images[0]
         s = canonical_colors(4, 2)
         p = odd_up.index[two_color_middle(odd_up.masks[x], s.bits, odd_up.ground)]
@@ -628,7 +660,7 @@ class TestSpliceFrame:
         cut = LabeledGraph(odd_up.ground, odd_up.masks, tuple(map(tuple, rows)),
                            tuple(map(tuple, labels)), family=odd_up.family,
                            labeled=True)
-        assert SpliceFrame.of(middle, cut) == replace(
+        assert SpliceFrame.of(cut) == replace(
             frame, connector_count=frame.connector_count - 1,
             middle_vertex_collisions=frame.middle_vertex_collisions - 1)
 
@@ -639,7 +671,7 @@ class TestStageTimes:
                              ("middle", ["search", "embed", "lift"])):
             rep = recursion_pipeline(5, SearchBudget(seed=1), start=start)
             assert rep.base_search.status == FOUND
-            assert list(rep.stage_s) == order + ["remainder", "connectors"]
+            assert list(rep.stage_s) == order
             assert all(t >= 0 for t in rep.stage_s.values())
             assert rep.stage_s["search"] >= rep.base_search.elapsed
 
@@ -652,11 +684,10 @@ class TestStageTimes:
 
     def test_summary_prints_stages_on_one_line(self):
         rep = recursion_pipeline(5, SearchBudget(seed=1))
-        rep.stage_s = {"search": 0.0043, "lift": 0.0008, "embed": 0.0002,
-                       "remainder": 0.0019, "connectors": 0.0031}
+        rep.stage_s = {"search": 0.0043, "lift": 0.0008, "embed": 0.0002}
         lines = [x for x in rep.summary_lines() if "stage times" in x]
         assert lines == ["  stage times: search 4.3 ms, lift 0.8 ms,"
-                         " embed 0.2 ms, remainder 1.9 ms, connectors 3.1 ms"]
+                         " embed 0.2 ms"]
 
 
 class TestOddOrderParity:

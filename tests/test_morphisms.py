@@ -27,7 +27,6 @@ from kneserlab.morphisms import (
     biregular_cross_iso,
     color_swap_iso,
     cover_map,
-    embed_indices,
     embed_middle_in_odd,
     find_isomorphism,
     generic_double_cover,
@@ -297,22 +296,6 @@ class TestMiddleComponentIso:
         iso = regular_component_to_middle(m + 1, canonical_colors(m + 1, 2), [2 * m])
         for w in emb.source.vertices:
             assert image(iso, image(emb, w)) == w
-
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_embed_indices_match_the_map(self, m):
-        emb = embed_middle_in_odd(m)
-        src, dst = emb.source, emb.target
-        order = list(range(src.n_vertices))[::-1]
-        got = embed_indices(src, dst, order)
-        assert [dst.vertices[j] for j in got] == [
-            image(emb, src.vertices[i]) for i in order
-        ]
-
-    def test_embed_indices_needs_middle_and_next_odd(self, odd3, odd4, middle3):
-        with pytest.raises(ParameterError):
-            embed_indices(middle3, odd3, [0])
-        with pytest.raises(ParameterError):
-            embed_indices(odd3, odd4, [0])
 
     def test_embed_examples(self):
         emb = embed_middle_in_odd(2)
@@ -806,5 +789,3 @@ def test_non_vertex_image_or_pin_refused(odd3, bad):
     for pin in ({0: bad}, {bad: 0}):
         with pytest.raises(ParameterError, match="^vertex index "):
             find_isomorphism(odd3, odd3, pin=pin)
-    with pytest.raises(ParameterError, match="^vertex index "):
-        embed_indices(build(Family.middle_levels(2)), odd3, [bad])
