@@ -4,15 +4,17 @@ independent-orbit excision experiment.
 The vertex count of odd(n) factors as (2n-1) times a Catalan number, the
 factor counting the orbits of the full ground rotation; orbit classes
 correspond to binary necklaces.  Excising independent unions of orbits is
-how the Coxeter graph sits inside odd(4), and the number of orbits such an
-excision must remove is pinned by a Catalan convolution.
+how the Coxeter graph sits inside odd(4).  Counting the edges between a
+deleted independent set and the rest shows that a cubic excision removes
+exactly (n-3) catalan(n-1) / (2n-3) orbits of 2n-1 vertices each, and that
+count is the fourth Catalan convolution at n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .decompose import (
     block_component,
@@ -32,7 +34,8 @@ from .setcore import (
 
 # identities are also checked on built graphs up to this n
 STRUCTURAL_LIMIT = 5
-# most orbit unions one excision survey size enumerates
+# most orbit unions an excision survey enumerates: odd(5) has C(14, 4) =
+# 1,001, odd(6) would have C(42, 14) ~ 5.3e10 and is refused
 UNION_CAP = 1_000_000
 
 
@@ -199,77 +202,65 @@ def necklaces(n: int, masks: Iterable[int]) -> list[str]:
 
 
 def independent_orbit_excision(n: int) -> Report:
-    """Survey deletions of independent orbit unions of the pinned size.
+    """Survey deletions of independent orbit unions of the pinned size
+    k = catalan_fourth_convolution(n): delete each independent union of k
+    orbits (no edge inside it) and record the degree profile of the rest.
 
-    The pinned size is the fourth Catalan convolution at n; the operation
-    enumerates all unions of that many orbits (up to UNION_CAP of them),
-    keeps the independent ones (no edge inside the union), deletes each and
-    records the degree profile of the rest.  Sizes one off the pinned value
-    are also tried to confirm no cubic outcome arises there.
+    No other size can leave a cubic graph.  Deleting r independent vertices
+    of the n-regular odd(n) leaves a cubic graph only when n r = (n-3)(|V|-r).
+    The rotation acts freely, since a vertex fixed by a rotation of order
+    d > 1 is a union of d-element cosets, and d would divide both 2n-1 and
+    n-1, which are coprime; so a union of j orbits is r = j (2n-1) vertices,
+    and a cubic excision needs (n-3) catalan(n-1) = (2n-3) j.  The report
+    fails unless k is that j.  More than UNION_CAP unions of k orbits raise
+    ParameterError before any is listed.
     """
     if n < 3:
         raise ParameterError("need n >= 3")
     k = catalan_fourth_convolution(n)
+    count = catalan(n - 1)
+    unions = binomial(count, k)
+    if unions > UNION_CAP:
+        raise ParameterError(
+            f"the {unions} unions of {k} orbits of odd({n}) exceed the limit"
+            f" of {UNION_CAP}")
     orb = orbits(n)
-    g = orb.graph
-    clash = _orbit_clashes(orb)
-    bit = [1 << ci for ci in range(len(orb.orbits))]
     failures = []
-    details: dict = {"pinned_orbit_count": k, "orbits": len(orb.orbits)}
-
-    def survey(size: int) -> tuple[list[tuple[int, ...]], list[dict]]:
-        """Independent unions of `size` orbits and their deletion outcomes."""
-        if size == 0:
-            prof = _deletion_profile(g, ())
-            return [()], [prof]
-        independents = []
-        outcomes = []
-        tried = 0
-        truncated = False
-        for combo in combinations(range(len(orb.orbits)), size):
-            tried += 1
-            if tried > UNION_CAP:
-                truncated = True
-                break
-            # independent: no orbit of the union clashes with one in it
-            chosen = sum(map(bit.__getitem__, combo))
-            if any(map(chosen.__and__, map(clash.__getitem__, combo))):
-                continue
-            union = sorted(x for ci in combo for x in orb.orbits[ci])
-            independents.append(combo)
-            outcomes.append(_deletion_profile(g, tuple(union)))
-        if truncated:
-            details[f"truncated_at_size_{size}"] = UNION_CAP
-        return independents, outcomes
-
-    independents, outcomes = survey(k)
-    details["independent_unions"] = len(independents)
-    cubic = [
-        oc for oc in outcomes if oc["signature"] == ("regular", 3)
-    ]
-    details["cubic_outcomes"] = len(cubic)
+    if (n - 3) * count != (2 * n - 3) * k:
+        failures.append(f"(n-3) catalan(n-1) = {(n - 3) * count}"
+                        f" != (2n-3) k = {(2 * n - 3) * k}")
+    g = orb.graph
+    outcomes = [_deletion_profile(g, union) for union in _independent_unions(orb, k)]
+    cubic = [oc for oc in outcomes if oc["signature"] == ("regular", 3)]
+    details: dict = {
+        "pinned_orbit_count": k,
+        "orbits": count,
+        "independent_unions": len(outcomes),
+        "cubic_outcomes": len(cubic),
+    }
     if cubic:
         details["cubic_fingerprint"] = (
             cubic[0]["vertices"],
             cubic[0]["edges"],
             girth(cubic[0]["graph"]),
         )
-    for off in (-1, 1):
-        size = k + off
-        if size < 0 or size > len(orb.orbits):
-            continue
-        _, off_outcomes = survey(size)
-        bad = [oc for oc in off_outcomes if oc["signature"] == ("regular", 3)]
-        if bad:
-            failures.append(
-                f"cubic outcome at union size {size}, off the pinned {k}"
-            )
     return Report(
         f"independent orbit excision odd({n})",
         not failures,
         details,
         failures,
     )
+
+
+def _independent_unions(orb: OrbitSet, size: int) -> Iterator[tuple[int, ...]]:
+    """Each union of `size` orbits with no edge inside it, as the sorted
+    tuple of its vertex indices, in combinations order."""
+    clash = _orbit_clashes(orb)
+    for combo in combinations(range(len(clash)), size):
+        chosen = sum(1 << ci for ci in combo)
+        # no orbit of the union clashes with one in it, itself included
+        if not any(chosen & clash[ci] for ci in combo):
+            yield tuple(sorted(x for ci in combo for x in orb.orbits[ci]))
 
 
 def _orbit_clashes(orb: OrbitSet) -> list[int]:
@@ -294,7 +285,6 @@ def _deletion_profile(g: LabeledGraph, removed: tuple[int, ...]) -> dict:
     sigs = set(census.counts)
     signature = sigs.pop() if len(sigs) == 1 else ("mixed",)
     return {
-        "removed": len(removed),
         "vertices": sub.n_vertices,
         "edges": sub.n_edges,
         "signature": signature,
@@ -308,8 +298,7 @@ def coxeter_excision() -> tuple[LabeledGraph, Report]:
     cubic, girth 7)."""
     orb = orbits(4)
     g = orb.graph
-    free = [oi for oi, c in enumerate(_orbit_clashes(orb)) if not c >> oi & 1]
-    chosen = orb.orbits[free[0]] if free else None
+    chosen = next(_independent_unions(orb, 1), None)
     failures = []
     if chosen is None:
         return g, Report("cubic excision odd(4)", False,

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, repeat
+from math import comb
 
 from .errors import ParameterError, UnlabeledGraphError
 from .graphs import (
@@ -26,7 +27,7 @@ from .graphs import (
     gc_paused,
     signature_name,
 )
-from .setcore import Block, ColorsLike, as_color_block, binomial
+from .setcore import Block, ColorsLike, as_color_block
 
 ISOLATED = ("isolated",)
 
@@ -103,37 +104,34 @@ def expected_census(n: int, k: int, family_kind: str = ODD) -> dict[tuple, int]:
     """Closed-form census of O_n(k) (or B_n(k)) for 0 < k <= n (k <= n-1
     for the middle family).
 
-    For the odd graph, components come in partition classes {T, S-T}: for
-    each i < k/2 there are C(k,i) components biregular(n-i, n-k+i); even k
-    adds C(k, k/2)/2 regular(n - k/2) components; k = n degenerates the
-    i=0 entry to a single isolated vertex.  For the middle levels graph
-    every T gives its own component, so matching i and k-i counts add and
-    nothing is halved.
+    Each trace size i of T gives components of degrees (n-i, n-k+i),
+    named by the larger first: regular when the two agree, isolated when
+    one is zero (the odd graph's T = ∅ or S at k = n).  In the middle
+    levels graph every T gives its own component, C(k, i) of them.  In
+    the odd graph a component is a class {T, S-T}, and exactly one half
+    of a class misses a fixed color of S, so C(k-1, i) classes are counted
+    at trace size i.
     """
     if family_kind == ODD:
         if not 0 < k <= n:
             raise ParameterError(f"closed form needs 0 < k <= n, got k={k}, n={n}")
-        out: dict[tuple, int] = {}
-        for i in range(0, (k + 1) // 2):
-            sig = ("biregular", n - i, n - k + i)
-            if k == n and i == 0:
-                sig = ISOLATED
-            out[sig] = out.get(sig, 0) + binomial(k, i)
-        if k % 2 == 0:
-            out[("regular", n - k // 2)] = binomial(k, k // 2) // 2
-        return out
-    if family_kind == MIDDLE_LEVELS:
+        top = k - 1
+    elif family_kind == MIDDLE_LEVELS:
         if not 0 < k <= n - 1:
             raise ParameterError(
                 f"closed form needs 0 < k <= n-1, got k={k}, n={n}"
             )
-        out = {}
-        for i in range(0, k + 1):
-            a, b = max(n - i, n - k + i), min(n - i, n - k + i)
-            sig = ("regular", a) if a == b else ("biregular", a, b)
-            out[sig] = out.get(sig, 0) + binomial(k, i)
-        return out
-    raise ParameterError(f"no closed-form census for family {family_kind!r}")
+        top = k
+    else:
+        raise ParameterError(f"no closed-form census for family {family_kind!r}")
+    out: dict[tuple, int] = {}
+    for i in range(k + 1):
+        a, b = n - i, n - k + i
+        if a < b:
+            a, b = b, a
+        sig = ISOLATED if not b else ("regular", a) if a == b else ("biregular", a, b)
+        out[sig] = out.get(sig, 0) + comb(top, i)
+    return out
 
 
 def trace_classes(g: LabeledGraph, colors: ColorsLike) -> dict[int, list[int]]:

@@ -3,8 +3,8 @@
 Deleting an even number k of colors S from an odd graph leaves a family of
 middle-levels components, one per partition {T, S-T} of the deleted set
 into equal halves.  A component is named by its half, an int mask: the
-half holding a distinguished color d (in a middle levels graph, the trace
-T itself).  Components whose halves a transposition (a, d) exchanges form
+half holding d = min S (in a middle levels graph, the trace T itself).
+Components whose halves a transposition (a, d) exchanges form
 a graph of their own: with each half minus d packed onto [k-1], that
 graph is again an odd graph (or a middle levels graph when the deletion
 happens inside a middle levels graph).  The same mechanism describes the
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decompose import classify_components, shared_deletion
+from .decompose import canonical_colors, classify_components, shared_deletion
 from .errors import DegenerateCaseError, ParameterError
 from .graphs import (
     MIDDLE_LEVELS,
@@ -95,11 +95,17 @@ class SuperGraph:
         return self.iso.target.family
 
 
-def _component_halves(n: int, s: Block, d: int, family_kind: str) -> list[int]:
+def _odd_half(trace: int, s_bits: int) -> int:
+    """The half of the odd-graph class {T, S-T} that holds min S."""
+    return trace if trace & s_bits & -s_bits else trace ^ s_bits
+
+
+def _component_halves(n: int, s: Block, family_kind: str) -> list[int]:
     """The half masks naming the middle-levels components of the odd
     (family_kind ODD) or middle levels graph minus the colors S: the
-    class {T, S-T} of an odd graph by its half holding d, a class of a
-    middle levels graph by its trace T."""
+    class {T, S-T} of an odd graph by its half holding min S, as
+    regular_component_partitions names it, a class of a middle levels
+    graph by its trace T."""
     k = s.card
     if k <= 0 or k % 2:
         raise ParameterError(f"need a nonempty even color set, got |S|={k}")
@@ -107,22 +113,21 @@ def _component_halves(n: int, s: Block, d: int, family_kind: str) -> list[int]:
         raise ParameterError(f"no middle-levels components for n={n}, k={k}")
     fam = Family.odd(n) if family_kind == ODD else Family.middle_levels(n)
     deleted = shared_deletion(build(fam), s)
-    d_bit = 1 << (d - 1)
     halves = []
     for comp in deleted.component_sets:
         trace = deleted.masks[comp[0]] & s.bits
         if trace.bit_count() != k // 2:
             continue
-        half = trace ^ s.bits if family_kind == ODD and not trace & d_bit else trace
+        half = _odd_half(trace, s.bits) if family_kind == ODD else trace
         if half in halves:
             raise AssertionError(f"class {Block(half, s.m)} split across components")
         halves.append(half)
     return halves
 
 
-def _build_super(s: Block, d: int, family_kind: str, halves: list[int]) -> SuperGraph:
+def _build_super(s: Block, family_kind: str, halves: list[int]) -> SuperGraph:
     """The meta-graph on the given component halves of a deletion of the
-    colors S, with distinguished color d."""
+    colors S, with distinguished color d = min S."""
     k = s.card
     if family_kind == ODD:
         target = Family.odd(k // 2)
@@ -134,8 +139,8 @@ def _build_super(s: Block, d: int, family_kind: str, halves: list[int]) -> Super
         raise AssertionError(
             f"found {len(halves)} middle-levels components, expected {expected_count}"
         )
-    d_bit = 1 << (d - 1)
-    rest = [1 << (e - 1) for e in s.elements() if e != d]
+    d_bit = s.bits & -s.bits
+    rest = [1 << (e - 1) for e in s.elements()[1:]]
     labels = [sum(1 << i for i, bit in enumerate(rest) if h & bit) for h in halves]
     edges = []
     agree = True
@@ -167,19 +172,19 @@ def _meta_graph(n: int, k: int, family_kind: str) -> SuperGraph:
     m = 2 * n - 1
     if not 0 < k < m:
         raise ParameterError(f"need 0 < k < {m}")
-    s = Block.from_elements(range(1, k + 1), m)
-    return _build_super(s, k, family_kind, _component_halves(n, s, k, family_kind))
+    s = canonical_colors(n, k)
+    return _build_super(s, family_kind, _component_halves(n, s, family_kind))
 
 
 def build_m(n: int, k: int) -> SuperGraph:
     """Meta-graph of the middle-levels components of the odd graph minus
-    the colors [k]; isomorphic to odd(k/2)."""
+    the k canonical colors; isomorphic to odd(k/2)."""
     return _meta_graph(n, k, ODD)
 
 
 def build_l(n: int, k: int) -> SuperGraph:
     """Meta-graph of the middle-levels components of the middle levels
-    graph minus the colors [k]; isomorphic to middle(k/2)."""
+    graph minus the k canonical colors; isomorphic to middle(k/2)."""
     return _meta_graph(n, k, MIDDLE_LEVELS)
 
 
@@ -219,12 +224,11 @@ def bottom_level(n: int, v: Block) -> BottomLevel:
     if counts != expected:
         failures.append(f"census {census} != expected {mm_copies} regular({target_m})")
     comp_sets = sub.component_sets
-    d = max(colors.elements())
     halves = []
     for comp in comp_sets:
         rep = Block(sub.masks[comp[0]], sub.ground)
         t = rep & colors
-        halves.append((t if d in t else colors - t).bits)
+        halves.append(_odd_half(t.bits, colors.bits))
         vmap = regular_component_to_middle(n, colors, t)
         comp_graph = sub.subgraph(comp)
         if vmap.source != comp_graph:
@@ -243,4 +247,4 @@ def bottom_level(n: int, v: Block) -> BottomLevel:
         },
         failures=failures,
     )
-    return BottomLevel(report, _build_super(colors, d, ODD, halves))
+    return BottomLevel(report, _build_super(colors, ODD, halves))

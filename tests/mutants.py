@@ -327,6 +327,31 @@ MUTANTS = [
         " middle(m) in odd(m+1) folds onto half its vertices",
         ("tests/test_hamilton.py::TestSpliceFrame",),
     ),
+    Mutant(
+        CATALAN,
+        "if (n - 3) * count != (2 * n - 3) * k:",
+        "if (n - 3) * count > (2 * n - 3) * k:",
+        "the counting identity checked one way only: a pinned orbit count"
+        " above the one a cubic excision removes passes",
+        ("tests/test_catalan.py::TestExcision",),
+    ),
+    Mutant(
+        CATALAN,
+        "if not any(chosen & clash[ci] for ci in combo):",
+        "if not any(chosen & clash[ci] & ~(1 << ci) for ci in combo):",
+        "the independence test without an orbit's own bit: an orbit with"
+        " an edge inside it counts as independent, so odd(4) has five"
+        " independent orbits, not two",
+        ("tests/test_catalan.py::TestExcision",),
+    ),
+    Mutant(
+        CATALAN,
+        "    if unions > UNION_CAP:\n",
+        "    if k > UNION_CAP:\n",
+        "the cap compared with the pinned orbit count, not with the unions"
+        " of that many orbits: odd(6)'s C(42, 14) unions would be listed",
+        ("tests/test_catalan.py::TestExcision::test_cap_counts_the_unions",),
+    ),
 ]
 
 

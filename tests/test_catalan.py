@@ -4,11 +4,13 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from itertools import combinations
 
 import pytest
 
 import kneserlab
+import kneserlab.catalan as catalan_module
 from kneserlab import cli, graphs
 from kneserlab.catalan import (
     coxeter_excision,
@@ -338,6 +340,39 @@ class TestExcision:
         rep = independent_orbit_excision(n)
         assert rep.ok and not rep.failures
         assert rep.details == details
+
+    def test_six_refused_before_any_orbit_is_walked(self, monkeypatch):
+        # odd(6) has C(42, 14) unions of its 14 pinned orbits: the refusal
+        # is decided by counting them, before any orbit is walked
+        monkeypatch.setattr(catalan_module, "orbits",
+                            lambda n: pytest.fail("orbits walked"))
+        start = time.perf_counter()
+        with pytest.raises(ParameterError, match="52860229080 unions of 14 orbits"):
+            independent_orbit_excision(6)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("cap,refused", [(1_000, True), (1_001, False)])
+    def test_cap_counts_the_unions(self, monkeypatch, cap, refused):
+        # odd(5) has C(14, 4) = 1,001 unions of its 4 pinned orbits
+        monkeypatch.setattr(catalan_module, "UNION_CAP", cap)
+        if refused:
+            with pytest.raises(ParameterError, match="1001 unions of 4 orbits"):
+                independent_orbit_excision(5)
+        else:
+            assert independent_orbit_excision(5).ok
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_count_off_the_identity_fails(self, monkeypatch, shift):
+        # odd(5) has no independent union of 3, 4 or 5 orbits, so only the
+        # counting identity (5-3) * 14 = (2*5-3) * 4 tells a wrong count
+        pinned = catalan_module.catalan_fourth_convolution
+        monkeypatch.setattr(catalan_module, "catalan_fourth_convolution",
+                            lambda n: pinned(n) + shift)
+        rep = independent_orbit_excision(5)
+        assert rep.details["pinned_orbit_count"] == 4 + shift
+        assert not rep.ok
+        assert rep.failures == [
+            f"(n-3) catalan(n-1) = 28 != (2n-3) k = {7 * (4 + shift)}"]
 
     def test_pinned_coxeter_report(self):
         _graph, rep = coxeter_excision()

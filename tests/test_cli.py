@@ -271,9 +271,13 @@ class TestVerify:
         # the two pieces whose deletion no census makes add one each: the
         # bottom level's odd(4) minus {4,5,6,7} and the identities' odd(2)
         # minus {2,3} (22 deletions when a piece was cut and its colors
-        # dropped in one pass).  As in a fresh process, no graph outlives
-        # the pass: a graph that a session fixture holds would carry its
-        # memo into it.
+        # dropped in one pass).  The meta-graphs delete the canonical
+        # colors, as the censuses do, and share those deletions (24 when
+        # they deleted [k]); the excision survey cuts one subgraph per
+        # independent union of the pinned size only (72 cuts when it also
+        # surveyed the sizes one off the pin).  As in a fresh process, no
+        # graph outlives the pass: a graph that a session fixture holds
+        # would carry its memo into it.
         targets = [(dec, "block_component"), (dec, "delete_colors"),
                    (graphs.LabeledGraph, "subgraph")]
         calls = dict.fromkeys((name for _, name in targets), 0)
@@ -293,8 +297,8 @@ class TestVerify:
                         monkeypatch.setattr(module, key, counted)
         code, _, _ = run(["verify", "all", "--max-n", "64"], capsys)
         assert code == 0
-        assert calls == {"block_component": 60, "delete_colors": 24,
-                         "subgraph": 72}
+        assert calls == {"block_component": 60, "delete_colors": 22,
+                         "subgraph": 46}
 
 
 class TestHamilton:

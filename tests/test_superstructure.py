@@ -131,12 +131,12 @@ class TestMiddleComponents:
             for k in range(2, m, 2):
                 for chosen in combinations(range(1, m + 1), k):
                     s = b(chosen, m)
-                    d = chosen[-1]
+                    d = chosen[0]
                     want = sorted(
                         b(t, m).bits for t in combinations(chosen, k // 2)
                         if kind == MIDDLE_LEVELS or d in t
                     )
-                    got = superstructure._component_halves(n, s, d, kind)
+                    got = superstructure._component_halves(n, s, kind)
                     assert sorted(got) == want
                     sets += 1
         assert sets == {ODD: 336, MIDDLE_LEVELS: 81}[kind]
