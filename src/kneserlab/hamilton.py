@@ -305,7 +305,8 @@ def recursion_pipeline(
     the embedded circuit onward through the cover of odd(n) by middle(n).
     When the base search proves its graph non-Hamiltonian (odd(3)), the
     pipeline falls back to a direct search of odd(n) and says so.  An
-    odd-start round builds middle(n-1) to check the lift.  The embedding,
+    odd-start round checks the lift on the middle(n-1) that lift_circuit
+    built, the graph the lifted circuit lives on.  The embedding,
     the remainder and the connectors do not depend on the cycle: they are
     read from odd(n)'s splice frame, which the first round into odd(n)
     computes and odd(n)'s memo keeps.  The search, the lift, every cycle
@@ -345,7 +346,7 @@ def recursion_pipeline(
         report.embedded_lengths = tuple(c.length for c in lift.circuits)
         report.lifted_is_hamiltonian_middle = (
             lift.kind == "single"
-            and verify_cycle(build(Family.middle_levels(n - 1)), lift.circuits[0])
+            and verify_cycle(lift.circuits[0].graph, lift.circuits[0])
         )
         lap("lift")
     odd_up = build(odd_family)

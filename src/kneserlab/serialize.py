@@ -19,7 +19,9 @@ head names is matched against that graph's pieces as they are generated,
 and the reader returns the built graph, whose memo keeps the text as its
 export; nothing past the head is parsed.  Any other text is parsed as
 one document and checked, and that reader gives every error message; the
-parsed document is dropped before the graph's rows are made.
+parsed document is dropped before the graph's rows are made.  A parsed
+document that names a family is compared with build(family), the one
+statement of the family rules, and that graph is returned.
 """
 
 from __future__ import annotations
@@ -27,17 +29,12 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import chain, islice, repeat
-from operator import (
-    add, and_, getitem, is_, is_not, itemgetter, lt, or_, rshift, sub, xor,
-)
+from itertools import chain, compress, count, islice, repeat
+from operator import add, and_, getitem, is_not, itemgetter, lt, ne, rshift, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ParameterError
 from .graphs import (
-    KNESER,
-    MIDDLE_LEVELS,
-    ODD,
     Family,
     LabeledGraph,
     build,
@@ -235,11 +232,13 @@ def _parsed_graph(text: str) -> LabeledGraph:
     """The graph of the text parsed as one document: vertices in canonical
     order, every endpoint a vertex index (_document_columns).
 
-    A document that names a family must hold exactly that family's graph:
-    its ground, vertex count, block sizes and edge count, and on every
-    edge an adjacent pair with the label the two blocks imply.  Any
-    violation raises ParameterError.  The parsed document is dropped
-    before the neighbour rows are made, so the two never coexist.
+    A document that names a family must hold exactly build(family)'s
+    graph, and that graph is returned.  Its ground and vertex count are
+    checked before anything is built; then its vertices, edge count,
+    neighbour rows and labels are compared with the built graph's, and an
+    odd or middle levels label must be an int.  Any violation raises
+    ParameterError.  The parsed document is dropped before the neighbour
+    rows are made, and the family is built only after them.
     """
     try:
         data = json.loads(text)
@@ -249,14 +248,27 @@ def _parsed_graph(text: str) -> LabeledGraph:
     del data
     nbrs, labs = edge_rows(len(masks), ends_u, ends_v, labels)
     if family is None:
-        labeled = any(map(is_not, labels, repeat(None)))
-    else:
-        _check_family(family, ground, masks,
-                      list(map(masks.__getitem__, ends_u)),
-                      list(map(masks.__getitem__, ends_v)), labels)
-        labeled = family.kind in (ODD, MIDDLE_LEVELS)
-    return LabeledGraph(ground, tuple(masks), nbrs, labs,
-                        family=family, labeled=labeled)
+        return LabeledGraph(ground, tuple(masks), nbrs, labs, family=None,
+                            labeled=any(map(is_not, labels, repeat(None))))
+    if ground != family.ground:
+        raise ParameterError(
+            f"{family} lives on ground [{family.ground}], not [{ground}]")
+    if len(masks) != family.n_vertices:
+        raise ParameterError(
+            f"{family} has {family.n_vertices} vertices, not {len(masks)}")
+    g = build(family)
+    if tuple(masks) != g.masks:
+        raise ParameterError(f"the vertices are not those of {family}")
+    if len(labels) != g.n_edges:
+        raise ParameterError(f"{family} has {g.n_edges} edges, not {len(labels)}")
+    if nbrs != g.neighbor_table:
+        i = next(compress(count(), map(ne, nbrs, g.neighbor_table)))
+        raise ParameterError(
+            f"the edges at vertex {i} are not those of {family}")
+    # a tuple compare takes true for 1 and 5.0 for 5
+    if labs != g.label_table or g.labeled and set(map(type, labels)) - {int}:
+        raise ParameterError(f"an edge label is not the one {family} implies")
+    return g
 
 
 def _vertex_masks(vert_lists, ground: int) -> list[int]:
@@ -275,54 +287,12 @@ def _vertex_masks(vert_lists, ground: int) -> list[int]:
     return [Block.from_elements(elems, ground).bits for elems in vert_lists]
 
 
-def _check_family(
-    family: Family,
-    ground: int,
-    masks: list[int],
-    ends_u: list[int],
-    ends_v: list[int],
-    labels: list,
-) -> None:
-    """Check a document's vertices (distinct, in canonical order) and
-    edges (distinct, given by endpoint masks) against the family it names."""
-    if ground != family.ground:
-        raise ParameterError(
-            f"{family} lives on ground [{family.ground}], not [{ground}]")
-    if len(masks) != family.n_vertices:
-        raise ParameterError(
-            f"{family} has {family.n_vertices} vertices, not {len(masks)}")
-    if not set(map(int.bit_count, masks)) <= set(family.block_sizes):
-        raise ParameterError(
-            f"{family} has blocks of sizes {family.block_sizes} only")
-    if family.kind in (KNESER, ODD):
-        if any(map(and_, ends_u, ends_v)):
-            raise ParameterError(f"an edge joins intersecting blocks of {family}")
-        # the label of an odd graph edge is the one element outside u | v
-        full = (1 << ground) - 1
-        want = map(int.bit_length, map(xor, map(or_, ends_u, ends_v), repeat(full)))
-    else:
-        if list(map(and_, ends_u, ends_v)) != list(map(min, ends_u, ends_v)):
-            raise ParameterError(
-                f"an edge joins blocks of {family} neither of which contains"
-                " the other")
-        # the label of a middle levels edge is the one element of u ^ v
-        want = map(int.bit_length, map(xor, ends_u, ends_v))
-    if family.kind in (ODD, MIDDLE_LEVELS):
-        implied = set(map(type, labels)) <= {int} and list(want) == labels
-    else:
-        implied = all(map(is_, labels, repeat(None)))
-    if not implied:
-        raise ParameterError(f"an edge label is not the one {family} implies")
-    n_edges = family.n_vertices * expected_family_degree(family) // 2
-    if len(labels) != n_edges:
-        raise ParameterError(f"{family} has {n_edges} edges, not {len(labels)}")
-
-
 @gc_paused
 def graph_from_json(text: str) -> LabeledGraph:
-    """The graph of an interchange document's JSON text.  The exact export
-    of a family is the graph build gives for it (_family_export); any
-    other text is parsed whole and checked (_parsed_graph), which gives
+    """The graph of an interchange document's JSON text.  A document that
+    names a family gives the graph build gives for it: the family's exact
+    export is matched against that graph (_family_export), and any other
+    text is parsed whole and compared with it (_parsed_graph), which gives
     every error message."""
     return _family_export(text) or _parsed_graph(text)
 
@@ -353,7 +323,7 @@ def _family_export(text: str) -> Optional[LabeledGraph]:
         return None
     try:
         g = build(family)
-    except ParameterError:  # too many subsets: _parsed_graph says why
+    except ParameterError:  # too many subsets: _parsed_graph refuses it
         return None
     if _matched(text, 0, _json_pieces(g, _MATCH_ROWS)) != len(text):
         return None

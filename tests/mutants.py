@@ -352,6 +352,32 @@ MUTANTS = [
         " of that many orbits: odd(6)'s C(42, 14) unions would be listed",
         ("tests/test_catalan.py::TestExcision::test_cap_counts_the_unions",),
     ),
+    Mutant(
+        SERIALIZE,
+        "labs != g.label_table or g.labeled and set(map(type, labels)) - {int}:",
+        "labs != g.label_table:",
+        "the label compare without its int test: 5.0 for 5 and true for 1"
+        " compare equal in a tuple, so an odd graph edge takes them",
+        ("tests/test_serialize.py::TestFamilyClaim",),
+    ),
+    Mutant(
+        SERIALIZE,
+        "    if len(masks) != family.n_vertices:\n"
+        "        raise ParameterError(\n"
+        '            f"{family} has {family.n_vertices} vertices, not {len(masks)}")\n',
+        "",
+        "the vertex count not checked before the build: a one-vertex"
+        " document that names odd(12) builds it before it is refused",
+        ("tests/test_serialize.py::TestFamilyClaim",),
+    ),
+    Mutant(
+        SERIALIZE,
+        "if labs != g.label_table or g.labeled and ",
+        "if g.labeled and ",
+        "the label table not compared: an int label other than the implied"
+        " one, and any label on an unlabeled family, is taken",
+        ("tests/test_serialize.py::TestFamilyClaim",),
+    ),
 ]
 
 
