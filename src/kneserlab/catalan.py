@@ -110,9 +110,8 @@ def _built_remainder_size(n: int) -> int:
     degenerates to the single isolated vertex, below the remainder-graph
     constructor's domain."""
     if n > 2:
-        return remainder_graph(n, 2).graph.n_vertices
-    piece = block_component(n, canonical_colors(n, 2), Block.empty(2 * n - 1))
-    return piece.graph.n_vertices
+        return remainder_graph(n, 2).n_vertices
+    return block_component(n, canonical_colors(n, 2), Block.empty(2 * n - 1)).n_vertices
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .graphs import (
     Family,
     Report,
     build,
+    degree_profile,
     girth,
     holding_families,
     signature_name,
@@ -290,8 +291,8 @@ def _suite_decompose(report: RunReport, max_n: int):
         want = binomial(2 * (n - 1), n - 2)
         report.add(
             f"remainder-size({n},2)", "OEIS A001791",
-            rg.graph.n_vertices == want,
-            f"{rg.graph.n_vertices} vertices, {signature_name(rg.signature)}",
+            rg.n_vertices == want,
+            f"{rg.n_vertices} vertices, {signature_name(degree_profile(rg))}",
         )
 
 

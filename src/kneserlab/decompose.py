@@ -65,18 +65,6 @@ def shared_deletion(g: LabeledGraph, colors: ColorsLike) -> LabeledGraph:
     return g.memo[key]
 
 
-def component_signature(g: LabeledGraph, vertex_indices: list[int]) -> tuple:
-    """Census key of one component: isolated / regular / biregular / irregular.
-
-    The same key as degree_profile(g.subgraph(vertex_indices)), read from
-    g.neighbor_table: a component is closed under adjacency, so
-    its degrees in g are its degrees in the subgraph.
-    """
-    if len(vertex_indices) == 1:
-        return ISOLATED
-    return degree_signature(g.neighbor_table, vertex_indices)
-
-
 @dataclass(frozen=True)
 class ComponentCensus:
     """Multiset of component degree signatures: counts maps each signature
@@ -94,9 +82,13 @@ def classify_components(g: LabeledGraph) -> ComponentCensus:
 
     Single-vertex components get their own "isolated" signature rather
     than regular(0), so regularity statements range over components that
-    actually carry edges.
+    actually carry edges.  Degrees are read from g.neighbor_table: a
+    component is closed under adjacency, so its degrees in g are its
+    degrees in the subgraph.
     """
-    counts = Counter(component_signature(g, ixs) for ixs in g.component_sets)
+    table = g.neighbor_table
+    counts = Counter(ISOLATED if len(ixs) == 1 else degree_signature(table, ixs)
+                     for ixs in g.component_sets)
     return ComponentCensus(dict(sorted(counts.items())))
 
 
@@ -145,18 +137,10 @@ def trace_classes(g: LabeledGraph, colors: ColorsLike) -> dict[int, list[int]]:
     return dict(classes)
 
 
-@dataclass(frozen=True)
-class BlockComponent:
-    """One partition-class piece of a color-deleted odd graph and its
-    degree signature; trace_classes gives its two sides."""
-
-    graph: LabeledGraph
-    signature: tuple
-
-
-def block_component(n: int, colors: ColorsLike, t: ColorsLike) -> BlockComponent:
+def block_component(n: int, colors: ColorsLike, t: ColorsLike) -> LabeledGraph:
     """The induced piece of O_n(S) on the vertices whose intersection with
-    S equals T or S - T.
+    S equals T or S - T, one class of the deletion; trace_classes gives
+    its two sides.
 
     For |T| = i and |S| = k this is biregular of degrees (n-i, n-k+i);
     for k = n and T empty it degenerates to a single isolated vertex.
@@ -164,7 +148,8 @@ def block_component(n: int, colors: ColorsLike, t: ColorsLike) -> BlockComponent
     built O_n, whichever half T or S - T names it: the graph's memo keeps
     it under the smaller half's mask for as long as that O_n lives, so
     inside a holding_families block a second call for either half
-    returns the same object.
+    returns the same object.  No degrees are read at the cut; a check
+    that needs them takes degree_profile of the piece.
     """
     m = 2 * n - 1
     s = as_color_block(colors, m)
@@ -178,28 +163,29 @@ def block_component(n: int, colors: ColorsLike, t: ColorsLike) -> BlockComponent
         u = classes.get(tb.bits, [])
         w = classes.get((s - tb).bits, [])
         # T = S - T only for S empty: both sides are then the whole graph
-        sub = shared_deletion(g, s).subgraph(u if tb == s - tb else u + w)
-        g.memo[key] = BlockComponent(sub, degree_profile(sub))
+        g.memo[key] = shared_deletion(g, s).subgraph(u if tb == s - tb else u + w)
     return g.memo[key]
 
 
-def remainder_graph(n: int, k: int) -> BlockComponent:
+def remainder_graph(n: int, k: int) -> LabeledGraph:
     """The remainder graph of O_n after deleting k canonical colors: the
     T-empty piece of the canonical deleted set, the unique (n, n-k)-
     biregular component of O_n(k).
 
     The piece is block_component's, cut once per built O_n and checked on
-    every call: the piece stores its signature and its graph caches its
-    components, so a repeated check reads both.
+    every call: its degree signature is one pass over its rows, and the
+    piece caches its components, so a repeated connectivity check reads
+    them.
     """
     if not 0 < k < n:
         raise ParameterError(f"remainder graph needs 0 < k < n, got ({n}, {k})")
     piece = block_component(n, canonical_colors(n, k), ())
-    if piece.signature != ("biregular", n, n - k):
+    sig = degree_profile(piece)
+    if sig != ("biregular", n, n - k):
         raise AssertionError(f"remainder piece of O_{n}({k}) is"
-                             f" {signature_name(piece.signature)},"
+                             f" {signature_name(sig)},"
                              f" expected biregular({n},{n - k})")
-    if not piece.graph.connected:
+    if not piece.connected:
         raise AssertionError(f"remainder piece of O_{n}({k}) is not connected")
     return piece
 

@@ -325,7 +325,7 @@ def biregular_cross_iso(n: int, k: int, t1, n2: int, p2: int, t2) -> VertexMap:
     gains = ((s2 - tb2).bits, tb2.bits)  # W side, U side
     with holding_families():
         return _formula_map(
-            block_component(n, s1, tb1).graph, block_component(n2, s2, tb2).graph,
+            block_component(n, s1, tb1), block_component(n2, s2, tb2),
             lambda x: _cross(x, s1.bits, gains[(x & s1.bits) == tb1.bits]),
             ISOMORPHISM, f"cross ({n},{k},{tb1})->({n2},{p2},{tb2})",
         )
@@ -359,7 +359,7 @@ def regular_component_to_middle(n: int, colors, t) -> VertexMap:
         raise ParameterError("regular components need |S| even and |T| = |S|/2")
     mm = n - k // 2
     return _formula_map(
-        block_component(n, s, tb).graph, build(Family.middle_levels(mm)),
+        block_component(n, s, tb), build(Family.middle_levels(mm)),
         _regular_chain(n, s, tb),
         ISOMORPHISM, f"regular component ({n},{str(s)},{str(tb)}) -> middle({mm})",
     )

@@ -108,10 +108,6 @@ class Block:
         self._check_same_ground(other)
         return self.bits & ~other.bits == 0
 
-    def isdisjoint(self, other: "Block") -> bool:
-        self._check_same_ground(other)
-        return self.bits & other.bits == 0
-
     def complement(self) -> "Block":
         """[m] - self; an involution."""
         return Block(self.bits ^ ((1 << self.m) - 1), self.m)

@@ -52,6 +52,7 @@ SERIALIZE = "src/kneserlab/serialize.py"
 SUPER = "src/kneserlab/superstructure.py"
 GRAPHS = "src/kneserlab/graphs.py"
 HAMILTON = "src/kneserlab/hamilton.py"
+DECOMPOSE = "src/kneserlab/decompose.py"
 
 MUTANTS = [
     Mutant(
@@ -64,7 +65,7 @@ MUTANTS = [
         ("tests/test_morphisms.py::TestComponentIsos",),
     ),
     Mutant(
-        "src/kneserlab/decompose.py",
+        DECOMPOSE,
         'key = ("piece", s.bits, min(tb.bits, (s - tb).bits))',
         'key = ("piece", s.bits, tb.bits)',
         "the piece keyed by the half that names it: the two halves of a"
@@ -377,6 +378,23 @@ MUTANTS = [
         "the label table not compared: an int label other than the implied"
         " one, and any label on an unlabeled family, is taken",
         ("tests/test_serialize.py::TestFamilyClaim",),
+    ),
+    Mutant(
+        DECOMPOSE,
+        "    if not piece.connected:\n"
+        '        raise AssertionError(f"remainder piece of O_{n}({k}) is not connected")\n',
+        "",
+        "remainder_graph without its connectivity test: a piece of the"
+        " right signature in two parts is returned",
+        ("tests/test_decompose.py::TestRemainder",),
+    ),
+    Mutant(
+        DECOMPOSE,
+        "Counter(ISOLATED if len(ixs) == 1 else degree_signature(table, ixs)",
+        "Counter(degree_signature(table, ixs)",
+        "classify_components without the one-vertex rule: an isolated"
+        " vertex reads as regular(0)",
+        ("tests/test_decompose.py::TestCensus",),
     ),
 ]
 

@@ -207,7 +207,7 @@ def test_criterion_08_catalan_identities():
             assert verify_difference_identity(n).ok
             assert remainder_size_form(n).ok
         for n, size in [(3, 4), (4, 15), (5, 56)]:
-            assert remainder_graph(n, 2).graph.n_vertices == size
+            assert remainder_graph(n, 2).n_vertices == size
 
 
 def test_criterion_09_orbits_and_necklaces():

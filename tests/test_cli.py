@@ -244,7 +244,7 @@ class TestVerify:
 
     def test_suites_hold_their_families(self, fresh_live, monkeypatch, capsys):
         # a pass constructs each family at most once: one hold spans every
-        # suite (with nothing held a pass made 155 constructions of 24
+        # suite (with nothing held a pass made 115 constructions of 22
         # families, and with one hold per suite 59)
         built = []
         for name in ("_build_kneser", "_build_bipartite_kneser"):
@@ -299,6 +299,19 @@ class TestVerify:
         assert code == 0
         assert calls == {"block_component": 60, "delete_colors": 22,
                          "subgraph": 46}
+
+    def test_pass_reads_piece_degrees_in_checks_only(
+            self, fresh_live, monkeypatch, capsys):
+        # a class piece carries no degree census: decompose reads a piece's
+        # degrees only in remainder_graph's check, once per call (a pass
+        # read 30 when every cut took one)
+        calls = []
+        profile = dec.degree_profile
+        monkeypatch.setattr(dec, "degree_profile",
+                            lambda g: calls.append(g) or profile(g))
+        code, _, _ = run(["verify", "all", "--max-n", "64"], capsys)
+        assert code == 0
+        assert len(calls) == 11
 
 
 class TestHamilton:

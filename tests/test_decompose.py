@@ -1,7 +1,7 @@
 """Color-deletion subgraphs, block components, censuses, remainders."""
 
-import dataclasses
 import weakref
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -14,7 +14,6 @@ from kneserlab.decompose import (
     block_component,
     canonical_colors,
     classify_components,
-    component_signature,
     delete_colors,
     expected_census,
     regular_component_partitions,
@@ -29,6 +28,7 @@ from kneserlab.graphs import (
     LabeledGraph,
     build,
     degree_profile,
+    degree_signature,
     girth,
     graph_from_edges,
     holding_families,
@@ -116,7 +116,7 @@ class TestDeletedSubgraph:
                     members = classes.get(t.bits, [])
                     if t != s - t:  # S empty: T = S - T, one class listed once
                         members = members + classes.get((s - t).bits, [])
-                    assert block_component(n, s, t).graph == delete_colors(
+                    assert block_component(n, s, t) == delete_colors(
                         g.subgraph(members), s)
 
     def test_middle_class_matches_two_step_cut(self, middle4):
@@ -178,22 +178,39 @@ class TestGraphMemo:
 class TestBlockComponent:
     def test_regular_piece_is_hexagon(self):
         piece = block_component(3, [4, 5], [4])
-        assert piece.graph.n_vertices == 6
-        assert piece.signature == ("regular", 2)
-        assert girth(piece.graph) == 6
+        assert piece.n_vertices == 6
+        assert degree_profile(piece) == ("regular", 2)
+        assert girth(piece) == 6
 
     def test_empty_t_is_star(self):
         piece = block_component(3, [4, 5], [])
-        assert piece.graph.n_vertices == 4
-        assert piece.signature == ("biregular", 3, 1)
+        assert piece.n_vertices == 4
+        assert degree_profile(piece) == ("biregular", 3, 1)
 
     def test_full_deletion_single_vertex(self):
         piece = block_component(3, [3, 4, 5], [])
-        assert piece.graph.n_vertices == 1
-        assert piece.graph.vertices[0] == b([1, 2], 5)
+        assert piece.n_vertices == 1
+        assert piece.vertices[0] == b([1, 2], 5)
         # no vertex of odd(3) holds all of S, so the piece has one side
         classes = trace_classes(build(Family.odd(3)), [3, 4, 5])
         assert b([3, 4, 5], 5).bits not in classes
+
+    def test_cut_reads_no_degrees(self, fresh_live, monkeypatch):
+        # a piece is the cut graph itself, kept in odd(5)'s memo: no degree
+        # census is taken at the cut
+        calls = []
+        profile = dec.degree_profile
+        monkeypatch.setattr(dec, "degree_profile",
+                            lambda g: calls.append(g) or profile(g))
+        g = build(Family.odd(5))
+        s = canonical_colors(5, 4)
+        for i in range(3):
+            for combo in combinations(s.elements(), i):
+                t = b(combo, 9)
+                piece = block_component(5, s, t)
+                assert type(piece) is LabeledGraph
+                assert g.memo[("piece", s.bits, min(t.bits, (s - t).bits))] is piece
+        assert calls == []
 
     def test_t_outside_s_rejected(self):
         with pytest.raises(ParameterError):
@@ -206,9 +223,9 @@ class TestBlockComponent:
         piece = block_component(n, s, t)
         want = (n - i, n - k + i)
         if want[0] == want[1]:
-            assert piece.signature == ("regular", want[0])
+            assert degree_profile(piece) == ("regular", want[0])
         else:
-            assert piece.signature == ("biregular", max(want), min(want))
+            assert degree_profile(piece) == ("biregular", max(want), min(want))
 
     @pytest.mark.parametrize("n,colors,t", [
         (4, [5, 6, 7], [6]), (4, [1, 3], [3]), (5, [2, 4, 6, 8], [2, 8]),
@@ -220,7 +237,7 @@ class TestBlockComponent:
         s, tb = b(colors, 2 * n - 1), b(t, 2 * n - 1)
         members = [i for i, v in enumerate(g.vertices) if v & s in (tb, s - tb)]
         piece = block_component(n, s, tb)
-        assert piece.graph == delete_colors(g, s).subgraph(members)
+        assert piece == delete_colors(g, s).subgraph(members)
         classes = trace_classes(g, s)
         for side in (tb, s - tb):
             assert classes.get(side.bits, []) == [
@@ -234,7 +251,7 @@ class TestBlockComponent:
             for combo in combinations(s.elements(), i):
                 t = b(combo, 7)
                 piece = block_component(4, s, t)
-                for v in piece.graph.vertices:
+                for v in piece.vertices:
                     seen.setdefault(v, set()).add(
                         frozenset((t.bits, (s - t).bits))
                     )
@@ -319,15 +336,20 @@ class TestCensus:
 
 
 class TestComponentSignature:
-    """component_signature reads degrees from the whole graph's rows; it
+    """A component's census key is read from the whole graph's rows; it
     must agree with the profile of each component cut out as a subgraph."""
 
     @staticmethod
     def _assert_agrees(g):
+        wants = Counter()
         for comp in g.component_sets:
-            want = (ISOLATED if len(comp) == 1
-                    else degree_profile(g.subgraph(comp)))
-            assert component_signature(g, comp) == want
+            if len(comp) == 1:
+                wants[ISOLATED] += 1
+                continue
+            want = degree_profile(g.subgraph(comp))
+            assert degree_signature(g.neighbor_table, comp) == want
+            wants[want] += 1
+        assert classify_components(g).counts == wants
 
     @pytest.mark.parametrize(
         "fam",
@@ -356,7 +378,7 @@ class TestComponentSignature:
         )
         assert g.labeled
         self._assert_agrees(g)
-        assert component_signature(g, [7, 8, 9, 10]) == ("irregular",)
+        assert degree_signature(g.neighbor_table, [7, 8, 9, 10]) == ("irregular",)
         assert classify_components(g).counts == {
             ISOLATED: 1, ("regular", 2): 1, ("biregular", 3, 1): 1,
             ("irregular",): 2,
@@ -367,13 +389,13 @@ class TestRemainder:
     @pytest.mark.parametrize("n,k,size", [(3, 2, 4), (4, 2, 15), (5, 2, 56)])
     def test_sizes(self, n, k, size):
         r = remainder_graph(n, k)
-        assert r.graph.n_vertices == size
-        assert r.signature == ("biregular", n, n - k)
+        assert r.n_vertices == size
+        assert degree_profile(r) == ("biregular", n, n - k)
 
     def test_remainder_size_closed_form(self):
         for n in range(3, 6):
             r = remainder_graph(n, 2)
-            assert r.graph.n_vertices == binomial(2 * (n - 1), n - 2)
+            assert r.n_vertices == binomial(2 * (n - 1), n - 2)
 
     def test_uniqueness_of_top_biregular_piece(self):
         # count C(k,0) = 1: exactly one (n, n-k)-biregular component
@@ -391,34 +413,36 @@ class TestRemainder:
         g = build(Family.odd(7))
         first = remainder_graph(7, 2)
         assert remainder_graph(7, 2) is first
-        assert remainder_graph(7, 3).signature == ("biregular", 7, 4)
+        assert degree_profile(remainder_graph(7, 3)) == ("biregular", 7, 4)
         assert len(calls) == 3
         ref = weakref.ref(first)
         del first, g
         assert ref() is None  # the piece lives and dies with odd(7)
 
     def test_checks_run_when_computed(self, fresh_live, monkeypatch):
+        # a bad piece planted in odd(7)'s memo, two vertices and no edges,
+        # is refused on every call that reads it
         g = build(Family.odd(7))
-        with monkeypatch.context() as patch:
-            patch.setattr(dec, "degree_profile", lambda g: ("irregular",))
-            with pytest.raises(AssertionError, match="expected biregular"):
-                remainder_graph(7, 2)
-        # the bad piece stays in odd(7)'s memo, and every call checks it
-        with pytest.raises(AssertionError, match="expected biregular"):
-            remainder_graph(7, 2)
+        piece = remainder_graph(7, 2)
         (key,) = (key for key in g.memo if key[0] == "piece")
-        bad = g.memo[key]
-        edgeless = graph_from_edges(13, list(bad.graph.vertices[:2]), [])
-        g.memo[key] = dataclasses.replace(
-            bad, graph=edgeless, signature=("biregular", 7, 5))
-        with pytest.raises(AssertionError, match="is not connected"):
-            remainder_graph(7, 2)
+        assert g.memo[key] is piece
+        g.memo[key] = graph_from_edges(13, list(piece.vertices[:2]), [])
+        for _ in range(2):
+            with pytest.raises(AssertionError,
+                               match=r"is regular\(0\), expected biregular\(7,5\)"):
+                remainder_graph(7, 2)
+        # with its degrees read as the right signature, the same piece
+        # fails the connectivity check
+        with monkeypatch.context() as patch:
+            patch.setattr(dec, "degree_profile", lambda g: ("biregular", 7, 5))
+            with pytest.raises(AssertionError, match="is not connected"):
+                remainder_graph(7, 2)
         # a piece depends only on odd(7): once the graph is gone, the piece
         # is cut again and passes
-        del g, bad
+        del g, piece
         piece = remainder_graph(7, 2)
-        assert piece.signature == ("biregular", 7, 5)
-        assert piece.graph.n_vertices == binomial(12, 5)
+        assert degree_profile(piece) == ("biregular", 7, 5)
+        assert piece.n_vertices == binomial(12, 5)
 
     def test_degenerate_parameters_rejected(self):
         with pytest.raises(ParameterError):
@@ -440,7 +464,7 @@ class TestDisjointness:
         u, w = classes[b([6], 7).bits], classes[b([7], 7).bits]
         assert u and w
         assert all(g.vertices[i] & s == b([6], 7) for i in u)
-        assert one.graph.masks == two.graph.masks == tuple(
+        assert one.masks == two.masks == tuple(
             g.masks[i] for i in sorted(u + w))
 
     def test_four_color_classes_separate(self):

@@ -3,14 +3,14 @@
 import sys
 import tracemalloc
 import weakref
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kneserlab import graphs, hamilton
-from kneserlab.decompose import ISOLATED, component_signature, delete_colors
+from kneserlab.decompose import ISOLATED, classify_components, delete_colors
 from kneserlab.errors import NotAdjacentError, ParameterError
 from kneserlab.graphs import (
     Family,
@@ -18,6 +18,7 @@ from kneserlab.graphs import (
     bfs_distances,
     build,
     degree_profile,
+    degree_signature,
     expected_family_degree,
     girth,
     graph_from_edges,
@@ -816,10 +817,15 @@ class TestAgainstBruteForce:
         nbrs = {i: {j for (x, j) in want if x == i} for i in range(g.n_vertices)}
         assert degree_profile(g) == reference_signature(
             nbrs, list(range(g.n_vertices)))
+        expected = Counter()
         for comp in g.component_sets:
-            expected = (ISOLATED if len(comp) == 1
-                        else reference_signature(nbrs, comp))
-            assert component_signature(g, comp) == expected
+            if len(comp) == 1:
+                expected[ISOLATED] += 1
+                continue
+            want = reference_signature(nbrs, comp)
+            assert degree_signature(g.neighbor_table, comp) == want
+            expected[want] += 1
+        assert classify_components(g).counts == expected
 
 
 def transitivity_witness(g, u, v):

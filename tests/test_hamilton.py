@@ -217,8 +217,8 @@ def held_karp_hamiltonian(g) -> bool:
 
 
 def small_graph(nv: int, edges):
-    """Unlabeled graph on the singletons of [nv], nv <= 13."""
-    return graph_from_edges(13, [b([i], 13) for i in range(1, nv + 1)], edges)
+    """Unlabeled graph on the singletons of [nv], nv <= 16."""
+    return graph_from_edges(16, [b([i], 16) for i in range(1, nv + 1)], edges)
 
 
 class TestExactOracle:
@@ -257,6 +257,31 @@ class TestExactOracle:
         petersen = find_hamiltonian_cycle(odd3, SearchBudget(max_nodes=10**6))
         assert petersen.status == NONE
         assert not held_karp_hamiltonian(odd3)
+
+    def test_search_agrees_with_oracle_up_to_sixteen_vertices(self):
+        # the oracle keeps one bitmask per subset, so 16 vertices cost it
+        # about 0.05 s; at these sparse densities the kernel itself, with
+        # no shortcut reason, proves some graph of every size has no cycle
+        rng = random.Random(1416)
+        proved = set()
+        for trial in range(24):  # 2 graphs per size and density
+            nv = 14 + trial % 3
+            p = (0.25, 0.3, 0.35, 0.45)[trial // 6]
+            g = small_graph(nv, [
+                (i, j, None)
+                for i in range(nv)
+                for j in range(i + 1, nv)
+                if rng.random() < p
+            ])
+            budget = SearchBudget(max_nodes=10**6, max_seconds=60, seed=trial)
+            result = find_hamiltonian_cycle(g, budget)
+            assert result.status != EXHAUSTED_BUDGET
+            assert (result.status == FOUND) == held_karp_hamiltonian(g), (
+                f"trial {trial}: {nv} vertices, p={p}, search {result.status}"
+            )
+            if result.status == NONE and not result.reason:
+                proved.add(nv)
+        assert proved == {14, 15, 16}
 
 
 class TestVerifyCycle:
@@ -641,7 +666,7 @@ class TestSpliceFrame:
                 i for i, x in enumerate(odd_up.masks)
                 if (x & s_bits).bit_count() == 1]
             assert (frame.remainder_size
-                    == remainder_graph(n, 2).graph.n_vertices
+                    == remainder_graph(n, 2).n_vertices
                     == binomial(2 * n - 2, n - 2))
 
     def test_connector_counts_only_an_edge(self, fresh_live):

@@ -58,7 +58,7 @@ class TestBlock:
         assert (a - b).elements() == (1,)
         assert (a ^ b).elements() == (1, 3)
         assert a <= a | b
-        assert not a.isdisjoint(b)
+        assert a & b  # not disjoint: a nonempty block is true
 
     def test_mixed_grounds_rejected(self):
         with pytest.raises(ParameterError):

@@ -91,7 +91,7 @@ class TestTwoColorPath:
         colors = canonical_colors(n, 2)
         a, c = colors.elements()
         piece = block_component(n, colors, Block.empty(2 * n - 1))
-        remainder = set(piece.graph.vertices)
+        remainder = set(piece.vertices)
         hits = 0
         for v in g.vertices:
             if (a in v) == (c in v):
